@@ -179,11 +179,12 @@ def _validate(cfg: RunConfig) -> list[str]:
             out.append("cutoff entries must be >= 1")
         if any(m < 2 * k for m, k in zip(cfg.grid, cfg.cutoff, strict=True)):
             out.append("anti-aliasing rule m_i >= 2 K_i violated")
-    if cfg.n > 2 * cfg.s and 0 < cfg.s < 1:
+    # only solve, sweep and hls read p; only solve and sweep read eps
+    if cfg.command in ("solve", "sweep", "hls") and cfg.n > 2 * cfg.s and 0 < cfg.s < 1:
         lower = 2 * cfg.s / (cfg.n - 2 * cfg.s)
         if cfg.p <= lower:
             out.append(f"hypothesis p > 2s/(n-2s) violated: p = {cfg.p} <= {lower:.6g}")
-        else:
+        elif cfg.command != "hls":
             eps_list = (cfg.eps,) if cfg.command == "solve" else cfg.eps_schedule
             for e in eps_list:
                 try:

@@ -9,6 +9,10 @@ difference H = free - G. The iterated kernel solves
 Gt(x, y) = int_Omega G(x, z) G^p(z, y) dz with polar-corrected patches
 around both integrable singularities.
 
+Pointwise kernels share one evaluator per (basis, s), cached like the
+transform matrices of `spectral_domain`: the eigenvalue multipliers and mode
+shells are built once, not on every call.
+
 Eigen-sum truncation is never silently dropped: every kernel sample carries
 a tail estimate extrapolated from the decay of the outer mode shells
 (a heuristic, flagged as such in reports; the convergence rate is not
@@ -20,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -152,7 +157,10 @@ _SHELL_EDGES = (0.5, 0.625, 0.75, 0.875)
 
 
 class _KernelEvaluator:
-    """Shared mode bookkeeping for pointwise eigen-sum kernels on one basis."""
+    """Shared mode bookkeeping for pointwise eigen-sum kernels on one basis.
+
+    Callers get it from the `_kernel_evaluator` cache, so its arrays are read-only.
+    """
 
     def __init__(self, basis: SpectralBasis, s: float):
         self.basis = basis
@@ -164,6 +172,8 @@ class _KernelEvaluator:
         frac = np.max(idx / cutoff[:, None], axis=0)
         self.shell_id = np.searchsorted(_SHELL_EDGES, frac, side="left")
         self.n_shells = len(_SHELL_EDGES) + 1
+        self.mults.flags.writeable = False
+        self.shell_id.flags.writeable = False
 
     def mode_values(self, x) -> np.ndarray:
         vals = None
@@ -178,6 +188,11 @@ class _KernelEvaluator:
         shell_sums = np.bincount(self.shell_id, weights=terms, minlength=self.n_shells)
         value = float(np.sum(shell_sums))
         return value, _tail_estimate(shell_sums, value)
+
+
+@lru_cache(maxsize=16)
+def _kernel_evaluator(basis: SpectralBasis, s: float) -> _KernelEvaluator:
+    return _KernelEvaluator(basis, s)
 
 
 def _tail_estimate(shell_sums: np.ndarray, value: float) -> float:
@@ -223,7 +238,7 @@ def green(x, y, basis: SpectralBasis, s: float | None = None) -> KernelSample:
         raise UnresolvedSingularityError(
             f"separation {d:.3e} below resolvable spacing {thr:.3e}"
         )
-    value, tail = _KernelEvaluator(basis, s).sum_with_tail(x, y)
+    value, tail = _kernel_evaluator(basis, s).sum_with_tail(x, y)
     return KernelSample(tuple(x), tuple(y), value, tail)
 
 
@@ -391,14 +406,13 @@ def g_tilde(
     g_const = gns(n, s)
     lam_pow = n - 2 * s
 
-    def kernel_field(point) -> np.ndarray:
-        ev = _KernelEvaluator(basis, s)
-        coeff = (ev.mults * ev.mode_values(point)).reshape(basis.cutoff)
-        vals = synthesize(SpectralField(basis, coeff), grid).values
-        return np.maximum(vals, 0.0)
+    # eigen-coefficients of G(x, .) and G(y, .), for the grid and the patches
+    ev = _kernel_evaluator(basis, s)
+    coeff_x = SpectralField(basis, (ev.mults * ev.mode_values(x)).reshape(basis.cutoff))
+    coeff_y = SpectralField(basis, (ev.mults * ev.mode_values(y)).reshape(basis.cutoff))
 
-    gx_vals = kernel_field(x)
-    gy_vals = kernel_field(y)
+    gx_vals = np.maximum(synthesize(coeff_x, grid).values, 0.0)
+    gy_vals = np.maximum(synthesize(coeff_y, grid).values, 0.0)
 
     def patch_box(c):
         idx = grid.nearest_node(c)
@@ -430,10 +444,6 @@ def g_tilde(
     ring = max(thr * 1.1, 2.0 * float(np.max(h)))
     h_y = _ring_regular_part(y, basis, s, ring)
     h_x = _ring_regular_part(x, basis, s, ring)
-
-    ev = _KernelEvaluator(basis, s)
-    coeff_x = SpectralField(basis, (ev.mults * ev.mode_values(x)).reshape(basis.cutoff))
-    coeff_y = SpectralField(basis, (ev.mults * ev.mode_values(y)).reshape(basis.cutoff))
 
     def smooth_near_y(pts):
         r = np.linalg.norm(pts - y[None, :], axis=1)

@@ -137,9 +137,10 @@ def free_convolution(field: FreeField, n: int, s: float, values=None) -> np.ndar
     table = _kernel_table(field, lam)
     shape = f.shape
     fft_shape = tuple(m + t - 1 for m, t in zip(shape, table.shape, strict=True))
-    F = np.fft.rfftn(f, fft_shape)
-    K = np.fft.rfftn(table, fft_shape)
-    full = np.fft.irfftn(F * K, fft_shape)
+    axes = tuple(range(f.ndim))
+    F = np.fft.rfftn(f, fft_shape, axes=axes)
+    K = np.fft.rfftn(table, fft_shape, axes=axes)
+    full = np.fft.irfftn(F * K, fft_shape, axes=axes)
     sl = tuple(slice(m - 1, 2 * m - 1) for m in shape)
     return gns(n, s) * field.cell_volume * full[sl]
 

@@ -87,9 +87,9 @@ class EigenIndex:
 class SpectralBasis:
     """All Dirichlet eigenpairs of a box with k_i <= K_i, eigenvalues closed form.
 
-    `eigenvalues` / `mode_indices` list the flattened modes sorted by
-    nondecreasing eigenvalue (stable, so ties break lexicographically in k);
-    `eigenvalue_grid` keeps the tensor layout used by the transforms.
+    `eigenvalues` lists the eigenvalues of the flattened modes in
+    nondecreasing order; `eigenvalue_grid` keeps the tensor layout used by
+    the transforms.
     """
 
     def __init__(self, domain: BoxDomain, cutoff):
@@ -111,13 +111,7 @@ class SpectralBasis:
         ]
         grids = np.meshgrid(*lam1d, indexing="ij")
         self.eigenvalue_grid = np.add.reduce(grids)
-
-        flat = self.eigenvalue_grid.ravel(order="C")
-        order = np.argsort(flat, kind="stable")
-        self._sort_order = order
-        self.eigenvalues = flat[order]
-        idx = np.indices(cutoff).reshape(domain.dim, -1).T + 1
-        self.mode_indices = idx[order]
+        self.eigenvalues = np.sort(self.eigenvalue_grid, axis=None)
 
     @property
     def num_modes(self) -> int:
@@ -146,10 +140,6 @@ class SpectralBasis:
         return math.sqrt(2.0 / L) * np.sin(
             np.pi / L * coords[:, None] * karr[None, :]
         )
-
-    def sort_flat(self, coeff_grid: np.ndarray) -> np.ndarray:
-        """Flatten a tensor of per-mode values into eigenvalue-sorted order."""
-        return coeff_grid.ravel(order="C")[self._sort_order]
 
 
 class Grid:
@@ -242,9 +232,6 @@ class SpectralField:
                 f"cutoff {self.basis.cutoff}"
             )
 
-    def sorted_flat(self) -> np.ndarray:
-        return self.basis.sort_flat(self.coefficients)
-
 
 def build_basis(domain: BoxDomain, cutoff) -> SpectralBasis:
     """All eigenpairs with k_i <= K_i; rejects K_i = 0."""
@@ -299,25 +286,37 @@ def synthesize(c: SpectralField, grid: Grid) -> GridFunction:
     return GridFunction(grid, values)
 
 
+_SYNTHESIZE_AT_BUDGET_BYTES = 1 << 20
+
+
+def _points_per_block(cutoff: tuple[int, ...]) -> int:
+    """Block size of `synthesize_at`: partial sums plus sine samples fit the budget."""
+    floats_per_point = math.prod(cutoff[:-1]) + sum(cutoff)
+    return max(1, _SYNTHESIZE_AT_BUDGET_BYTES // (8 * floats_per_point))
+
+
 def synthesize_at(c: SpectralField, points) -> np.ndarray:
-    """Evaluate sum_k a_k phi_k at arbitrary points (P, n) -> (P,)."""
+    """Evaluate sum_k a_k phi_k at arbitrary points (P, n) -> (P,).
+
+    Per block of points, one BLAS matmul contracts the last mode axis, then
+    each remaining axis folds in; the block size keeps a block's temporaries
+    within about 1 MB, whatever the number of points.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = c.basis.domain.dim
     if points.shape[1] != n:
         raise ValueError(f"points have dimension {points.shape[1]}, expected {n}")
-    mats = [c.basis.sine_samples(axis, points[:, axis]) for axis in range(n)]
-    if n == 1:
-        return mats[0] @ c.coefficients.ravel()
-    if n == 2:
-        return np.einsum("pk,pl,kl->p", mats[0], mats[1], c.coefficients)
-    if n == 3:
-        return np.einsum("pk,pl,pm,klm->p", mats[0], mats[1], mats[2], c.coefficients)
+    cutoff = c.basis.cutoff
+    by_last = c.coefficients.reshape(-1, cutoff[-1]).T
+    block = _points_per_block(cutoff)
     out = np.empty(points.shape[0])
-    for i in range(points.shape[0]):
-        t = c.coefficients
-        for axis in range(n):
-            t = np.tensordot(mats[axis][i], t, axes=([0], [0]))
-        out[i] = t
+    for start in range(0, points.shape[0], block):
+        pts = points[start:start + block]
+        mats = [c.basis.sine_samples(axis, pts[:, axis]) for axis in range(n)]
+        t = mats[-1] @ by_last
+        for axis in range(n - 2, -1, -1):
+            t = np.einsum("pjk,pk->pj", t.reshape(len(pts), -1, cutoff[axis]), mats[axis])
+        out[start:start + block] = t[:, 0]
     return out
 
 

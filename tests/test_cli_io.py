@@ -229,6 +229,20 @@ def test_cli_kernels_command(tmp_path):
     assert (out / "kernels.csv").read_bytes() == (out2 / "kernels.csv").read_bytes()
 
 
+def test_cli_kernels_3d_without_p(tmp_path):
+    # the default p = 2.5 has no admissible eps in 3-d, but kernels reads neither
+    cfg = tmp_path / "k3.cfg"
+    cfg.write_text(
+        "command = kernels\nn = 3\ns = 0.6\ncutoff = 16,16,16\ngrid = 32,32,32\n"
+        "kernel_pairs = 20\nkernel_margin = 0.2\n"
+    )
+    assert cli_io.parse_config(cfg.read_text()).p == cli_io.RunConfig().p
+    out = tmp_path / "k3out"
+    assert run_cli(["kernels", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = json.loads((out / "kernels_report.json").read_text())
+    assert rep["pairs"] == 20 and all(c["passed"] for c in rep["checks"])
+
+
 def test_cli_config_error_exit_code(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("p = 2.5\neps = 0.1\n")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fraclane as fl
-from fraclane.fractional_calculus import _KernelEvaluator
+from fraclane.fractional_calculus import _KernelEvaluator, _kernel_evaluator
 from fraclane.spectral_domain import SpectralField, synthesize, synthesize_at
 
 
@@ -114,6 +114,28 @@ def test_green_symmetry_exact_and_bound_example():
     free = fl.free_kernel(x, y, 2, 0.5)
     assert free == pytest.approx(2.0 / math.pi, rel=1e-13)
     assert 0.0 < gxy.value < free + gxy.truncation_bound
+
+
+def test_green_reuses_one_read_only_evaluator(monkeypatch):
+    dom, basis, grid = setup_square(K=24, m=48)
+    seen = []
+    original = _KernelEvaluator.sum_with_tail
+
+    def recording(self, x, y):
+        seen.append(self)
+        return original(self, x, y)
+
+    monkeypatch.setattr(_KernelEvaluator, "sum_with_tail", recording)
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        x, y = 0.2 + 0.6 * rng.random(2), 0.2 + 0.6 * rng.random(2)
+        assert fl.green(x, y, basis).value == fl.green(y, x, basis).value
+    ev = seen[0]
+    assert all(other is ev for other in seen)
+    assert ev is _kernel_evaluator(basis, 0.5)
+    assert not ev.mults.flags.writeable and not ev.shell_id.flags.writeable
+    with pytest.raises(ValueError):
+        ev.mults[0] = 0.0
 
 
 def test_green_refuses_unresolved_separation():

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import fraclane as fl
+from fraclane.spectral_domain import _points_per_block
 
 
 def unit_square(s=0.5):
@@ -143,6 +144,35 @@ def test_synthesize_zero_and_peak():
     # max of 2 sin(pi x) sin(pi y) at the center; nearest cell center sits h/2 off
     assert phi.max() == pytest.approx(2.0, abs=2.5e-3)
     assert fl.synthesize_at(fl.analyze(phi, basis), [(0.5, 0.5)])[0] == pytest.approx(2.0, rel=1e-13)
+
+
+def synthesize_at_oracle(c, points):
+    """Direct sum over every mode of a_k times the product of its 1-d sine factors."""
+    rows = [c.basis.sine_samples(axis, points[:, axis]) for axis in range(points.shape[1])]
+    total = np.zeros(len(points))
+    for k in np.ndindex(c.basis.cutoff):
+        term = np.full(len(points), c.coefficients[k])
+        for row, ki in zip(rows, k, strict=True):
+            term = term * row[:, ki]
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("cutoff", [(9,), (7, 5), (5, 4, 3), (3, 2, 4, 2)])
+def test_synthesize_at_matches_direct_sum(cutoff):
+    n = len(cutoff)
+    dom = fl.BoxDomain((1.0, 0.7, 1.3, 0.9)[:n], 0.3)
+    basis = fl.build_basis(dom, cutoff)
+    rng = np.random.default_rng(n)
+    field = fl.SpectralField(basis, rng.standard_normal(cutoff))
+    block = _points_per_block(cutoff)
+    for count in (0, 1, block, block + 1):
+        points = rng.random((count, n)) * np.asarray(dom.lengths)
+        got = fl.synthesize_at(field, points)
+        ref = synthesize_at_oracle(field, points)
+        assert got.shape == (count,)
+        scale = float(np.max(np.abs(ref))) if count else 1.0
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_parseval():
