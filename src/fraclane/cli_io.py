@@ -106,11 +106,13 @@ def _parse_scalar(name: str, raw: str, kind: type):
     return raw
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, command: str | None = None) -> RunConfig:
     """Parse flat `key = value` lines (lists comma-separated, # comments).
 
     Collects every violation (unknown keys, malformed numbers with line
     numbers, downstream hypothesis violations by name) before raising.
+    A given `command` (the CLI subcommand) replaces the file's `command` key
+    before validation, so the checks are those of the command that runs.
     """
     defaults = RunConfig()
     known = {f.name: f.type for f in dc_fields(RunConfig)}
@@ -144,6 +146,8 @@ def parse_config(text: str) -> RunConfig:
             violations.append(f"line {lineno}: malformed value for {key!r}: {raw.strip()!r}")
     if violations:
         raise ConfigError(violations)
+    if command is not None:
+        values["command"] = command
 
     cfg = RunConfig(**values)
     if "lengths" not in values and cfg.n != defaults.n:
@@ -699,12 +703,11 @@ def main(argv=None) -> int:
 
     raw = args.config.read_text() if args.config else ""
     try:
-        cfg = parse_config(raw) if raw else RunConfig()
+        cfg = parse_config(raw, args.command) if raw else RunConfig(command=args.command)
     except ConfigError as exc:
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)
         return 2
-    cfg.command = args.command
     out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
     echo = _config_echo(cfg, raw)
 

@@ -11,7 +11,9 @@ around both integrable singularities.
 
 Pointwise kernels share one evaluator per (basis, s), cached like the
 transform matrices of `spectral_domain`: the eigenvalue multipliers and mode
-shells are built once, not on every call.
+shells are built once, not on every call. `g_tilde`'s default grid is cached
+per basis the same way. Gauss-Legendre rules, which `hls_limit` uses as well,
+are built once per order and handed out read-only.
 
 Eigen-sum truncation is never silently dropped: every kernel sample carries
 a tail estimate extrapolated from the decay of the outer mode shells
@@ -275,6 +277,15 @@ def _ray_exit_distance(center: np.ndarray, direction: np.ndarray, lo, hi) -> flo
     return t
 
 
+@lru_cache(maxsize=16)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order; read-only."""
+    nodes, weights = leggauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def _unit_directions(n: int, n_ang: int) -> tuple[np.ndarray, np.ndarray]:
     """Angular nodes/weights for integrating over S^{n-1}, n <= 3."""
     if n == 1:
@@ -283,7 +294,7 @@ def _unit_directions(n: int, n_ang: int) -> tuple[np.ndarray, np.ndarray]:
         theta = (np.arange(n_ang) + 0.5) * (2.0 * math.pi / n_ang)
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         return dirs, np.full(n_ang, 2.0 * math.pi / n_ang)
-    mu, wmu = leggauss(max(n_ang // 2, 4))
+    mu, wmu = _gauss_legendre(max(n_ang // 2, 4))
     n_th = n_ang
     theta = (np.arange(n_th) + 0.5) * (2.0 * math.pi / n_th)
     wth = 2.0 * math.pi / n_th
@@ -312,7 +323,7 @@ def _polar_box_integral(center, lo, hi, gamma: float, smooth, n_rad: int, n_ang:
     if m <= 0:
         raise RegimeError(f"singular exponent {gamma} is not integrable in {n}-d")
     dirs, wang = _unit_directions(n, n_ang)
-    u_nodes, u_weights = leggauss(n_rad)
+    u_nodes, u_weights = _gauss_legendre(n_rad)
     total = 0.0
     pts = []
     scale = []
@@ -364,6 +375,16 @@ def _sublattice_spread(weighted_cells: np.ndarray) -> float:
     return 0.5 * (max(subs) - min(subs))
 
 
+@lru_cache(maxsize=16)
+def _kernel_grid(basis: SpectralBasis) -> Grid:
+    """`g_tilde`'s default grid, 2 K_i nodes per axis, one per basis so that
+    the transform matrices keyed on it are built once."""
+    grid = build_grid(basis.domain, tuple(2 * K for K in basis.cutoff))
+    for coords in grid.coords:
+        coords.flags.writeable = False
+    return grid
+
+
 def g_tilde(
     x,
     y,
@@ -394,7 +415,7 @@ def g_tilde(
     y = np.asarray(y, dtype=float)
     _require_interior(basis, x, y)
     if grid is None:
-        grid = build_grid(basis.domain, tuple(2 * K for K in basis.cutoff))
+        grid = _kernel_grid(basis)
     h = np.asarray(grid.spacing)
     thr = resolvability_threshold(basis)
     min_sep = max(thr, 4.0 * float(np.max(h)))

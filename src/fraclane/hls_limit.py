@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ellipk, gamma as gamma_fn
 
-from .fractional_calculus import RegimeError, _polar_box_integral, gns
+from .fractional_calculus import RegimeError, _gauss_legendre, _polar_box_integral, gns
 
 
 def sphere_area(n: int) -> float:
@@ -428,7 +428,9 @@ def kernel_sphere_integral(r, rho, n: int, lam: float):
 
 
 def _gl_on(a: float, b: float, npts: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(npts)
+    """Gauss-Legendre rule on [a, b]: the cached, read-only rule of this order
+    on [-1, 1], mapped affinely into fresh arrays."""
+    x, w = _gauss_legendre(npts)
     return 0.5 * (b - a) * (x + 1.0) + a, 0.5 * (b - a) * w
 
 

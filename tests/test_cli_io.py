@@ -243,6 +243,21 @@ def test_cli_kernels_3d_without_p(tmp_path):
     assert rep["pairs"] == 20 and all(c["passed"] for c in rep["checks"])
 
 
+def test_cli_validates_config_against_subcommand(tmp_path):
+    # no command line: the file alone would be checked as a solve config,
+    # whose default eps has no admissible q in 3-d
+    cfg = tmp_path / "k3.cfg"
+    cfg.write_text(
+        "n = 3\ns = 0.6\ncutoff = 16,16,16\ngrid = 32,32,32\n"
+        "kernel_pairs = 20\nkernel_margin = 0.2\n"
+    )
+    with pytest.raises(cli_io.ConfigError, match="q >= p"):
+        cli_io.parse_config(cfg.read_text())
+    out = tmp_path / "k3out"
+    assert run_cli(["kernels", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    assert json.loads((out / "kernels_report.json").read_text())["pairs"] == 20
+
+
 def test_cli_config_error_exit_code(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("p = 2.5\neps = 0.1\n")

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 import fraclane as fl
-from fraclane.fractional_calculus import _KernelEvaluator, _kernel_evaluator
-from fraclane.spectral_domain import SpectralField, synthesize, synthesize_at
+from fraclane.fractional_calculus import _KernelEvaluator, _gauss_legendre, _kernel_evaluator
+from fraclane.spectral_domain import SpectralField, _transform_matrices, synthesize, synthesize_at
 
 
 def setup_square(K=16, m=32, s=0.5):
@@ -242,6 +243,29 @@ def test_g_tilde_regime_guard():
         fl.g_tilde((0.3, 0.3), (0.7, 0.7), 0.8, basis)  # p < 1
     with pytest.raises(fl.UnresolvedSingularityError):
         fl.g_tilde((0.5, 0.5), (0.52, 0.5), 1.5, basis)
+
+
+def test_g_tilde_default_grid_shares_transform_matrices():
+    # the default grid is one object per basis, so its sine matrices are
+    # built by the first call and found by every later one
+    dom, basis, grid = setup_square(K=8, m=16)
+    misses = _transform_matrices.cache_info().misses
+    values = [fl.g_tilde((0.3, 0.3), (0.7, 0.6), 1.0, basis).value for _ in range(3)]
+    assert _transform_matrices.cache_info().misses - misses <= 1
+    assert values[0] == values[1] == values[2]
+
+
+def test_gauss_legendre_rule_cached_and_read_only():
+    for order in (1, 12, 16, 2000):
+        nodes, weights = _gauss_legendre(order)
+        ref_nodes, ref_weights = leggauss(order)
+        assert nodes.tobytes() == ref_nodes.tobytes()
+        assert weights.tobytes() == ref_weights.tobytes()
+        again = _gauss_legendre(order)
+        assert again[0] is nodes and again[1] is weights
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
 
 
 def test_g_tilde_symmetry_at_p1():

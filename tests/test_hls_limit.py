@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 import fraclane as fl
+from fraclane import fractional_calculus as fc
 from fraclane import hls_limit as hl
 
 
@@ -41,6 +43,20 @@ def test_sharp_diagonal_quotient_matches_analytic():
     # n=2, s=1/2 diagonal sharp constant is sqrt(pi) (bubble closed form)
     val = hl.sharp_diagonal_quotient(2, 0.5)
     assert val == pytest.approx(math.sqrt(math.pi), rel=1e-5)
+
+
+def test_sharp_diagonal_quotient_builds_each_rule_once(monkeypatch):
+    built = []
+
+    def counting_leggauss(order):
+        built.append(order)
+        return leggauss(order)
+
+    monkeypatch.setattr(fc, "leggauss", counting_leggauss)
+    fc._gauss_legendre.cache_clear()
+    first = hl.sharp_diagonal_quotient(2, 0.5)
+    assert hl.sharp_diagonal_quotient(2, 0.5) == first
+    assert built.count(2000) <= 1
 
 
 def test_bubble_pair_constants():
