@@ -9,11 +9,13 @@ difference H = free - G. The iterated kernel solves
 Gt(x, y) = int_Omega G(x, z) G^p(z, y) dz with polar-corrected patches
 around both integrable singularities.
 
-Pointwise kernels share one evaluator per (basis, s), cached like the
-transform matrices of `spectral_domain`: the eigenvalue multipliers and mode
-shells are built once, not on every call. `g_tilde`'s default grid is cached
-per basis the same way. Gauss-Legendre rules, which `hls_limit` uses as well,
-are built once per order and handed out read-only.
+The eigenvalue multipliers lambda_k^{+-s} are cached per (basis, exponent),
+like the half sine matrices of `spectral_domain`, and shared by
+`apply_inverse`, `apply_fraclap` and the pointwise kernels. Those kernels
+share one evaluator per (basis, s), so the mode shells are built once, not on
+every call. `g_tilde`'s default grid is cached per basis the same way.
+Gauss-Legendre rules, which `hls_limit` uses as well, are built once per
+order and handed out read-only.
 
 Eigen-sum truncation is never silently dropped: every kernel sample carries
 a tail estimate extrapolated from the decay of the outer mode shells
@@ -100,12 +102,20 @@ def free_kernel(x, y, n: int, s: float) -> float:
     return gns(n, s) * d ** (2 * s - n)
 
 
+@lru_cache(maxsize=16)
+def _multipliers(basis: SpectralBasis, exponent: float) -> np.ndarray:
+    """Eigenvalue multipliers lambda_k^exponent in tensor layout, read-only."""
+    mults = basis.eigenvalue_grid**exponent
+    mults.flags.writeable = False
+    return mults
+
+
 def apply_fraclap(f: GridFunction, s: float, basis: SpectralBasis) -> GridFunction:
     """Multiplier action a_k -> lambda_k^s a_k, synthesized back to the grid."""
     if not 0.0 < s <= 1.0:
         raise ValueError(f"fractional order must lie in (0, 1], got {s}")
     field = analyze(f, basis)
-    coeff = field.coefficients * basis.eigenvalue_grid**s
+    coeff = field.coefficients * _multipliers(basis, s)
     return synthesize(SpectralField(basis, coeff), f.grid)
 
 
@@ -119,7 +129,7 @@ def apply_inverse(f: GridFunction, s: float, basis: SpectralBasis) -> GridFuncti
     if not 0.0 < s <= 1.0:
         raise ValueError(f"fractional order must lie in (0, 1], got {s}")
     field = analyze(f, basis)
-    coeff = field.coefficients * basis.eigenvalue_grid ** (-s)
+    coeff = field.coefficients * _multipliers(basis, -s)
     return synthesize(SpectralField(basis, coeff), f.grid)
 
 
@@ -167,14 +177,12 @@ class _KernelEvaluator:
     def __init__(self, basis: SpectralBasis, s: float):
         self.basis = basis
         self.s = s
-        lam_flat = basis.eigenvalue_grid.ravel(order="C")
-        self.mults = lam_flat ** (-s)
+        self.mults = _multipliers(basis, -s).ravel(order="C")
         cutoff = np.asarray(basis.cutoff, dtype=float)
         idx = np.indices(basis.cutoff).reshape(basis.domain.dim, -1) + 1
         frac = np.max(idx / cutoff[:, None], axis=0)
         self.shell_id = np.searchsorted(_SHELL_EDGES, frac, side="left")
         self.n_shells = len(_SHELL_EDGES) + 1
-        self.mults.flags.writeable = False
         self.shell_id.flags.writeable = False
 
     def mode_values(self, x) -> np.ndarray:
@@ -378,7 +386,7 @@ def _sublattice_spread(weighted_cells: np.ndarray) -> float:
 @lru_cache(maxsize=16)
 def _kernel_grid(basis: SpectralBasis) -> Grid:
     """`g_tilde`'s default grid, 2 K_i nodes per axis, one per basis so that
-    the transform matrices keyed on it are built once."""
+    the half sine matrices keyed on it are built once."""
     grid = build_grid(basis.domain, tuple(2 * K for K in basis.cutoff))
     for coords in grid.coords:
         coords.flags.writeable = False

@@ -195,6 +195,79 @@ def symmetry_classes(f: GridFunction, tol: float = 1e-10) -> dict:
     return out
 
 
+def _iterate(
+    w: GridFunction,
+    exponents: ExponentPair,
+    basis: SpectralBasis,
+    theta_tol: float,
+    residual_tol: float,
+    max_iter: int,
+    ascent_slack: float,
+) -> tuple[GridFunction, float, list[float], int, float, float]:
+    """The fixed-point loop of `solve_ground_state` from a normalized w.
+
+    Returns (w, theta, theta_history, iterations, residual, clamp_max). The
+    loop's fields die with this frame, before the caller builds the solution.
+    w^{1/q} is carried from one iteration to the next, and every field is
+    nonnegative, so each norm reuses a power already taken: one v^p and one
+    t^q per iteration.
+    """
+    p, q, s = exponents.p, exponents.q, exponents.s
+    qnorm = (q + 1.0) / q
+    cell = w.grid.cell_volume
+    w_root = w.values ** (1.0 / q)
+
+    theta_history = []
+    clamp_max = 0.0
+    theta_prev = None
+    residual = math.inf
+    for it in range(1, max_iter + 1):
+        v_pos, c1 = clamp_nonnegative(apply_inverse(w, s, basis), context="inner inverse")
+        v_pow = v_pos.values**p
+        t_pos, c2 = clamp_nonnegative(
+            apply_inverse(v_pos.with_values(v_pow), s, basis), context="outer inverse"
+        )
+        clamp_max = max(clamp_max, c1, c2)
+
+        v_norm = float(cell * np.sum(v_pos.values * v_pow)) ** (1.0 / (p + 1.0))
+        w_norm = float(cell * np.sum(w.values * w_root)) ** (1.0 / qnorm)
+        theta = v_norm / w_norm
+        theta_history.append(theta)
+        if theta_prev is not None and theta < theta_prev - ascent_slack * max(1.0, theta_prev):
+            raise ConvergenceError(
+                f"Theta decreased at iteration {it}: {theta_prev!r} -> {theta!r}",
+                diagnostics={
+                    "iteration": it,
+                    "theta_history": np.asarray(theta_history),
+                },
+            )
+
+        mu = theta ** (p + 1.0)
+        residual = float(np.max(np.abs(t_pos.values - mu * w_root))) / max(
+            mu * float(np.max(w_root)), 1e-300
+        )
+        rel_change = (
+            math.inf if theta_prev is None else abs(theta - theta_prev) / theta
+        )
+        theta_prev = theta
+        if rel_change < theta_tol and residual < residual_tol:
+            return w, theta, theta_history, it, residual, clamp_max
+
+        t_vals = t_pos.values
+        nxt = t_vals**q
+        norm = float(cell * np.sum(t_vals * nxt)) ** (1.0 / qnorm)
+        if norm == 0.0:
+            raise ConvergenceError("iteration collapsed to zero")
+        nxt /= norm
+        w = w.with_values(nxt)
+        w_root = t_vals / norm ** (1.0 / q)
+    raise ConvergenceError(
+        f"no convergence in {max_iter} iterations "
+        f"(last residual {residual:.3e})",
+        diagnostics={"theta_history": np.asarray(theta_history)},
+    )
+
+
 def solve_ground_state(
     exponents: ExponentPair,
     basis: SpectralBasis,
@@ -231,56 +304,9 @@ def solve_ground_state(
             raise ValueError("init must be nonnegative and nontrivial")
         w = init.copy()
     w = w.with_values(w.values / lp_norm(w, qnorm))
-
-    theta_history = []
-    clamp_max = 0.0
-    theta_prev = None
-    residual = math.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        v_raw = apply_inverse(w, s, basis)
-        v_pos, c1 = clamp_nonnegative(v_raw, context="inner inverse")
-        t_raw = apply_inverse(v_pos.with_values(v_pos.values**p), s, basis)
-        t_pos, c2 = clamp_nonnegative(t_raw, context="outer inverse")
-        clamp_max = max(clamp_max, c1, c2)
-
-        theta = lp_norm(v_pos, p + 1.0) / lp_norm(w, qnorm)
-        theta_history.append(theta)
-        if theta_prev is not None and theta < theta_prev - ascent_slack * max(1.0, theta_prev):
-            raise ConvergenceError(
-                f"Theta decreased at iteration {it}: {theta_prev!r} -> {theta!r}",
-                diagnostics={
-                    "iteration": it,
-                    "theta_history": np.asarray(theta_history),
-                },
-            )
-
-        mu = theta ** (p + 1.0)
-        target = mu * w.values ** (1.0 / q)
-        residual = float(np.max(np.abs(t_pos.values - target))) / max(
-            float(np.max(np.abs(target))), 1e-300
-        )
-        rel_change = (
-            math.inf if theta_prev is None else abs(theta - theta_prev) / theta
-        )
-        if rel_change < theta_tol and residual < residual_tol:
-            theta_prev = theta
-            break
-        theta_prev = theta
-
-        nxt = t_pos.values**q
-        norm = lp_norm(t_pos.with_values(nxt), qnorm)
-        if norm == 0.0:
-            raise ConvergenceError("iteration collapsed to zero")
-        w = w.with_values(nxt / norm)
-    else:
-        raise ConvergenceError(
-            f"no convergence in {max_iter} iterations "
-            f"(last residual {residual:.3e})",
-            diagnostics={"theta_history": np.asarray(theta_history)},
-        )
-
-    theta = theta_prev
+    w, theta, theta_history, it, residual, clamp_max = _iterate(
+        w, exponents, basis, theta_tol, residual_tol, max_iter, ascent_slack
+    )
     if clamp_max > positivity_budget:
         raise ConvergenceError(
             f"positivity lost beyond clamp budget {positivity_budget:.1e}: "

@@ -62,3 +62,39 @@ def multistart_theta(exps, basis, grid, n_restarts=8, seed=777, max_iter=8000):
         if theta > best:
             best, best_values = theta, values
     return best, best_values
+
+
+def plain_fixed_point(exps, basis, grid, theta_tol=1e-9, residual_tol=1e-7, max_iter=2000):
+    """The normalized fixed-point iteration of `solve_ground_state`, written
+    out plainly: every power and norm is taken afresh from its field. Returns
+    u, v of the rescaled solution, the Theta history and the iteration count."""
+    p, q, s = exps.p, exps.q, exps.s
+    qn = (q + 1.0) / q
+    w_cell = grid.cell_volume
+
+    def norm(values, r):
+        return (w_cell * np.sum(np.abs(values) ** r)) ** (1.0 / r)
+
+    def inverse(values):
+        return np.maximum(apply_inverse(GridFunction(grid, values), s, basis).values, 0.0)
+
+    first = np.zeros(basis.cutoff)
+    first[(0,) * grid.domain.dim] = 1.0
+    w = fl.synthesize(fl.SpectralField(basis, first), grid).values
+    w = w / norm(w, qn)
+    history = []
+    for iteration in range(1, max_iter + 1):
+        v = inverse(w)
+        t = inverse(v**p)
+        theta = norm(v, p + 1.0) / norm(w, qn)
+        target = theta ** (p + 1.0) * w ** (1.0 / q)
+        residual = np.max(np.abs(t - target)) / np.max(np.abs(target))
+        change = abs(theta - history[-1]) / theta if history else np.inf
+        history.append(theta)
+        if change < theta_tol and residual < residual_tol:
+            break
+        w = t**q / norm(t**q, qn)
+    else:
+        raise RuntimeError(f"plain iteration did not converge in {max_iter} steps")
+    w = theta ** (-q * (p + 1.0) / (p * q - 1.0)) * w
+    return w ** (1.0 / q), inverse(w), np.asarray(history), iteration

@@ -8,7 +8,7 @@ from numpy.polynomial.legendre import leggauss
 
 import fraclane as fl
 from fraclane.fractional_calculus import _KernelEvaluator, _gauss_legendre, _kernel_evaluator
-from fraclane.spectral_domain import SpectralField, _transform_matrices, synthesize, synthesize_at
+from fraclane.spectral_domain import SpectralField, _half_matrices, synthesize, synthesize_at
 
 
 def setup_square(K=16, m=32, s=0.5):
@@ -249,9 +249,9 @@ def test_g_tilde_default_grid_shares_transform_matrices():
     # the default grid is one object per basis, so its sine matrices are
     # built by the first call and found by every later one
     dom, basis, grid = setup_square(K=8, m=16)
-    misses = _transform_matrices.cache_info().misses
+    misses = _half_matrices.cache_info().misses
     values = [fl.g_tilde((0.3, 0.3), (0.7, 0.6), 1.0, basis).value for _ in range(3)]
-    assert _transform_matrices.cache_info().misses - misses <= 1
+    assert _half_matrices.cache_info().misses - misses <= 1
     assert values[0] == values[1] == values[2]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fraclane as fl
-from oracles import multistart_theta
+from oracles import multistart_theta, plain_fixed_point
 
 
 def small_setup(K=16, m=32):
@@ -212,6 +212,17 @@ def test_small_instance_oracle_quick():
     # smoke-level settings; the acceptance suite runs the full-strength oracle
     # at the criterion tolerance 1e-4
     assert best_solver == pytest.approx(best_pga, rel=5e-4)
+
+
+def test_solver_matches_plain_iteration(solved):
+    # the solver reuses each fractional power across its norms; the plain
+    # iteration takes every one afresh, so both walk the same path up to rounding
+    dom, basis, grid, exps, pair, report = solved
+    u, v, history, iterations = plain_fixed_point(exps, basis, grid)
+    assert report.iterations == iterations
+    np.testing.assert_allclose(report.theta_history, history, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(pair.u.values, u, rtol=0, atol=1e-12 * np.max(u))
+    np.testing.assert_allclose(pair.v.values, v, rtol=0, atol=1e-12 * np.max(v))
 
 
 def test_nonconvergence_raises():

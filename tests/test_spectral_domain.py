@@ -175,6 +175,38 @@ def test_synthesize_at_matches_direct_sum(cutoff):
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * scale)
 
 
+def dense_transform_oracle(values, basis, grid, inverse=False):
+    """Full sine matrix per axis, contracted with np.tensordot."""
+    for axis in range(grid.domain.dim):
+        mat = basis.sine_samples(axis, grid.coords[axis])
+        values = np.tensordot(values, mat, axes=([0], [1 if inverse else 0]))
+    return values if inverse else values * grid.cell_volume
+
+
+@pytest.mark.parametrize("cutoff, shape", [
+    ((5,), (10,)), ((4,), (9,)),                       # n = 1: K = m/2; odd m
+    ((8, 8), (16, 16)), ((6, 5), (15, 12)), ((1, 3), (2, 7)),
+    ((3, 4, 2), (6, 9, 5)), ((4, 3, 5), (8, 7, 10)),  # n = 3, non-square
+    ((7,), (5,)), ((6, 5), (7, 4)), ((5, 4, 3), (3, 6, 1)),  # m_i < 2 K_i
+])
+def test_folded_transforms_match_dense(cutoff, shape):
+    n = len(cutoff)
+    dom = fl.BoxDomain((1.0, 0.7, 1.3)[:n], 0.3)
+    basis = fl.build_basis(dom, cutoff)
+    grid = fl.build_grid(dom, shape)
+    rng = np.random.default_rng(sum(shape))
+    coeff = rng.standard_normal(cutoff)
+    # synthesis is pointwise evaluation, so it holds below the anti-aliasing rule too
+    got = fl.synthesize(fl.SpectralField(basis, coeff), grid).values
+    ref = dense_transform_oracle(coeff, basis, grid, inverse=True)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+    if all(m >= 2 * K for m, K in zip(shape, cutoff, strict=True)):
+        values = rng.standard_normal(shape)
+        got = fl.analyze(fl.GridFunction(grid, values), basis).coefficients
+        ref = dense_transform_oracle(values, basis, grid)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+
 def test_parseval():
     dom = unit_square()
     basis = fl.build_basis(dom, (8, 8))
