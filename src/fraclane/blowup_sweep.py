@@ -24,11 +24,10 @@ from .fractional_calculus import (
     g_tilde,
     green,
 )
-from .hls_limit import FreeField, sphere_area
+from .hls_limit import FreeField, decay_fit, serrin_log_integral, sharp_decay_check, sphere_area
 from .lane_emden import (
     ExponentPair,
     SolutionPair,
-    SolveReport,
     alpha_beta,
     critical_q,
     sobolev_quotient,
@@ -42,9 +41,12 @@ from .spectral_domain import (
     analyze,
     build_basis,
     build_grid,
+    check_resolution,
     integrate,
     synthesize_at,
 )
+
+MIN_CORE_CELLS = 8.0  # narrower blow-up cores are at the grid's resolvability limit
 
 
 def serrin_exponent(n: int, s: float) -> float:
@@ -63,6 +65,8 @@ def classify_regime(p: float, n: int, s: float) -> str:
 
 @dataclass
 class SweepConfig:
+    """A blow-up sweep; checks every rule the sweep relies on, before any solve."""
+
     domain: BoxDomain
     p: float
     eps_schedule: tuple[float, ...]
@@ -76,20 +80,21 @@ class SweepConfig:
     n_comparison: int = 8
     collar_delta: float = 0.1
     warm_start: bool = True
-    min_core_cells: float = 8.0
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_schedule)
         if len(eps) < 1 or any(b >= a for a, b in zip(eps[:-1], eps[1:], strict=True)):
             raise ValueError("epsilon schedule must be strictly decreasing")
-        for e in eps:
-            solve_q_epsilon(self.p, self.domain.dim, self.domain.s, e)
-        self.eps_schedule = eps
         n, s = self.domain.dim, self.domain.s
+        for e in eps:
+            ExponentPair(self.p, solve_q_epsilon(self.p, n, s, e), n, s)
+        self.eps_schedule = eps
         if classify_regime(self.p, n, s) == "sub" and self.p < 1.0:
             raise RegimeError(
                 "sub-Serrin comparisons need p >= 1 (iterated kernel regime)"
             )
+        check_resolution(self.cutoff, self.grid_shape)
+        _check_collar(self.domain, self.collar_delta)
 
     @property
     def regime(self) -> str:
@@ -199,9 +204,9 @@ class SweepResult:
     x0: tuple[float, ...]
     extrapolation: SExtrapolation | None
     final_pair: SolutionPair
-    final_report: SolveReport
     rescaled: RescaledSolution
     diagnostics: dict
+    decay: dict
     pairs: list[SolutionPair | None] | None = None
 
 
@@ -377,6 +382,11 @@ def green_limit_check(
     return out
 
 
+def _check_collar(domain: BoxDomain, delta: float) -> None:
+    if delta >= min(domain.lengths) / 2.0:
+        raise ValueError("collar width must be below half the min side length")
+
+
 def boundary_bound_check(pair: SolutionPair, delta: float) -> CollarBound:
     """Sup of u + v over the collar {dist(x, boundary) < delta}.
 
@@ -385,8 +395,7 @@ def boundary_bound_check(pair: SolutionPair, delta: float) -> CollarBound:
     """
     grid = pair.u.grid
     dom = grid.domain
-    if delta >= min(dom.lengths) / 2.0:
-        raise ValueError("collar width must be below half the min side length")
+    _check_collar(dom, delta)
     mesh = grid.meshgrid()
     dist = np.minimum.reduce(
         [np.minimum(g, L - g) for g, L in zip(mesh, dom.lengths, strict=True)]
@@ -439,7 +448,8 @@ def extrapolate_S(
 
 def run_sweep(config: SweepConfig, keep_pairs: bool = False) -> SweepResult:
     """Solve the schedule (warm-started), measure each row, then run the
-    Green-limit comparison against x0 = x_eps at the smallest eps.
+    Green-limit comparison against x0 = x_eps at the smallest eps and the
+    decay diagnostics of that row's rescaled fields.
 
     Solver failures mark the row and stop the continuation (later rows
     depend on the warm start). With `keep_pairs` the per-row solution
@@ -454,7 +464,6 @@ def run_sweep(config: SweepConfig, keep_pairs: bool = False) -> SweepResult:
     pairs: list[SolutionPair | None] = []
     init = None
     last_pair = None
-    last_report = None
     for eps in config.eps_schedule:
         q = solve_q_epsilon(config.p, n, s, eps)
         exps = ExponentPair(p=config.p, q=q, n=n, s=s)
@@ -484,9 +493,9 @@ def run_sweep(config: SweepConfig, keep_pairs: bool = False) -> SweepResult:
         lam, x_c = find_max(pair.u, alpha)
         dist = dom.boundary_distance(x_c)
         core_cells = (2.0 / lam) / max(grid.spacing)
-        if core_cells < config.min_core_cells:
+        if core_cells < MIN_CORE_CELLS:
             warnings.warn(
-                f"blow-up core spans {core_cells:.2f} cells (< {config.min_core_cells}); "
+                f"blow-up core spans {core_cells:.2f} cells (< {MIN_CORE_CELLS}); "
                 f"eps = {eps} is at the resolvability limit of this grid",
                 stacklevel=2,
             )
@@ -511,7 +520,7 @@ def run_sweep(config: SweepConfig, keep_pairs: bool = False) -> SweepResult:
         )
         pairs.append(pair)
         init = pair.w
-        last_pair, last_report = pair, report
+        last_pair = pair
 
     if last_pair is None:
         raise RuntimeError(f"sweep failed at the first row: {rows[0].failed}")
@@ -533,6 +542,8 @@ def run_sweep(config: SweepConfig, keep_pairs: bool = False) -> SweepResult:
             if d is not None
         ]
         row.max_green_dev = max(devs) if devs else None
+    if not keep_pairs:
+        pairs = None  # frees the earlier rows' fields before the final row is rescaled
 
     rescaled = rescale_solution(last_pair, ok_rows[-1].lam, np.asarray(ok_rows[-1].x_c))
 
@@ -550,17 +561,59 @@ def run_sweep(config: SweepConfig, keep_pairs: bool = False) -> SweepResult:
         )
 
     diagnostics = _sweep_diagnostics(ok_rows)
+    decay = decay_report(rescaled, ok_rows[-1].constants.c1, config)
     return SweepResult(
         config=config,
         rows=rows,
         x0=tuple(float(c) for c in x0),
         extrapolation=extrapolation,
         final_pair=last_pair,
-        final_report=last_report,
         rescaled=rescaled,
         diagnostics=diagnostics,
-        pairs=pairs if keep_pairs else None,
+        decay=decay,
+        pairs=pairs,
     )
+
+
+def decay_window(lam: float, domain: BoxDomain, grid_shape) -> tuple[float, float]:
+    """Radial window for decay fits: outside the blow-up core, inside the
+    onset of the boundary image (H bends the pure power law at radii
+    comparable to a fixed fraction of lam)."""
+    shell = 2.0 * lam * max(
+        L / m for L, m in zip(domain.lengths, grid_shape, strict=True)
+    )
+    r_lo = max(3.0, 1.5 * shell)
+    r_hi = max(0.085 * lam, r_lo + 3.0 * shell)
+    r_hi = min(r_hi, 0.45 * lam * min(domain.lengths))
+    return (r_lo, r_hi)
+
+
+def decay_report(rescaled: RescaledSolution, c1: float, config: SweepConfig) -> dict:
+    """Decay of the rescaled fields over `decay_window`: the v and u slope
+    fits, the sharp-decay sandwich (delta 0.25) and, at the Serrin exponent,
+    the log integral, each with its target; {"error": reason} when the
+    window admits no fit."""
+    n, s = config.domain.dim, config.domain.s
+    lam = rescaled.lam
+    win = decay_window(lam, config.domain, config.grid_shape)
+    serrin = config.regime == "serrin"
+    try:
+        fit_v = decay_fit(rescaled.v, win)
+        fit_u = decay_fit(rescaled.u, win, serrin_power=n - 2 * s if serrin else None)
+        sandwich = sharp_decay_check(rescaled.v, c1, 0.25, win[0], win[1] / lam, lam, n, s)
+        report = {
+            "window": list(win),
+            "v_slope": {"value": fit_v.slope, "target": -(n - 2 * s), "tol": 0.1},
+            "u_slope": {"value": fit_u.slope, "kind": "log_coefficient" if serrin else "power"},
+            "sandwich": {"fraction_violating": sandwich.fraction_violating,
+                         "delta": 0.25, "passed": sandwich.passed},
+        }
+        if serrin:
+            si = serrin_log_integral(rescaled.v, config.p, lam, c1, n, s)
+            report["serrin_log_integral"] = {"value": si.value, "target": si.target, "tol_rel": 0.2}
+    except ValueError as exc:
+        return {"error": str(exc)}
+    return report
 
 
 def _sweep_diagnostics(rows: list[SweepRow]) -> dict:
@@ -577,10 +630,7 @@ def _sweep_diagnostics(rows: list[SweepRow]) -> dict:
             abs(lpe[-1] - 1.0) < abs(lpe[-2] - 1.0) if len(lpe) >= 2 else None
         ),
         "s_omega_decreasing": all(
-            b < a
-            for a, b in zip(
-                [r.s_omega for r in rows][:-1], [r.s_omega for r in rows][1:], strict=True
-            )
+            b.s_omega < a.s_omega for a, b in zip(rows[:-1], rows[1:], strict=True)
         ),
     }
     if len(rows) >= 2 and all(r.max_green_dev is not None for r in rows):

@@ -2,10 +2,13 @@
 persistence (full-precision CSV + JSON tables, binary field dumps, radial
 profiles).
 
-Subcommands: solve, sweep, hls, kernels. Exit code 0 iff every enabled
-invariant check passes; acceptance-level tolerance checks are reported in
-the JSON output (with their budgets) and gated only when
-`acceptance_checks = true`.
+Subcommands: solve, sweep, hls, kernels. Each one runs the library and writes
+what it returns. A config is checked by building the objects its command
+builds (`BoxDomain`, `ExponentPair`, `SweepConfig`), so the rules are the
+library's own; each object reports the first of its rules that the config
+breaks. Exit code 0 iff every enabled invariant check passes;
+acceptance-level tolerance checks are reported in the JSON output (with their
+budgets) and gated only when `acceptance_checks = true`.
 """
 
 from __future__ import annotations
@@ -22,32 +25,17 @@ import numpy as np
 
 from . import __version__
 from .blowup_sweep import SweepConfig, run_sweep
-from .fractional_calculus import free_kernel, green, regular_part
-from .hls_limit import (
-    FreeField,
-    bubble,
-    decay_fit,
-    hls_quotient,
-    radial_shells,
-    serrin_log_integral,
-    sharp_decay_check,
-    sharp_diagonal_quotient,
-)
-from .lane_emden import (
-    ExponentPair,
-    critical_q,
-    identity_report,
-    solve_ground_state,
-    solve_q_epsilon,
-)
-from .spectral_domain import BoxDomain, Grid, GridFunction, build_basis, build_grid
+from .fractional_calculus import free_kernel, green, operator_algebra_residuals
+from .hls_limit import FreeField, bubble_ladder, hls_quotient, radial_shells, sharp_diagonal_quotient
+from .lane_emden import ExponentPair, critical_q, identity_report, solve_ground_state, solve_q_epsilon
+from .spectral_domain import BoxDomain, Grid, GridFunction, build_basis, build_grid, check_resolution
 
 FIELD_MAGIC = b"FRLNFLD\x00"
 FIELD_VERSION = 1
 
 
 class ConfigError(ValueError):
-    """Carries the full list of violations found while parsing a config."""
+    """Carries the list of violations found while parsing a config."""
 
     def __init__(self, violations: list[str]):
         super().__init__("; ".join(violations))
@@ -86,36 +74,37 @@ class RunConfig:
     kernel_margin: float = 0.05
 
 
-_INT_TUPLES = {"cutoff", "grid", "hls_grid_list"}
-_FLOAT_TUPLES = {"lengths", "eps_schedule", "hls_box_list"}
-_COMMANDS = ("solve", "sweep", "hls", "kernels")
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes", "on"):
+        return True
+    if raw.lower() in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_scalar(name: str, raw: str, kind: type):
-    raw = raw.strip()
-    if kind is bool:
-        if raw.lower() in ("true", "1", "yes", "on"):
-            return True
-        if raw.lower() in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"{name}: expected a boolean, got {raw!r}")
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        return float(raw)
-    return raw
+def _parser(default):
+    """The parser of a key, read from the type of its default value."""
+    if isinstance(default, tuple):
+        item = type(default[0])
+        return lambda raw: tuple(item(v.strip()) for v in raw.split(",") if v.strip())
+    return _parse_bool if isinstance(default, bool) else type(default)
+
+
+_PARSERS = {f.name: _parser(f.default) for f in dc_fields(RunConfig)}
 
 
 def parse_config(text: str, command: str | None = None) -> RunConfig:
     """Parse flat `key = value` lines (lists comma-separated, # comments).
 
-    Collects every violation (unknown keys, malformed numbers with line
-    numbers, downstream hypothesis violations by name) before raising.
+    Every unknown key and malformed number is reported, with its line
+    number, before raising. A config that parses is then checked by building
+    the objects its command builds; each object reports one violation, the
+    first of its rules that the config breaks, so a config that breaks two
+    rules of one object shows only the first.
     A given `command` (the CLI subcommand) replaces the file's `command` key
     before validation, so the checks are those of the command that runs.
     """
     defaults = RunConfig()
-    known = {f.name: f.type for f in dc_fields(RunConfig)}
     values: dict[str, object] = {}
     violations: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -126,24 +115,13 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
             violations.append(f"line {lineno}: expected 'key = value', got {stripped!r}")
             continue
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in known:
+        if key not in _PARSERS:
             violations.append(f"line {lineno}: unknown key {key!r}")
             continue
         try:
-            if key in _INT_TUPLES:
-                values[key] = tuple(int(v.strip()) for v in raw.split(",") if v.strip())
-            elif key in _FLOAT_TUPLES:
-                values[key] = tuple(float(v.strip()) for v in raw.split(",") if v.strip())
-            elif isinstance(getattr(defaults, key), bool):
-                values[key] = _parse_scalar(key, raw, bool)
-            elif isinstance(getattr(defaults, key), int):
-                values[key] = _parse_scalar(key, raw, int)
-            elif isinstance(getattr(defaults, key), float):
-                values[key] = _parse_scalar(key, raw, float)
-            else:
-                values[key] = raw.strip()
+            values[key] = _PARSERS[key](raw)
         except ValueError:
-            violations.append(f"line {lineno}: malformed value for {key!r}: {raw.strip()!r}")
+            violations.append(f"line {lineno}: malformed value for {key!r}: {raw!r}")
     if violations:
         raise ConfigError(violations)
     if command is not None:
@@ -162,46 +140,54 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
     return cfg
 
 
-def _validate(cfg: RunConfig) -> list[str]:
-    out = []
-    if cfg.command not in _COMMANDS:
-        out.append(f"command must be one of {_COMMANDS}, got {cfg.command!r}")
-    if cfg.n < 1:
-        out.append("n must be >= 1")
-    if len(cfg.lengths) != cfg.n:
-        out.append(f"lengths needs {cfg.n} entries, got {len(cfg.lengths)}")
-    elif any(L <= 0 for L in cfg.lengths):
-        out.append("all lengths must be positive")
-    if not 0.0 < cfg.s < 1.0:
-        out.append(f"hypothesis s in (0,1) violated: s = {cfg.s}")
-    elif cfg.n <= 2 * cfg.s:
-        out.append(f"hypothesis n > 2s violated: n = {cfg.n}, s = {cfg.s}")
-    if len(cfg.cutoff) != cfg.n or len(cfg.grid) != cfg.n:
-        out.append(f"cutoff and grid need {cfg.n} entries each")
+def _exponents(cfg: RunConfig) -> ExponentPair:
+    """The pair a command runs at: q_eps at `eps` for solve, the critical q0 for hls."""
+    if cfg.command == "hls":
+        q = critical_q(cfg.p, cfg.n, cfg.s)
     else:
-        if any(k < 1 for k in cfg.cutoff):
-            out.append("cutoff entries must be >= 1")
-        if any(m < 2 * k for m, k in zip(cfg.grid, cfg.cutoff, strict=True)):
-            out.append("anti-aliasing rule m_i >= 2 K_i violated")
-    # only solve, sweep and hls read p; only solve and sweep read eps
-    if cfg.command in ("solve", "sweep", "hls") and cfg.n > 2 * cfg.s and 0 < cfg.s < 1:
-        lower = 2 * cfg.s / (cfg.n - 2 * cfg.s)
-        if cfg.p <= lower:
-            out.append(f"hypothesis p > 2s/(n-2s) violated: p = {cfg.p} <= {lower:.6g}")
-        elif cfg.command != "hls":
-            eps_list = (cfg.eps,) if cfg.command == "solve" else cfg.eps_schedule
-            for e in eps_list:
-                try:
-                    solve_q_epsilon(cfg.p, cfg.n, cfg.s, e)
-                except ValueError as exc:
-                    out.append(str(exc))
-    if cfg.command == "sweep" and len(cfg.lengths) == cfg.n and cfg.lengths:
-        if cfg.collar_delta >= min(cfg.lengths) / 2.0:
-            out.append("collar_delta must be below half the min side length")
+        q = solve_q_epsilon(cfg.p, cfg.n, cfg.s, cfg.eps)
+    return ExponentPair(p=cfg.p, q=q, n=cfg.n, s=cfg.s)
+
+
+def _sweep_config(cfg: RunConfig) -> SweepConfig:
+    """The sweep of a config; every sweep option has the same name in both."""
+    shared = {f.name: getattr(cfg, f.name) for f in dc_fields(SweepConfig) if f.name in _PARSERS}
+    return SweepConfig(domain=BoxDomain(cfg.lengths, cfg.s), grid_shape=cfg.grid, **shared)
+
+
+def _resolution(cfg: RunConfig) -> None:
+    check_resolution(cfg.cutoff, cfg.grid)
+
+
+# What each command builds on its domain, in the order it builds it.
+_BUILDS = {"solve": (_resolution, _exponents), "sweep": (_sweep_config,),
+           "hls": (_resolution, _exponents), "kernels": (_resolution,)}
+
+
+def _validate(cfg: RunConfig) -> list[str]:
+    """The CLI's own rules, then one violation per object the command builds;
+    the objects are built only on a valid domain."""
+    out = []
+    if cfg.command not in _BUILDS:
+        out.append(f"command must be one of {tuple(_BUILDS)}, got {cfg.command!r}")
+    counts = [f"{key} needs {cfg.n} entries, got {len(getattr(cfg, key))}"
+              for key in ("lengths", "cutoff", "grid") if len(getattr(cfg, key)) != cfg.n]
+    out.extend(counts)
     if cfg.command == "hls" and len(cfg.hls_box_list) != len(cfg.hls_grid_list):
         out.append("hls_box_list and hls_grid_list must have equal length")
     if cfg.kernel_min_sep <= 0 or cfg.kernel_margin < 0:
         out.append("kernel sampling needs min_sep > 0 and margin >= 0")
+    if counts or cfg.command not in _BUILDS:
+        return out
+    try:
+        BoxDomain(cfg.lengths, cfg.s)  # every other object is built on its n and s
+    except ValueError as exc:
+        return [*out, str(exc)]
+    for build in _BUILDS[cfg.command]:
+        try:
+            build(cfg)
+        except ValueError as exc:
+            out.append(str(exc))
     return out
 
 
@@ -357,12 +343,9 @@ class Checks:
             }
         )
 
-    def all_passed(self, include_non_gating=False) -> bool:
-        return all(
-            item["passed"]
-            for item in self.items
-            if item["gating"] or include_non_gating
-        )
+    def all_passed(self) -> bool:
+        """True when every gating check passed."""
+        return all(item["passed"] for item in self.items if item["gating"])
 
 
 def _write_report(out_dir: Path, name: str, payload: dict) -> None:
@@ -395,8 +378,7 @@ def _cmd_solve(cfg: RunConfig, out_dir: Path, echo: dict) -> int:
     domain = BoxDomain(cfg.lengths, cfg.s)
     basis = build_basis(domain, cfg.cutoff)
     grid = build_grid(domain, cfg.grid)
-    q = solve_q_epsilon(cfg.p, cfg.n, cfg.s, cfg.eps)
-    exps = ExponentPair(p=cfg.p, q=q, n=cfg.n, s=cfg.s)
+    exps = _exponents(cfg)
     pair, report = solve_ground_state(
         exps, basis, grid,
         theta_tol=cfg.theta_tol, residual_tol=cfg.residual_tol, max_iter=cfg.max_iter,
@@ -416,7 +398,7 @@ def _cmd_solve(cfg: RunConfig, out_dir: Path, echo: dict) -> int:
                note="warn level 1e-8; hard budget 1e-4")
 
     rows = [[
-        cfg.eps, q, report.theta, report.mu, report.energy, report.sobolev_quotient,
+        cfg.eps, exps.q, report.theta, report.mu, report.energy, report.sobolev_quotient,
         report.iterations, report.residual_el, report.residual_w,
         report.clamped_fraction_max,
     ]]
@@ -446,45 +428,24 @@ def sweep_columns(n: int) -> list[str]:
     return _SWEEP_COLUMNS_BASE + [f"x_c{i + 1}" for i in range(n)] + _SWEEP_COLUMNS_TAIL
 
 
+def _nan(value):
+    return float("nan") if value is None else value
+
+
 def _cmd_sweep(cfg: RunConfig, out_dir: Path, echo: dict) -> int:
-    domain = BoxDomain(cfg.lengths, cfg.s)
-    sweep_cfg = SweepConfig(
-        domain=domain, p=cfg.p, eps_schedule=cfg.eps_schedule,
-        cutoff=cfg.cutoff, grid_shape=cfg.grid,
-        theta_tol=cfg.theta_tol, residual_tol=cfg.residual_tol, max_iter=cfg.max_iter,
-        ring_radius_frac=cfg.ring_radius_frac,
-        exclusion_radius_frac=cfg.exclusion_radius_frac,
-        n_comparison=cfg.n_comparison, collar_delta=cfg.collar_delta,
-        warm_start=cfg.warm_start,
-    )
-    result = run_sweep(sweep_cfg)
+    result = run_sweep(_sweep_config(cfg))
     ok_rows = [r for r in result.rows if r.failed is None]
 
-    rows = []
-    for r in ok_rows:
-        rows.append(
-            [r.eps, r.q, r.alpha, r.beta, r.lam, *r.x_c, r.theta, r.s_omega,
-             r.energy, r.lam_dist, r.lam_pow_eps, r.boundary_sup,
-             (r.max_green_dev if r.max_green_dev is not None else float("nan"))]
-        )
+    rows = [[r.eps, r.q, r.alpha, r.beta, r.lam, *r.x_c, r.theta, r.s_omega, r.energy,
+             r.lam_dist, r.lam_pow_eps, r.boundary_sup, _nan(r.max_green_dev)] for r in ok_rows]
     write_table(out_dir / "sweep.csv", sweep_columns(cfg.n), rows)
 
-    const_rows = [
-        [r.eps, r.constants.c1, r.constants.c2, r.constants.c3, r.constants.c4,
-         (r.constants.c5 if r.constants.c5 is not None else float("nan"))]
-        for r in ok_rows
-    ]
+    const_rows = [[r.eps, r.constants.c1, r.constants.c2, r.constants.c3, r.constants.c4,
+                   _nan(r.constants.c5)] for r in ok_rows]
     write_table(out_dir / "constants.csv", ["eps", "C1", "C2", "C3", "C4", "C5"], const_rows)
 
-    dev_rows = []
-    for r in ok_rows:
-        for pd in r.green_devs:
-            dev_rows.append(
-                [r.eps, *pd.point,
-                 pd.dev_v if pd.dev_v is not None else float("nan"),
-                 pd.dev_u if pd.dev_u is not None else float("nan"),
-                 pd.note]
-            )
+    dev_rows = [[r.eps, *pd.point, _nan(pd.dev_v), _nan(pd.dev_u), pd.note]
+                for r in ok_rows for pd in r.green_devs]
     write_table(out_dir / "green_devs.csv",
                 ["eps", *[f"x{i + 1}" for i in range(cfg.n)], "dev_v", "dev_u", "note"],
                 dev_rows)
@@ -511,37 +472,9 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path, echo: dict) -> int:
             checks.add("green_dev_final", ok_rows[-1].max_green_dev < 0.15,
                        ok_rows[-1].max_green_dev, 0.15, gating=cfg.acceptance_checks)
 
-    rs = result.rescaled
-    lam = rs.lam
-    win = decay_window(lam, domain, cfg.grid)
-    regime = sweep_cfg.regime
-    try:
-        fit_v = decay_fit(rs.v, win)
-        n, s = cfg.n, cfg.s
-        if regime == "serrin":
-            fit_u = decay_fit(rs.u, win, serrin_power=n - 2 * s)
-            u_slope_kind = "log_coefficient"
-        else:
-            fit_u = decay_fit(rs.u, win)
-            u_slope_kind = "power"
-        sandwich = sharp_decay_check(
-            rs.v, ok_rows[-1].constants.c1, 0.25, win[0], win[1] / lam, lam, n, s)
-        decay_payload = {
-            "window": list(win),
-            "v_slope": {"value": fit_v.slope, "target": -(n - 2 * s), "tol": 0.1},
-            "u_slope": {"value": fit_u.slope, "kind": u_slope_kind},
-            "sandwich": {"fraction_violating": sandwich.fraction_violating,
-                         "delta": 0.25, "passed": sandwich.passed},
-        }
-        if regime == "serrin":
-            si = serrin_log_integral(rs.v, cfg.p, lam, ok_rows[-1].constants.c1, n, s)
-            decay_payload["serrin_log_integral"] = {
-                "value": si.value, "target": si.target, "tol_rel": 0.2,
-            }
-        write_radial_profile(rs.v, out_dir / "profile_v.csv")
-        write_radial_profile(rs.u, out_dir / "profile_u.csv")
-    except ValueError as exc:
-        decay_payload = {"error": str(exc)}
+    if "error" not in result.decay:
+        write_radial_profile(result.rescaled.v, out_dir / "profile_v.csv")
+        write_radial_profile(result.rescaled.u, out_dir / "profile_u.csv")
 
     if cfg.write_fields:
         dump_field(result.rescaled.u, out_dir / "rescaled_u.bin")
@@ -550,48 +483,28 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path, echo: dict) -> int:
 
     payload = {
         **echo,
-        "regime": sweep_cfg.regime,
+        "regime": result.config.regime,
         "x0": list(result.x0),
         "s_hat": None if ex is None else ex.s_hat,
         "e_limit": None if ex is None else ex.e_limit,
         "e_rel_gap": None if ex is None else ex.e_rel_gap,
         "rows_failed": [r.failed for r in result.rows if r.failed],
         "core_cells": [r.core_cells for r in ok_rows],
-        "decay": decay_payload,
-        "diagnostics": {k: v for k, v in diag.items()},
+        "decay": result.decay,
+        "diagnostics": dict(diag),
         "checks": checks.items,
     }
     _write_report(out_dir, "sweep_report.json", payload)
     return 0 if (not cfg.strict_checks or checks.all_passed()) else 1
 
 
-def decay_window(lam: float, domain: BoxDomain, grid_shape) -> tuple[float, float]:
-    """Radial window for decay fits: outside the blow-up core, inside the
-    onset of the boundary image (H bends the pure power law at radii
-    comparable to a fixed fraction of lam)."""
-    shell = 2.0 * lam * max(
-        L / m for L, m in zip(domain.lengths, grid_shape, strict=True)
-    )
-    r_lo = max(3.0, 1.5 * shell)
-    r_hi = max(0.085 * lam, r_lo + 3.0 * shell)
-    r_hi = min(r_hi, 0.45 * lam * min(domain.lengths))
-    return (r_lo, r_hi)
-
-
 def _cmd_hls(cfg: RunConfig, out_dir: Path, echo: dict) -> int:
     n, s = cfg.n, cfg.s
-    q0 = (n + 2.0 * s) / (n - 2.0 * s)
     oracle = sharp_diagonal_quotient(n, s)
-    rows = []
-    quotients = []
-    for radius, m in zip(cfg.hls_box_list, cfg.hls_grid_list, strict=True):
-        axes = [(np.arange(m) + 0.5) * (2 * radius / m) - radius for _ in range(n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        r = np.sqrt(np.add.reduce([g**2 for g in mesh]))
-        f = FreeField.centered(radius, bubble(r, n, s) ** q0)
-        quotient = hls_quotient(f, q0, q0, n, s)
-        quotients.append(quotient)
-        rows.append([radius, m, quotient, oracle, quotient / oracle - 1.0])
+    quotients = bubble_ladder(n, s, cfg.hls_box_list, cfg.hls_grid_list)
+    rows = [[radius, m, quotient, oracle, quotient / oracle - 1.0]
+            for radius, m, quotient in zip(cfg.hls_box_list, cfg.hls_grid_list, quotients,
+                                           strict=True)]
     write_table(out_dir / "hls.csv",
                 ["box_radius", "grid", "quotient", "oracle", "rel_excess"], rows)
 
@@ -618,34 +531,6 @@ def _cmd_hls(cfg: RunConfig, out_dir: Path, echo: dict) -> int:
     return 0 if (not cfg.strict_checks or checks.all_passed()) else 1
 
 
-def _operator_algebra_check(cfg: RunConfig, checks: "Checks") -> None:
-    """Multiplier inverse identity and semigroup property on seeded fields."""
-    from .fractional_calculus import apply_fraclap, apply_inverse
-    from .spectral_domain import SpectralField, synthesize
-
-    domain = BoxDomain(cfg.lengths, cfg.s)
-    basis = build_basis(domain, cfg.cutoff)
-    grid = build_grid(domain, cfg.grid)
-    rng = np.random.default_rng(cfg.kernel_seed)
-    worst_inv = worst_semi = 0.0
-    for _ in range(2):
-        f = synthesize(SpectralField(basis, rng.standard_normal(basis.cutoff)), grid)
-        scale = float(np.max(np.abs(f.values)))
-        back = apply_fraclap(apply_inverse(f, cfg.s, basis), cfg.s, basis)
-        worst_inv = max(worst_inv, float(np.max(np.abs(back.values - f.values))) / scale)
-        s1 = min(0.45, cfg.s)
-        s2 = min(1.0 - s1, cfg.s)
-        two = apply_fraclap(apply_fraclap(f, s1, basis), s2, basis)
-        one = apply_fraclap(f, s1 + s2, basis)
-        worst_semi = max(
-            worst_semi,
-            float(np.max(np.abs(two.values - one.values)))
-            / float(np.max(np.abs(one.values))),
-        )
-    checks.add("operator_inverse_identity", worst_inv < 1e-12, worst_inv, 1e-12)
-    checks.add("operator_semigroup", worst_semi < 1e-12, worst_semi, 1e-12)
-
-
 def _cmd_kernels(cfg: RunConfig, out_dir: Path, echo: dict) -> int:
     domain = BoxDomain(cfg.lengths, cfg.s)
     basis = build_basis(domain, cfg.cutoff)
@@ -668,11 +553,11 @@ def _cmd_kernels(cfg: RunConfig, out_dir: Path, echo: dict) -> int:
         gyx = green(y, x, basis)
         sym_exact &= gxy.value == gyx.value
         fk = free_kernel(x, y, n, cfg.s)
-        h = regular_part(x, y, basis)
-        h_sym = max(h_sym, abs(h.value - regular_part(y, x, basis).value))
+        h = fk - gxy.value
+        h_sym = max(h_sym, abs(h - (free_kernel(y, x, n, cfg.s) - gyx.value)))
         ok = 0.0 < gxy.value < fk + gxy.truncation_bound
         bound_ok &= ok
-        rows.append([*x, *y, gxy.value, gxy.truncation_bound, fk, h.value, int(ok)])
+        rows.append([*x, *y, gxy.value, gxy.truncation_bound, fk, h, int(ok)])
     cols = ([f"x{i + 1}" for i in range(n)] + [f"y{i + 1}" for i in range(n)]
             + ["green", "truncation_bound", "free_kernel", "regular_part", "bound_ok"])
     write_table(out_dir / "kernels.csv", cols, rows)
@@ -681,7 +566,10 @@ def _cmd_kernels(cfg: RunConfig, out_dir: Path, echo: dict) -> int:
     checks.add("kernel_bound", bound_ok, note="0 < G < free + truncation_bound")
     checks.add("green_symmetry_exact", sym_exact)
     checks.add("regular_part_symmetry", h_sym <= 1e-12, h_sym, 1e-12)
-    _operator_algebra_check(cfg, checks)
+    worst_inv, worst_semi = operator_algebra_residuals(
+        basis, build_grid(domain, cfg.grid), cfg.kernel_seed)
+    checks.add("operator_inverse_identity", worst_inv < 1e-12, worst_inv, 1e-12)
+    checks.add("operator_semigroup", worst_semi < 1e-12, worst_semi, 1e-12)
 
     payload = {**echo, "pairs": len(pairs), "checks": checks.items}
     _write_report(out_dir, "kernels_report.json", payload)
@@ -694,7 +582,7 @@ def main(argv=None) -> int:
         description="Fractional Lane-Emden ground states on boxes: solver, "
                     "blow-up sweeps, HLS checks, kernel samplers.",
     )
-    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("command", choices=tuple(_BUILDS))
     parser.add_argument("--config", type=Path, default=None,
                         help="flat key=value config file")
     parser.add_argument("--out", type=Path, default=None,
@@ -703,7 +591,7 @@ def main(argv=None) -> int:
 
     raw = args.config.read_text() if args.config else ""
     try:
-        cfg = parse_config(raw, args.command) if raw else RunConfig(command=args.command)
+        cfg = parse_config(raw, args.command)
     except ConfigError as exc:
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)

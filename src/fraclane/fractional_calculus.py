@@ -133,6 +133,28 @@ def apply_inverse(f: GridFunction, s: float, basis: SpectralBasis) -> GridFuncti
     return synthesize(SpectralField(basis, coeff), f.grid)
 
 
+def operator_algebra_residuals(
+    basis: SpectralBasis, grid: Grid, seed: int
+) -> tuple[float, float]:
+    """Worst relative residuals of (-Delta)^s (-Delta)^{-s} f = f and of the semigroup
+    property (-Delta)^{s2} (-Delta)^{s1} f = (-Delta)^{s1+s2} f over two seeded fields."""
+    s = basis.domain.s
+    rng = np.random.default_rng(seed)
+    worst_inv = worst_semi = 0.0
+    for _ in range(2):
+        f = synthesize(SpectralField(basis, rng.standard_normal(basis.cutoff)), grid)
+        scale = float(np.max(np.abs(f.values)))
+        back = apply_fraclap(apply_inverse(f, s, basis), s, basis)
+        worst_inv = max(worst_inv, float(np.max(np.abs(back.values - f.values))) / scale)
+        s1 = min(0.45, s)
+        s2 = min(1.0 - s1, s)
+        two = apply_fraclap(apply_fraclap(f, s1, basis), s2, basis)
+        one = apply_fraclap(f, s1 + s2, basis)
+        semi = float(np.max(np.abs(two.values - one.values))) / float(np.max(np.abs(one.values)))
+        worst_semi = max(worst_semi, semi)
+    return worst_inv, worst_semi
+
+
 def clamp_nonnegative(
     f: GridFunction, warn_fraction: float = 1e-8, context: str = ""
 ) -> tuple[GridFunction, float]:
@@ -383,6 +405,12 @@ def _sublattice_spread(weighted_cells: np.ndarray) -> float:
     return 0.5 * (max(subs) - min(subs))
 
 
+# Polar patch rule of `g_tilde`: radial and angular nodes; the error estimate
+# compares it with the rule of half as many nodes each way.
+_PATCH_RADIAL_NODES = 8
+_PATCH_ANGULAR_NODES = 32
+
+
 @lru_cache(maxsize=16)
 def _kernel_grid(basis: SpectralBasis) -> Grid:
     """`g_tilde`'s default grid, 2 K_i nodes per axis, one per basis so that
@@ -400,8 +428,6 @@ def g_tilde(
     basis: SpectralBasis,
     s: float | None = None,
     grid: Grid | None = None,
-    n_rad: int = 8,
-    n_ang: int = 32,
 ) -> KernelSample:
     """Iterated kernel Gt(x, y) = int_Omega G(x, z) G^p(z, y) dz.
 
@@ -491,8 +517,8 @@ def g_tilde(
         px = _polar_box_integral(x, lo_x, hi_x, lam_pow, smooth_near_x, nr, na)
         return py + px
 
-    patch_fine = patches(n_rad, n_ang)
-    patch_coarse = patches(max(n_rad // 2, 2), max(n_ang // 2, 4))
+    patch_fine = patches(_PATCH_RADIAL_NODES, _PATCH_ANGULAR_NODES)
+    patch_coarse = patches(_PATCH_RADIAL_NODES // 2, _PATCH_ANGULAR_NODES // 2)
     value = bulk + patch_fine
     err = bulk_err + abs(patch_fine - patch_coarse)
     return KernelSample(tuple(x), tuple(y), value, err)

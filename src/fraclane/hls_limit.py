@@ -496,6 +496,22 @@ def sharp_diagonal_quotient(n: int, s: float, nquad: int = 2000, rmax: float = 1
     return num / den
 
 
+def bubble_ladder(n: int, s: float, box_radii, grid_sizes) -> list[float]:
+    """HLS quotients of the diagonal critical bubble power on centred boxes
+    [-R, R]^n with m nodes per axis, one per (R, m); on boxes growing with
+    their grids they approach `sharp_diagonal_quotient` from above, up to
+    truncation and quadrature."""
+    q0 = (n + 2.0 * s) / (n - 2.0 * s)
+    quotients = []
+    for radius, m in zip(box_radii, grid_sizes, strict=True):
+        axes = [(np.arange(m) + 0.5) * (2 * radius / m) - radius for _ in range(n)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        r = np.sqrt(np.add.reduce([g**2 for g in mesh]))
+        f = FreeField.centered(radius, bubble(r, n, s) ** q0)
+        quotients.append(hls_quotient(f, q0, q0, n, s))
+    return quotients
+
+
 def bubble_pair(n: int, s: float, kappa: float | None = None):
     """Scaled bubble pair solving the diagonal limit system U = g k * V^p,
     V = g k * U^{q0}: returns (amplitude, q0) with U = V = amplitude * bubble."""

@@ -98,14 +98,16 @@ def solve_q_epsilon(p: float, n: int, s: float, epsilon: float) -> float:
     """q on the epsilon-shifted hyperbola: 1/(q+1) = (n-2s)/n + eps - 1/(p+1).
 
     Errors when the resulting q would violate the q >= p hypothesis
-    (epsilon above 2/(p+1) - (n-2s)/n) or epsilon < 0.
+    (epsilon above 2/(p+1) - (n-2s)/n), when no q exists (then
+    p <= 2s/(n-2s)) or when epsilon < 0.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     eps_max = 2.0 / (p + 1.0) - (n - 2.0 * s) / n
     inv = (n - 2.0 * s) / n + epsilon - 1.0 / (p + 1.0)
     if inv <= 0:
-        raise ValueError("epsilon leaves the hyperbola family (1/(q+1) <= 0)")
+        raise ValueError(f"hypothesis p > 2s/(n-2s) violated: p={p} leaves the hyperbola "
+                         f"family at epsilon={epsilon} (1/(q+1) <= 0)")
     q = 1.0 / inv - 1.0
     if q < p - 1e-12:
         raise ValueError(
@@ -195,6 +197,12 @@ def symmetry_classes(f: GridFunction, tol: float = 1e-10) -> dict:
     return out
 
 
+# The Theta decrease a step may show before the solver aborts, in units of
+# max(1, Theta), and the largest L1 mass fraction the clamps may remove.
+_ASCENT_SLACK = 1e-12
+_POSITIVITY_BUDGET = 1e-4
+
+
 def _iterate(
     w: GridFunction,
     exponents: ExponentPair,
@@ -202,7 +210,6 @@ def _iterate(
     theta_tol: float,
     residual_tol: float,
     max_iter: int,
-    ascent_slack: float,
 ) -> tuple[GridFunction, float, list[float], int, float, float]:
     """The fixed-point loop of `solve_ground_state` from a normalized w.
 
@@ -233,7 +240,7 @@ def _iterate(
         w_norm = float(cell * np.sum(w.values * w_root)) ** (1.0 / qnorm)
         theta = v_norm / w_norm
         theta_history.append(theta)
-        if theta_prev is not None and theta < theta_prev - ascent_slack * max(1.0, theta_prev):
+        if theta_prev is not None and theta < theta_prev - _ASCENT_SLACK * max(1.0, theta_prev):
             raise ConvergenceError(
                 f"Theta decreased at iteration {it}: {theta_prev!r} -> {theta!r}",
                 diagnostics={
@@ -276,17 +283,15 @@ def solve_ground_state(
     theta_tol: float = 1e-9,
     residual_tol: float = 1e-7,
     max_iter: int = 2000,
-    ascent_slack: float = 1e-12,
-    positivity_budget: float = 1e-4,
 ) -> tuple[SolutionPair, SolveReport]:
     """Normalized fixed-point iteration for the Theta-maximizing ground state.
 
     Stops when the relative Theta change drops below `theta_tol` AND the
     relative sup residual of (-Delta)^{-s}((-Delta)^{-s} w)^p = mu w^{1/q}
     drops below `residual_tol`. Raises on non-convergence, on loss of
-    positivity beyond `positivity_budget` (sub-budget truncation ringing is
+    positivity beyond 1e-4 of L1 mass (sub-budget truncation ringing is
     clamped and reported; clamps above 1e-8 of L1 mass warn), and on any
-    Theta decrease beyond `ascent_slack` (ascent is an observed property,
+    Theta decrease beyond 1e-12 max(1, Theta) (ascent is an observed property,
     checked every step).
     """
     if exponents.critical:
@@ -305,11 +310,11 @@ def solve_ground_state(
         w = init.copy()
     w = w.with_values(w.values / lp_norm(w, qnorm))
     w, theta, theta_history, it, residual, clamp_max = _iterate(
-        w, exponents, basis, theta_tol, residual_tol, max_iter, ascent_slack
+        w, exponents, basis, theta_tol, residual_tol, max_iter
     )
-    if clamp_max > positivity_budget:
+    if clamp_max > _POSITIVITY_BUDGET:
         raise ConvergenceError(
-            f"positivity lost beyond clamp budget {positivity_budget:.1e}: "
+            f"positivity lost beyond clamp budget {_POSITIVITY_BUDGET:.1e}: "
             f"{clamp_max:.3e} of L1 mass clamped"
         )
 

@@ -111,8 +111,7 @@ class SpectralBasis:
             raise ValueError(
                 f"cutoff has {len(cutoff)} entries for a {domain.dim}-d domain"
             )
-        if any(K < 1 for K in cutoff):
-            raise ValueError(f"mode counts must be >= 1, got {cutoff}")
+        _check_cutoff(cutoff)
         self.domain = domain
         self.cutoff = cutoff
 
@@ -123,10 +122,6 @@ class SpectralBasis:
         grids = np.meshgrid(*lam1d, indexing="ij")
         self.eigenvalue_grid = np.add.reduce(grids)
         self.eigenvalues = np.sort(self.eigenvalue_grid, axis=None)
-
-    @property
-    def num_modes(self) -> int:
-        return int(np.prod(self.cutoff))
 
     def eigenvalue_of(self, k) -> float:
         """Closed-form lambda_k = sum_i (k_i pi / L_i)^2."""
@@ -268,6 +263,23 @@ def _half_matrices(basis: SpectralBasis, grid: Grid) -> tuple[tuple[np.ndarray, 
     return tuple(halves)
 
 
+def _check_cutoff(cutoff: tuple[int, ...]) -> None:
+    if any(K < 1 for K in cutoff):
+        raise ValueError(f"cutoff entries must be >= 1, got {cutoff}")
+
+
+def check_resolution(cutoff, shape) -> None:
+    """The rule under which `analyze` is exact: every K_i >= 1 and the
+    anti-aliasing rule m_i >= 2 K_i."""
+    _check_cutoff(cutoff)
+    for m, K in zip(shape, cutoff, strict=True):
+        if m < 2 * K:
+            raise ResolutionError(
+                f"grid resolution {shape} below anti-aliasing rule "
+                f"m_i >= 2 K_i for cutoff {cutoff}"
+            )
+
+
 def _check_compatible(basis: SpectralBasis, grid: Grid):
     if basis.domain is not grid.domain and basis.domain != grid.domain:
         raise ValueError("basis and grid belong to different domains")
@@ -281,12 +293,7 @@ def analyze(f: GridFunction, basis: SpectralBasis) -> SpectralField:
     """
     grid = f.grid
     _check_compatible(basis, grid)
-    for m, K in zip(grid.shape, basis.cutoff, strict=True):
-        if m < 2 * K:
-            raise ResolutionError(
-                f"grid resolution {grid.shape} below anti-aliasing rule "
-                f"m_i >= 2 K_i for cutoff {basis.cutoff}"
-            )
+    check_resolution(basis.cutoff, grid.shape)
     coeff = f.values
     for odd, even in _half_matrices(basis, grid):
         # fold the leading node axis into mirror sums and differences, then

@@ -287,7 +287,7 @@ def test_criterion_08_theorem_14_configuration(sweep_3d):
 def _window_and_fits(result, serrin=False):
     rs = result.rescaled
     lam = rs.lam
-    win = cli_io.decay_window(lam, result.config.domain, result.config.grid_shape)
+    win = bs.decay_window(lam, result.config.domain, result.config.grid_shape)
     fit_v = hl.decay_fit(rs.v, win)
     if serrin:
         centers, means, *_ = hl.radial_shells(rs.u)
@@ -350,7 +350,7 @@ def test_criterion_09_utilde_slope_sub(sweep_p15):
 def test_criterion_09_serrin_log_positive(sweep_p20):
     # the qualitative Serrin signature: u-tilde * r^{n-2s} grows in log r
     rs = sweep_p20.rescaled
-    win = cli_io.decay_window(rs.lam, sweep_p20.config.domain, sweep_p20.config.grid_shape)
+    win = bs.decay_window(rs.lam, sweep_p20.config.domain, sweep_p20.config.grid_shape)
     fit = hl.decay_fit(rs.u, win, serrin_power=1.0)
     ok = fit.slope > 0
     record(9, "serrin log-divergence sign", ok, f"log coefficient={fit.slope:+.4f}")
@@ -361,7 +361,7 @@ def test_criterion_09_sharp_decay_sandwich(sweep_p20):
     # Appendix-B sandwich on the fitted annulus of the serrin sweep
     rs = sweep_p20.rescaled
     row = [r for r in sweep_p20.rows if r.failed is None][-1]
-    win = cli_io.decay_window(rs.lam, sweep_p20.config.domain, sweep_p20.config.grid_shape)
+    win = bs.decay_window(rs.lam, sweep_p20.config.domain, sweep_p20.config.grid_shape)
     rep = hl.sharp_decay_check(rs.v, row.constants.c1, 0.25, win[0], win[1] / rs.lam,
                                rs.lam, 2, 0.5)
     record(9, "sharp-decay sandwich d=0.25", rep.passed,

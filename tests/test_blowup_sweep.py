@@ -46,6 +46,20 @@ def test_sweep_config_validation():
                        eps_schedule=(0.05,), cutoff=(8, 8), grid_shape=(16, 16))
 
 
+def test_sweep_config_checks_what_run_sweep_needs():
+    # each of these passed the constructor and failed only inside run_sweep
+    with pytest.raises(fl.ResolutionError, match="anti-aliasing"):
+        bs.SweepConfig(domain=unit_square(), p=2.5, eps_schedule=(0.05,),
+                       cutoff=(8, 8), grid_shape=(16, 12))
+    with pytest.raises(ValueError, match="half the min side length"):
+        bs.SweepConfig(domain=unit_square(), p=2.5, eps_schedule=(0.05,),
+                       cutoff=(8, 8), grid_shape=(16, 16), collar_delta=0.5)
+    # s = 0.7 puts p = 2 below 2s/(n-2s) = 7/3 with an admissible q_eps >= p
+    with pytest.raises(ValueError, match=r"p > 2s/\(n-2s\)"):
+        bs.SweepConfig(domain=fl.BoxDomain((1.0, 1.0), 0.7), p=2.0,
+                       eps_schedule=(0.1, 0.08), cutoff=(8, 8), grid_shape=(16, 16))
+
+
 def test_find_max_phi11_example():
     dom = unit_square()
     basis = fl.build_basis(dom, (4, 4))
@@ -169,6 +183,17 @@ def test_collar_bounded_across_schedule(mini_sweep):
     assert sups[-1] <= sups[0] * 1.05
     lams = [r.lam for r in res.rows]
     assert lams[-1] > lams[0]
+
+
+def test_sweep_result_carries_decay_report(mini_sweep):
+    res = mini_sweep
+    rs = res.rescaled
+    win = bs.decay_window(rs.lam, res.config.domain, res.config.grid_shape)
+    assert res.decay["window"] == list(win)
+    assert res.decay["v_slope"]["value"] == fl.decay_fit(rs.v, win).slope
+    # super regime: a power-law u fit and no Serrin log integral
+    assert res.decay["u_slope"] == {"value": fl.decay_fit(rs.u, win).slope, "kind": "power"}
+    assert "serrin_log_integral" not in res.decay
 
 
 def test_comparison_points_geometry():

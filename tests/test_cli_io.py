@@ -2,6 +2,8 @@
 
 import json
 import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -278,3 +280,85 @@ def test_cli_sweep_determinism(tmp_path):
     for name in ["sweep.csv", "constants.csv", "green_devs.csv", "profile_v.csv",
                  "rescaled_w.bin", "sweep_report.json"]:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+# Each bad config names the rule it breaks. The domain objects phrase the
+# rules themselves, so each pattern accepts the object's wording.
+_SOLVE = "command = solve\n"
+_SWEEP = "command = sweep\neps_schedule = 0.06,0.04\ncutoff = 8,8\ngrid = 16,16\n"
+BAD_CONFIGS = [
+    ("s_above_one", _SOLVE + "s = 1.2\n", r"s (in|must lie in) \(0, ?1\)"),
+    ("s_zero", _SOLVE + "s = 0\n", r"s (in|must lie in) \(0, ?1\)"),
+    ("n_not_above_2s", _SOLVE + "n = 1\nlengths = 1\ns = 0.6\ncutoff = 8\ngrid = 16\n",
+     r"n > 2s"),
+    ("lengths_count", _SOLVE + "lengths = 1,1,1\n", r"needs? 2 entries"),
+    ("cutoff_count", _SOLVE + "cutoff = 8\ngrid = 16,16\n", r"needs? 2 entries"),
+    ("grid_count", "command = kernels\ncutoff = 8,8\ngrid = 16,16,16\n", r"needs? 2 entries"),
+    ("length_not_positive", _SOLVE + "lengths = 1,0\n", r"lengths must be positive"),
+    ("cutoff_zero", _SOLVE + "cutoff = 0,8\ngrid = 16,16\n", r"cutoff entries must be >= 1"),
+    ("aliasing_solve", _SOLVE + "cutoff = 64,64\ngrid = 100,128\n", r"anti-aliasing"),
+    ("aliasing_kernels", "command = kernels\ncutoff = 8,8\ngrid = 15,16\n", r"anti-aliasing"),
+    ("aliasing_sweep", _SWEEP + "grid = 16,12\n", r"anti-aliasing"),
+    ("p_low_solve", _SOLVE + "p = 0.9\n", r"p > 2s/\(n-2s\)"),
+    ("p_low_sweep", _SWEEP + "p = 0.9\n", r"p > 2s/\(n-2s\)"),
+    ("p_low_hls", "command = hls\np = 0.9\n", r"p > 2s/\(n-2s\)"),
+    ("eps_above_limit_solve", _SOLVE + "p = 2.5\neps = 0.1\n", r"q >= p"),
+    ("eps_above_limit_schedule", _SWEEP + "eps_schedule = 0.2,0.04\n", r"q >= p"),
+    ("collar_too_wide", _SWEEP + "collar_delta = 0.5\n", r"half the min side length"),
+    ("hls_lists", "command = hls\nhls_box_list = 8,13\nhls_grid_list = 64\n",
+     r"hls_box_list and hls_grid_list"),
+    ("kernel_min_sep", "command = kernels\nkernel_min_sep = 0\n", r"min_sep > 0"),
+]
+
+
+@pytest.mark.parametrize("text,rule", [row[1:] for row in BAD_CONFIGS],
+                         ids=[row[0] for row in BAD_CONFIGS])
+def test_bad_config_names_violated_rule(text, rule):
+    with pytest.raises(cli_io.ConfigError, match=rule):
+        cli_io.parse_config(text)
+
+
+# Rejected at parse time, before anything runs: the two sweeps used to fail
+# only once the run had started (exit 3), and the hls config used to run.
+NEWLY_REJECTED = [
+    ("schedule_not_decreasing", "sweep", _SWEEP + "eps_schedule = 0.04,0.06\n",
+     r"strictly decreasing"),
+    ("sub_serrin_p_below_one", "sweep",
+     "n = 3\ns = 0.5\np = 0.8\neps_schedule = 0.06\ncutoff = 4,4,4\ngrid = 8,8,8\n",
+     r"p >= 1"),
+    ("hls_p_above_diagonal", "hls", "n = 2\ns = 0.5\np = 3.5\n", r"q >= p"),
+]
+
+
+@pytest.mark.parametrize("command,text,rule", [row[1:] for row in NEWLY_REJECTED],
+                         ids=[row[0] for row in NEWLY_REJECTED])
+def test_newly_rejected_configs_exit_2(tmp_path, capsys, command, text, rule):
+    with pytest.raises(cli_io.ConfigError, match=rule):
+        cli_io.parse_config(text, command)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_without_config_is_validated(tmp_path, monkeypatch):
+    seen = []
+    real = cli_io.parse_config
+
+    def spy(text, command=None):
+        seen.append((text, command))
+        return real(text, command)
+
+    monkeypatch.setattr(cli_io, "parse_config", spy)
+    monkeypatch.setattr(cli_io, "_cmd_kernels", lambda cfg, out, echo: 0)
+    assert run_cli(["kernels", "--out", str(tmp_path)]) == 0
+    assert seen == [("", "kernels")]
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parents[1] / "configs").glob("*.cfg")),
+                         ids=lambda p: p.stem)
+def test_shipped_configs_parse(path):
+    # each file names its own subcommand in its `command` line
+    text = path.read_text()
+    assert f"command = {cli_io.parse_config(text).command}\n" in text
