@@ -73,6 +73,7 @@ from .blowup_sweep import (
     extrapolate_S,
     find_max,
     green_limit_check,
+    limit_kernels,
     rescale_solution,
     run_sweep,
     serrin_exponent,

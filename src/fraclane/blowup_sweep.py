@@ -21,8 +21,10 @@ import numpy as np
 from .fractional_calculus import (
     RegimeError,
     UnresolvedSingularityError,
+    _check_pairs,
     g_tilde,
     green,
+    gns,
 )
 from .hls_limit import FreeField, decay_fit, serrin_log_integral, sharp_decay_check, sphere_area
 from .lane_emden import (
@@ -30,7 +32,6 @@ from .lane_emden import (
     SolutionPair,
     alpha_beta,
     critical_q,
-    sobolev_quotient,
     solve_ground_state,
     solve_q_epsilon,
 )
@@ -318,66 +319,72 @@ def measure_constants(pair: SolutionPair, lam: float, regime: str) -> ConstantEs
     c2 = lam ** (n / (exps.p + 1.0)) * integrate(
         pair.v.with_values(pair.v.values**exps.p)
     )
-    from .fractional_calculus import gns
-
     c3 = (gns(n, s) * c1) ** (n / (n - 2.0 * s)) * sphere_area(n)
     c4 = c1**exps.p
     c5 = c4 if abs(exps.p - 1.0) <= 1e-12 else None
     return ConstantEstimates(c1=c1, c2=c2, c3=c3, c4=c4, c5=c5)
 
 
-def _point_values(f: GridFunction, basis: SpectralBasis, points: np.ndarray) -> np.ndarray:
-    return synthesize_at(analyze(f, basis), points)
+@dataclass
+class LimitKernels:
+    """G(., x0) and the u target (G, or Gt in the sub regime) at the comparison
+    points; a point with a note is skipped, and the note says why."""
+
+    points: np.ndarray
+    green: np.ndarray
+    target: np.ndarray
+    notes: list[str]
 
 
-def green_limit_check(
-    pair: SolutionPair,
-    lam: float,
-    x0,
-    basis: SpectralBasis,
-    points: np.ndarray,
-    constants: ConstantEstimates,
-    regime: str,
-    exclusion_radius: float = 0.0,
-) -> list[PointDeviation]:
+def limit_kernels(x0, basis: SpectralBasis, points: np.ndarray, p: float,
+                  exclusion_radius: float = 0.0) -> LimitKernels:
+    """The comparison kernels against x0, once for a whole sweep: G(., x0) in
+    one batch and, in the sub regime, Gt(., x0) per point. Points inside the
+    exclusion ball around x0, or that a kernel refuses, are skipped with a note."""
+    x0 = np.asarray(x0, dtype=float)
+    s = basis.domain.s
+    sub = classify_regime(p, basis.domain.dim, s) == "sub"
+    g, target = np.full(len(points), np.nan), np.full(len(points), np.nan)
+    notes = ["inside exclusion ball" if np.linalg.norm(pt - x0) < exclusion_radius else ""
+             for pt in points]
+    for i in [i for i, note in enumerate(notes) if not note]:
+        try:
+            _check_pairs(basis, points[i], x0)
+            if sub:
+                target[i] = g_tilde(points[i], x0, p, basis, s).value
+        except (UnresolvedSingularityError, ValueError) as exc:
+            notes[i] = f"kernel skipped: {exc}"
+    kept = [i for i, note in enumerate(notes) if not note]
+    if kept:
+        g[kept] = green(points[kept], x0, basis, s).value
+    return LimitKernels(points, g, target if sub else g, notes)
+
+
+def green_limit_check(pair: SolutionPair, lam: float, basis: SpectralBasis, kernels: LimitKernels,
+                      constants: ConstantEstimates, regime: str) -> list[PointDeviation]:
     """Per-point ratios of the normalized solution to its predicted kernel
-    multiple: v against C1 G(., x0) and u against the regime target.
-
-    Points inside the exclusion ball around x0 or below the kernel's
-    resolvable separation are skipped with a notice.
-    """
+    multiple: v against C1 G(., x0) and u against the regime target, with the
+    kernels of `limit_kernels`; a skipped point keeps its note."""
     exps = pair.exponents
     n, s = exps.n, exps.s
     q0 = critical_q(exps.p, n, s)
     nv = n / (q0 + 1.0)
     nu = n / (exps.p + 1.0)
-    x0 = np.asarray(x0, dtype=float)
+    scale_u, c_u = {
+        "super": (lam**nu, constants.c2),
+        "serrin": (lam**nu / math.log(lam), constants.c3),
+        "sub": (lam ** (exps.p * nv), constants.c4),
+    }[regime]
 
-    u_vals = _point_values(pair.u, basis, points)
-    v_vals = _point_values(pair.v, basis, points)
-
+    u_vals = synthesize_at(analyze(pair.u, basis), kernels.points)
+    v_vals = synthesize_at(analyze(pair.v, basis), kernels.points)
     out: list[PointDeviation] = []
-    for i, pt in enumerate(points):
-        if np.linalg.norm(pt - x0) < exclusion_radius:
-            out.append(PointDeviation(tuple(pt), None, None, "inside exclusion ball"))
+    for i, pt in enumerate(kernels.points):
+        if kernels.notes[i]:
+            out.append(PointDeviation(tuple(pt), None, None, kernels.notes[i]))
             continue
-        try:
-            g_val = green(pt, x0, basis, s).value
-        except (UnresolvedSingularityError, ValueError) as exc:
-            out.append(PointDeviation(tuple(pt), None, None, f"kernel skipped: {exc}"))
-            continue
-        dev_v = abs(lam**nv * v_vals[i] / (constants.c1 * g_val) - 1.0)
-        if regime == "super":
-            target = constants.c2 * g_val
-            normalized = lam**nu * u_vals[i]
-        elif regime == "serrin":
-            target = constants.c3 * g_val
-            normalized = lam**nu / math.log(lam) * u_vals[i]
-        else:
-            gt = g_tilde(pt, x0, exps.p, basis, s).value
-            target = constants.c4 * gt
-            normalized = lam ** (exps.p * nv) * u_vals[i]
-        dev_u = abs(normalized / target - 1.0)
+        dev_v = abs(lam**nv * v_vals[i] / (constants.c1 * kernels.green[i]) - 1.0)
+        dev_u = abs(scale_u * u_vals[i] / (c_u * kernels.target[i]) - 1.0)
         out.append(PointDeviation(tuple(pt), float(dev_v), float(dev_u)))
     return out
 
@@ -458,7 +465,6 @@ def run_sweep(config: SweepConfig, keep_pairs: bool = False) -> SweepResult:
     n, s = dom.dim, dom.s
     basis = build_basis(dom, config.cutoff)
     grid = build_grid(dom, config.grid_shape)
-    points = config.comparison_points()
 
     rows: list[SweepRow] = []
     pairs: list[SolutionPair | None] = []
@@ -527,13 +533,16 @@ def run_sweep(config: SweepConfig, keep_pairs: bool = False) -> SweepResult:
 
     ok_rows = [r for r in rows if r.failed is None]
     x0 = np.asarray(ok_rows[-1].x_c)
+    kernels = limit_kernels(
+        x0, basis, config.comparison_points(), config.p,
+        exclusion_radius=config.exclusion_radius_frac * min(dom.lengths),
+    )
     for row, pair in zip(rows, pairs, strict=True):
         if pair is None:
             continue
         row.constants = measure_constants(pair, row.lam, config.regime)
         row.green_devs = green_limit_check(
-            pair, row.lam, x0, basis, points, row.constants, config.regime,
-            exclusion_radius=config.exclusion_radius_frac * min(dom.lengths),
+            pair, row.lam, basis, kernels, row.constants, config.regime
         )
         devs = [
             d

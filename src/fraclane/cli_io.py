@@ -537,41 +537,37 @@ def _cmd_kernels(cfg: RunConfig, out_dir: Path, echo: dict) -> int:
     rng = np.random.default_rng(cfg.kernel_seed)
     n = cfg.n
     lengths = np.asarray(cfg.lengths)
-    pairs = []
-    while len(pairs) < cfg.kernel_pairs:
+    xs, ys = [], []
+    while len(xs) < cfg.kernel_pairs:
         x = cfg.kernel_margin + rng.random(n) * (lengths - 2 * cfg.kernel_margin)
         y = cfg.kernel_margin + rng.random(n) * (lengths - 2 * cfg.kernel_margin)
         if np.linalg.norm(x - y) >= cfg.kernel_min_sep:
-            pairs.append((x, y))
+            xs.append(x)
+            ys.append(y)
+    xs, ys = (np.array(pts).reshape(-1, n) for pts in (xs, ys))
 
-    rows = []
-    bound_ok = True
-    sym_exact = True
-    h_sym = 0.0
-    for x, y in pairs:
-        gxy = green(x, y, basis)
-        gyx = green(y, x, basis)
-        sym_exact &= gxy.value == gyx.value
-        fk = free_kernel(x, y, n, cfg.s)
-        h = fk - gxy.value
-        h_sym = max(h_sym, abs(h - (free_kernel(y, x, n, cfg.s) - gyx.value)))
-        ok = 0.0 < gxy.value < fk + gxy.truncation_bound
-        bound_ok &= ok
-        rows.append([*x, *y, gxy.value, gxy.truncation_bound, fk, h, int(ok)])
+    gxy = green(xs, ys, basis)
+    gyx = green(ys, xs, basis)
+    fk = free_kernel(xs, ys, n, cfg.s)
+    h = fk - gxy.value
+    h_sym = float(np.max(np.abs(h - (free_kernel(ys, xs, n, cfg.s) - gyx.value)), initial=0.0))
+    ok = (0.0 < gxy.value) & (gxy.value < fk + gxy.truncation_bound)
     cols = ([f"x{i + 1}" for i in range(n)] + [f"y{i + 1}" for i in range(n)]
             + ["green", "truncation_bound", "free_kernel", "regular_part", "bound_ok"])
-    write_table(out_dir / "kernels.csv", cols, rows)
+    table = np.column_stack([xs, ys, gxy.value, gxy.truncation_bound, fk, h])
+    write_table(out_dir / "kernels.csv", cols,
+                [[*values, int(o)] for values, o in zip(table.tolist(), ok, strict=True)])
 
     checks = Checks()
-    checks.add("kernel_bound", bound_ok, note="0 < G < free + truncation_bound")
-    checks.add("green_symmetry_exact", sym_exact)
+    checks.add("kernel_bound", bool(np.all(ok)), note="0 < G < free + truncation_bound")
+    checks.add("green_symmetry_exact", np.array_equal(gxy.value, gyx.value))
     checks.add("regular_part_symmetry", h_sym <= 1e-12, h_sym, 1e-12)
     worst_inv, worst_semi = operator_algebra_residuals(
         basis, build_grid(domain, cfg.grid), cfg.kernel_seed)
     checks.add("operator_inverse_identity", worst_inv < 1e-12, worst_inv, 1e-12)
     checks.add("operator_semigroup", worst_semi < 1e-12, worst_semi, 1e-12)
 
-    payload = {**echo, "pairs": len(pairs), "checks": checks.items}
+    payload = {**echo, "pairs": len(xs), "checks": checks.items}
     _write_report(out_dir, "kernels_report.json", payload)
     return 0 if (not cfg.strict_checks or checks.all_passed()) else 1
 

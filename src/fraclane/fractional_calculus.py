@@ -11,9 +11,9 @@ around both integrable singularities.
 
 The eigenvalue multipliers lambda_k^{+-s} are cached per (basis, exponent),
 like the half sine matrices of `spectral_domain`, and shared by
-`apply_inverse`, `apply_fraclap` and the pointwise kernels. Those kernels
-share one evaluator per (basis, s), so the mode shells are built once, not on
-every call. `g_tilde`'s default grid is cached per basis the same way.
+`apply_inverse`, `apply_fraclap` and the pointwise kernels. The pointwise
+kernels take batches of point pairs and evaluate G(x, y) with the blocked
+contraction of `synthesize_at`. `g_tilde`'s default grid is cached per basis.
 Gauss-Legendre rules, which `hls_limit` uses as well, are built once per
 order and handed out read-only.
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -40,6 +40,8 @@ from .spectral_domain import (
     SpectralBasis,
     SpectralField,
     analyze,
+    _contract,
+    _points_per_block,
     build_grid,
     synthesize,
     synthesize_at,
@@ -78,28 +80,29 @@ def gns(n: int, s: float) -> float:
 
 @dataclass(frozen=True)
 class KernelSample:
-    """Pointwise kernel value plus the estimated eigen-sum tail."""
+    """Pointwise kernel value plus the estimated eigen-sum tail: floats for
+    one pair of points, (P,) arrays beside (P, n) points for a batch."""
 
-    x: tuple[float, ...]
-    y: tuple[float, ...]
-    value: float
-    truncation_bound: float
+    x: tuple[float, ...] | np.ndarray
+    y: tuple[float, ...] | np.ndarray
+    value: float | np.ndarray
+    truncation_bound: float | np.ndarray
 
     def __post_init__(self):
-        if not math.isfinite(self.value):
+        if not np.all(np.isfinite(self.value)):
             raise ValueError("kernel sample is not finite")
-        if self.truncation_bound < 0:
+        if np.any(self.truncation_bound < 0):
             raise ValueError("truncation bound must be nonnegative")
 
 
-def free_kernel(x, y, n: int, s: float) -> float:
-    """Free-space kernel g_{n,s} |x-y|^{2s-n}; coincident points rejected."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = float(np.linalg.norm(x - y))
-    if d == 0.0:
+def free_kernel(x, y, n: int, s: float):
+    """Free-space kernel g_{n,s} |x-y|^{2s-n} of points (n,) or pairs (P, n);
+    coincident points rejected."""
+    d = np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float), axis=-1)
+    if np.any(d == 0.0):
         raise ValueError("free kernel is singular at coincident points")
-    return gns(n, s) * d ** (2 * s - n)
+    out = gns(n, s) * d ** (2 * s - n)
+    return float(out) if out.ndim == 0 else out
 
 
 @lru_cache(maxsize=16)
@@ -155,13 +158,14 @@ def operator_algebra_residuals(
     return worst_inv, worst_semi
 
 
-def clamp_nonnegative(
-    f: GridFunction, warn_fraction: float = 1e-8, context: str = ""
-) -> tuple[GridFunction, float]:
+_CLAMP_WARN_FRACTION = 1e-8  # clamped L1 mass fraction above which a clamp warns
+
+
+def clamp_nonnegative(f: GridFunction, context: str = "") -> tuple[GridFunction, float]:
     """Zero out negative ringing; returns (clamped, removed L1 mass fraction).
 
-    Warns when the clamped mass exceeds `warn_fraction` of the L1 norm: the
-    exact inverse is positivity-preserving, so larger clamps indicate an
+    Warns when the clamped mass exceeds `_CLAMP_WARN_FRACTION` of the L1 norm:
+    the exact inverse is positivity-preserving, so larger clamps indicate an
     under-resolved field.
     """
     values = f.values
@@ -171,7 +175,7 @@ def clamp_nonnegative(
     total = float(np.sum(np.abs(values)))
     clipped = float(-np.sum(values[neg]))
     fraction = clipped / total if total > 0 else 0.0
-    if fraction > warn_fraction:
+    if fraction > _CLAMP_WARN_FRACTION:
         warnings.warn(
             f"clamped {fraction:.3e} of L1 mass to restore positivity"
             + (f" ({context})" if context else ""),
@@ -187,48 +191,14 @@ def resolvability_threshold(basis: SpectralBasis) -> float:
     return 2.0 * math.pi / math.sqrt(float(basis.eigenvalues[-1]))
 
 
+# Mode shells of the tail estimate: shell j holds the modes whose largest
+# k_i / K_i lies in (_SHELL_EDGES[j-1], _SHELL_EDGES[j]], so the modes up to an
+# edge e form the box k_i <= e K_i and each shell is a difference of two boxes.
 _SHELL_EDGES = (0.5, 0.625, 0.75, 0.875)
 
 
-class _KernelEvaluator:
-    """Shared mode bookkeeping for pointwise eigen-sum kernels on one basis.
-
-    Callers get it from the `_kernel_evaluator` cache, so its arrays are read-only.
-    """
-
-    def __init__(self, basis: SpectralBasis, s: float):
-        self.basis = basis
-        self.s = s
-        self.mults = _multipliers(basis, -s).ravel(order="C")
-        cutoff = np.asarray(basis.cutoff, dtype=float)
-        idx = np.indices(basis.cutoff).reshape(basis.domain.dim, -1) + 1
-        frac = np.max(idx / cutoff[:, None], axis=0)
-        self.shell_id = np.searchsorted(_SHELL_EDGES, frac, side="left")
-        self.n_shells = len(_SHELL_EDGES) + 1
-        self.shell_id.flags.writeable = False
-
-    def mode_values(self, x) -> np.ndarray:
-        vals = None
-        for axis in range(self.basis.domain.dim):
-            s1d = self.basis.sine_samples(axis, [x[axis]])[0]
-            vals = s1d if vals is None else np.multiply.outer(vals, s1d)
-        return vals.ravel(order="C")
-
-    def sum_with_tail(self, x, y) -> tuple[float, float]:
-        # grouping (mx * my) first keeps the sum bitwise symmetric in x, y
-        terms = self.mults * (self.mode_values(x) * self.mode_values(y))
-        shell_sums = np.bincount(self.shell_id, weights=terms, minlength=self.n_shells)
-        value = float(np.sum(shell_sums))
-        return value, _tail_estimate(shell_sums, value)
-
-
-@lru_cache(maxsize=16)
-def _kernel_evaluator(basis: SpectralBasis, s: float) -> _KernelEvaluator:
-    return _KernelEvaluator(basis, s)
-
-
-def _tail_estimate(shell_sums: np.ndarray, value: float) -> float:
-    """Eigen-sum tail estimate from the outer mode shells.
+def _tail_estimate(shell_sums: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """Eigen-sum tail estimate from the outer mode shells, one row per pair.
 
     The shell magnitudes of the oscillatory sum decay like a small power of
     the cutoff, so the continued tail is proportional to the outermost shell
@@ -238,22 +208,39 @@ def _tail_estimate(shell_sums: np.ndarray, value: float) -> float:
     the unit square with at least 2.5x margin. A heuristic, labeled as such
     wherever reported.
     """
-    mags = np.abs(shell_sums[2:])
-    tail = 8.0 * float(np.max(mags))
-    return max(tail, abs(value) * 1e-15)
+    tail = 8.0 * np.max(np.abs(shell_sums[:, 2:]), axis=1)
+    return np.maximum(tail, np.abs(value) * 1e-15)
 
 
-def _require_interior(basis: SpectralBasis, *points):
-    for pt in points:
-        if not basis.domain.contains(pt):
-            raise ValueError(f"point {tuple(np.asarray(pt))} is not interior to the domain")
+def _interior(domain, points: np.ndarray) -> np.ndarray:
+    """Per point (last axis), whether it lies strictly inside the box."""
+    return np.all((points > 0.0) & (points < np.asarray(domain.lengths)), axis=-1)
+
+
+def _check_pairs(basis: SpectralBasis, x: np.ndarray, y: np.ndarray) -> None:
+    """Raise on the first pair (last axis) with a point outside the box or a
+    separation below the resolvability threshold, where the retained sum is
+    meaningless."""
+    x, y = np.atleast_2d(x), np.atleast_2d(y)
+    d = np.linalg.norm(x - y, axis=-1)
+    thr = resolvability_threshold(basis)
+    bad = ~(_interior(basis.domain, x) & _interior(basis.domain, y) & (d >= thr))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        for pt in (x[i], y[i]):
+            if not basis.domain.contains(pt):
+                raise ValueError(f"point {tuple(pt)} is not interior to the domain")
+        raise UnresolvedSingularityError(f"separation {d[i]:.3e} below resolvable spacing {thr:.3e}")
 
 
 def green(x, y, basis: SpectralBasis, s: float | None = None) -> KernelSample:
     """Dirichlet Green function as the truncated eigen-sum, with tail estimate.
 
-    Symmetric exactly (the summand is); refuses separations below the
-    resolvability threshold, where the retained sum is meaningless.
+    Points (n,) or pairs (P, n), broadcast together; one pair gives float
+    fields, P pairs (P,) arrays. The sum contracts lambda_k^{-s} with the
+    per-axis products S_i(x_i) S_i(y_i) of sine samples, so it is bitwise
+    symmetric; the shell sums of the tail estimate are the same contraction
+    on the nested boxes of `_SHELL_EDGES`. Refuses what `_check_pairs` rejects.
 
     Pointwise convergence of the truncated sum needs 2s > (n-1)/2; at
     n = 3, s = 1/2 it is marginal and generic samples carry O(1) error bars
@@ -261,50 +248,53 @@ def green(x, y, basis: SpectralBasis, s: float | None = None) -> KernelSample:
     kernel remain well convergent there.
     """
     s = basis.domain.s if s is None else s
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    _require_interior(basis, x, y)
-    d = float(np.linalg.norm(x - y))
-    thr = resolvability_threshold(basis)
-    if d < thr:
-        raise UnresolvedSingularityError(
-            f"separation {d:.3e} below resolvable spacing {thr:.3e}"
-        )
-    value, tail = _kernel_evaluator(basis, s).sum_with_tail(x, y)
-    return KernelSample(tuple(x), tuple(y), value, tail)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    _check_pairs(basis, x, y)
+    xs, ys = np.atleast_2d(x), np.atleast_2d(y)
+    mults = _multipliers(basis, -s)
+    # the edges are multiples of 1/8, so e K_i is exact and k_i / K_i <= e
+    # means k_i <= int(e K_i)
+    boxes = [tuple(int(e * K) for K in basis.cutoff) for e in _SHELL_EDGES] + [basis.cutoff]
+    sums = np.zeros((len(xs), len(boxes)))
+    block = _points_per_block(basis.cutoff)
+    for start in range(0, len(xs), block):
+        rows = slice(start, start + block)
+        factors = [basis.sine_samples(axis, xs[rows, axis]) for axis in range(basis.domain.dim)]
+        for axis, f in enumerate(factors):
+            f *= basis.sine_samples(axis, ys[rows, axis])
+        for j, box in enumerate(boxes):
+            if min(box) > 0:
+                sums[rows, j] = _contract(
+                    mults[tuple(slice(b) for b in box)],
+                    [f[:, :b] for f, b in zip(factors, box, strict=True)],
+                )
+    value = sums[:, -1]
+    tail = _tail_estimate(np.diff(sums, axis=1, prepend=0.0), value)
+    if x.ndim == 1:
+        return KernelSample(tuple(x), tuple(y), float(value[0]), float(tail[0]))
+    return KernelSample(x, y, value, tail)
 
 
 def regular_part(x, y, basis: SpectralBasis, s: float | None = None) -> KernelSample:
-    """Regular part H = free_kernel - green; smooth, symmetric, positive."""
+    """Regular part H = free_kernel - green of points (n,) or pairs (P, n);
+    smooth, symmetric, positive."""
     s = basis.domain.s if s is None else s
     g = green(x, y, basis, s)
-    h = free_kernel(x, y, basis.domain.dim, s) - g.value
+    h = free_kernel(g.x, g.y, basis.domain.dim, s) - g.value
     return KernelSample(g.x, g.y, h, g.truncation_bound)
 
 
-def rescaled_green(x, y, lam: float, center, basis: SpectralBasis, s: float | None = None) -> float:
-    """lambda^{-(n-2s)} G(x/lambda + c, y/lambda + c); mapped points must be interior."""
+def rescaled_green(x, y, lam: float, center, basis: SpectralBasis, s: float | None = None):
+    """lambda^{-(n-2s)} G(x/lambda + c, y/lambda + c) of points (n,) or pairs
+    (P, n); `green` refuses mapped points outside the box."""
     s = basis.domain.s if s is None else s
     if lam <= 0:
         raise ValueError("rescaling factor must be positive")
     center = np.asarray(center, dtype=float)
     xm = np.asarray(x, dtype=float) / lam + center
     ym = np.asarray(y, dtype=float) / lam + center
-    if not (basis.domain.contains(xm) and basis.domain.contains(ym)):
-        raise ValueError("rescaled points map outside the domain")
     n = basis.domain.dim
     return lam ** -(n - 2 * s) * green(xm, ym, basis, s).value
-
-
-def _ray_exit_distance(center: np.ndarray, direction: np.ndarray, lo, hi) -> float:
-    """Distance from center to the box boundary along direction."""
-    t = math.inf
-    for c, d, a, b in zip(center, direction, lo, hi, strict=True):
-        if d > 1e-300:
-            t = min(t, (b - c) / d)
-        elif d < -1e-300:
-            t = min(t, (a - c) / d)
-    return t
 
 
 @lru_cache(maxsize=16)
@@ -354,43 +344,32 @@ def _polar_box_integral(center, lo, hi, gamma: float, smooth, n_rad: int, n_ang:
         raise RegimeError(f"singular exponent {gamma} is not integrable in {n}-d")
     dirs, wang = _unit_directions(n, n_ang)
     u_nodes, u_weights = _gauss_legendre(n_rad)
-    total = 0.0
-    pts = []
-    scale = []
-    for d, wa in zip(dirs, wang, strict=True):
-        rmax = _ray_exit_distance(center, d, lo, hi)
-        if not math.isfinite(rmax) or rmax <= 0:
-            continue
-        umax = rmax**m / m
-        u = 0.5 * umax * (u_nodes + 1.0)
-        r = (m * u) ** (1.0 / m)
-        pts.append(center[None, :] + r[:, None] * d[None, :])
-        scale.append(wa * 0.5 * umax * u_weights)
-    if not pts:
+    # distance to the box boundary along each direction: the nearest face
+    # crossing over the axes the direction moves along
+    faces = np.where(dirs > 0.0, np.asarray(hi, dtype=float), np.asarray(lo, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crossings = np.where(np.abs(dirs) > 1e-300, (faces - center) / dirs, math.inf)
+    rmax = np.min(crossings, axis=1)
+    keep = np.isfinite(rmax) & (rmax > 0)
+    if not np.any(keep):
         return 0.0
-    pts = np.concatenate(pts, axis=0)
-    scale = np.concatenate(scale)
-    vals = smooth(pts)
-    total = float(np.sum(scale * vals))
-    return total
+    dirs, wang, rmax = dirs[keep], wang[keep], rmax[keep]
+    umax = rmax**m / m
+    u = 0.5 * umax[:, None] * (u_nodes + 1.0)
+    r = (m * u) ** (1.0 / m)
+    pts = (center + r[:, :, None] * dirs[:, None, :]).reshape(-1, n)
+    scale = ((wang * 0.5 * umax)[:, None] * u_weights).ravel()
+    return float(np.sum(scale * smooth(pts)))
 
 
 def _ring_regular_part(c, basis: SpectralBasis, s: float, radius: float) -> float:
-    """Mean of H = free - G on a small resolvable ring around c (H is smooth there)."""
+    """Mean of H = free - G on a small resolvable ring around c (H is smooth
+    there), over the ring points inside the box."""
     c = np.asarray(c, dtype=float)
-    n = basis.domain.dim
-    dirs, _ = _unit_directions(n, 8)
-    vals = []
-    for d in dirs:
-        z = c + radius * d
-        if basis.domain.contains(z):
-            try:
-                vals.append(
-                    free_kernel(z, c, n, s) - green(z, c, basis, s).value
-                )
-            except UnresolvedSingularityError:
-                continue
-    return float(np.mean(vals)) if vals else 0.0
+    dirs, _ = _unit_directions(basis.domain.dim, 8)
+    ring = c + radius * dirs
+    ring = ring[_interior(basis.domain, ring)]
+    return float(np.mean(regular_part(ring, c, basis, s).value)) if len(ring) else 0.0
 
 
 def _sublattice_spread(weighted_cells: np.ndarray) -> float:
@@ -447,7 +426,7 @@ def g_tilde(
         )
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    _require_interior(basis, x, y)
+    _check_pairs(basis, x, y)
     if grid is None:
         grid = _kernel_grid(basis)
     h = np.asarray(grid.spacing)
@@ -461,10 +440,13 @@ def g_tilde(
     g_const = gns(n, s)
     lam_pow = n - 2 * s
 
-    # eigen-coefficients of G(x, .) and G(y, .), for the grid and the patches
-    ev = _kernel_evaluator(basis, s)
-    coeff_x = SpectralField(basis, (ev.mults * ev.mode_values(x)).reshape(basis.cutoff))
-    coeff_y = SpectralField(basis, (ev.mults * ev.mode_values(y)).reshape(basis.cutoff))
+    # eigen-coefficients lambda_k^{-s} phi_k(x) of G(x, .) and of G(y, .), for
+    # the grid and the patches
+    def green_coefficients(pt):
+        modes = [basis.sine_samples(axis, [pt[axis]])[0] for axis in range(n)]
+        return SpectralField(basis, _multipliers(basis, -s) * reduce(np.multiply.outer, modes))
+
+    coeff_x, coeff_y = green_coefficients(x), green_coefficients(y)
 
     gx_vals = np.maximum(synthesize(coeff_x, grid).values, 0.0)
     gy_vals = np.maximum(synthesize(coeff_y, grid).values, 0.0)

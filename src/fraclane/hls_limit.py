@@ -277,11 +277,14 @@ def limit_system_residual(
     )
 
 
-def radial_shells(field: FreeField, width_cells: float = 2.0):
+_SHELL_WIDTH_CELLS = 2.0  # width of a `radial_shells` shell, in grid cells
+
+
+def radial_shells(field: FreeField):
     """Shell-averaged radial profile: (centers, mean, min, max, counts)."""
     r = field.radii().ravel()
     v = field.values.ravel()
-    width = width_cells * max(field.spacing)
+    width = _SHELL_WIDTH_CELLS * max(field.spacing)
     nbins = int(math.ceil(r.max() / width))
     idx = np.minimum((r / width).astype(int), nbins - 1)
     counts = np.bincount(idx, minlength=nbins)

@@ -336,33 +336,36 @@ _SYNTHESIZE_AT_BUDGET_BYTES = 1 << 20
 
 
 def _points_per_block(cutoff: tuple[int, ...]) -> int:
-    """Block size of `synthesize_at`: partial sums plus sine samples fit the budget."""
+    """Block size of `_contract`'s callers: partial sums plus factors fit the budget."""
     floats_per_point = math.prod(cutoff[:-1]) + sum(cutoff)
     return max(1, _SYNTHESIZE_AT_BUDGET_BYTES // (8 * floats_per_point))
 
 
-def synthesize_at(c: SpectralField, points) -> np.ndarray:
-    """Evaluate sum_k a_k phi_k at arbitrary points (P, n) -> (P,).
+def _contract(coefficients: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
+    """sum_k a_k prod_i F_i[p, k_i] for every row p of the per-axis factor
+    matrices F_i (B, K_i): one BLAS matmul contracts the last mode axis, then
+    each remaining axis folds in."""
+    cutoff = coefficients.shape
+    t = factors[-1] @ coefficients.reshape(-1, cutoff[-1]).T
+    for axis in range(len(cutoff) - 2, -1, -1):
+        t = np.einsum("pjk,pk->pj", t.reshape(len(t), -1, cutoff[axis]), factors[axis])
+    return t[:, 0]
 
-    Per block of points, one BLAS matmul contracts the last mode axis, then
-    each remaining axis folds in; the block size keeps a block's temporaries
-    within about 1 MB, whatever the number of points.
-    """
+
+def synthesize_at(c: SpectralField, points) -> np.ndarray:
+    """Evaluate sum_k a_k phi_k at arbitrary points (P, n) -> (P,): `_contract`
+    with the sine samples as factors, per block of about 1 MB of temporaries."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = c.basis.domain.dim
     if points.shape[1] != n:
         raise ValueError(f"points have dimension {points.shape[1]}, expected {n}")
-    cutoff = c.basis.cutoff
-    by_last = c.coefficients.reshape(-1, cutoff[-1]).T
-    block = _points_per_block(cutoff)
+    block = _points_per_block(c.basis.cutoff)
     out = np.empty(points.shape[0])
     for start in range(0, points.shape[0], block):
         pts = points[start:start + block]
-        mats = [c.basis.sine_samples(axis, pts[:, axis]) for axis in range(n)]
-        t = mats[-1] @ by_last
-        for axis in range(n - 2, -1, -1):
-            t = np.einsum("pjk,pk->pj", t.reshape(len(pts), -1, cutoff[axis]), mats[axis])
-        out[start:start + block] = t[:, 0]
+        out[start:start + block] = _contract(
+            c.coefficients, [c.basis.sine_samples(axis, pts[:, axis]) for axis in range(n)]
+        )
     return out
 
 

@@ -1,5 +1,8 @@
 """Independent test oracles kept apart from the library paths they check."""
 
+import math
+from functools import reduce
+
 import numpy as np
 
 import fraclane as fl
@@ -7,36 +10,74 @@ from fraclane.fractional_calculus import apply_inverse
 from fraclane.spectral_domain import GridFunction
 
 
+def eigenvalues(basis):
+    """lambda_k = sum_i (k_i pi / L_i)^2 in tensor layout, from the closed form."""
+    return reduce(np.add.outer, [(np.arange(1, K + 1) * math.pi / L) ** 2
+                                 for K, L in zip(basis.cutoff, basis.domain.lengths)])
+
+
+def eigen_modes(basis, x):
+    """phi_k(x) = prod_i sqrt(2/L_i) sin(k_i pi x_i / L_i) of every retained mode,
+    in tensor layout, from the closed form."""
+    return reduce(np.multiply.outer, [
+        math.sqrt(2.0 / L) * np.sin(np.arange(1, K + 1) * math.pi * xi / L)
+        for xi, K, L in zip(x, basis.cutoff, basis.domain.lengths)])
+
+
+def green_direct(basis, s, x, y):
+    """One pair's eigen-sum sum_k lambda_k^{-s} phi_k(x) phi_k(y) and its tail
+    estimate, term by term: the modes fall into shells split where
+    max_i k_i / K_i crosses 0.5, 0.625, 0.75 and 0.875; the tail is 8 times the
+    largest outer-three shell sum, and at least 1e-15 |G|."""
+    terms = eigenvalues(basis) ** -s * eigen_modes(basis, x) * eigen_modes(basis, y)
+    frac = np.max([k / K for k, K in zip(np.indices(basis.cutoff) + 1, basis.cutoff)], axis=0)
+    shell = np.searchsorted([0.5, 0.625, 0.75, 0.875], frac, side="left")
+    sums = np.bincount(shell.ravel(), weights=terms.ravel(), minlength=5)
+    value = float(np.sum(sums))
+    return value, max(8.0 * float(np.max(np.abs(sums[2:]))), 1e-15 * abs(value))
+
+
+def inverse_matrix(basis, grid, s):
+    """(-Delta)^{-s} on the flattened grid nodes as one dense matrix
+    cell * Phi diag(lambda^{-s}) Phi^T, built from the closed-form sines."""
+    phi = np.stack([eigen_modes(basis, x).ravel() for x in grid.points()])
+    return grid.cell_volume * (phi * eigenvalues(basis).ravel() ** -s) @ phi.T
+
+
 def projected_gradient_theta(exps, basis, grid, init_values, max_iter=8000):
     """Maximize the quotient Theta by projected gradient ascent on the
-    nonnegative cone with backtracking; independent of the fixed-point path."""
+    nonnegative cone with backtracking; independent of the fixed-point path
+    and of the library's transforms (the inverse is one dense matrix)."""
     p, q, s = exps.p, exps.q, exps.s
     qn = (q + 1.0) / q
     w_cell = grid.cell_volume
+    inverse = inverse_matrix(basis, grid, s)
+
+    def norm(values, r):
+        return (w_cell * np.sum(np.abs(values) ** r)) ** (1.0 / r)
 
     def theta(values):
-        return fl.theta_quotient(GridFunction(grid, values), exps, basis)
+        return norm(inverse @ values, p + 1.0) / norm(values, qn)
 
     def grad_log_theta(values):
-        aw = apply_inverse(GridFunction(grid, values), s, basis).values
-        num = (w_cell * np.sum(np.abs(aw) ** (p + 1))) ** (1.0 / (p + 1))
-        den = (w_cell * np.sum(np.abs(values) ** qn)) ** (1.0 / qn)
-        inner = np.sign(aw) * np.abs(aw) ** p
-        at_inner = apply_inverse(GridFunction(grid, inner), s, basis).values
+        aw = inverse @ values
+        num = norm(aw, p + 1.0)
+        den = norm(values, qn)
+        at_inner = inverse @ (np.sign(aw) * np.abs(aw) ** p)
         return (w_cell * at_inner / num ** (p + 1)
                 - w_cell * np.sign(values) * np.abs(values) ** (1.0 / q) / den**qn)
 
-    values = np.maximum(np.asarray(init_values, dtype=float), 0.0)
+    values = np.maximum(np.asarray(init_values, dtype=float).ravel(), 0.0)
     values = values / (w_cell * np.sum(values**qn)) ** (1.0 / qn)
     step = 1.0
     best = theta(values)
     for _ in range(max_iter):
         cand = np.maximum(values + step * grad_log_theta(values), 0.0)
-        norm = (w_cell * np.sum(cand**qn)) ** (1.0 / qn)
-        if norm == 0.0:
+        norm_cand = (w_cell * np.sum(cand**qn)) ** (1.0 / qn)
+        if norm_cand == 0.0:
             step *= 0.5
             continue
-        cand /= norm
+        cand /= norm_cand
         cand_theta = theta(cand)
         if cand_theta > best:
             values, best = cand, cand_theta
@@ -45,7 +86,7 @@ def projected_gradient_theta(exps, basis, grid, init_values, max_iter=8000):
             step *= 0.5
             if step < 1e-15:
                 break
-    return best, values
+    return best, values.reshape(grid.shape)
 
 
 def multistart_theta(exps, basis, grid, n_restarts=8, seed=777, max_iter=8000):

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import eigen_modes, eigenvalues
 
 import fraclane as fl
 from fraclane import blowup_sweep as bs
@@ -226,10 +227,8 @@ def test_rescaled_equation_identity(mini_sweep):
     cell_eps = coarse.cell_volume * lam**2
 
     # kernel matrix on original nodes gives G_eps via the exact rescaling law
-    from fraclane.fractional_calculus import _KernelEvaluator
-    ev = _KernelEvaluator(basis, exps.s)
-    phi = np.stack([ev.mode_values(pt) for pt in nodes], axis=0)
-    G = (phi * ev.mults) @ phi.T
+    phi = np.stack([eigen_modes(basis, pt).ravel() for pt in nodes], axis=0)
+    G = (phi * eigenvalues(basis).ravel() ** -exps.s) @ phi.T
     G_eps = lam ** -(2 - 2 * exps.s) * G
 
     rng = np.random.default_rng(5)
@@ -312,14 +311,37 @@ def test_green_limit_check_skips_unresolved_points(mini_sweep):
     basis = fl.build_basis(unit_square(), (24, 24))
     x0 = np.asarray(res.x0)
     pts = np.array([x0 + (0.01, 0.0), x0 + (0.3, 0.0)])
-    devs = bs.green_limit_check(pair, row.lam, x0, basis, pts, row.constants,
-                                res.config.regime, exclusion_radius=0.15)
+    kernels = bs.limit_kernels(x0, basis, pts, res.config.p, exclusion_radius=0.15)
+    devs = bs.green_limit_check(pair, row.lam, basis, kernels, row.constants,
+                                res.config.regime)
     assert devs[0].dev_u is None and "exclusion" in devs[0].note
     assert devs[1].dev_u is not None
-    close = bs.green_limit_check(pair, row.lam, x0, basis,
-                                 np.array([x0 + (0.02, 0.0)]), row.constants,
-                                 res.config.regime, exclusion_radius=0.0)
+    kernels = bs.limit_kernels(x0, basis, np.array([x0 + (0.02, 0.0)]), res.config.p)
+    close = bs.green_limit_check(pair, row.lam, basis, kernels, row.constants,
+                                 res.config.regime)
     assert close[0].dev_u is None and "kernel skipped" in close[0].note
+
+
+def test_sub_regime_sweep_evaluates_each_kernel_once(monkeypatch):
+    # x0 and the comparison points are fixed for the whole sweep, so each
+    # compared point costs one g_tilde call however many rows the sweep has
+    calls = []
+    original = bs.g_tilde
+
+    def counting(*args, **kwargs):
+        calls.append(tuple(args[0]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bs, "g_tilde", counting)
+    cfg = bs.SweepConfig(domain=unit_square(), p=1.5, eps_schedule=(0.1, 0.08),
+                         cutoff=(16, 16), grid_shape=(32, 32))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = bs.run_sweep(cfg)
+    compared = [pd.point for pd in res.rows[-1].green_devs if pd.dev_u is not None]
+    assert len(res.rows) == 2 and compared
+    assert sorted(calls) == sorted(compared)
+    assert [pd.note for pd in res.rows[0].green_devs] == [pd.note for pd in res.rows[1].green_devs]
 
 
 def test_measure_constants_change_of_variables(mini_sweep):

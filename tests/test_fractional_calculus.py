@@ -1,14 +1,23 @@
 """Fractional operator and kernel-family tests."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
+from oracles import eigen_modes, eigenvalues, green_direct
+from scipy import integrate
 
 import fraclane as fl
-from fraclane.fractional_calculus import _KernelEvaluator, _gauss_legendre, _kernel_evaluator
-from fraclane.spectral_domain import SpectralField, _half_matrices, synthesize, synthesize_at
+from fraclane.fractional_calculus import _gauss_legendre, _multipliers, _polar_box_integral
+from fraclane.spectral_domain import (
+    SpectralField,
+    _half_matrices,
+    _points_per_block,
+    synthesize,
+    synthesize_at,
+)
 
 
 def setup_square(K=16, m=32, s=0.5):
@@ -117,26 +126,104 @@ def test_green_symmetry_exact_and_bound_example():
     assert 0.0 < gxy.value < free + gxy.truncation_bound
 
 
-def test_green_reuses_one_read_only_evaluator(monkeypatch):
+def test_multipliers_cached_and_read_only():
     dom, basis, grid = setup_square(K=24, m=48)
-    seen = []
-    original = _KernelEvaluator.sum_with_tail
-
-    def recording(self, x, y):
-        seen.append(self)
-        return original(self, x, y)
-
-    monkeypatch.setattr(_KernelEvaluator, "sum_with_tail", recording)
-    rng = np.random.default_rng(3)
-    for _ in range(4):
-        x, y = 0.2 + 0.6 * rng.random(2), 0.2 + 0.6 * rng.random(2)
-        assert fl.green(x, y, basis).value == fl.green(y, x, basis).value
-    ev = seen[0]
-    assert all(other is ev for other in seen)
-    assert ev is _kernel_evaluator(basis, 0.5)
-    assert not ev.mults.flags.writeable and not ev.shell_id.flags.writeable
+    mults = _multipliers(basis, -0.5)
+    assert _multipliers(basis, -0.5) is mults
+    assert mults.tobytes() == (basis.eigenvalue_grid**-0.5).tobytes()
+    assert not mults.flags.writeable
     with pytest.raises(ValueError):
-        ev.mults[0] = 0.0
+        mults[0, 0] = 0.0
+
+
+def random_pairs(rng, count, lengths, min_sep):
+    lo, span = 0.1 * np.asarray(lengths), 0.8 * np.asarray(lengths)
+    xs, ys = lo + span * rng.random((count, len(lengths))), lo + span * rng.random((count, len(lengths)))
+    far = np.linalg.norm(xs - ys, axis=1) >= min_sep
+    return xs[far], ys[far]
+
+
+@pytest.mark.parametrize("lengths, cutoff", [
+    ((1.0,), (40,)), ((1.0, 1.0), (24, 24)), ((1.0, 2.0), (48, 24)),
+    ((1.0, 0.7), (20, 13)), ((1.0, 1.0, 1.0), (12, 12, 12)), ((1.0, 1.3, 0.8), (9, 11, 7)),
+])
+def test_batched_green_matches_per_pair_direct_sum(lengths, cutoff):
+    # values and shell-sum tails of one batch against the term-by-term sum of
+    # each pair, for P = 1, one block and one block + 1
+    dom = fl.BoxDomain(lengths, 0.3 if len(lengths) == 1 else 0.5)
+    basis = fl.build_basis(dom, cutoff)
+    rng = np.random.default_rng(len(cutoff) + sum(cutoff))
+    block = _points_per_block(cutoff)
+    xs, ys = random_pairs(rng, 2 * block + 50, lengths, 2 * fl.resolvability_threshold(basis))
+    picks = rng.choice(len(xs), size=40, replace=False)
+    for count in (1, block, block + 1):
+        batch = fl.green(xs[:count], ys[:count], basis)
+        assert batch.value.shape == batch.truncation_bound.shape == (count,)
+        swapped = fl.green(ys[:count], xs[:count], basis)
+        assert batch.value.tobytes() == swapped.value.tobytes()
+        assert batch.truncation_bound.tobytes() == swapped.truncation_bound.tobytes()
+        for i in picks[picks < count].tolist() + [count - 1]:
+            value, tail = green_direct(basis, dom.s, xs[i], ys[i])
+            scale = float(np.sum(np.abs(eigenvalues(basis) ** -dom.s
+                                        * eigen_modes(basis, xs[i]) * eigen_modes(basis, ys[i]))))
+            assert abs(batch.value[i] - value) <= 1e-13 * scale
+            assert abs(batch.truncation_bound[i] - tail) <= 1e-13 * scale
+
+
+def test_green_single_pair_and_batch_agree_and_refuse_alike():
+    dom, basis, grid = setup_square(K=16, m=32)
+    thr = fl.resolvability_threshold(basis)
+    x0 = np.array([0.5, 0.5])
+    pts = np.array([[0.2, 0.3], [0.8, 0.6], [0.35, 0.75]])
+    batch = fl.green(pts, x0, basis)  # (P, n) against (n,) broadcasts
+    for i, pt in enumerate(pts):
+        single = fl.green(pt, x0, basis)
+        assert isinstance(single.value, float) and isinstance(single.truncation_bound, float)
+        assert single.value == pytest.approx(batch.value[i], rel=1e-13)
+    h = fl.regular_part(pts, x0, basis)
+    np.testing.assert_allclose(h.value, fl.free_kernel(pts, x0, 2, 0.5) - batch.value, rtol=1e-14)
+    with pytest.raises(fl.UnresolvedSingularityError, match="below resolvable spacing"):
+        fl.green(np.vstack([pts, x0 + (0.25 * thr, 0.0)]), x0, basis)
+    with pytest.raises(ValueError, match="is not interior"):
+        fl.green(np.vstack([pts, [1.2, 0.5]]), x0, basis)
+
+
+def test_polar_box_integral_closed_form_1d():
+    # gamma = 1/2 makes r = (u/2)^2 a polynomial in the radial variable, so the
+    # rule integrates (1 + z) |z - c|^{-1/2} exactly
+    c, lo, hi = 0.3, 0.05, 0.9
+    closed = sum((1.0 + c) * 2.0 * a**0.5 + sign * (2.0 / 3.0) * a**1.5
+                 for a, sign in ((c - lo, -1.0), (hi - c, 1.0)))
+    got = _polar_box_integral([c], [lo], [hi], 0.5, lambda z: 1.0 + z[:, 0], 4, 8)
+    assert got == pytest.approx(closed, rel=1e-14)
+
+
+def box_integral_reference(smooth, center, lo, hi, gamma):
+    """int_box smooth(z) |z - center|^{-gamma} dz by adaptive cubature over the
+    2^n sub-boxes that have the singular point as a corner."""
+    def integrand(z):
+        return smooth(z) * np.linalg.norm(z - center, axis=-1) ** -gamma
+
+    total = 0.0
+    for corner in itertools.product(*zip(lo, hi, strict=True)):
+        a, b = np.minimum(corner, center), np.maximum(corner, center)
+        total += integrate.cubature(integrand, a, b, rtol=1e-7, atol=1e-10).estimate
+    return total
+
+
+@pytest.mark.parametrize("n, n_ang, tol", [(2, 256, 2e-4), (3, 128, 5e-4)])
+def test_polar_box_integral_against_cubature(n, n_ang, tol):
+    # the exit distance kinks the angular integrand at the box corners, so the
+    # angular rule converges algebraically; the tolerance is for that rule
+    center = np.array([0.3, 0.45, 0.5])[:n]
+    lo, hi = np.array([0.1, 0.2, 0.25])[:n], np.array([0.8, 0.6, 0.7])[:n]
+
+    def smooth(z):
+        return np.exp(z[:, 0]) * np.cos(z[:, 1]) * (1.0 + z[:, 2] if n == 3 else 1.0)
+
+    ref = box_integral_reference(smooth, center, lo, hi, 1.0)
+    got = _polar_box_integral(center, lo, hi, 1.0, smooth, 8, n_ang)
+    assert got == pytest.approx(ref, rel=tol)
 
 
 def test_green_refuses_unresolved_separation():
@@ -203,12 +290,10 @@ def test_representation_consistency_against_dense_quadrature():
     dense = fl.build_grid(dom, (128, 128))
     f_dense = fl.synthesize(coeffs, dense)
     rich = fl.build_basis(dom, (64, 64))
-    ev = _KernelEvaluator(rich, 0.5)
     for node in [(4, 7), (8, 8), (12, 3)]:
         x = np.array([grid.coords[0][node[0]], grid.coords[1][node[1]]])
         kernel_row = synthesize(
-            SpectralField(rich, (ev.mults * ev.mode_values(x)).reshape(rich.cutoff)),
-            dense,
+            SpectralField(rich, eigenvalues(rich) ** -0.5 * eigen_modes(rich, x)), dense
         ).values
         oracle = float(np.sum(kernel_row * f_dense.values)) * dense.cell_volume
         assert inv.values[node] == pytest.approx(oracle, abs=5e-3)
@@ -281,8 +366,7 @@ def test_g_tilde_solves_iterated_equation_p1():
     # an independent closed form for the quadrature path
     dom, basis, grid = setup_square(K=64, m=128)
     y = np.array([0.5, 0.5])
-    ev = _KernelEvaluator(basis, 0.5)
-    coeff = SpectralField(basis, (ev.mults**2 * ev.mode_values(y)).reshape(basis.cutoff))
+    coeff = SpectralField(basis, eigenvalues(basis) ** -1.0 * eigen_modes(basis, y))
     pts = np.array([[0.5 + 0.3 * math.cos(t), 0.5 + 0.3 * math.sin(t)]
                     for t in np.linspace(0.4, 5.9, 6)])
     spectral = synthesize_at(coeff, pts)
