@@ -305,7 +305,7 @@ def rescale_solution(pair: SolutionPair, lam: float, x_c) -> RescaledSolution:
     )
 
 
-def measure_constants(pair: SolutionPair, lam: float, regime: str) -> ConstantEstimates:
+def measure_constants(pair: SolutionPair, lam: float) -> ConstantEstimates:
     """C-constants measured in the normalization of the limit statements:
     C1 = lam^{n/(q0+1)} int u^{q_eps}, C2 = lam^{n/(p+1)} int v^p (both equal
     the rescaled-field integrals up to lam^{O(eps)} and converge to
@@ -540,7 +540,7 @@ def run_sweep(config: SweepConfig, keep_pairs: bool = False) -> SweepResult:
     for row, pair in zip(rows, pairs, strict=True):
         if pair is None:
             continue
-        row.constants = measure_constants(pair, row.lam, config.regime)
+        row.constants = measure_constants(pair, row.lam)
         row.green_devs = green_limit_check(
             pair, row.lam, basis, kernels, row.constants, config.regime
         )

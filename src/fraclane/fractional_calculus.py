@@ -11,7 +11,9 @@ around both integrable singularities.
 
 The eigenvalue multipliers lambda_k^{+-s} are cached per (basis, exponent),
 like the half sine matrices of `spectral_domain`, and shared by
-`apply_inverse`, `apply_fraclap` and the pointwise kernels. The pointwise
+`apply_inverse`, `apply_fraclap` and the pointwise kernels; `_CellInverse`
+is `apply_inverse` on the fundamental cell of a mirror-symmetric field,
+with the odd-k multipliers only. The pointwise
 kernels take batches of point pairs and evaluate G(x, y) with the blocked
 contraction of `synthesize_at`. `g_tilde`'s default grid is cached per basis.
 Gauss-Legendre rules, which `hls_limit` uses as well, are built once per
@@ -40,6 +42,7 @@ from .spectral_domain import (
     SpectralBasis,
     SpectralField,
     analyze,
+    _CellTransforms,
     _contract,
     _points_per_block,
     build_grid,
@@ -136,6 +139,27 @@ def apply_inverse(f: GridFunction, s: float, basis: SpectralBasis) -> GridFuncti
     return synthesize(SpectralField(basis, coeff), f.grid)
 
 
+class _CellInverse:
+    """`apply_inverse` on mirror-symmetric fields, held by their fundamental
+    cell: the odd-k coefficients of `_CellTransforms.analyze` times the odd-k
+    multipliers, synthesized back onto the cell. Bitwise the cell of
+    `apply_inverse`; its work arrays are allocated once."""
+
+    def __init__(self, basis: SpectralBasis, grid: Grid, s: float):
+        if not 0.0 < s <= 1.0:
+            raise ValueError(f"fractional order must lie in (0, 1], got {s}")
+        self._transforms = _CellTransforms(basis, grid)
+        # the odd-k entries of _multipliers(basis, -s), taken by the same
+        # power from the same eigenvalues
+        odd_modes = (slice(None, None, 2),) * basis.domain.dim
+        self._mults = np.ascontiguousarray(basis.eigenvalue_grid[odd_modes]) ** -s
+
+    def __call__(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        coeff = self._transforms.analyze(values)
+        coeff *= self._mults
+        return self._transforms.synthesize(coeff, out)
+
+
 def operator_algebra_residuals(
     basis: SpectralBasis, grid: Grid, seed: int
 ) -> tuple[float, float]:
@@ -168,22 +192,31 @@ def clamp_nonnegative(f: GridFunction, context: str = "") -> tuple[GridFunction,
     the exact inverse is positivity-preserving, so larger clamps indicate an
     under-resolved field.
     """
-    values = f.values
-    neg = values < 0.0
-    if not np.any(neg):
+    if not f.min() < 0.0:
         return f, 0.0
-    total = float(np.sum(np.abs(values)))
-    clipped = float(-np.sum(values[neg]))
-    fraction = clipped / total if total > 0 else 0.0
+    out = f.values.copy()
+    return f.with_values(out), _clamp_in_place(out, 1.0, context)
+
+
+def _clamp_in_place(values: np.ndarray, weights, context: str) -> float:
+    """`clamp_nonnegative` on `values` in place, each node's mass counted
+    `weights` times (a scalar, or the multiplicities of a fundamental cell);
+    returns the removed fraction and warns as `clamp_nonnegative` does, for
+    the caller's caller."""
+    if not values.min() < 0.0:
+        return 0.0
+    neg = values < 0.0
+    mass = np.abs(values) * weights
+    total = float(np.sum(mass))
+    fraction = float(np.sum(mass[neg])) / total if total > 0 else 0.0
     if fraction > _CLAMP_WARN_FRACTION:
         warnings.warn(
             f"clamped {fraction:.3e} of L1 mass to restore positivity"
             + (f" ({context})" if context else ""),
-            stacklevel=2,
+            stacklevel=3,
         )
-    out = values.copy()
-    out[neg] = 0.0
-    return f.with_values(out), fraction
+    values[neg] = 0.0
+    return fraction
 
 
 def resolvability_threshold(basis: SpectralBasis) -> float:

@@ -16,6 +16,18 @@ normalized maximizer w1 satisfies (-Delta)^{-s}((-Delta)^{-s} w1)^p =
 mu w1^{1/q} with mu = Theta^{p+1}; scaling by t = Theta^{-q(p+1)/(pq-1)}
 turns it into a true solution of the integral equation, from which
 u = w^{1/q} and v = (-Delta)^{-s} w are read off.
+
+A box is symmetric about each mid-plane, and (-Delta)^{-s} and the pointwise
+powers keep that symmetry bit for bit. So when the normalized start is
+bitwise mirror-symmetric, as the first eigenfunction and every warm start
+from an earlier solution are, the loop runs on the fundamental cell (the
+first ceil(m_i/2) nodes per axis) with the odd-k half of the transforms, and
+weights each cell node by the number of grid nodes it stands for; the full
+w is mirrored back once, after the loop. Every inverse, power and clamp is
+then bitwise the full loop's; only the summation order of the norms
+differs, so Theta, the residual and the clamped fraction agree to rounding
+and the iteration path is the same. Any other start runs the same loop on
+the full grid.
 """
 
 from __future__ import annotations
@@ -25,12 +37,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fractional_calculus import apply_inverse, clamp_nonnegative
+from .fractional_calculus import (
+    _CellInverse,
+    _clamp_in_place,
+    apply_inverse,
+    clamp_nonnegative,
+)
 from .spectral_domain import (
     Grid,
     GridFunction,
     SpectralBasis,
     SpectralField,
+    _mirror_cell,
+    _mirror_extend,
+    _mirror_multiplicity,
     analyze,
     integrate,
     lp_norm,
@@ -203,41 +223,69 @@ _ASCENT_SLACK = 1e-12
 _POSITIVITY_BUDGET = 1e-4
 
 
+def _check_finite(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """`values`, after the check every `GridFunction` makes; `mask` is a
+    boolean array of the same shape."""
+    if not np.isfinite(values, out=mask).all():
+        raise ValueError("grid function carries non-finite values")
+    return values
+
+
+def _weighted_sum(a: np.ndarray, b: np.ndarray, weights, work: np.ndarray) -> float:
+    """sum(a * b * weights), through `work`."""
+    np.multiply(a, b, out=work)
+    work *= weights
+    return float(np.sum(work))
+
+
 def _iterate(
-    w: GridFunction,
+    w: np.ndarray,
+    inverse,
+    weights,
     exponents: ExponentPair,
-    basis: SpectralBasis,
+    cell: float,
     theta_tol: float,
     residual_tol: float,
     max_iter: int,
-) -> tuple[GridFunction, float, list[float], int, float, float]:
+) -> tuple[np.ndarray, float, list[float], int, float, float]:
     """The fixed-point loop of `solve_ground_state` from a normalized w.
 
+    `w` holds the nodes the loop runs on, `inverse(values, out)` returns
+    (-Delta)^{-s} of such values, written into `out` or into a new array, and
+    `weights` counts the grid nodes each node stands for, so every norm and
+    clamp fraction is the full grid's. On the full grid that is
+    `apply_inverse` and 1, and the loop is bitwise what it was before the
+    cell existed. On a fundamental cell it is `_CellInverse` and the mirror
+    multiplicities: every inverse, power and clamp is bitwise the full
+    loop's, and only the summation order of the norms differs.
+
     Returns (w, theta, theta_history, iterations, residual, clamp_max). The
-    loop's fields die with this frame, before the caller builds the solution.
-    w^{1/q} is carried from one iteration to the next, and every field is
-    nonnegative, so each norm reuses a power already taken: one v^p and one
-    t^q per iteration.
+    loop writes into `w`; its other work arrays are allocated once, and the
+    powers, clamps and cell inverses write into them with `out=`. w^{1/q} is
+    carried from one iteration to the next, and every field is nonnegative,
+    so each norm reuses a power already taken: one v^p and one t^q per
+    iteration.
     """
-    p, q, s = exponents.p, exponents.q, exponents.s
+    p, q = exponents.p, exponents.q
     qnorm = (q + 1.0) / q
-    cell = w.grid.cell_volume
-    w_root = w.values ** (1.0 / q)
+    finite = np.empty(w.shape, dtype=bool)
+    w_root = _check_finite(w, finite) ** (1.0 / q)
+    v, v_pow, t, work = (np.empty_like(w) for _ in range(4))
 
     theta_history = []
     clamp_max = 0.0
     theta_prev = None
     residual = math.inf
     for it in range(1, max_iter + 1):
-        v_pos, c1 = clamp_nonnegative(apply_inverse(w, s, basis), context="inner inverse")
-        v_pow = v_pos.values**p
-        t_pos, c2 = clamp_nonnegative(
-            apply_inverse(v_pos.with_values(v_pow), s, basis), context="outer inverse"
-        )
+        v = inverse(w, v)
+        c1 = _clamp_in_place(_check_finite(v, finite), weights, "inner inverse")
+        np.power(v, p, out=v_pow)
+        t = inverse(_check_finite(v_pow, finite), t)
+        c2 = _clamp_in_place(_check_finite(t, finite), weights, "outer inverse")
         clamp_max = max(clamp_max, c1, c2)
 
-        v_norm = float(cell * np.sum(v_pos.values * v_pow)) ** (1.0 / (p + 1.0))
-        w_norm = float(cell * np.sum(w.values * w_root)) ** (1.0 / qnorm)
+        v_norm = (cell * _weighted_sum(v, v_pow, weights, work)) ** (1.0 / (p + 1.0))
+        w_norm = (cell * _weighted_sum(w, w_root, weights, work)) ** (1.0 / qnorm)
         theta = v_norm / w_norm
         theta_history.append(theta)
         if theta_prev is not None and theta < theta_prev - _ASCENT_SLACK * max(1.0, theta_prev):
@@ -250,7 +298,9 @@ def _iterate(
             )
 
         mu = theta ** (p + 1.0)
-        residual = float(np.max(np.abs(t_pos.values - mu * w_root))) / max(
+        np.multiply(w_root, mu, out=work)
+        np.subtract(t, work, out=work)
+        residual = float(np.max(np.abs(work, out=work))) / max(
             mu * float(np.max(w_root)), 1e-300
         )
         rel_change = (
@@ -260,19 +310,44 @@ def _iterate(
         if rel_change < theta_tol and residual < residual_tol:
             return w, theta, theta_history, it, residual, clamp_max
 
-        t_vals = t_pos.values
-        nxt = t_vals**q
-        norm = float(cell * np.sum(t_vals * nxt)) ** (1.0 / qnorm)
+        np.power(t, q, out=w)
+        norm = (cell * _weighted_sum(t, w, weights, work)) ** (1.0 / qnorm)
         if norm == 0.0:
             raise ConvergenceError("iteration collapsed to zero")
-        nxt /= norm
-        w = w.with_values(nxt)
-        w_root = t_vals / norm ** (1.0 / q)
+        w /= norm
+        _check_finite(w, finite)
+        np.divide(t, norm ** (1.0 / q), out=w_root)
     raise ConvergenceError(
         f"no convergence in {max_iter} iterations "
         f"(last residual {residual:.3e})",
         diagnostics={"theta_history": np.asarray(theta_history)},
     )
+
+
+def _fixed_point(
+    w: np.ndarray,
+    exponents: ExponentPair,
+    basis: SpectralBasis,
+    grid: Grid,
+    theta_tol: float,
+    residual_tol: float,
+    max_iter: int,
+) -> tuple[np.ndarray, float, list[float], int, float, float]:
+    """`_iterate` from the normalized w on the full grid: on its fundamental
+    cell if w is bitwise mirror-symmetric, else on every node. Returns what
+    `_iterate` does, with w on the full grid; the loop's operator and work
+    arrays die with this frame, before the caller builds the solution."""
+    s = exponents.s
+    cell = _mirror_cell(w)
+    if cell is None:
+        def inverse(values, out):
+            return apply_inverse(GridFunction(grid, values), s, basis).values
+
+        return _iterate(w, inverse, 1.0, exponents, grid.cell_volume,
+                        theta_tol, residual_tol, max_iter)
+    cell, *rest = _iterate(cell, _CellInverse(basis, grid, s), _mirror_multiplicity(grid.shape),
+                           exponents, grid.cell_volume, theta_tol, residual_tol, max_iter)
+    return (_mirror_extend(cell, grid.shape), *rest)
 
 
 def solve_ground_state(
@@ -307,11 +382,11 @@ def solve_ground_state(
     else:
         if init.min() < 0 or init.max() <= 0:
             raise ValueError("init must be nonnegative and nontrivial")
-        w = init.copy()
-    w = w.with_values(w.values / lp_norm(w, qnorm))
-    w, theta, theta_history, it, residual, clamp_max = _iterate(
-        w, exponents, basis, theta_tol, residual_tol, max_iter
+        w = init
+    w, theta, theta_history, it, residual, clamp_max = _fixed_point(
+        w.values / lp_norm(w, qnorm), exponents, basis, grid, theta_tol, residual_tol, max_iter
     )
+    w = GridFunction(grid, w)
     if clamp_max > _POSITIVITY_BUDGET:
         raise ConvergenceError(
             f"positivity lost beyond clamp budget {_POSITIVITY_BUDGET:.1e}: "

@@ -19,13 +19,22 @@ the sums with the odd-k columns, the differences with the even-k columns.
 `synthesize` runs the same steps backwards. Each axis then costs half the
 flops of the dense contraction, for any m and K. The half matrices are
 cached per (basis, grid), read-only.
+
+A field that is mirror-symmetric about every mid-plane is held by its
+fundamental cell, the first ceil(m_i/2) nodes per axis (`_mirror_cell`);
+its differences and even-k coefficients are exact zeros. `_CellTransforms`
+runs the sum half of both transforms on the cell alone, into buffers it
+keeps: the cell folds as c + c, bitwise the full fold's head + tail, so its
+odd-k coefficients and cell values are those of `analyze` and `synthesize`.
+A sum over the full grid is a sum over the cell weighted by
+`_mirror_multiplicity`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -330,6 +339,92 @@ def synthesize(c: SpectralField, grid: Grid) -> GridFunction:
         head += anti
         values = out.reshape(values.shape[1:] + out.shape[1:])
     return GridFunction(grid, values)
+
+
+def _mirror_cell(values: np.ndarray) -> np.ndarray | None:
+    """A copy of the fundamental cell of `values`, the first ceil(m_i/2)
+    entries per axis, if `values` equals its flip about every axis bit for
+    bit; otherwise None."""
+    if not all(np.array_equal(values, np.flip(values, axis)) for axis in range(values.ndim)):
+        return None
+    return values[tuple(slice((m + 1) // 2) for m in values.shape)].copy()
+
+
+def _mirror_multiplicity(shape: tuple[int, ...]) -> np.ndarray:
+    """How many nodes of a grid of `shape` each cell node stands for: 2 per
+    axis, 1 on the middle plane of an odd m."""
+    factors = []
+    for m in shape:
+        f = np.full((m + 1) // 2, 2.0)
+        f[m // 2:] = 1.0
+        factors.append(f)
+    return reduce(np.multiply.outer, factors)
+
+
+def _mirror_extend(cell: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The full mirror-symmetric array of `shape` whose fundamental cell is `cell`."""
+    for axis, m in enumerate(shape):
+        tail = np.flip(cell[(slice(None),) * axis + (slice(m // 2),)], axis)
+        cell = np.concatenate([cell, tail], axis=axis)
+    return cell
+
+
+class _CellTransforms:
+    """`analyze` and `synthesize` of mirror-symmetric fields on their
+    fundamental cell: only the odd-k coefficients, contracted with the odd-k
+    half matrices of `_half_matrices`. Every work array is allocated once;
+    the coefficients `analyze` returns live in a buffer that its next call
+    overwrites."""
+
+    def __init__(self, basis: SpectralBasis, grid: Grid):
+        _check_compatible(basis, grid)
+        check_resolution(basis.cutoff, grid.shape)
+        self._cell_volume = grid.cell_volume
+        self._odd = [odd for odd, _ in _half_matrices(basis, grid)]
+        self._halves = [m // 2 for m in grid.shape]
+        cell = [(m + 1) // 2 for m in grid.shape]
+        modes = [odd.shape[1] for odd in self._odd]
+        n = len(cell)
+        # analyze: axis i folds (c_i, X) and contracts into (X, Kodd_i), with
+        # X the cells of the later axes times the modes of the earlier ones
+        self._folds, self._coeffs, self._nodes = [], [], []
+        for axis in range(n):
+            rest = math.prod(cell[axis + 1:]) * math.prod(modes[:axis])
+            self._folds.append(np.empty((cell[axis], rest)))
+            self._coeffs.append(np.empty((rest, modes[axis])))
+        # synthesize: axis i contracts (Kodd_i, X) into (X, c_i); the last
+        # one writes into the caller's array
+        for axis in range(n - 1):
+            rest = math.prod(modes[axis + 1:]) * math.prod(cell[:axis])
+            self._nodes.append(np.empty((rest, cell[axis])))
+
+    def analyze(self, values: np.ndarray) -> np.ndarray:
+        """Odd-k coefficients of the symmetric field with cell `values`,
+        as `analyze` gives them."""
+        coeff = values
+        for odd, h, fold, out in zip(self._odd, self._halves, self._folds, self._coeffs,
+                                     strict=True):
+            # the mirror sums head + tail of `analyze` are c + c; the middle
+            # plane of an odd m passes once
+            x = coeff.reshape(fold.shape)
+            np.add(x[:h], x[:h], out=fold[:h])
+            if h < len(fold):
+                fold[h] = x[h]
+            np.matmul(fold.T, odd, out=out)
+            coeff = out.reshape(coeff.shape[1:] + out.shape[1:])
+        coeff *= self._cell_volume
+        return coeff
+
+    def synthesize(self, coefficients: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The cell of the symmetric field with odd-k coefficients
+        `coefficients`, written into `out` (C-contiguous) and returned."""
+        values = coefficients
+        for odd, nodes in zip(self._odd, [*self._nodes, out.reshape(-1, out.shape[-1])],
+                              strict=True):
+            x = values.reshape(values.shape[0], -1)
+            np.matmul(x.T, odd.T, out=nodes)
+            values = nodes.reshape(values.shape[1:] + nodes.shape[1:])
+        return out
 
 
 _SYNTHESIZE_AT_BUDGET_BYTES = 1 << 20

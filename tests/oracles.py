@@ -105,10 +105,13 @@ def multistart_theta(exps, basis, grid, n_restarts=8, seed=777, max_iter=8000):
     return best, best_values
 
 
-def plain_fixed_point(exps, basis, grid, theta_tol=1e-9, residual_tol=1e-7, max_iter=2000):
+def plain_fixed_point(exps, basis, grid, theta_tol=1e-9, residual_tol=1e-7, max_iter=2000,
+                      init=None):
     """The normalized fixed-point iteration of `solve_ground_state`, written
-    out plainly: every power and norm is taken afresh from its field. Returns
-    u, v of the rescaled solution, the Theta history and the iteration count."""
+    out plainly on the full grid: every power and norm is taken afresh from
+    its field. It starts from `init` (values), or from the first
+    eigenfunction. Returns u, v of the rescaled solution, the Theta history
+    and the iteration count."""
     p, q, s = exps.p, exps.q, exps.s
     qn = (q + 1.0) / q
     w_cell = grid.cell_volume
@@ -119,9 +122,12 @@ def plain_fixed_point(exps, basis, grid, theta_tol=1e-9, residual_tol=1e-7, max_
     def inverse(values):
         return np.maximum(apply_inverse(GridFunction(grid, values), s, basis).values, 0.0)
 
-    first = np.zeros(basis.cutoff)
-    first[(0,) * grid.domain.dim] = 1.0
-    w = fl.synthesize(fl.SpectralField(basis, first), grid).values
+    if init is None:
+        first = np.zeros(basis.cutoff)
+        first[(0,) * grid.domain.dim] = 1.0
+        w = fl.synthesize(fl.SpectralField(basis, first), grid).values
+    else:
+        w = np.asarray(init, dtype=float)
     w = w / norm(w, qn)
     history = []
     for iteration in range(1, max_iter + 1):

@@ -355,3 +355,5 @@ def test_measure_constants_change_of_variables(mini_sweep):
     q0 = fl.critical_q(res.config.p, 2, 0.5)
     drift = row.lam ** (2 / (q0 + 1) - (2 - row.alpha * row.q))
     assert row.constants.c1 == pytest.approx(direct * drift, rel=1e-10)
+    # the row's constants are measure_constants of its pair and scale alone
+    assert bs.measure_constants(res.pairs[-1], row.lam) == row.constants

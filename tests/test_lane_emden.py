@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 import fraclane as fl
+from fraclane import fractional_calculus as fc
+from fraclane import lane_emden as le
+from fraclane import spectral_domain as sd
 from oracles import multistart_theta, plain_fixed_point
 
 
@@ -261,3 +264,125 @@ def test_solver_at_other_fractional_order():
     gaps = fl.identity_report(pair, basis)
     assert all(g < 1e-6 for g in gaps.values()), gaps
     assert report.sobolev_quotient == pytest.approx(1.0 / report.theta, rel=1e-8)
+
+
+# The solver runs its loop on the fundamental cell when the normalized start
+# is mirror-symmetric, and on the full grid otherwise. These tests count the
+# cell operators it builds through a stand-in, and force the full path by
+# hiding the symmetry from it.
+
+@pytest.fixture
+def cell_solves(monkeypatch):
+    built = []
+
+    class CountingCellInverse(le._CellInverse):
+        def __init__(self, basis, grid, s):
+            super().__init__(basis, grid, s)
+            built.append(grid.shape)
+
+    monkeypatch.setattr(le, "_CellInverse", CountingCellInverse)
+    return built
+
+
+def full_path_solve(monkeypatch, *args, **kwargs):
+    with monkeypatch.context() as patched:
+        patched.setattr(le, "_mirror_cell", lambda values: None)
+        return fl.solve_ground_state(*args, **kwargs)
+
+
+def mirror_symmetric(grid, seed):
+    values = np.random.default_rng(seed).random(grid.shape)
+    for axis in range(values.ndim):
+        values = values + np.flip(values, axis)
+    return values
+
+
+REDUCED_CASES = {
+    # lengths, s, p, eps, cutoff, grid
+    "1d-odd": ((1.0,), 0.25, 2.0, 0.15, (20,), (41,)),
+    "1d-even": ((1.0,), 0.25, 2.0, 0.1, (32,), (64,)),
+    "2d-square-even": ((1.0, 1.0), 0.5, 2.5, 0.05, (16, 16), (32, 32)),
+    "2d-rectangle-odd": ((1.0, 1.6), 0.5, 2.5, 0.04, (12, 18), (25, 37)),
+    "2d-rectangle-mixed": ((1.6, 1.0), 0.4, 2.0, 0.05, (18, 11), (36, 23)),
+    "3d-cube-even": ((1.0, 1.0, 1.0), 0.5, 1.0, 0.1, (8, 8, 8), (16, 16, 16)),
+    "3d-box-odd": ((1.0, 1.3, 0.8), 0.5, 1.0, 0.1, (12, 14, 10), (25, 29, 21)),
+}
+
+
+@pytest.mark.parametrize("case", REDUCED_CASES)
+def test_reduced_solve_matches_full_solve(case, cell_solves, monkeypatch):
+    lengths, s, p, eps, cutoff, shape = REDUCED_CASES[case]
+    dom = fl.BoxDomain(lengths, s)
+    basis, grid = fl.build_basis(dom, cutoff), fl.build_grid(dom, shape)
+    exps = fl.ExponentPair(p=p, q=fl.solve_q_epsilon(p, dom.dim, s, eps), n=dom.dim, s=s)
+    pair, report = fl.solve_ground_state(exps, basis, grid)
+    assert cell_solves == [shape]
+    full_pair, full_report = full_path_solve(monkeypatch, exps, basis, grid)
+    assert cell_solves == [shape]
+    assert report.iterations == full_report.iterations
+    np.testing.assert_allclose(report.theta_history, full_report.theta_history,
+                               rtol=1e-13, atol=0)
+    for name in ("u", "v", "w"):
+        full = getattr(full_pair, name).values
+        np.testing.assert_allclose(getattr(pair, name).values, full,
+                                   rtol=0, atol=1e-13 * np.max(full), err_msg=name)
+
+
+@pytest.mark.parametrize("lengths, cutoff, shape", [
+    ((1.0,), (20,), (41,)),
+    ((1.0, 1.6), (12, 18), (25, 37)),
+    ((1.0, 1.0), (64, 64), (128, 128)),
+    ((1.0, 1.3, 0.8), (8, 10, 6), (17, 21, 13)),
+    ((1.0, 1.0, 1.0), (12, 12, 12), (24, 24, 24)),
+])
+def test_cell_inverse_is_bitwise_the_cell_of_apply_inverse(lengths, cutoff, shape):
+    dom = fl.BoxDomain(lengths, 0.4)
+    basis, grid = fl.build_basis(dom, cutoff), fl.build_grid(dom, shape)
+    values = mirror_symmetric(grid, seed=len(shape))
+    cell = sd._mirror_cell(values)
+    assert cell.shape == tuple((m + 1) // 2 for m in shape)
+    out = np.empty_like(cell)
+    assert fc._CellInverse(basis, grid, dom.s)(cell, out) is out
+    full = fl.apply_inverse(fl.GridFunction(grid, values), dom.s, basis).values
+    assert np.array_equal(out, full[tuple(slice(c) for c in cell.shape)])
+    assert np.array_equal(sd._mirror_extend(out, shape), full)
+    # node multiplicities sum to the full grid's node count
+    assert np.sum(sd._mirror_multiplicity(shape)) == grid.num_nodes
+
+
+def test_mirror_cell_rejects_an_asymmetric_field():
+    values = np.ones((5, 6))
+    assert sd._mirror_cell(values) is not None
+    values[0, 2] = 1.0 + 2.0**-52
+    assert sd._mirror_cell(values) is None
+
+
+def test_reduced_clamp_reports_full_grid_fraction(cell_solves, monkeypatch):
+    # odd m on both axes: the middle planes count once, every other node twice
+    dom = fl.BoxDomain((1.0, 1.0), 0.5)
+    basis, grid = fl.build_basis(dom, (8, 8)), fl.build_grid(dom, (17, 17))
+    exps = fl.ExponentPair(p=2.5, q=fl.solve_q_epsilon(2.5, 2, 0.5, 0.04), n=2, s=0.5)
+    with pytest.warns(UserWarning, match="clamped"):
+        _, report = fl.solve_ground_state(exps, basis, grid)
+    assert cell_solves == [grid.shape]
+    with pytest.warns(UserWarning, match="clamped"):
+        _, full_report = full_path_solve(monkeypatch, exps, basis, grid)
+    assert 1e-8 < full_report.clamped_fraction_max < 1e-4
+    assert report.clamped_fraction_max == pytest.approx(full_report.clamped_fraction_max,
+                                                        rel=1e-12)
+    assert report.iterations == full_report.iterations
+
+
+@pytest.mark.filterwarnings("ignore:clamped")
+def test_asymmetric_init_takes_full_path(cell_solves):
+    # a random start, as in the small-instance oracle's restarts
+    dom, basis, grid = small_setup(K=8, m=16)
+    exps = fl.ExponentPair(p=2.5, q=fl.solve_q_epsilon(2.5, 2, 0.5, 0.05), n=2, s=0.5)
+    init = np.random.default_rng(777).random(grid.shape) + 0.1
+    pair, report = fl.solve_ground_state(exps, basis, grid, init=fl.GridFunction(grid, init))
+    assert cell_solves == []
+    u, v, history, iterations = plain_fixed_point(exps, basis, grid, init=init)
+    assert report.iterations == iterations
+    np.testing.assert_allclose(report.theta_history, history, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(pair.u.values, u, rtol=0, atol=1e-12 * np.max(u))
+    np.testing.assert_allclose(pair.v.values, v, rtol=0, atol=1e-12 * np.max(v))

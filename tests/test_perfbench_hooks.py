@@ -27,6 +27,10 @@ with warnings.catch_warnings():
 metrics = layer_metrics(tracer.spans, ("fractional_calculus.g_tilde",))
 assert metrics["fractional_calculus.g_tilde.calls"] == cfg.n_comparison, metrics
 assert metrics["blowup_sweep.points_compared_frac"] == 1.0, metrics
+# the solver's iterations are counted from its report, whichever loop runs
+assert metrics["lane_emden.solve_ground_state.calls"] == len(cfg.eps_schedule), metrics
+assert metrics["lane_emden.iterations"] > 0, metrics
+assert metrics["lane_emden.converged_frac"] == 1.0, metrics
 """
 
 
