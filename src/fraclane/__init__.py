@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .spectral_domain import (
     BoxDomain,
-    EigenIndex,
     Grid,
     GridFunction,
     ResolutionError,
@@ -28,6 +27,7 @@ from .fractional_calculus import (
     apply_fraclap,
     apply_inverse,
     clamp_nonnegative,
+    classify_regime,
     free_kernel,
     g_tilde,
     gns,
@@ -35,6 +35,7 @@ from .fractional_calculus import (
     regular_part,
     rescaled_green,
     resolvability_threshold,
+    serrin_exponent,
 )
 from .lane_emden import (
     ConvergenceError,
@@ -69,14 +70,12 @@ from .blowup_sweep import (
     SweepResult,
     SweepRow,
     boundary_bound_check,
-    classify_regime,
     extrapolate_S,
     find_max,
     green_limit_check,
     limit_kernels,
     rescale_solution,
     run_sweep,
-    serrin_exponent,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

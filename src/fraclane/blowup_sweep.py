@@ -3,11 +3,12 @@ rescale the concentration, compare against the Green-function limits per
 regime, extrapolate the Sobolev-quotient limit, and run the boundary and
 decay diagnostics.
 
-Regimes are split by the Serrin exponent n/(n-2s): above it the normalized
-u tracks C2 G, at it (C3 log-normalized) G, below it C4 Gt with the
-iterated kernel. The v-component tracks C1 G in every regime. All
-normalizations use the critical exponents n/(p+1) and n/(q0+1); the
-C-constants are measured from the rescaled fields row by row.
+Regimes are split by the Serrin exponent n/(n-2s), as
+`fractional_calculus.classify_regime` decides: above it the normalized u
+tracks C2 G, at it (C3 log-normalized) G, below it C4 Gt with the iterated
+kernel. The v-component tracks C1 G in every regime. All normalizations use
+the critical exponents n/(p+1) and n/(q0+1); the C-constants are measured
+from the rescaled fields row by row.
 """
 
 from __future__ import annotations
@@ -19,14 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fractional_calculus import (
-    RegimeError,
+    THRESHOLD_TOL,
     UnresolvedSingularityError,
+    _check_iterated_kernel,
     _check_pairs,
+    classify_regime,
     g_tilde,
     green,
-    gns,
 )
-from .hls_limit import FreeField, decay_fit, serrin_log_integral, sharp_decay_check, sphere_area
+from .hls_limit import FreeField, decay_fit, serrin_constant, serrin_log_integral, sharp_decay_check
 from .lane_emden import (
     ExponentPair,
     SolutionPair,
@@ -48,20 +50,6 @@ from .spectral_domain import (
 )
 
 MIN_CORE_CELLS = 8.0  # narrower blow-up cores are at the grid's resolvability limit
-
-
-def serrin_exponent(n: int, s: float) -> float:
-    return n / (n - 2.0 * s)
-
-
-def classify_regime(p: float, n: int, s: float) -> str:
-    """'super' (C2 G), 'serrin' (C3 G, log-normalized) or 'sub' (C4 Gt)."""
-    thr = serrin_exponent(n, s)
-    if abs(p - thr) <= 1e-12:
-        return "serrin"
-    if p > thr:
-        return "super"
-    return "sub"
 
 
 @dataclass
@@ -90,10 +78,8 @@ class SweepConfig:
         for e in eps:
             ExponentPair(self.p, solve_q_epsilon(self.p, n, s, e), n, s)
         self.eps_schedule = eps
-        if classify_regime(self.p, n, s) == "sub" and self.p < 1.0:
-            raise RegimeError(
-                "sub-Serrin comparisons need p >= 1 (iterated kernel regime)"
-            )
+        if self.regime == "sub":
+            _check_iterated_kernel(self.p, n, s)
         check_resolution(self.cutoff, self.grid_shape)
         _check_collar(self.domain, self.collar_delta)
 
@@ -128,7 +114,7 @@ class ConstantEstimates:
     C1 and C2 are measured in the normalization of the limit statements,
     lam^{n/(q0+1)} int u^{q_eps} -> int U^{q0} and lam^{n/(p+1)} int v^p ->
     int V^p (equal to the rescaled-field integrals up to lam^{O(eps)});
-    C3 = (g C1)^{n/(n-2s)} |S^{n-1}|, C4 = C1^p, and C5 is C4 at p = 1.
+    C3 = `serrin_constant`(C1), C4 = C1^p, and C5 is C4 at p = 1.
     """
 
     c1: float
@@ -279,12 +265,9 @@ def rescale_solution(pair: SolutionPair, lam: float, x_c) -> RescaledSolution:
     v_vals = np.maximum(lam**-beta * pair.v.values, 0.0)
     w_vals = u_vals**exps.q
 
-    regime = classify_regime(exps.p, n, sfrac)
-    u_hint = {
-        "super": -(n - 2.0 * sfrac),
-        "serrin": -(n - 2.0 * sfrac),
-        "sub": -(exps.p * (n - 2.0 * sfrac) - 2.0 * sfrac),
-    }[regime]
+    u_hint = -(n - 2.0 * sfrac)  # super and serrin: u decays like G
+    if classify_regime(exps.p, n, sfrac) == "sub":
+        u_hint = -(exps.p * (n - 2.0 * sfrac) - 2.0 * sfrac)
     u_t = FreeField(lo, hi, u_vals, decay_exponent_hint=u_hint)
     v_t = FreeField(lo, hi, v_vals, decay_exponent_hint=-(n - 2.0 * sfrac))
     w_t = FreeField(lo, hi, w_vals, decay_exponent_hint=u_hint * exps.q)
@@ -319,9 +302,9 @@ def measure_constants(pair: SolutionPair, lam: float) -> ConstantEstimates:
     c2 = lam ** (n / (exps.p + 1.0)) * integrate(
         pair.v.with_values(pair.v.values**exps.p)
     )
-    c3 = (gns(n, s) * c1) ** (n / (n - 2.0 * s)) * sphere_area(n)
+    c3 = serrin_constant(c1, n, s)
     c4 = c1**exps.p
-    c5 = c4 if abs(exps.p - 1.0) <= 1e-12 else None
+    c5 = c4 if abs(exps.p - 1.0) <= THRESHOLD_TOL else None
     return ConstantEstimates(c1=c1, c2=c2, c3=c3, c4=c4, c5=c5)
 
 
@@ -342,8 +325,7 @@ def limit_kernels(x0, basis: SpectralBasis, points: np.ndarray, p: float,
     one batch and, in the sub regime, Gt(., x0) per point. Points inside the
     exclusion ball around x0, or that a kernel refuses, are skipped with a note."""
     x0 = np.asarray(x0, dtype=float)
-    s = basis.domain.s
-    sub = classify_regime(p, basis.domain.dim, s) == "sub"
+    sub = classify_regime(p, basis.domain.dim, basis.domain.s) == "sub"
     g, target = np.full(len(points), np.nan), np.full(len(points), np.nan)
     notes = ["inside exclusion ball" if np.linalg.norm(pt - x0) < exclusion_radius else ""
              for pt in points]
@@ -351,12 +333,12 @@ def limit_kernels(x0, basis: SpectralBasis, points: np.ndarray, p: float,
         try:
             _check_pairs(basis, points[i], x0)
             if sub:
-                target[i] = g_tilde(points[i], x0, p, basis, s).value
+                target[i] = g_tilde(points[i], x0, p, basis).value
         except (UnresolvedSingularityError, ValueError) as exc:
             notes[i] = f"kernel skipped: {exc}"
     kept = [i for i, note in enumerate(notes) if not note]
     if kept:
-        g[kept] = green(points[kept], x0, basis, s).value
+        g[kept] = green(points[kept], x0, basis).value
     return LimitKernels(points, g, target if sub else g, notes)
 
 

@@ -27,7 +27,8 @@ from . import __version__
 from .blowup_sweep import SweepConfig, run_sweep
 from .fractional_calculus import free_kernel, green, operator_algebra_residuals
 from .hls_limit import FreeField, bubble_ladder, hls_quotient, radial_shells, sharp_diagonal_quotient
-from .lane_emden import ExponentPair, critical_q, identity_report, solve_ground_state, solve_q_epsilon
+from .lane_emden import (_POSITIVITY_BUDGET, ExponentPair, ascent_budget, critical_q,
+                         identity_report, solve_ground_state, solve_q_epsilon)
 from .spectral_domain import BoxDomain, Grid, GridFunction, build_basis, build_grid, check_resolution
 
 FIELD_MAGIC = b"FRLNFLD\x00"
@@ -388,13 +389,16 @@ def _cmd_solve(cfg: RunConfig, out_dir: Path, echo: dict) -> int:
     checks.add("converged", report.converged)
     checks.add("residual_w", report.residual_w <= 10 * cfg.residual_tol,
                report.residual_w, 10 * cfg.residual_tol)
+    # the solver's own rule, step by step; the budget shown is the tightest step's
     dth = np.diff(report.theta_history)
-    checks.add("theta_nondecreasing", bool((dth >= -1e-12 * report.theta).all()),
-               float(dth.min()) if dth.size else 0.0, -1e-12 * report.theta)
+    budgets = -ascent_budget(report.theta_history[:-1])
+    checks.add("theta_nondecreasing", bool((dth >= budgets).all()),
+               float(dth.min()) if dth.size else 0.0,
+               float(budgets.max()) if dth.size else -ascent_budget(report.theta))
     for key, gap in gaps.items():
         checks.add(f"identity_{key}", gap <= 1e-6, gap, 1e-6)
-    checks.add("positivity_clamp", report.clamped_fraction_max <= 1e-4,
-               report.clamped_fraction_max, 1e-4,
+    checks.add("positivity_clamp", report.clamped_fraction_max <= _POSITIVITY_BUDGET,
+               report.clamped_fraction_max, _POSITIVITY_BUDGET,
                note="warn level 1e-8; hard budget 1e-4")
 
     rows = [[

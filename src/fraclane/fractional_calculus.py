@@ -17,7 +17,8 @@ with the odd-k multipliers only. The pointwise
 kernels take batches of point pairs and evaluate G(x, y) with the blocked
 contraction of `synthesize_at`. `g_tilde`'s default grid is cached per basis.
 Gauss-Legendre rules, which `hls_limit` uses as well, are built once per
-order and handed out read-only.
+order and handed out read-only. The kernels read s from their basis. The
+Serrin split `classify_regime`, which every module asks, lives here.
 
 Eigen-sum truncation is never silently dropped: every kernel sample carries
 a tail estimate extrapolated from the decay of the outer mode shells
@@ -57,6 +58,32 @@ class UnresolvedSingularityError(ValueError):
 
 class RegimeError(ValueError):
     """Exponent outside the regime an operation is defined for."""
+
+
+THRESHOLD_TOL = 1e-12  # an exponent this close to a threshold counts as on it
+
+
+def serrin_exponent(n: int, s: float) -> float:
+    return n / (n - 2.0 * s)
+
+
+def classify_regime(p: float, n: int, s: float) -> str:
+    """'super' (C2 G), 'serrin' (C3 G, log-normalized) or 'sub' (C4 Gt)."""
+    thr = serrin_exponent(n, s)
+    if abs(p - thr) <= THRESHOLD_TOL:
+        return "serrin"
+    if p > thr:
+        return "super"
+    return "sub"
+
+
+def _check_iterated_kernel(p: float, n: int, s: float) -> None:
+    """The exponents of `g_tilde`: p >= 1, sub-Serrin (where G^p is integrable)."""
+    if p < 1.0:
+        raise RegimeError(f"iterated kernel requires p >= 1, got p={p}")
+    if classify_regime(p, n, s) != "sub":
+        raise RegimeError(f"integrability of G^p requires (n - 2s) p < n (sub-Serrin); "
+                          f"got p={p}, Serrin exponent {serrin_exponent(n, s)}")
 
 
 @dataclass(frozen=True)
@@ -116,10 +143,14 @@ def _multipliers(basis: SpectralBasis, exponent: float) -> np.ndarray:
     return mults
 
 
-def apply_fraclap(f: GridFunction, s: float, basis: SpectralBasis) -> GridFunction:
-    """Multiplier action a_k -> lambda_k^s a_k, synthesized back to the grid."""
+def _check_order(s: float) -> None:
     if not 0.0 < s <= 1.0:
         raise ValueError(f"fractional order must lie in (0, 1], got {s}")
+
+
+def apply_fraclap(f: GridFunction, s: float, basis: SpectralBasis) -> GridFunction:
+    """Multiplier action a_k -> lambda_k^s a_k, synthesized back to the grid."""
+    _check_order(s)
     field = analyze(f, basis)
     coeff = field.coefficients * _multipliers(basis, s)
     return synthesize(SpectralField(basis, coeff), f.grid)
@@ -132,8 +163,7 @@ def apply_inverse(f: GridFunction, s: float, basis: SpectralBasis) -> GridFuncti
     small negative ringing on the truncation, which callers clamp via
     :func:`clamp_nonnegative` before taking fractional powers.
     """
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"fractional order must lie in (0, 1], got {s}")
+    _check_order(s)
     field = analyze(f, basis)
     coeff = field.coefficients * _multipliers(basis, -s)
     return synthesize(SpectralField(basis, coeff), f.grid)
@@ -146,8 +176,7 @@ class _CellInverse:
     `apply_inverse`; its work arrays are allocated once."""
 
     def __init__(self, basis: SpectralBasis, grid: Grid, s: float):
-        if not 0.0 < s <= 1.0:
-            raise ValueError(f"fractional order must lie in (0, 1], got {s}")
+        _check_order(s)
         self._transforms = _CellTransforms(basis, grid)
         # the odd-k entries of _multipliers(basis, -s), taken by the same
         # power from the same eigenvalues
@@ -224,14 +253,14 @@ def resolvability_threshold(basis: SpectralBasis) -> float:
     return 2.0 * math.pi / math.sqrt(float(basis.eigenvalues[-1]))
 
 
-# Mode shells of the tail estimate: shell j holds the modes whose largest
-# k_i / K_i lies in (_SHELL_EDGES[j-1], _SHELL_EDGES[j]], so the modes up to an
-# edge e form the box k_i <= e K_i and each shell is a difference of two boxes.
-_SHELL_EDGES = (0.5, 0.625, 0.75, 0.875)
+# The outer mode shells of the tail estimate: shell j holds the modes whose largest
+# k_i / K_i lies in (_SHELL_EDGES[j], _SHELL_EDGES[j+1]] (1 after the last edge), so
+# the modes up to an edge e form the box k_i <= e K_i; a shell is a box difference.
+_SHELL_EDGES = (0.625, 0.75, 0.875)
 
 
 def _tail_estimate(shell_sums: np.ndarray, value: np.ndarray) -> np.ndarray:
-    """Eigen-sum tail estimate from the outer mode shells, one row per pair.
+    """Eigen-sum tail estimate from the three outer mode shells, one row per pair.
 
     The shell magnitudes of the oscillatory sum decay like a small power of
     the cutoff, so the continued tail is proportional to the outermost shell
@@ -241,7 +270,7 @@ def _tail_estimate(shell_sums: np.ndarray, value: np.ndarray) -> np.ndarray:
     the unit square with at least 2.5x margin. A heuristic, labeled as such
     wherever reported.
     """
-    tail = 8.0 * np.max(np.abs(shell_sums[:, 2:]), axis=1)
+    tail = 8.0 * np.max(np.abs(shell_sums), axis=1)
     return np.maximum(tail, np.abs(value) * 1e-15)
 
 
@@ -266,7 +295,7 @@ def _check_pairs(basis: SpectralBasis, x: np.ndarray, y: np.ndarray) -> None:
         raise UnresolvedSingularityError(f"separation {d[i]:.3e} below resolvable spacing {thr:.3e}")
 
 
-def green(x, y, basis: SpectralBasis, s: float | None = None) -> KernelSample:
+def green(x, y, basis: SpectralBasis) -> KernelSample:
     """Dirichlet Green function as the truncated eigen-sum, with tail estimate.
 
     Points (n,) or pairs (P, n), broadcast together; one pair gives float
@@ -280,11 +309,10 @@ def green(x, y, basis: SpectralBasis, s: float | None = None) -> KernelSample:
     (the reported bound covers them). Integrated quantities and the iterated
     kernel remain well convergent there.
     """
-    s = basis.domain.s if s is None else s
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     _check_pairs(basis, x, y)
     xs, ys = np.atleast_2d(x), np.atleast_2d(y)
-    mults = _multipliers(basis, -s)
+    mults = _multipliers(basis, -basis.domain.s)
     # the edges are multiples of 1/8, so e K_i is exact and k_i / K_i <= e
     # means k_i <= int(e K_i)
     boxes = [tuple(int(e * K) for K in basis.cutoff) for e in _SHELL_EDGES] + [basis.cutoff]
@@ -302,32 +330,30 @@ def green(x, y, basis: SpectralBasis, s: float | None = None) -> KernelSample:
                     [f[:, :b] for f, b in zip(factors, box, strict=True)],
                 )
     value = sums[:, -1]
-    tail = _tail_estimate(np.diff(sums, axis=1, prepend=0.0), value)
+    tail = _tail_estimate(np.diff(sums, axis=1), value)
     if x.ndim == 1:
         return KernelSample(tuple(x), tuple(y), float(value[0]), float(tail[0]))
     return KernelSample(x, y, value, tail)
 
 
-def regular_part(x, y, basis: SpectralBasis, s: float | None = None) -> KernelSample:
+def regular_part(x, y, basis: SpectralBasis) -> KernelSample:
     """Regular part H = free_kernel - green of points (n,) or pairs (P, n);
     smooth, symmetric, positive."""
-    s = basis.domain.s if s is None else s
-    g = green(x, y, basis, s)
-    h = free_kernel(g.x, g.y, basis.domain.dim, s) - g.value
+    g = green(x, y, basis)
+    h = free_kernel(g.x, g.y, basis.domain.dim, basis.domain.s) - g.value
     return KernelSample(g.x, g.y, h, g.truncation_bound)
 
 
-def rescaled_green(x, y, lam: float, center, basis: SpectralBasis, s: float | None = None):
+def rescaled_green(x, y, lam: float, center, basis: SpectralBasis):
     """lambda^{-(n-2s)} G(x/lambda + c, y/lambda + c) of points (n,) or pairs
     (P, n); `green` refuses mapped points outside the box."""
-    s = basis.domain.s if s is None else s
     if lam <= 0:
         raise ValueError("rescaling factor must be positive")
     center = np.asarray(center, dtype=float)
     xm = np.asarray(x, dtype=float) / lam + center
     ym = np.asarray(y, dtype=float) / lam + center
-    n = basis.domain.dim
-    return lam ** -(n - 2 * s) * green(xm, ym, basis, s).value
+    n, s = basis.domain.dim, basis.domain.s
+    return lam ** -(n - 2 * s) * green(xm, ym, basis).value
 
 
 @lru_cache(maxsize=16)
@@ -395,14 +421,14 @@ def _polar_box_integral(center, lo, hi, gamma: float, smooth, n_rad: int, n_ang:
     return float(np.sum(scale * smooth(pts)))
 
 
-def _ring_regular_part(c, basis: SpectralBasis, s: float, radius: float) -> float:
+def _ring_regular_part(c, basis: SpectralBasis, radius: float) -> float:
     """Mean of H = free - G on a small resolvable ring around c (H is smooth
     there), over the ring points inside the box."""
     c = np.asarray(c, dtype=float)
     dirs, _ = _unit_directions(basis.domain.dim, 8)
     ring = c + radius * dirs
     ring = ring[_interior(basis.domain, ring)]
-    return float(np.mean(regular_part(ring, c, basis, s).value)) if len(ring) else 0.0
+    return float(np.mean(regular_part(ring, c, basis).value)) if len(ring) else 0.0
 
 
 def _sublattice_spread(weighted_cells: np.ndarray) -> float:
@@ -438,7 +464,6 @@ def g_tilde(
     y,
     p: float,
     basis: SpectralBasis,
-    s: float | None = None,
     grid: Grid | None = None,
 ) -> KernelSample:
     """Iterated kernel Gt(x, y) = int_Omega G(x, z) G^p(z, y) dz.
@@ -448,17 +473,9 @@ def g_tilde(
     3^n cells around both singular points; the reported bound is the quadrature
     error estimate (sublattice spread plus patch refinement difference).
     """
-    s = basis.domain.s if s is None else s
-    n = basis.domain.dim
-    if p < 1.0:
-        raise RegimeError(f"iterated kernel requires p >= 1, got p={p}")
-    if (n - 2 * s) * p >= n:
-        raise RegimeError(
-            f"integrability of G^p requires (n - 2s) p < n (sub-Serrin); "
-            f"got p={p} >= {n / (n - 2 * s)}"
-        )
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    n, s = basis.domain.dim, basis.domain.s
+    _check_iterated_kernel(p, n, s)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     _check_pairs(basis, x, y)
     if grid is None:
         grid = _kernel_grid(basis)
@@ -512,8 +529,8 @@ def g_tilde(
     bulk_err = _sublattice_spread(weighted)
 
     ring = max(thr * 1.1, 2.0 * float(np.max(h)))
-    h_y = _ring_regular_part(y, basis, s, ring)
-    h_x = _ring_regular_part(x, basis, s, ring)
+    h_y = _ring_regular_part(y, basis, ring)
+    h_x = _ring_regular_part(x, basis, ring)
 
     def smooth_near_y(pts):
         r = np.linalg.norm(pts - y[None, :], axis=1)

@@ -5,7 +5,8 @@ Fields live on truncated boxes with uniform cell-centered grids. The
 free-space convolution |x|^{-(n-2s)} * f is evaluated on the grid by
 discrete convolution with a kernel table whose singular cell is replaced by
 the exact cell average of the power law, so the midpoint rule never sees
-the singularity.
+the singularity. Exponent thresholds are decided in `lane_emden` and
+`fractional_calculus`; the diagonal oracles share one measurement of kappa.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ellipk, gamma as gamma_fn
 
-from .fractional_calculus import RegimeError, _gauss_legendre, _polar_box_integral, gns
+from .fractional_calculus import (THRESHOLD_TOL, RegimeError, _gauss_legendre, _polar_box_integral,
+                                  classify_regime, gns, serrin_exponent)
+from .lane_emden import diagonal_exponent, hyperbola_gap
 
 
 def sphere_area(n: int) -> float:
@@ -99,13 +102,12 @@ class FreeField:
 
 @dataclass
 class DecayFit:
-    """Least-squares radial decay fit over a window, plus regime classification."""
+    """Least-squares radial decay fit over a window."""
 
     slope: float
     window: tuple[float, float]
     residual: float
     n_shells: int
-    regime: str | None = None
 
     def __post_init__(self):
         if self.residual < 0:
@@ -146,8 +148,8 @@ def free_convolution(field: FreeField, n: int, s: float, values=None) -> np.ndar
 
 
 def _require_critical(p: float, q0: float, n: int, s: float):
-    gap = 1.0 / (p + 1.0) + 1.0 / (q0 + 1.0) - (n - 2.0 * s) / n
-    if abs(gap) > 1e-12:
+    gap = hyperbola_gap(p, q0, n, s)
+    if abs(gap) > THRESHOLD_TOL:
         raise RegimeError(
             f"(p, q0)=({p}, {q0}) is not a critical pair: hyperbola gap {gap:.3e}"
         )
@@ -301,10 +303,7 @@ def radial_shells(field: FreeField):
 
 
 def decay_fit(
-    field: FreeField,
-    window: tuple[float, float],
-    serrin_power: float | None = None,
-    regime_slopes: dict[str, float] | None = None,
+    field: FreeField, window: tuple[float, float], serrin_power: float | None = None
 ) -> DecayFit:
     """Radial decay fit over `window`.
 
@@ -312,8 +311,6 @@ def decay_fit(
     power law r^a fits slope a (scalar multiples shift the intercept only).
     With `serrin_power` = n - 2s, fits shellmean * r^{n-2s} against log r
     instead (the log-divergence case); the slope is then the log coefficient.
-    `regime_slopes` maps regime labels to predicted slopes; the fit is
-    classified to the nearest one.
     """
     r_lo, r_hi = window
     rmax_box = float(min(min(-a for a in field.lo), min(field.hi)))
@@ -335,16 +332,11 @@ def decay_fit(
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     fitted = A @ coef
     residual = float(np.sqrt(np.mean((y - fitted) ** 2)))
-    slope = float(coef[1])
-    regime = None
-    if regime_slopes:
-        regime = min(regime_slopes, key=lambda k: abs(regime_slopes[k] - slope))
     return DecayFit(
-        slope=slope,
+        slope=float(coef[1]),
         window=(float(r_lo), float(r_hi)),
         residual=residual,
         n_shells=int(mask.sum()),
-        regime=regime,
     )
 
 
@@ -386,21 +378,25 @@ class SerrinIntegral:
     target: float
 
 
+def serrin_constant(c1: float, n: int, s: float) -> float:
+    """C3 = (g_{n,s} C1)^{n/(n-2s)} |S^{n-1}|, the limit of the log-normalized
+    integral of v^p at the Serrin exponent."""
+    return (gns(n, s) * c1) ** serrin_exponent(n, s) * sphere_area(n)
+
+
 def serrin_log_integral(
     v_tilde: FreeField, p: float, lam: float, c1: float, n: int, s: float
 ) -> SerrinIntegral:
-    """(1 / log lam) int v^p against its limit (g C1)^{n/(n-2s)} |S^{n-1}|.
+    """(1 / log lam) int v^p against its limit C3 = `serrin_constant`.
 
-    Only defined at the Serrin exponent p = n/(n-2s).
+    Only defined in the Serrin regime p = n/(n-2s).
     """
-    serrin = n / (n - 2.0 * s)
-    if abs(p - serrin) > 1e-12:
-        raise RegimeError(f"log integral needs p = n/(n-2s) = {serrin}, got {p}")
+    if classify_regime(p, n, s) != "serrin":
+        raise RegimeError(f"log integral needs p = n/(n-2s) = {serrin_exponent(n, s)}, got {p}")
     if lam <= 1.0:
         raise ValueError("normalization needs lam > 1")
     value = v_tilde.integral(values=v_tilde.values**p) / math.log(lam)
-    target = (gns(n, s) * c1) ** (n / (n - 2.0 * s)) * sphere_area(n)
-    return SerrinIntegral(value=value, target=target)
+    return SerrinIntegral(value=value, target=serrin_constant(c1, n, s))
 
 
 # ---------------------------------------------------------------------------
@@ -437,17 +433,19 @@ def _gl_on(a: float, b: float, npts: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (b - a) * (x + 1.0) + a, 0.5 * (b - a) * w
 
 
-def _radial_nodes(rmax: float, nquad: int, split_at: float | None = None):
+_RADIAL_NODES = 2000  # Gauss-Legendre nodes per panel of `_radial_nodes`
+_BUBBLE_RMAX = 1e4  # outer radius of the diagonal bubble oracles' quadrature
+
+
+def _radial_nodes(rmax: float, split_at: float | None = None):
     """Quadrature on [0, rmax]: GL panels near the origin (and at an optional
     interior singularity), log-stretched GL on the far tail."""
     cuts = [0.0]
     if split_at is not None and 0.0 < split_at < 10.0:
         cuts.append(split_at)
     cuts.append(10.0)
-    panels = []
-    for a, b in zip(cuts[:-1], cuts[1:], strict=True):
-        panels.append(_gl_on(a, b, nquad))
-    t, wt = _gl_on(0.0, 1.0, nquad)
+    panels = [_gl_on(a, b, _RADIAL_NODES) for a, b in zip(cuts[:-1], cuts[1:], strict=True)]
+    t, wt = _gl_on(0.0, 1.0, _RADIAL_NODES)
     scale = math.log(rmax / 10.0)
     rho_tail = 10.0 * np.exp(t * scale)
     panels.append((rho_tail, wt * scale * rho_tail))
@@ -456,7 +454,7 @@ def _radial_nodes(rmax: float, nquad: int, split_at: float | None = None):
     return rho, w
 
 
-def radial_convolution(profile, r_points, n: int, s: float, rmax: float, nquad: int = 2000):
+def radial_convolution(profile, r_points, n: int, s: float, rmax: float):
     """g_{n,s} (|x|^{-(n-2s)} * f)(r) for radial f by 1-d quadrature over [0, rmax].
 
     The rho-quadrature is split at the (integrable) kernel singularity rho = r.
@@ -465,30 +463,37 @@ def radial_convolution(profile, r_points, n: int, s: float, rmax: float, nquad: 
     r_points = np.atleast_1d(np.asarray(r_points, dtype=float))
     out = np.empty_like(r_points)
     for i, r in enumerate(r_points):
-        rho, w = _radial_nodes(rmax, nquad, split_at=float(r))
+        rho, w = _radial_nodes(rmax, split_at=float(r))
         phi = kernel_sphere_integral(r, rho, n, lam)
         out[i] = np.sum(profile(rho) * rho ** (n - 1) * w * phi)
     return gns(n, s) * out
 
 
-def sharp_diagonal_quotient(n: int, s: float, nquad: int = 2000, rmax: float = 1e4) -> float:
-    """Sharp HLS quotient value for the diagonal critical pair p = q0, by
-    high-resolution radial quadrature on the bubble extremal.
+def _bubble_kappa(n: int, s: float) -> float:
+    """kappa in g_{n,s} |x|^{-(n-2s)} * b^{q0} = kappa b, for the bubble b at
+    the diagonal exponent q0.
 
     The convolution of the bubble power is shape-invariant (proportional to
-    the bubble); the proportionality kappa is measured at several radii and
-    must agree to quadrature accuracy, which doubles as a self-check.
+    the bubble); kappa is measured at several radii, which must agree to
+    quadrature accuracy, a self-check of the radial quadrature.
     """
-    q0 = (n + 2.0 * s) / (n - 2.0 * s)
+    q0 = diagonal_exponent(n, s)
     probe = np.array([0.31, 1.0, 2.7])
-    conv = radial_convolution(
-        lambda rho: bubble(rho, n, s) ** q0, probe, n, s, rmax, nquad
-    )
+    conv = radial_convolution(lambda rho: bubble(rho, n, s) ** q0, probe, n, s, _BUBBLE_RMAX)
     kappa_vals = conv / bubble(probe, n, s)
     kappa = float(np.mean(kappa_vals))
     if np.max(np.abs(kappa_vals - kappa)) > 1e-6 * kappa:
-        raise RuntimeError("bubble shape-invariance check failed; raise nquad/rmax")
-    rho, w = _radial_nodes(rmax, nquad)
+        raise RuntimeError("bubble shape-invariance check failed")
+    return kappa
+
+
+def sharp_diagonal_quotient(n: int, s: float) -> float:
+    """Sharp HLS quotient value for the diagonal critical pair p = q0, by
+    high-resolution radial quadrature on the bubble extremal and its
+    `_bubble_kappa`."""
+    q0 = diagonal_exponent(n, s)
+    kappa = _bubble_kappa(n, s)
+    rho, w = _radial_nodes(_BUBBLE_RMAX)
     fq = bubble(rho, n, s) ** q0
     num = (sphere_area(n) * np.sum(w * fq ** ((q0 + 1.0) / q0) * rho ** (n - 1))) ** (
         q0 / (q0 + 1.0)
@@ -504,26 +509,18 @@ def bubble_ladder(n: int, s: float, box_radii, grid_sizes) -> list[float]:
     [-R, R]^n with m nodes per axis, one per (R, m); on boxes growing with
     their grids they approach `sharp_diagonal_quotient` from above, up to
     truncation and quadrature."""
-    q0 = (n + 2.0 * s) / (n - 2.0 * s)
+    q0 = diagonal_exponent(n, s)
     quotients = []
     for radius, m in zip(box_radii, grid_sizes, strict=True):
-        axes = [(np.arange(m) + 0.5) * (2 * radius / m) - radius for _ in range(n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        r = np.sqrt(np.add.reduce([g**2 for g in mesh]))
-        f = FreeField.centered(radius, bubble(r, n, s) ** q0)
+        box = FreeField.centered(radius, np.zeros((m,) * n))
+        f = box.with_values(bubble(box.radii(), n, s) ** q0)
         quotients.append(hls_quotient(f, q0, q0, n, s))
     return quotients
 
 
-def bubble_pair(n: int, s: float, kappa: float | None = None):
+def bubble_pair(n: int, s: float):
     """Scaled bubble pair solving the diagonal limit system U = g k * V^p,
     V = g k * U^{q0}: returns (amplitude, q0) with U = V = amplitude * bubble."""
-    q0 = (n + 2.0 * s) / (n - 2.0 * s)
-    if kappa is None:
-        probe = np.array([0.5, 1.5])
-        conv = radial_convolution(
-            lambda rho: bubble(rho, n, s) ** q0, probe, n, s, 1e4, 2000
-        )
-        kappa = float(np.mean(conv / bubble(probe, n, s)))
-    amplitude = kappa ** (-(q0 + 1.0) / (q0 * q0 - 1.0))
+    q0 = diagonal_exponent(n, s)
+    amplitude = _bubble_kappa(n, s) ** (-(q0 + 1.0) / (q0 * q0 - 1.0))
     return amplitude, q0

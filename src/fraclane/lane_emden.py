@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fractional_calculus import (
+    THRESHOLD_TOL,
     _CellInverse,
     _clamp_in_place,
     apply_inverse,
@@ -62,6 +63,11 @@ class CriticalPairError(ValueError):
     """Critical pairs (epsilon = 0) are rejected by the solver: compactness fails."""
 
 
+def hyperbola_gap(p: float, q: float, n: int, s: float) -> float:
+    """1/(p+1) + 1/(q+1) - (n-2s)/n: zero on the critical hyperbola, > 0 below it."""
+    return 1.0 / (p + 1.0) + 1.0 / (q + 1.0) - (n - 2.0 * s) / n
+
+
 class ConvergenceError(RuntimeError):
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
@@ -72,7 +78,7 @@ class ConvergenceError(RuntimeError):
 class ExponentPair:
     """Exponents (p, q) with the standing hypothesis q >= p > 2s/(n-2s).
 
-    epsilon = 1/(p+1) + 1/(q+1) - (n-2s)/n measures the distance to the
+    epsilon = `hyperbola_gap`(p, q, n, s) measures the distance to the
     critical hyperbola; epsilon > 0 is the subcritical (solvable) regime.
     """
 
@@ -91,7 +97,7 @@ class ExponentPair:
             )
         if not self.q >= self.p:
             raise ValueError(f"hypothesis q >= p violated: q={self.q} < p={self.p}")
-        if self.epsilon < -1e-12:
+        if self.epsilon < -THRESHOLD_TOL:
             raise ValueError(
                 f"pair (p, q)=({self.p}, {self.q}) is supercritical "
                 f"(epsilon={self.epsilon:.3e} < 0)"
@@ -99,15 +105,11 @@ class ExponentPair:
 
     @property
     def epsilon(self) -> float:
-        return (
-            1.0 / (self.p + 1.0)
-            + 1.0 / (self.q + 1.0)
-            - (self.n - 2.0 * self.s) / self.n
-        )
+        return hyperbola_gap(self.p, self.q, self.n, self.s)
 
     @property
     def subcritical(self) -> bool:
-        return self.epsilon > 1e-12
+        return self.epsilon > THRESHOLD_TOL
 
     @property
     def critical(self) -> bool:
@@ -123,13 +125,13 @@ def solve_q_epsilon(p: float, n: int, s: float, epsilon: float) -> float:
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    eps_max = 2.0 / (p + 1.0) - (n - 2.0 * s) / n
+    eps_max = hyperbola_gap(p, p, n, s)
     inv = (n - 2.0 * s) / n + epsilon - 1.0 / (p + 1.0)
     if inv <= 0:
         raise ValueError(f"hypothesis p > 2s/(n-2s) violated: p={p} leaves the hyperbola "
                          f"family at epsilon={epsilon} (1/(q+1) <= 0)")
     q = 1.0 / inv - 1.0
-    if q < p - 1e-12:
+    if q < p - THRESHOLD_TOL:
         raise ValueError(
             f"hypothesis q >= p violated at epsilon={epsilon}: q_eps={q:.6g} < p={p} "
             f"(admissible epsilon <= {eps_max:.6g})"
@@ -139,6 +141,11 @@ def solve_q_epsilon(p: float, n: int, s: float, epsilon: float) -> float:
 
 def critical_q(p: float, n: int, s: float) -> float:
     return solve_q_epsilon(p, n, s, 0.0)
+
+
+def diagonal_exponent(n: int, s: float) -> float:
+    """(n+2s)/(n-2s), where the critical hyperbola meets the diagonal p = q."""
+    return (n + 2.0 * s) / (n - 2.0 * s)
 
 
 def alpha_beta(p: float, q: float, s: float) -> tuple[float, float]:
@@ -198,21 +205,24 @@ def _first_eigenfunction(basis: SpectralBasis, grid: Grid) -> GridFunction:
     return synthesize(SpectralField(basis, coeff), grid)
 
 
-def symmetry_classes(f: GridFunction, tol: float = 1e-10) -> dict:
+_SYMMETRY_TOL = 1e-10  # sup difference, relative to sup |f|, that still counts as symmetric
+
+
+def symmetry_classes(f: GridFunction) -> dict:
     """Dihedral symmetries of f on its box: per-axis flips and equal-axis swaps."""
     vals = f.values
     scale = float(np.max(np.abs(vals))) or 1.0
     out = {}
     for axis in range(vals.ndim):
         out[f"flip_{axis}"] = bool(
-            np.max(np.abs(vals - np.flip(vals, axis=axis))) <= tol * scale
+            np.max(np.abs(vals - np.flip(vals, axis=axis))) <= _SYMMETRY_TOL * scale
         )
     lengths = f.grid.domain.lengths
     for i in range(vals.ndim):
         for j in range(i + 1, vals.ndim):
             if lengths[i] == lengths[j] and vals.shape[i] == vals.shape[j]:
                 out[f"swap_{i}{j}"] = bool(
-                    np.max(np.abs(vals - np.swapaxes(vals, i, j))) <= tol * scale
+                    np.max(np.abs(vals - np.swapaxes(vals, i, j))) <= _SYMMETRY_TOL * scale
                 )
     return out
 
@@ -221,6 +231,11 @@ def symmetry_classes(f: GridFunction, tol: float = 1e-10) -> dict:
 # max(1, Theta), and the largest L1 mass fraction the clamps may remove.
 _ASCENT_SLACK = 1e-12
 _POSITIVITY_BUDGET = 1e-4
+
+
+def ascent_budget(theta_prev):
+    """The Theta decrease a solver step from `theta_prev` (floats) may show before it aborts."""
+    return _ASCENT_SLACK * np.maximum(1.0, theta_prev)
 
 
 def _check_finite(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -288,7 +303,7 @@ def _iterate(
         w_norm = (cell * _weighted_sum(w, w_root, weights, work)) ** (1.0 / qnorm)
         theta = v_norm / w_norm
         theta_history.append(theta)
-        if theta_prev is not None and theta < theta_prev - _ASCENT_SLACK * max(1.0, theta_prev):
+        if theta_prev is not None and theta < theta_prev - ascent_budget(theta_prev):
             raise ConvergenceError(
                 f"Theta decreased at iteration {it}: {theta_prev!r} -> {theta!r}",
                 diagnostics={

@@ -91,19 +91,6 @@ class BoxDomain:
         )
 
 
-@dataclass(frozen=True)
-class EigenIndex:
-    """Multi-index k of an eigenpair; every component is a positive integer."""
-
-    k: tuple[int, ...]
-
-    def __post_init__(self):
-        k = tuple(int(v) for v in self.k)
-        object.__setattr__(self, "k", k)
-        if any(v < 1 for v in k):
-            raise ValueError(f"eigenindex components must be >= 1, got {k}")
-
-
 class SpectralBasis:
     """All Dirichlet eigenpairs of a box with k_i <= K_i, eigenvalues closed form.
 
@@ -134,8 +121,6 @@ class SpectralBasis:
 
     def eigenvalue_of(self, k) -> float:
         """Closed-form lambda_k = sum_i (k_i pi / L_i)^2."""
-        if isinstance(k, EigenIndex):
-            k = k.k
         k = tuple(int(v) for v in k)
         if len(k) != self.domain.dim or any(v < 1 for v in k):
             raise ValueError(f"invalid eigenindex {k}")

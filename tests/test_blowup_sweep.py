@@ -26,11 +26,11 @@ def mini_sweep():
 
 
 def test_regime_classification():
-    assert bs.serrin_exponent(2, 0.5) == pytest.approx(2.0)
-    assert bs.classify_regime(2.5, 2, 0.5) == "super"
-    assert bs.classify_regime(2.0, 2, 0.5) == "serrin"
-    assert bs.classify_regime(1.5, 2, 0.5) == "sub"
-    assert bs.classify_regime(1.0, 3, 0.5) == "sub"
+    assert fl.serrin_exponent(2, 0.5) == pytest.approx(2.0)
+    assert fl.classify_regime(2.5, 2, 0.5) == "super"
+    assert fl.classify_regime(2.0, 2, 0.5) == "serrin"
+    assert fl.classify_regime(1.5, 2, 0.5) == "sub"
+    assert fl.classify_regime(1.0, 3, 0.5) == "sub"
 
 
 def test_sweep_config_validation():

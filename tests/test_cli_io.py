@@ -1,5 +1,6 @@
 """Config parsing, tables, field dumps, CLI round trips and determinism."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -181,6 +182,26 @@ def test_cli_solve_determinism(tmp_path):
     for name in ["solve.csv", "solve.csv.json", "field_u.bin", "field_v.bin",
                  "field_w.bin", "solve_report.json"]:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_cli_solve_checks_the_solvers_ascent_rule(tmp_path, monkeypatch):
+    # the solver lets a step lower Theta by 1e-12 max(1, Theta): at Theta =
+    # 0.44 a step of -6e-13 is one it accepts, so the report must pass it
+    solve = cli_io.solve_ground_state
+
+    def stub(*args, **kwargs):
+        pair, report = solve(*args, **kwargs)
+        history = np.array([0.44, 0.44 - 6e-13])
+        return pair, dataclasses.replace(report, theta=history[-1], theta_history=history)
+
+    monkeypatch.setattr(cli_io, "solve_ground_state", stub)
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text(SOLVE_CFG)
+    out = tmp_path / "out"
+    assert run_cli(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "solve_report.json").read_text())
+    check = next(c for c in report["checks"] if c["name"] == "theta_nondecreasing")
+    assert check["passed"] and check["budget"] == -1e-12
 
 
 def test_cli_sweep_and_hls_field_chain(tmp_path):

@@ -330,6 +330,19 @@ def test_g_tilde_regime_guard():
         fl.g_tilde((0.5, 0.5), (0.52, 0.5), 1.5, basis)
 
 
+def test_regime_boundary_is_decided_once():
+    # a p within THRESHOLD_TOL of the Serrin exponent is on it for every
+    # caller: no iterated kernel there, and the log integral is defined
+    dom, basis, grid = setup_square(K=8, m=16)
+    on = fl.serrin_exponent(2, 0.5) - 1e-13
+    assert fl.classify_regime(on, 2, 0.5) == "serrin"
+    with pytest.raises(fl.RegimeError):
+        fl.g_tilde((0.3, 0.3), (0.7, 0.7), on, basis)
+    v = fl.FreeField.centered(4.0, np.ones((8, 8)))
+    assert fl.serrin_log_integral(v, on, 10.0, 1.0, 2, 0.5).value > 0
+    assert fl.classify_regime(fl.serrin_exponent(2, 0.5) - 1e-9, 2, 0.5) == "sub"
+
+
 def test_g_tilde_default_grid_shares_transform_matrices():
     # the default grid is one object per basis, so its sine matrices are
     # built by the first call and found by every later one

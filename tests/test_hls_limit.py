@@ -159,13 +159,6 @@ def test_decay_fit_pure_power_tight():
     assert fit.residual < 1e-3
 
 
-def test_decay_fit_regime_classification():
-    slopes = {"super": -1.0, "serrin": -1.0, "sub": -0.5}
-    f = radial_field(20.0, 128, lambda r: np.where(r > 0.4, r, 0.4) ** -0.52)
-    fit = hl.decay_fit(f, (3.0, 15.0), regime_slopes=slopes)
-    assert fit.regime == "sub"
-
-
 def test_decay_fit_serrin_log():
     # f = r^{-1} log r: compensated fit of f * r against log r has unit slope
     def profile(r):

@@ -31,17 +31,13 @@ def test_domain_validation():
     assert dom.volume() == pytest.approx(6.0, abs=0.0)
 
 
-def test_eigenindex_validation():
-    with pytest.raises(ValueError):
-        fl.EigenIndex((0, 1))
-    assert fl.EigenIndex((2, 3)).k == (2, 3)
-
-
 def test_eigenvalues_closed_form():
     dom = unit_square()
     basis = fl.build_basis(dom, (8, 8))
     assert basis.eigenvalue_of((1, 1)) == pytest.approx(2 * math.pi**2, rel=1e-15)
     assert basis.eigenvalue_of((2, 3)) == pytest.approx(13 * math.pi**2, rel=1e-15)
+    with pytest.raises(ValueError):
+        basis.eigenvalue_of((0, 1))  # every component k_i >= 1
     cube = fl.BoxDomain((1.0, 1.0, 1.0), 0.5)
     basis3 = fl.build_basis(cube, (3, 3, 3))
     assert basis3.eigenvalue_of((1, 1, 1)) == pytest.approx(3 * math.pi**2, rel=1e-15)
