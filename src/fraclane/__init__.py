@@ -20,7 +20,6 @@ from .spectral_domain import (
     synthesize_at,
 )
 from .fractional_calculus import (
-    FreeKernelConstant,
     KernelSample,
     RegimeError,
     UnresolvedSingularityError,

@@ -9,6 +9,11 @@ tracks C2 G, at it (C3 log-normalized) G, below it C4 Gt with the iterated
 kernel. The v-component tracks C1 G in every regime. All normalizations use
 the critical exponents n/(p+1) and n/(q0+1); the C-constants are measured
 from the rescaled fields row by row.
+
+The geometry of the comparison is fixed per box, not per run: the ring of
+comparison points, the exclusion ball around x0 and the boundary collar are
+constant fractions of the shortest side. Each row's solve starts from the
+previous row's w.
 """
 
 from __future__ import annotations
@@ -30,6 +35,9 @@ from .fractional_calculus import (
 )
 from .hls_limit import FreeField, decay_fit, serrin_constant, serrin_log_integral, sharp_decay_check
 from .lane_emden import (
+    MAX_ITER,
+    RESIDUAL_TOL,
+    THETA_TOL,
     ExponentPair,
     SolutionPair,
     alpha_beta,
@@ -51,6 +59,14 @@ from .spectral_domain import (
 
 MIN_CORE_CELLS = 8.0  # narrower blow-up cores are at the grid's resolvability limit
 
+# The fixed geometry of every sweep, in units of the shortest side: the ring of
+# N_COMPARISON Green-limit points around the center, the ball around x0 where
+# no point is compared, and the boundary collar whose sup of u + v is reported.
+RING_RADIUS_FRAC = 0.3
+EXCLUSION_RADIUS_FRAC = 0.15
+COLLAR_FRAC = 0.1
+N_COMPARISON = 8
+
 
 @dataclass
 class SweepConfig:
@@ -61,14 +77,9 @@ class SweepConfig:
     eps_schedule: tuple[float, ...]
     cutoff: tuple[int, ...]
     grid_shape: tuple[int, ...]
-    theta_tol: float = 1e-9
-    residual_tol: float = 1e-7
-    max_iter: int = 2000
-    ring_radius_frac: float = 0.3
-    exclusion_radius_frac: float = 0.15
-    n_comparison: int = 8
-    collar_delta: float = 0.1
-    warm_start: bool = True
+    theta_tol: float = THETA_TOL
+    residual_tol: float = RESIDUAL_TOL
+    max_iter: int = MAX_ITER
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_schedule)
@@ -81,19 +92,18 @@ class SweepConfig:
         if self.regime == "sub":
             _check_iterated_kernel(self.p, n, s)
         check_resolution(self.cutoff, self.grid_shape)
-        _check_collar(self.domain, self.collar_delta)
 
     @property
     def regime(self) -> str:
         return classify_regime(self.p, self.domain.dim, self.domain.s)
 
     def comparison_points(self) -> np.ndarray:
-        """Ring of points around the domain center, radius frac * min side."""
+        """Ring of points around the domain center, radius RING_RADIUS_FRAC * min side."""
         n = self.domain.dim
         center = np.asarray(self.domain.lengths) / 2.0
-        radius = self.ring_radius_frac * min(self.domain.lengths)
-        angles = 2.0 * math.pi * (np.arange(self.n_comparison) + 0.5) / self.n_comparison
-        pts = np.tile(center, (self.n_comparison, 1))
+        radius = RING_RADIUS_FRAC * min(self.domain.lengths)
+        angles = 2.0 * math.pi * (np.arange(N_COMPARISON) + 0.5) / N_COMPARISON
+        pts = np.tile(center, (N_COMPARISON, 1))
         pts[:, 0] += radius * np.cos(angles)
         pts[:, 1 if n > 1 else 0] += radius * np.sin(angles)
         return pts
@@ -371,11 +381,6 @@ def green_limit_check(pair: SolutionPair, lam: float, basis: SpectralBasis, kern
     return out
 
 
-def _check_collar(domain: BoxDomain, delta: float) -> None:
-    if delta >= min(domain.lengths) / 2.0:
-        raise ValueError("collar width must be below half the min side length")
-
-
 def boundary_bound_check(pair: SolutionPair, delta: float) -> CollarBound:
     """Sup of u + v over the collar {dist(x, boundary) < delta}.
 
@@ -384,7 +389,8 @@ def boundary_bound_check(pair: SolutionPair, delta: float) -> CollarBound:
     """
     grid = pair.u.grid
     dom = grid.domain
-    _check_collar(dom, delta)
+    if delta >= min(dom.lengths) / 2.0:
+        raise ValueError("collar width must be below half the min side length")
     mesh = grid.meshgrid()
     dist = np.minimum.reduce(
         [np.minimum(g, L - g) for g, L in zip(mesh, dom.lengths, strict=True)]
@@ -458,13 +464,8 @@ def run_sweep(config: SweepConfig, keep_pairs: bool = False) -> SweepResult:
         alpha, beta = alpha_beta(config.p, q, s)
         try:
             pair, report = solve_ground_state(
-                exps,
-                basis,
-                grid,
-                init=init if config.warm_start else None,
-                theta_tol=config.theta_tol,
-                residual_tol=config.residual_tol,
-                max_iter=config.max_iter,
+                exps, basis, grid, init=init, theta_tol=config.theta_tol,
+                residual_tol=config.residual_tol, max_iter=config.max_iter,
             )
         except Exception as exc:  # noqa: BLE001 - row marked, sweep stops
             rows.append(
@@ -487,7 +488,7 @@ def run_sweep(config: SweepConfig, keep_pairs: bool = False) -> SweepResult:
                 f"eps = {eps} is at the resolvability limit of this grid",
                 stacklevel=2,
             )
-        collar = boundary_bound_check(pair, config.collar_delta)
+        collar = boundary_bound_check(pair, COLLAR_FRAC * min(dom.lengths))
         rows.append(
             SweepRow(
                 eps=eps,
@@ -517,7 +518,7 @@ def run_sweep(config: SweepConfig, keep_pairs: bool = False) -> SweepResult:
     x0 = np.asarray(ok_rows[-1].x_c)
     kernels = limit_kernels(
         x0, basis, config.comparison_points(), config.p,
-        exclusion_radius=config.exclusion_radius_frac * min(dom.lengths),
+        exclusion_radius=EXCLUSION_RADIUS_FRAC * min(dom.lengths),
     )
     for row, pair in zip(rows, pairs, strict=True):
         if pair is None:

@@ -2,13 +2,15 @@
 persistence (full-precision CSV + JSON tables, binary field dumps, radial
 profiles).
 
-Subcommands: solve, sweep, hls, kernels. Each one runs the library and writes
-what it returns. A config is checked by building the objects its command
-builds (`BoxDomain`, `ExponentPair`, `SweepConfig`), so the rules are the
-library's own; each object reports the first of its rules that the config
-breaks. Exit code 0 iff every enabled invariant check passes;
-acceptance-level tolerance checks are reported in the JSON output (with their
-budgets) and gated only when `acceptance_checks = true`.
+Subcommands: solve, sweep, hls, kernels. Each one runs the library, writes
+its tables and field dumps, and hands back its report payload and checks;
+`main` writes `<command>_report.json` and picks the exit code. A config is
+checked by building the objects its command builds (`BoxDomain`,
+`ExponentPair`, `SweepConfig`), so the rules are the library's own; each
+object reports the first of its rules that the config breaks. Exit code 0
+iff every gating check passes, 1 otherwise, 2 for a rejected config and 3 for
+a run that raised; acceptance-level tolerance checks are reported in the JSON
+output with their budgets and never gate.
 """
 
 from __future__ import annotations
@@ -27,12 +29,14 @@ from . import __version__
 from .blowup_sweep import SweepConfig, run_sweep
 from .fractional_calculus import free_kernel, green, operator_algebra_residuals
 from .hls_limit import FreeField, bubble_ladder, hls_quotient, radial_shells, sharp_diagonal_quotient
-from .lane_emden import (_POSITIVITY_BUDGET, ExponentPair, ascent_budget, critical_q,
-                         identity_report, solve_ground_state, solve_q_epsilon)
+from .lane_emden import (_POSITIVITY_BUDGET, MAX_ITER, RESIDUAL_TOL, THETA_TOL, ExponentPair,
+                         ascent_budget, critical_q, identity_report, solve_ground_state,
+                         solve_q_epsilon)
 from .spectral_domain import BoxDomain, Grid, GridFunction, build_basis, build_grid, check_resolution
 
 FIELD_MAGIC = b"FRLNFLD\x00"
 FIELD_VERSION = 1
+KERNEL_MIN_SEP = 0.1  # the least distance between the two points of a kernel pair
 
 
 class ConfigError(ValueError):
@@ -54,33 +58,16 @@ class RunConfig:
     eps_schedule: tuple[float, ...] = (0.06, 0.04, 0.025, 0.015)
     cutoff: tuple[int, ...] = (64, 64)
     grid: tuple[int, ...] = (128, 128)
-    theta_tol: float = 1e-9
-    residual_tol: float = 1e-7
-    max_iter: int = 2000
-    ring_radius_frac: float = 0.3
-    exclusion_radius_frac: float = 0.15
-    n_comparison: int = 8
-    collar_delta: float = 0.1
-    warm_start: bool = True
+    theta_tol: float = THETA_TOL
+    residual_tol: float = RESIDUAL_TOL
+    max_iter: int = MAX_ITER
     out_dir: str = "out"
-    write_fields: bool = True
-    strict_checks: bool = True
-    acceptance_checks: bool = False
     hls_box_list: tuple[float, ...] = (8.0, 13.0, 18.0)
     hls_grid_list: tuple[int, ...] = (64, 104, 160)
     hls_field: str = ""
     kernel_pairs: int = 200
     kernel_seed: int = 7
-    kernel_min_sep: float = 0.1
     kernel_margin: float = 0.05
-
-
-def _parse_bool(raw: str) -> bool:
-    if raw.lower() in ("true", "1", "yes", "on"):
-        return True
-    if raw.lower() in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
 def _parser(default):
@@ -88,7 +75,7 @@ def _parser(default):
     if isinstance(default, tuple):
         item = type(default[0])
         return lambda raw: tuple(item(v.strip()) for v in raw.split(",") if v.strip())
-    return _parse_bool if isinstance(default, bool) else type(default)
+    return type(default)
 
 
 _PARSERS = {f.name: _parser(f.default) for f in dc_fields(RunConfig)}
@@ -160,9 +147,19 @@ def _resolution(cfg: RunConfig) -> None:
     check_resolution(cfg.cutoff, cfg.grid)
 
 
+def _kernel_box(cfg: RunConfig) -> np.ndarray:
+    """The sides L_i - 2 margin of the box kernel pairs are drawn from. Each
+    spans at least 2 KERNEL_MIN_SEP, so a drawn pair is far enough apart with
+    probability >= 1/4 and the sampler ends."""
+    if cfg.kernel_margin < 0 or 2 * (cfg.kernel_margin + KERNEL_MIN_SEP) > min(cfg.lengths):
+        raise ValueError(f"kernel_margin must be >= 0 and leave each side L_i - 2 margin of the "
+                         f"sampling box >= {2 * KERNEL_MIN_SEP:g}, got {cfg.kernel_margin:g}")
+    return np.asarray(cfg.lengths) - 2 * cfg.kernel_margin
+
+
 # What each command builds on its domain, in the order it builds it.
 _BUILDS = {"solve": (_resolution, _exponents), "sweep": (_sweep_config,),
-           "hls": (_resolution, _exponents), "kernels": (_resolution,)}
+           "hls": (_resolution, _exponents), "kernels": (_resolution, _kernel_box)}
 
 
 def _validate(cfg: RunConfig) -> list[str]:
@@ -176,8 +173,8 @@ def _validate(cfg: RunConfig) -> list[str]:
     out.extend(counts)
     if cfg.command == "hls" and len(cfg.hls_box_list) != len(cfg.hls_grid_list):
         out.append("hls_box_list and hls_grid_list must have equal length")
-    if cfg.kernel_min_sep <= 0 or cfg.kernel_margin < 0:
-        out.append("kernel sampling needs min_sep > 0 and margin >= 0")
+    if cfg.command == "kernels" and cfg.kernel_seed < 0:
+        out.append(f"kernel_seed must be >= 0, got {cfg.kernel_seed}")
     if counts or cfg.command not in _BUILDS:
         return out
     try:
@@ -198,8 +195,6 @@ def serialize_config(cfg: RunConfig) -> str:
         value = getattr(cfg, f.name)
         if isinstance(value, tuple):
             rendered = ",".join(_fmt(v) for v in value)
-        elif isinstance(value, bool):
-            rendered = "true" if value else "false"
         elif isinstance(value, float):
             rendered = _fmt(value)
         else:
@@ -375,7 +370,7 @@ def _config_echo(cfg: RunConfig, raw_text: str) -> dict:
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_solve(cfg: RunConfig, out_dir: Path, echo: dict) -> int:
+def _cmd_solve(cfg: RunConfig, out_dir: Path) -> tuple[dict, Checks]:
     domain = BoxDomain(cfg.lengths, cfg.s)
     basis = build_basis(domain, cfg.cutoff)
     grid = build_grid(domain, cfg.grid)
@@ -409,18 +404,13 @@ def _cmd_solve(cfg: RunConfig, out_dir: Path, echo: dict) -> int:
     write_table(out_dir / "solve.csv",
                 ["eps", "q", "theta", "mu", "energy", "S_Omega", "iterations",
                  "residual_el", "residual_w", "clamped_fraction"], rows)
-    if cfg.write_fields:
-        for name, f in (("u", pair.u), ("v", pair.v), ("w", pair.w)):
-            dump_field(f, out_dir / f"field_{name}.bin")
-    payload = {
-        **echo,
+    for name, f in (("u", pair.u), ("v", pair.v), ("w", pair.w)):
+        dump_field(f, out_dir / f"field_{name}.bin")
+    return {
         "theta": report.theta,
         "identities": {k: {"value": v, "tol": 1e-6} for k, v in gaps.items()},
         "symmetry": report.symmetry,
-        "checks": checks.items,
-    }
-    _write_report(out_dir, "solve_report.json", payload)
-    return 0 if (not cfg.strict_checks or checks.all_passed()) else 1
+    }, checks
 
 
 _SWEEP_COLUMNS_BASE = ["eps", "q", "alpha", "beta", "lambda"]
@@ -436,7 +426,7 @@ def _nan(value):
     return float("nan") if value is None else value
 
 
-def _cmd_sweep(cfg: RunConfig, out_dir: Path, echo: dict) -> int:
+def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> tuple[dict, Checks]:
     result = run_sweep(_sweep_config(cfg))
     ok_rows = [r for r in result.rows if r.failed is None]
 
@@ -468,25 +458,20 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path, echo: dict) -> int:
                    note="Theta(eps) <= S_hat^{-1} |Omega|^{1/(q+1)-1/(q0+1)}")
         lpe = diag["lam_pow_eps"]
         checks.add("lam_pow_eps_band", all(0.9 < v < 1.1 for v in lpe),
-                   max(abs(v - 1.0) for v in lpe), 0.1,
-                   gating=cfg.acceptance_checks)
-        checks.add("energy_limit_gap", ex.e_rel_gap < 0.1, ex.e_rel_gap, 0.1,
-                   gating=cfg.acceptance_checks)
+                   max(abs(v - 1.0) for v in lpe), 0.1, gating=False)
+        checks.add("energy_limit_gap", ex.e_rel_gap < 0.1, ex.e_rel_gap, 0.1, gating=False)
         if all(r.max_green_dev is not None for r in ok_rows):
             checks.add("green_dev_final", ok_rows[-1].max_green_dev < 0.15,
-                       ok_rows[-1].max_green_dev, 0.15, gating=cfg.acceptance_checks)
+                       ok_rows[-1].max_green_dev, 0.15, gating=False)
 
     if "error" not in result.decay:
         write_radial_profile(result.rescaled.v, out_dir / "profile_v.csv")
         write_radial_profile(result.rescaled.u, out_dir / "profile_u.csv")
 
-    if cfg.write_fields:
-        dump_field(result.rescaled.u, out_dir / "rescaled_u.bin")
-        dump_field(result.rescaled.v, out_dir / "rescaled_v.bin")
-        dump_field(result.rescaled.w, out_dir / "rescaled_w.bin")
+    for name in ("u", "v", "w"):
+        dump_field(getattr(result.rescaled, name), out_dir / f"rescaled_{name}.bin")
 
     payload = {
-        **echo,
         "regime": result.config.regime,
         "x0": list(result.x0),
         "s_hat": None if ex is None else ex.s_hat,
@@ -496,13 +481,11 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path, echo: dict) -> int:
         "core_cells": [r.core_cells for r in ok_rows],
         "decay": result.decay,
         "diagnostics": dict(diag),
-        "checks": checks.items,
     }
-    _write_report(out_dir, "sweep_report.json", payload)
-    return 0 if (not cfg.strict_checks or checks.all_passed()) else 1
+    return payload, checks
 
 
-def _cmd_hls(cfg: RunConfig, out_dir: Path, echo: dict) -> int:
+def _cmd_hls(cfg: RunConfig, out_dir: Path) -> tuple[dict, Checks]:
     n, s = cfg.n, cfg.s
     oracle = sharp_diagonal_quotient(n, s)
     quotients = bubble_ladder(n, s, cfg.hls_box_list, cfg.hls_grid_list)
@@ -529,23 +512,20 @@ def _cmd_hls(cfg: RunConfig, out_dir: Path, echo: dict) -> int:
         quotient = hls_quotient(normalized, cfg.p, qc, n, s)
         field_payload = {"path": cfg.hls_field, "p": cfg.p, "q0": qc, "quotient": quotient}
 
-    payload = {**echo, "oracle": oracle, "field_quotient": field_payload,
-               "checks": checks.items}
-    _write_report(out_dir, "hls_report.json", payload)
-    return 0 if (not cfg.strict_checks or checks.all_passed()) else 1
+    return {"oracle": oracle, "field_quotient": field_payload}, checks
 
 
-def _cmd_kernels(cfg: RunConfig, out_dir: Path, echo: dict) -> int:
+def _cmd_kernels(cfg: RunConfig, out_dir: Path) -> tuple[dict, Checks]:
     domain = BoxDomain(cfg.lengths, cfg.s)
     basis = build_basis(domain, cfg.cutoff)
     rng = np.random.default_rng(cfg.kernel_seed)
     n = cfg.n
-    lengths = np.asarray(cfg.lengths)
+    sides = _kernel_box(cfg)
     xs, ys = [], []
     while len(xs) < cfg.kernel_pairs:
-        x = cfg.kernel_margin + rng.random(n) * (lengths - 2 * cfg.kernel_margin)
-        y = cfg.kernel_margin + rng.random(n) * (lengths - 2 * cfg.kernel_margin)
-        if np.linalg.norm(x - y) >= cfg.kernel_min_sep:
+        x = cfg.kernel_margin + rng.random(n) * sides
+        y = cfg.kernel_margin + rng.random(n) * sides
+        if np.linalg.norm(x - y) >= KERNEL_MIN_SEP:
             xs.append(x)
             ys.append(y)
     xs, ys = (np.array(pts).reshape(-1, n) for pts in (xs, ys))
@@ -571,9 +551,10 @@ def _cmd_kernels(cfg: RunConfig, out_dir: Path, echo: dict) -> int:
     checks.add("operator_inverse_identity", worst_inv < 1e-12, worst_inv, 1e-12)
     checks.add("operator_semigroup", worst_semi < 1e-12, worst_semi, 1e-12)
 
-    payload = {**echo, "pairs": len(xs), "checks": checks.items}
-    _write_report(out_dir, "kernels_report.json", payload)
-    return 0 if (not cfg.strict_checks or checks.all_passed()) else 1
+    return {"pairs": len(xs)}, checks
+
+
+_COMMANDS = {"solve": _cmd_solve, "sweep": _cmd_sweep, "hls": _cmd_hls, "kernels": _cmd_kernels}
 
 
 def main(argv=None) -> int:
@@ -582,7 +563,7 @@ def main(argv=None) -> int:
         description="Fractional Lane-Emden ground states on boxes: solver, "
                     "blow-up sweeps, HLS checks, kernel samplers.",
     )
-    parser.add_argument("command", choices=tuple(_BUILDS))
+    parser.add_argument("command", choices=tuple(_COMMANDS))
     parser.add_argument("--config", type=Path, default=None,
                         help="flat key=value config file")
     parser.add_argument("--out", type=Path, default=None,
@@ -597,19 +578,15 @@ def main(argv=None) -> int:
             print(f"config error: {violation}", file=sys.stderr)
         return 2
     out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
-    echo = _config_echo(cfg, raw)
 
     try:
-        if args.command == "solve":
-            return _cmd_solve(cfg, out_dir, echo)
-        if args.command == "sweep":
-            return _cmd_sweep(cfg, out_dir, echo)
-        if args.command == "hls":
-            return _cmd_hls(cfg, out_dir, echo)
-        return _cmd_kernels(cfg, out_dir, echo)
+        payload, checks = _COMMANDS[args.command](cfg, out_dir)
+        _write_report(out_dir, f"{args.command}_report.json",
+                      {**_config_echo(cfg, raw), **payload, "checks": checks.items})
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    return 0 if checks.all_passed() else 1
 
 
 if __name__ == "__main__":

@@ -86,26 +86,12 @@ def _check_iterated_kernel(p: float, n: int, s: float) -> None:
                           f"got p={p}, Serrin exponent {serrin_exponent(n, s)}")
 
 
-@dataclass(frozen=True)
-class FreeKernelConstant:
-    """g_{n,s} = Gamma((n-2s)/2) / (pi^{n/2} 2^{2s} Gamma(s)); finite for n > 2s."""
-
-    n: int
-    s: float
-    value: float
-
-    @classmethod
-    def for_order(cls, n: int, s: float) -> "FreeKernelConstant":
-        if not n > 2 * s:
-            raise ValueError(f"free kernel constant needs n > 2s, got n={n}, s={s}")
-        value = gamma_fn((n - 2 * s) / 2.0) / (
-            math.pi ** (n / 2.0) * 2.0 ** (2 * s) * gamma_fn(s)
-        )
-        return cls(n=n, s=s, value=float(value))
-
-
 def gns(n: int, s: float) -> float:
-    return FreeKernelConstant.for_order(n, s).value
+    """g_{n,s} = Gamma((n-2s)/2) / (pi^{n/2} 2^{2s} Gamma(s)); finite for n > 2s."""
+    if not n > 2 * s:
+        raise ValueError(f"free kernel constant needs n > 2s, got n={n}, s={s}")
+    return float(gamma_fn((n - 2 * s) / 2.0)
+                 / (math.pi ** (n / 2.0) * 2.0 ** (2 * s) * gamma_fn(s)))
 
 
 @dataclass(frozen=True)

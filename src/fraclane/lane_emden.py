@@ -232,6 +232,12 @@ def symmetry_classes(f: GridFunction) -> dict:
 _ASCENT_SLACK = 1e-12
 _POSITIVITY_BUDGET = 1e-4
 
+# The stopping rule of `solve_ground_state` and its iteration cap; `SweepConfig`
+# and the CLI default to the same three.
+THETA_TOL = 1e-9
+RESIDUAL_TOL = 1e-7
+MAX_ITER = 2000
+
 
 def ascent_budget(theta_prev):
     """The Theta decrease a solver step from `theta_prev` (floats) may show before it aborts."""
@@ -370,9 +376,9 @@ def solve_ground_state(
     basis: SpectralBasis,
     grid: Grid,
     init: GridFunction | None = None,
-    theta_tol: float = 1e-9,
-    residual_tol: float = 1e-7,
-    max_iter: int = 2000,
+    theta_tol: float = THETA_TOL,
+    residual_tol: float = RESIDUAL_TOL,
+    max_iter: int = MAX_ITER,
 ) -> tuple[SolutionPair, SolveReport]:
     """Normalized fixed-point iteration for the Theta-maximizing ground state.
 

@@ -166,13 +166,6 @@ class Grid:
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
-    @property
-    def num_nodes(self) -> int:
-        return int(np.prod(self.shape))
-
-    def total_weight(self) -> float:
-        return self.cell_volume * self.num_nodes
-
     def meshgrid(self):
         return np.meshgrid(*self.coords, indexing="ij")
 

@@ -52,13 +52,17 @@ def test_sweep_config_checks_what_run_sweep_needs():
     with pytest.raises(fl.ResolutionError, match="anti-aliasing"):
         bs.SweepConfig(domain=unit_square(), p=2.5, eps_schedule=(0.05,),
                        cutoff=(8, 8), grid_shape=(16, 12))
-    with pytest.raises(ValueError, match="half the min side length"):
-        bs.SweepConfig(domain=unit_square(), p=2.5, eps_schedule=(0.05,),
-                       cutoff=(8, 8), grid_shape=(16, 16), collar_delta=0.5)
     # s = 0.7 puts p = 2 below 2s/(n-2s) = 7/3 with an admissible q_eps >= p
     with pytest.raises(ValueError, match=r"p > 2s/\(n-2s\)"):
         bs.SweepConfig(domain=fl.BoxDomain((1.0, 1.0), 0.7), p=2.0,
                        eps_schedule=(0.1, 0.08), cutoff=(8, 8), grid_shape=(16, 16))
+
+
+def test_sweep_config_accepts_a_thin_box():
+    # the collar is 0.1 of the shortest side, so it fits any box
+    cfg = bs.SweepConfig(domain=fl.BoxDomain((1.0, 0.15), 0.5), p=2.5, eps_schedule=(0.05,),
+                         cutoff=(8, 8), grid_shape=(16, 16))
+    assert cfg.comparison_points().shape == (bs.N_COMPARISON, 2)
 
 
 def test_find_max_phi11_example():

@@ -1,6 +1,7 @@
 """Config parsing, tables, field dumps, CLI round trips and determinism."""
 
 import dataclasses
+import inspect
 import json
 import math
 from pathlib import Path
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import fraclane as fl
+from fraclane import blowup_sweep as bs
 from fraclane import cli_io
 from fraclane.hls_limit import FreeField
 
@@ -31,6 +33,14 @@ def test_parse_3d_defaults():
 def test_parse_rejects_inadmissible_eps_citing_hypothesis():
     with pytest.raises(cli_io.ConfigError, match="q >= p"):
         cli_io.parse_config("command = solve\np = 2.5\neps = 0.1\n")
+
+
+def test_solver_defaults_have_one_home():
+    run = cli_io.RunConfig()
+    sweep = {f.name: f.default for f in dataclasses.fields(bs.SweepConfig)}
+    solver = inspect.signature(fl.solve_ground_state).parameters
+    for key in ("theta_tol", "residual_tol", "max_iter"):
+        assert getattr(run, key) == sweep[key] == solver[key].default, key
 
 
 def test_parse_malformed_number_with_line():
@@ -325,10 +335,12 @@ BAD_CONFIGS = [
     ("p_low_hls", "command = hls\np = 0.9\n", r"p > 2s/\(n-2s\)"),
     ("eps_above_limit_solve", _SOLVE + "p = 2.5\neps = 0.1\n", r"q >= p"),
     ("eps_above_limit_schedule", _SWEEP + "eps_schedule = 0.2,0.04\n", r"q >= p"),
-    ("collar_too_wide", _SWEEP + "collar_delta = 0.5\n", r"half the min side length"),
     ("hls_lists", "command = hls\nhls_box_list = 8,13\nhls_grid_list = 64\n",
      r"hls_box_list and hls_grid_list"),
-    ("kernel_min_sep", "command = kernels\nkernel_min_sep = 0\n", r"min_sep > 0"),
+    # the sampling box would be 0.02 wide, too narrow for two points 0.1 apart
+    ("kernel_margin_too_wide", "command = kernels\nkernel_margin = 0.49\n", r"kernel_margin"),
+    ("kernel_margin_negative", "command = kernels\nkernel_margin = -0.1\n", r"kernel_margin"),
+    ("kernel_seed_negative", "command = kernels\nkernel_seed = -1\n", r"kernel_seed"),
 ]
 
 
@@ -337,6 +349,11 @@ BAD_CONFIGS = [
 def test_bad_config_names_violated_rule(text, rule):
     with pytest.raises(cli_io.ConfigError, match=rule):
         cli_io.parse_config(text)
+
+
+def test_kernel_margin_at_its_limit_is_accepted():
+    # sides of 1 - 2 * 0.4 = 0.2 = 2 KERNEL_MIN_SEP: each drawn pair still succeeds w.p. >= 1/4
+    assert cli_io.parse_config("command = kernels\nkernel_margin = 0.4\n").kernel_margin == 0.4
 
 
 # Rejected at parse time, before anything runs: the two sweeps used to fail
@@ -372,7 +389,7 @@ def test_cli_without_config_is_validated(tmp_path, monkeypatch):
         return real(text, command)
 
     monkeypatch.setattr(cli_io, "parse_config", spy)
-    monkeypatch.setattr(cli_io, "_cmd_kernels", lambda cfg, out, echo: 0)
+    monkeypatch.setitem(cli_io._COMMANDS, "kernels", lambda cfg, out: ({}, cli_io.Checks()))
     assert run_cli(["kernels", "--out", str(tmp_path)]) == 0
     assert seen == [("", "kernels")]
 

