@@ -16,9 +16,10 @@ is `apply_inverse` on the fundamental cell of a mirror-symmetric field,
 with the odd-k multipliers only. The pointwise
 kernels take batches of point pairs and evaluate G(x, y) with the blocked
 contraction of `synthesize_at`. `g_tilde`'s default grid is cached per basis.
-Gauss-Legendre rules, which `hls_limit` uses as well, are built once per
-order and handed out read-only. The kernels read s from their basis. The
-Serrin split `classify_regime`, which every module asks, lives here.
+Gauss-Legendre rules, which `hls_limit` uses as well, are NumPy's rules bit
+for bit, the large orders solved on their tridiagonal Jacobi matrix; each is
+built once per order and handed out read-only. The kernels read s from their
+basis. The Serrin split `classify_regime`, which every module asks, lives here.
 
 Eigen-sum truncation is never silently dropped: every kernel sample carries
 a tail estimate extrapolated from the decay of the outer mode shells
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import legder, leggauss, legval
 from scipy.special import gamma as gamma_fn
 
 from .spectral_domain import (
@@ -342,10 +343,56 @@ def rescaled_green(x, y, lam: float, center, basis: SpectralBasis):
     return lam ** -(n - 2 * s) * green(xm, ym, basis).value
 
 
+# Largest order built by `leggauss` itself: where its dense O(order^3) eigvalsh
+# costs as much as the tridiagonal branch plus its first scipy.linalg import
+# (55-80 ms). CPU per build, best of three, one BLAS thread on a 2-vCPU Xeon:
+# `leggauss` 52 ms at order 600, 88 ms at 800, 126 ms at 900, 158 ms at 1000
+# and 1.04 s at 2000; the tridiagonal branch 26, 29, 35, 46 and 134 ms.
+_LEGGAUSS_MAX_ORDER = 800
+
+
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """NumPy's `leggauss(order)`, bit for bit, with the eigenvalue solve
+    chosen by order.
+
+    Up to `_LEGGAUSS_MAX_ORDER` it is `leggauss`, which diagonalizes the dense
+    Legendre companion matrix with `eigvalsh`. Above, the first approximation
+    of the nodes comes from the same matrix held as what it is, the symmetric
+    tridiagonal Jacobi matrix of Golub & Welsch (Math. Comp. 23, 1969), solved
+    by LAPACK's root-free QR (`sterf`); `leggauss`'s Newton step, weight
+    formula, symmetrization and scaling then follow unchanged. The default
+    `stemr` and bisection (`stebz`) solvers land 1 ulp away from `leggauss`.
+    scipy.linalg is imported on this branch only: the import costs 55-80 ms
+    CPU, and runs that build small orders only (the 3-d sweep) never load it.
+    """
+    if order <= _LEGGAUSS_MAX_ORDER:
+        return leggauss(order)
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    # off-diagonal exactly as `legcompanion` builds it
+    k = np.arange(order)
+    scl = 1.0 / np.sqrt(2 * k + 1)
+    x = eigvalsh_tridiagonal(np.zeros(order), k[1:] * scl[:-1] * scl[1:], lapack_driver="sterf")
+    # from here on the steps of `leggauss`
+    c = np.array([0] * order + [1])
+    dy = legval(x, c)
+    df = legval(x, legder(c))
+    x -= dy / df
+    fm = legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
+
+
 @lru_cache(maxsize=16)
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], built once per order; read-only."""
-    nodes, weights = leggauss(order)
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order by
+    `_legendre_rule` (bitwise NumPy's `leggauss`); read-only."""
+    nodes, weights = _legendre_rule(order)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights

@@ -133,12 +133,18 @@ def _kernel_table(field: FreeField, lam: float) -> np.ndarray:
 
 
 def free_convolution(field: FreeField, n: int, s: float, values=None) -> np.ndarray:
-    """g_{n,s} (|x|^{-(n-2s)} * f) on the field's nodes (zero outside the box)."""
+    """g_{n,s} (|x|^{-(n-2s)} * f) on the field's nodes (zero outside the box).
+
+    The convolution is circular with period 2m per axis. A kept index k in
+    [m - 1, 2m - 1) reads table offset k - j in [0, 2m - 2] for every input
+    node j in [0, m), all below the period, so no wrapped term reaches the
+    kept slice.
+    """
     f = field.values if values is None else np.asarray(values, dtype=float)
     lam = n - 2.0 * s
     table = _kernel_table(field, lam)
     shape = f.shape
-    fft_shape = tuple(m + t - 1 for m, t in zip(shape, table.shape, strict=True))
+    fft_shape = tuple(2 * m for m in shape)
     axes = tuple(range(f.ndim))
     F = np.fft.rfftn(f, fft_shape, axes=axes)
     K = np.fft.rfftn(table, fft_shape, axes=axes)

@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,12 @@ from oracles import eigen_modes, eigenvalues, green_direct
 from scipy import integrate
 
 import fraclane as fl
-from fraclane.fractional_calculus import _gauss_legendre, _multipliers, _polar_box_integral
+from fraclane.fractional_calculus import (
+    _LEGGAUSS_MAX_ORDER,
+    _gauss_legendre,
+    _multipliers,
+    _polar_box_integral,
+)
 from fraclane.spectral_domain import (
     SpectralField,
     _half_matrices,
@@ -354,7 +363,8 @@ def test_g_tilde_default_grid_shares_transform_matrices():
 
 
 def test_gauss_legendre_rule_cached_and_read_only():
-    for order in (1, 12, 16, 2000):
+    # both sides of the leggauss / tridiagonal cutoff are NumPy's rule bit for bit
+    for order in (1, 12, 16, _LEGGAUSS_MAX_ORDER, _LEGGAUSS_MAX_ORDER + 1, 1000, 2000):
         nodes, weights = _gauss_legendre(order)
         ref_nodes, ref_weights = leggauss(order)
         assert nodes.tobytes() == ref_nodes.tobytes()
@@ -364,6 +374,39 @@ def test_gauss_legendre_rule_cached_and_read_only():
         assert not nodes.flags.writeable and not weights.flags.writeable
         with pytest.raises(ValueError):
             nodes[0] = 0.0
+
+
+SMALL_ORDER_SWEEP = """
+import sys
+import warnings
+
+import fraclane as fl
+import fraclane.cli_io
+from fraclane import blowup_sweep as bs, fractional_calculus as fc
+
+orders = []
+build = fc._legendre_rule
+fc._legendre_rule = lambda order: (orders.append(order), build(order))[1]
+cfg = bs.SweepConfig(domain=fl.BoxDomain((1.0, 1.0, 1.0), 0.5), p=1.0, eps_schedule=(0.1,),
+                     cutoff=(8, 8, 8), grid_shape=(16, 16, 16))
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    bs.run_sweep(cfg)
+assert orders and max(orders) <= fc._LEGGAUSS_MAX_ORDER, orders
+assert "scipy.linalg" not in sys.modules
+"""
+
+
+def test_small_order_rules_never_import_scipy_linalg():
+    # a 3-d p = 1 sweep builds only small rules, so it must not pay the
+    # scipy.linalg import of the tridiagonal branch; a fresh interpreter,
+    # because this one may have loaded scipy.linalg already
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", SMALL_ORDER_SWEEP], env=env, cwd=root,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_g_tilde_symmetry_at_p1():

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
 
 import fraclane as fl
 from fraclane import fractional_calculus as fc
@@ -46,17 +45,21 @@ def test_sharp_diagonal_quotient_matches_analytic():
 
 
 def test_sharp_diagonal_quotient_builds_each_rule_once(monkeypatch):
+    # counted at the one rule builder, whichever eigensolver it picks
     built = []
+    build = fc._legendre_rule
 
-    def counting_leggauss(order):
+    def counting_build(order):
         built.append(order)
-        return leggauss(order)
+        return build(order)
 
-    monkeypatch.setattr(fc, "leggauss", counting_leggauss)
+    monkeypatch.setattr(fc, "_legendre_rule", counting_build)
     fc._gauss_legendre.cache_clear()
     first = hl.sharp_diagonal_quotient(2, 0.5)
+    assert built.count(2000) == 1
+    built.clear()
     assert hl.sharp_diagonal_quotient(2, 0.5) == first
-    assert built.count(2000) <= 1
+    assert built == []
 
 
 def test_bubble_pair_constants():
@@ -66,6 +69,34 @@ def test_bubble_pair_constants():
     amp3, q03 = hl.bubble_pair(3, 0.5)
     assert q03 == pytest.approx(2.0, rel=1e-14)
     assert amp3 == pytest.approx(2.0, rel=1e-5)  # kappa(3, 1/2) = 1/2
+
+
+def direct_free_convolution(field, n, s, values):
+    # the O(N^2) discrete sum over the kernel table: node i reads offset
+    # i - j + m - 1 for input node j, i.e. the flipped table's window at m - 1 - i
+    flipped = np.flip(hl._kernel_table(field, n - 2.0 * s))
+    shape = values.shape
+    out = np.empty(shape)
+    for i in np.ndindex(*shape):
+        window = tuple(slice(m - 1 - a, 2 * m - 1 - a) for a, m in zip(i, shape, strict=True))
+        out[i] = np.sum(values * flipped[window])
+    return fl.gns(n, s) * field.cell_volume * out
+
+
+@pytest.mark.parametrize("n, s, shape", [
+    (1, 0.25, (7,)), (1, 0.4, (8,)), (2, 0.5, (5, 8)), (2, 0.3, (6, 6)), (3, 0.5, (3, 4, 6)),
+])
+def test_free_convolution_matches_direct_sum(n, s, shape):
+    rng = np.random.default_rng(sum(shape))
+    lo = -rng.uniform(1.0, 2.0, n)
+    hi = rng.uniform(1.0, 2.0, n)
+    field = hl.FreeField(lo, hi, rng.random(shape))
+    other = rng.random(shape) ** 3
+    for values, conv in ((field.values, hl.free_convolution(field, n, s)),
+                         (other, hl.free_convolution(field, n, s, values=other))):
+        ref = direct_free_convolution(field, n, s, values)
+        assert conv.shape == shape
+        assert np.max(np.abs(conv - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_hls_quotient_requires_critical_pair():
