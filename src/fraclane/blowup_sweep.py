@@ -13,7 +13,10 @@ from the rescaled fields row by row.
 The geometry of the comparison is fixed per box, not per run: the ring of
 comparison points, the exclusion ball around x0 and the boundary collar are
 constant fractions of the shortest side. Each row's solve starts from the
-previous row's w.
+previous row's w, and each row is measured as soon as its solve returns (its
+constants and its u, v on the ring), so a sweep holds the fields of at most
+two rows at a time; only the comparison against the kernels at x0, known
+after the last row, waits for the end of the schedule.
 """
 
 from __future__ import annotations
@@ -155,10 +158,11 @@ class SweepRow:
     boundary_sup: float
     core_cells: float
     clamped_fraction: float
-    constants: ConstantEstimates | None = None
+    constants: ConstantEstimates
+    u_ring: np.ndarray  # u and v at `SweepConfig.comparison_points`
+    v_ring: np.ndarray
     green_devs: list[PointDeviation] = field(default_factory=list)
     max_green_dev: float | None = None
-    failed: str | None = None
 
 
 @dataclass
@@ -204,7 +208,8 @@ class SweepResult:
     rescaled: RescaledSolution
     diagnostics: dict
     decay: dict
-    pairs: list[SolutionPair | None] | None = None
+    failed: str | None  # the message of the solve that ended the sweep early
+    pairs: list[SolutionPair] | None = None
 
 
 def _quadratic_peak(values: np.ndarray, idx: tuple[int, ...], coords) -> tuple[float, np.ndarray]:
@@ -352,31 +357,29 @@ def limit_kernels(x0, basis: SpectralBasis, points: np.ndarray, p: float,
     return LimitKernels(points, g, target if sub else g, notes)
 
 
-def green_limit_check(pair: SolutionPair, lam: float, basis: SpectralBasis, kernels: LimitKernels,
-                      constants: ConstantEstimates, regime: str) -> list[PointDeviation]:
-    """Per-point ratios of the normalized solution to its predicted kernel
-    multiple: v against C1 G(., x0) and u against the regime target, with the
-    kernels of `limit_kernels`; a skipped point keeps its note."""
-    exps = pair.exponents
-    n, s = exps.n, exps.s
-    q0 = critical_q(exps.p, n, s)
+def green_limit_check(u_at: np.ndarray, v_at: np.ndarray, lam: float, kernels: LimitKernels,
+                      constants: ConstantEstimates, config: SweepConfig) -> list[PointDeviation]:
+    """Per-point ratios of one row's normalized solution to its predicted
+    kernel multiple: v against C1 G(., x0) and u against the regime target.
+    u_at and v_at are the row's u and v at `kernels.points`, the kernels
+    those of `limit_kernels`; a skipped point keeps its note."""
+    n, s, p = config.domain.dim, config.domain.s, config.p
+    q0 = critical_q(p, n, s)
     nv = n / (q0 + 1.0)
-    nu = n / (exps.p + 1.0)
+    nu = n / (p + 1.0)
     scale_u, c_u = {
         "super": (lam**nu, constants.c2),
         "serrin": (lam**nu / math.log(lam), constants.c3),
-        "sub": (lam ** (exps.p * nv), constants.c4),
-    }[regime]
+        "sub": (lam ** (p * nv), constants.c4),
+    }[config.regime]
 
-    u_vals = synthesize_at(analyze(pair.u, basis), kernels.points)
-    v_vals = synthesize_at(analyze(pair.v, basis), kernels.points)
     out: list[PointDeviation] = []
     for i, pt in enumerate(kernels.points):
         if kernels.notes[i]:
             out.append(PointDeviation(tuple(pt), None, None, kernels.notes[i]))
             continue
-        dev_v = abs(lam**nv * v_vals[i] / (constants.c1 * kernels.green[i]) - 1.0)
-        dev_u = abs(scale_u * u_vals[i] / (c_u * kernels.target[i]) - 1.0)
+        dev_v = abs(lam**nv * v_at[i] / (constants.c1 * kernels.green[i]) - 1.0)
+        dev_u = abs(scale_u * u_at[i] / (c_u * kernels.target[i]) - 1.0)
         out.append(PointDeviation(tuple(pt), float(dev_v), float(dev_u)))
     return out
 
@@ -442,45 +445,38 @@ def extrapolate_S(
 
 
 def run_sweep(config: SweepConfig, keep_pairs: bool = False) -> SweepResult:
-    """Solve the schedule (warm-started), measure each row, then run the
-    Green-limit comparison against x0 = x_eps at the smallest eps and the
-    decay diagnostics of that row's rescaled fields.
+    """Solve the schedule, each row warm-started from the previous row's w,
+    and measure each row as its solve returns: peak, collar, constants and
+    u, v on the comparison ring. Once x0 = x_eps at the smallest eps is known,
+    compare every row with the Green-function limits at x0, and run the decay
+    diagnostics of the last row's rescaled fields.
 
-    Solver failures mark the row and stop the continuation (later rows
-    depend on the warm start). With `keep_pairs` the per-row solution
-    pairs stay on the result (memory: rows x 3 fields)."""
+    A failed solve ends the sweep (later rows depend on the warm start); its
+    message is `SweepResult.failed`, and the rows before it stand. Only the
+    last row's pair is held past its row, unless `keep_pairs` keeps every
+    row's pair on the result (memory: rows x 3 fields)."""
     dom = config.domain
     n, s = dom.dim, dom.s
     basis = build_basis(dom, config.cutoff)
     grid = build_grid(dom, config.grid_shape)
+    points = config.comparison_points()
 
     rows: list[SweepRow] = []
-    pairs: list[SolutionPair | None] = []
-    init = None
-    last_pair = None
+    pairs: list[SolutionPair] = []
+    pair = failed = None
     for eps in config.eps_schedule:
         q = solve_q_epsilon(config.p, n, s, eps)
-        exps = ExponentPair(p=config.p, q=q, n=n, s=s)
         alpha, beta = alpha_beta(config.p, q, s)
         try:
             pair, report = solve_ground_state(
-                exps, basis, grid, init=init, theta_tol=config.theta_tol,
+                ExponentPair(p=config.p, q=q, n=n, s=s), basis, grid,
+                init=None if pair is None else pair.w, theta_tol=config.theta_tol,
                 residual_tol=config.residual_tol, max_iter=config.max_iter,
             )
-        except Exception as exc:  # noqa: BLE001 - row marked, sweep stops
-            rows.append(
-                SweepRow(
-                    eps=eps, q=q, alpha=alpha, beta=beta, lam=float("nan"),
-                    x_c=(float("nan"),) * n, theta=float("nan"), s_omega=float("nan"),
-                    energy=float("nan"), lam_dist=float("nan"), lam_pow_eps=float("nan"),
-                    boundary_sup=float("nan"), core_cells=float("nan"),
-                    clamped_fraction=float("nan"), failed=str(exc),
-                )
-            )
-            pairs.append(None)
+        except Exception as exc:  # noqa: BLE001 - recorded, sweep stops
+            failed = str(exc)
             break
         lam, x_c = find_max(pair.u, alpha)
-        dist = dom.boundary_distance(x_c)
         core_cells = (2.0 / lam) / max(grid.spacing)
         if core_cells < MIN_CORE_CELLS:
             warnings.warn(
@@ -488,7 +484,6 @@ def run_sweep(config: SweepConfig, keep_pairs: bool = False) -> SweepResult:
                 f"eps = {eps} is at the resolvability limit of this grid",
                 stacklevel=2,
             )
-        collar = boundary_bound_check(pair, COLLAR_FRAC * min(dom.lengths))
         rows.append(
             SweepRow(
                 eps=eps,
@@ -500,32 +495,30 @@ def run_sweep(config: SweepConfig, keep_pairs: bool = False) -> SweepResult:
                 theta=report.theta,
                 s_omega=report.sobolev_quotient,
                 energy=report.energy,
-                lam_dist=lam * dist,
+                lam_dist=lam * dom.boundary_distance(x_c),
                 lam_pow_eps=lam**eps,
-                boundary_sup=collar.value,
+                boundary_sup=boundary_bound_check(pair, COLLAR_FRAC * min(dom.lengths)).value,
                 core_cells=core_cells,
                 clamped_fraction=report.clamped_fraction_max,
+                constants=measure_constants(pair, lam),
+                u_ring=synthesize_at(analyze(pair.u, basis), points),
+                v_ring=synthesize_at(analyze(pair.v, basis), points),
             )
         )
-        pairs.append(pair)
-        init = pair.w
-        last_pair = pair
+        if keep_pairs:
+            pairs.append(pair)
 
-    if last_pair is None:
-        raise RuntimeError(f"sweep failed at the first row: {rows[0].failed}")
+    if not rows:
+        raise RuntimeError(f"sweep failed at the first row: {failed}")
 
-    ok_rows = [r for r in rows if r.failed is None]
-    x0 = np.asarray(ok_rows[-1].x_c)
+    last = rows[-1]
+    x0 = np.asarray(last.x_c)
     kernels = limit_kernels(
-        x0, basis, config.comparison_points(), config.p,
-        exclusion_radius=EXCLUSION_RADIUS_FRAC * min(dom.lengths),
+        x0, basis, points, config.p, exclusion_radius=EXCLUSION_RADIUS_FRAC * min(dom.lengths),
     )
-    for row, pair in zip(rows, pairs, strict=True):
-        if pair is None:
-            continue
-        row.constants = measure_constants(pair, row.lam)
+    for row in rows:
         row.green_devs = green_limit_check(
-            pair, row.lam, basis, kernels, row.constants, config.regime
+            row.u_ring, row.v_ring, row.lam, kernels, row.constants, config
         )
         devs = [
             d
@@ -534,36 +527,33 @@ def run_sweep(config: SweepConfig, keep_pairs: bool = False) -> SweepResult:
             if d is not None
         ]
         row.max_green_dev = max(devs) if devs else None
-    if not keep_pairs:
-        pairs = None  # frees the earlier rows' fields before the final row is rescaled
 
-    rescaled = rescale_solution(last_pair, ok_rows[-1].lam, np.asarray(ok_rows[-1].x_c))
+    rescaled = rescale_solution(pair, last.lam, x0)
 
     extrapolation = None
-    if len(ok_rows) >= 3:
+    if len(rows) >= 3:
         extrapolation = extrapolate_S(
-            [r.eps for r in ok_rows],
-            [r.s_omega for r in ok_rows],
-            [r.theta for r in ok_rows],
-            ok_rows[-1].energy,
+            [r.eps for r in rows],
+            [r.s_omega for r in rows],
+            [r.theta for r in rows],
+            last.energy,
             config.p,
             n,
             s,
             dom.volume(),
         )
 
-    diagnostics = _sweep_diagnostics(ok_rows)
-    decay = decay_report(rescaled, ok_rows[-1].constants.c1, config)
     return SweepResult(
         config=config,
         rows=rows,
         x0=tuple(float(c) for c in x0),
         extrapolation=extrapolation,
-        final_pair=last_pair,
+        final_pair=pair,
         rescaled=rescaled,
-        diagnostics=diagnostics,
-        decay=decay,
-        pairs=pairs,
+        diagnostics=_sweep_diagnostics(rows),
+        decay=decay_report(rescaled, last.constants.c1, config),
+        failed=failed,
+        pairs=pairs if keep_pairs else None,
     )
 
 

@@ -116,12 +116,10 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
         values["command"] = command
 
     cfg = RunConfig(**values)
-    if "lengths" not in values and cfg.n != defaults.n:
-        cfg.lengths = (1.0,) * cfg.n
-    if "cutoff" not in values and cfg.n != defaults.n:
-        cfg.cutoff = (64, 64) if cfg.n == 2 else (24,) * cfg.n
-    if "grid" not in values and cfg.n != defaults.n:
-        cfg.grid = (128, 128) if cfg.n == 2 else (48,) * cfg.n
+    if cfg.n != defaults.n:  # the default box, cutoff and grid are 2-d
+        for key, entry in (("lengths", 1.0), ("cutoff", 24), ("grid", 48)):
+            if key not in values:
+                setattr(cfg, key, (entry,) * cfg.n)
     violations.extend(_validate(cfg))
     if violations:
         raise ConfigError(violations)
@@ -159,7 +157,7 @@ def _kernel_box(cfg: RunConfig) -> np.ndarray:
 
 # What each command builds on its domain, in the order it builds it.
 _BUILDS = {"solve": (_resolution, _exponents), "sweep": (_sweep_config,),
-           "hls": (_resolution, _exponents), "kernels": (_resolution, _kernel_box)}
+           "hls": (_exponents,), "kernels": (_resolution, _kernel_box)}
 
 
 def _validate(cfg: RunConfig) -> list[str]:
@@ -295,6 +293,8 @@ def load_field(path):
         version, kind, ndim, s = struct.unpack("<IBBd", fh.read(struct.calcsize("<IBBd")))
         if version != FIELD_VERSION:
             raise ValueError(f"unsupported field dump version {version} (expected {FIELD_VERSION})")
+        if kind not in (0, 1):
+            raise ValueError(f"unknown field dump kind {kind} (expected 0 = grid or 1 = free)")
         shape, lo, hi = [], [], []
         for _ in range(ndim):
             m, a, b = struct.unpack("<Qdd", fh.read(struct.calcsize("<Qdd")))
@@ -428,18 +428,18 @@ def _nan(value):
 
 def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> tuple[dict, Checks]:
     result = run_sweep(_sweep_config(cfg))
-    ok_rows = [r for r in result.rows if r.failed is None]
 
     rows = [[r.eps, r.q, r.alpha, r.beta, r.lam, *r.x_c, r.theta, r.s_omega, r.energy,
-             r.lam_dist, r.lam_pow_eps, r.boundary_sup, _nan(r.max_green_dev)] for r in ok_rows]
+             r.lam_dist, r.lam_pow_eps, r.boundary_sup, _nan(r.max_green_dev)]
+            for r in result.rows]
     write_table(out_dir / "sweep.csv", sweep_columns(cfg.n), rows)
 
     const_rows = [[r.eps, r.constants.c1, r.constants.c2, r.constants.c3, r.constants.c4,
-                   _nan(r.constants.c5)] for r in ok_rows]
+                   _nan(r.constants.c5)] for r in result.rows]
     write_table(out_dir / "constants.csv", ["eps", "C1", "C2", "C3", "C4", "C5"], const_rows)
 
     dev_rows = [[r.eps, *pd.point, _nan(pd.dev_v), _nan(pd.dev_u), pd.note]
-                for r in ok_rows for pd in r.green_devs]
+                for r in result.rows for pd in r.green_devs]
     write_table(out_dir / "green_devs.csv",
                 ["eps", *[f"x{i + 1}" for i in range(cfg.n)], "dev_v", "dev_u", "note"],
                 dev_rows)
@@ -460,9 +460,9 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> tuple[dict, Checks]:
         checks.add("lam_pow_eps_band", all(0.9 < v < 1.1 for v in lpe),
                    max(abs(v - 1.0) for v in lpe), 0.1, gating=False)
         checks.add("energy_limit_gap", ex.e_rel_gap < 0.1, ex.e_rel_gap, 0.1, gating=False)
-        if all(r.max_green_dev is not None for r in ok_rows):
-            checks.add("green_dev_final", ok_rows[-1].max_green_dev < 0.15,
-                       ok_rows[-1].max_green_dev, 0.15, gating=False)
+        final_dev = result.rows[-1].max_green_dev
+        if all(r.max_green_dev is not None for r in result.rows):
+            checks.add("green_dev_final", final_dev < 0.15, final_dev, 0.15, gating=False)
 
     if "error" not in result.decay:
         write_radial_profile(result.rescaled.v, out_dir / "profile_v.csv")
@@ -477,8 +477,8 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> tuple[dict, Checks]:
         "s_hat": None if ex is None else ex.s_hat,
         "e_limit": None if ex is None else ex.e_limit,
         "e_rel_gap": None if ex is None else ex.e_rel_gap,
-        "rows_failed": [r.failed for r in result.rows if r.failed],
-        "core_cells": [r.core_cells for r in ok_rows],
+        "rows_failed": [] if result.failed is None else [result.failed],
+        "core_cells": [r.core_cells for r in result.rows],
         "decay": result.decay,
         "diagnostics": dict(diag),
     }

@@ -98,10 +98,8 @@ def gns(n: int, s: float) -> float:
 @dataclass(frozen=True)
 class KernelSample:
     """Pointwise kernel value plus the estimated eigen-sum tail: floats for
-    one pair of points, (P,) arrays beside (P, n) points for a batch."""
+    one pair of points, (P,) arrays for a batch of P pairs."""
 
-    x: tuple[float, ...] | np.ndarray
-    y: tuple[float, ...] | np.ndarray
     value: float | np.ndarray
     truncation_bound: float | np.ndarray
 
@@ -319,16 +317,16 @@ def green(x, y, basis: SpectralBasis) -> KernelSample:
     value = sums[:, -1]
     tail = _tail_estimate(np.diff(sums, axis=1), value)
     if x.ndim == 1:
-        return KernelSample(tuple(x), tuple(y), float(value[0]), float(tail[0]))
-    return KernelSample(x, y, value, tail)
+        return KernelSample(float(value[0]), float(tail[0]))
+    return KernelSample(value, tail)
 
 
 def regular_part(x, y, basis: SpectralBasis) -> KernelSample:
     """Regular part H = free_kernel - green of points (n,) or pairs (P, n);
     smooth, symmetric, positive."""
     g = green(x, y, basis)
-    h = free_kernel(g.x, g.y, basis.domain.dim, basis.domain.s) - g.value
-    return KernelSample(g.x, g.y, h, g.truncation_bound)
+    h = free_kernel(x, y, basis.domain.dim, basis.domain.s) - g.value
+    return KernelSample(h, g.truncation_bound)
 
 
 def rescaled_green(x, y, lam: float, center, basis: SpectralBasis):
@@ -586,4 +584,4 @@ def g_tilde(
     patch_coarse = patches(_PATCH_RADIAL_NODES // 2, _PATCH_ANGULAR_NODES // 2)
     value = bulk + patch_fine
     err = bulk_err + abs(patch_fine - patch_coarse)
-    return KernelSample(tuple(x), tuple(y), value, err)
+    return KernelSample(value, err)

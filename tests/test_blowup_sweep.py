@@ -1,7 +1,10 @@
 """Blow-up sweep machinery: peak refinement, rescaling, extrapolation,
 boundary collar, and the rescaled-equation identity."""
 
+import gc
+import json
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from oracles import eigen_modes, eigenvalues
 
 import fraclane as fl
 from fraclane import blowup_sweep as bs
+from fraclane import cli_io
 
 
 def unit_square():
@@ -130,7 +134,7 @@ def test_rescale_peak_and_wtilde(mini_sweep):
 
 def test_sweep_monotonicity(mini_sweep):
     res = mini_sweep
-    assert all(r.failed is None for r in res.rows)
+    assert res.failed is None
     lams = [r.lam for r in res.rows]
     assert all(b > a for a, b in zip(lams[:-1], lams[1:], strict=True))
     assert res.diagnostics["lam_dist_increasing"]
@@ -315,14 +319,16 @@ def test_green_limit_check_skips_unresolved_points(mini_sweep):
     basis = fl.build_basis(unit_square(), (24, 24))
     x0 = np.asarray(res.x0)
     pts = np.array([x0 + (0.01, 0.0), x0 + (0.3, 0.0)])
+    def samples(pts):
+        return [fl.synthesize_at(fl.analyze(f, basis), pts) for f in (pair.u, pair.v)]
+
     kernels = bs.limit_kernels(x0, basis, pts, res.config.p, exclusion_radius=0.15)
-    devs = bs.green_limit_check(pair, row.lam, basis, kernels, row.constants,
-                                res.config.regime)
+    devs = bs.green_limit_check(*samples(pts), row.lam, kernels, row.constants, res.config)
     assert devs[0].dev_u is None and "exclusion" in devs[0].note
     assert devs[1].dev_u is not None
-    kernels = bs.limit_kernels(x0, basis, np.array([x0 + (0.02, 0.0)]), res.config.p)
-    close = bs.green_limit_check(pair, row.lam, basis, kernels, row.constants,
-                                 res.config.regime)
+    pts = np.array([x0 + (0.02, 0.0)])
+    kernels = bs.limit_kernels(x0, basis, pts, res.config.p)
+    close = bs.green_limit_check(*samples(pts), row.lam, kernels, row.constants, res.config)
     assert close[0].dev_u is None and "kernel skipped" in close[0].note
 
 
@@ -361,3 +367,78 @@ def test_measure_constants_change_of_variables(mini_sweep):
     assert row.constants.c1 == pytest.approx(direct * drift, rel=1e-10)
     # the row's constants are measure_constants of its pair and scale alone
     assert bs.measure_constants(res.pairs[-1], row.lam) == row.constants
+
+
+def failing_solve(monkeypatch, row, message):
+    """Make the sweep's solve of the given row (1-based) raise ConvergenceError."""
+    original = bs.solve_ground_state
+    calls = []
+
+    def solve(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == row:
+            raise fl.ConvergenceError(message)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bs, "solve_ground_state", solve)
+
+
+def small_sweep_config(eps_schedule=(0.06, 0.05, 0.04)):
+    return bs.SweepConfig(domain=unit_square(), p=2.5, eps_schedule=eps_schedule,
+                          cutoff=(16, 16), grid_shape=(32, 32))
+
+
+def test_sweep_failure_ends_the_sweep_and_is_recorded_once(monkeypatch):
+    failing_solve(monkeypatch, 3, "no convergence at the third row")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = bs.run_sweep(small_sweep_config())
+    assert [r.eps for r in res.rows] == [0.06, 0.05]
+    assert res.failed == "no convergence at the third row"
+    assert res.extrapolation is None
+    # the rows before the failure are complete, and x0 is the last of them
+    assert all(r.max_green_dev is not None for r in res.rows)
+    assert res.x0 == res.rows[-1].x_c and res.rescaled.lam == res.rows[-1].lam
+
+
+def test_cli_sweep_records_a_failed_row_once(tmp_path, monkeypatch):
+    failing_solve(monkeypatch, 3, "no convergence at the third row")
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("command = sweep\neps_schedule = 0.06,0.05,0.04\ncutoff = 16,16\ngrid = 32,32\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli_io.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    _, rows = cli_io.read_table(out / "sweep.csv")
+    assert [r[0] for r in rows] == [0.06, 0.05]
+    report = json.loads((out / "sweep_report.json").read_text())
+    assert report["rows_failed"] == ["no convergence at the third row"]
+    assert report["s_hat"] is None
+
+
+def test_sweep_failure_at_the_first_row_raises(monkeypatch):
+    failing_solve(monkeypatch, 1, "no convergence at the first row")
+    with pytest.raises(RuntimeError, match="sweep failed at the first row: no convergence"):
+        bs.run_sweep(small_sweep_config())
+
+
+def test_sweep_holds_at_most_two_rows_of_fields(monkeypatch):
+    # each row is measured when its solve returns, so once row k starts only
+    # row k - 1 (the warm start and the last pair) may still hold its fields
+    original = bs.solve_ground_state
+    rows = []  # per solved row: weak references to its u, v and w
+
+    def tracking(*args, **kwargs):
+        gc.collect()
+        for k, refs in enumerate(rows[:-1]):
+            assert all(ref() is None for ref in refs), f"row {k} alive at row {len(rows)}"
+        pair, report = original(*args, **kwargs)
+        rows.append([weakref.ref(f) for f in (pair.u, pair.v, pair.w)])
+        return pair, report
+
+    monkeypatch.setattr(bs, "solve_ground_state", tracking)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = bs.run_sweep(small_sweep_config((0.06, 0.055, 0.05, 0.045)))
+    assert res.failed is None, res.failed  # a failed assert above ends the sweep here
+    assert len(rows) == len(res.rows) == 4 and res.pairs is None

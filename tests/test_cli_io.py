@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,12 @@ def test_parse_unknown_key_and_collects_all():
         assert len(exc.violations) == 2
     else:
         pytest.fail("expected ConfigError")
+
+
+def test_parse_hls_ignores_cutoff_and_grid():
+    # hls builds no basis and no grid, so their anti-aliasing rule is not its own
+    cfg = cli_io.parse_config("command = hls\ncutoff = 64,64\ngrid = 100,100\n")
+    assert cfg.cutoff == (64, 64) and cfg.grid == (100, 100)
 
 
 def test_parse_other_constraints():
@@ -138,6 +145,31 @@ def test_load_rejects_bad_magic_and_version(tmp_path):
     bad.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="version"):
         cli_io.load_field(bad)
+
+
+def kind_patched_dump(tmp_path, kind):
+    """A 4 x 4 grid-function dump whose kind byte reads `kind`."""
+    f = fl.GridFunction(fl.build_grid(fl.BoxDomain((1.0, 1.0), 0.5), (4, 4)), np.ones((4, 4)))
+    path = tmp_path / "kind.bin"
+    cli_io.dump_field(f, path)
+    raw = bytearray(path.read_bytes())
+    raw[len(cli_io.FIELD_MAGIC) + struct.calcsize("<I")] = kind
+    path.write_bytes(bytes(raw))
+    return path
+
+
+def test_load_rejects_unknown_kind(tmp_path):
+    assert isinstance(cli_io.load_field(kind_patched_dump(tmp_path, 1)), FreeField)
+    with pytest.raises(ValueError, match="unknown field dump kind 7"):
+        cli_io.load_field(kind_patched_dump(tmp_path, 7))
+
+
+def test_cli_hls_rejects_field_of_unknown_kind(tmp_path, capsys):
+    cfg = tmp_path / "hls.cfg"
+    cfg.write_text("command = hls\nhls_box_list = 8\nhls_grid_list = 64\n"
+                   f"hls_field = {kind_patched_dump(tmp_path, 7)}\n")
+    assert run_cli(["hls", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert "unknown field dump kind 7" in capsys.readouterr().err
 
 
 def test_radial_profile_export(tmp_path):
