@@ -29,8 +29,8 @@ import numpy as np
 
 from .fractional_calculus import (
     THRESHOLD_TOL,
-    UnresolvedSingularityError,
     _check_iterated_kernel,
+    _check_iterated_pair,
     _check_pairs,
     classify_regime,
     g_tilde,
@@ -41,6 +41,7 @@ from .lane_emden import (
     MAX_ITER,
     RESIDUAL_TOL,
     THETA_TOL,
+    ConvergenceError,
     ExponentPair,
     SolutionPair,
     alpha_beta,
@@ -336,9 +337,10 @@ class LimitKernels:
 
 def limit_kernels(x0, basis: SpectralBasis, points: np.ndarray, p: float,
                   exclusion_radius: float = 0.0) -> LimitKernels:
-    """The comparison kernels against x0, once for a whole sweep: G(., x0) in
-    one batch and, in the sub regime, Gt(., x0) per point. Points inside the
-    exclusion ball around x0, or that a kernel refuses, are skipped with a note."""
+    """The comparison kernels against x0, once for a whole sweep: G(., x0) and,
+    in the sub regime, Gt(., x0), each in one batch over the points kept.
+    Points inside the exclusion ball around x0, or that a kernel refuses
+    (`_check_pairs`, and `_check_iterated_pair` for Gt), are skipped with a note."""
     x0 = np.asarray(x0, dtype=float)
     sub = classify_regime(p, basis.domain.dim, basis.domain.s) == "sub"
     g, target = np.full(len(points), np.nan), np.full(len(points), np.nan)
@@ -346,14 +348,17 @@ def limit_kernels(x0, basis: SpectralBasis, points: np.ndarray, p: float,
              for pt in points]
     for i in [i for i, note in enumerate(notes) if not note]:
         try:
-            _check_pairs(basis, points[i], x0)
             if sub:
-                target[i] = g_tilde(points[i], x0, p, basis).value
-        except (UnresolvedSingularityError, ValueError) as exc:
+                _check_iterated_pair(basis, points[i], x0, p)
+            else:
+                _check_pairs(basis, points[i], x0)
+        except ValueError as exc:
             notes[i] = f"kernel skipped: {exc}"
     kept = [i for i, note in enumerate(notes) if not note]
     if kept:
         g[kept] = green(points[kept], x0, basis).value
+        if sub:
+            target[kept] = g_tilde(points[kept], x0, p, basis).value
     return LimitKernels(points, g, target if sub else g, notes)
 
 
@@ -451,10 +456,12 @@ def run_sweep(config: SweepConfig, keep_pairs: bool = False) -> SweepResult:
     compare every row with the Green-function limits at x0, and run the decay
     diagnostics of the last row's rescaled fields.
 
-    A failed solve ends the sweep (later rows depend on the warm start); its
-    message is `SweepResult.failed`, and the rows before it stand. Only the
-    last row's pair is held past its row, unless `keep_pairs` keeps every
-    row's pair on the result (memory: rows x 3 fields)."""
+    A failed solve (`ConvergenceError`, or a `ValueError` the solver raises)
+    ends the sweep (later rows depend on the warm start); its message is
+    `SweepResult.failed`, and the rows before it stand. Any other exception
+    is a fault and propagates. Only the last row's pair is held past its row,
+    unless `keep_pairs` keeps every row's pair on the result (memory: rows x
+    3 fields)."""
     dom = config.domain
     n, s = dom.dim, dom.s
     basis = build_basis(dom, config.cutoff)
@@ -473,7 +480,7 @@ def run_sweep(config: SweepConfig, keep_pairs: bool = False) -> SweepResult:
                 init=None if pair is None else pair.w, theta_tol=config.theta_tol,
                 residual_tol=config.residual_tol, max_iter=config.max_iter,
             )
-        except Exception as exc:  # noqa: BLE001 - recorded, sweep stops
+        except (ConvergenceError, ValueError) as exc:
             failed = str(exc)
             break
         lam, x_c = find_max(pair.u, alpha)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import struct
 import sys
 from dataclasses import dataclass, fields as dc_fields
@@ -166,8 +167,10 @@ def _validate(cfg: RunConfig) -> list[str]:
     out = []
     if cfg.command not in _BUILDS:
         out.append(f"command must be one of {tuple(_BUILDS)}, got {cfg.command!r}")
+    boxed = cfg.command != "hls"  # hls reads n and s, but no box, cutoff or grid
     counts = [f"{key} needs {cfg.n} entries, got {len(getattr(cfg, key))}"
-              for key in ("lengths", "cutoff", "grid") if len(getattr(cfg, key)) != cfg.n]
+              for key in ("lengths", "cutoff", "grid")
+              if boxed and len(getattr(cfg, key)) != cfg.n]
     out.extend(counts)
     if cfg.command == "hls" and len(cfg.hls_box_list) != len(cfg.hls_grid_list):
         out.append("hls_box_list and hls_grid_list must have equal length")
@@ -175,8 +178,8 @@ def _validate(cfg: RunConfig) -> list[str]:
         out.append(f"kernel_seed must be >= 0, got {cfg.kernel_seed}")
     if counts or cfg.command not in _BUILDS:
         return out
-    try:
-        BoxDomain(cfg.lengths, cfg.s)  # every other object is built on its n and s
+    try:  # every other object is built on the domain's n and s
+        BoxDomain(cfg.lengths if boxed else (1.0,) * cfg.n, cfg.s)
     except ValueError as exc:
         return [*out, str(exc)]
     for build in _BUILDS[cfg.command]:
@@ -210,22 +213,37 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 # tables and field dumps
 
+_NUMBER = (int, float, np.floating, np.integer)
+
+
+def _json_number(x: float) -> str:
+    """A float as `json` spells it: its repr, or NaN, Infinity, -Infinity."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+
+
 def write_table(path, columns: list[str], rows: list[list]) -> None:
-    """CSV (17 significant digits, LF endings) plus a JSON twin with metadata."""
+    """CSV (17 significant digits, LF endings) plus a JSON twin with metadata.
+
+    The twin holds the bytes of `json.dump(payload, sort_keys=True, indent=1)`
+    (numbers as floats, other cells as `json` writes them), written a row at
+    a time beside the CSV's row."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, (int, float, np.floating, np.integer)) else str(v) for v in row) + "\n")
-    payload = {
-        "columns": columns,
-        "rows": [[(float(v) if isinstance(v, (int, float, np.floating, np.integer)) else v) for v in row] for row in rows],
-        "meta": {"version": __version__, "format": "fraclane-table-v1"},
-    }
-    with open(path.with_suffix(path.suffix + ".json"), "w", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    meta = {"version": __version__, "format": "fraclane-table-v1"}
+    # "rows" sorts last, so the rows stream in place of its empty list
+    head = json.dumps({"columns": columns, "meta": meta, "rows": []}, sort_keys=True, indent=1)
+    with (open(path, "w", newline="\n") as csv_fh,
+          open(path.with_suffix(path.suffix + ".json"), "w", newline="\n") as json_fh):
+        csv_fh.write(",".join(columns) + "\n")
+        json_fh.write(head.removesuffix("[]\n}") + ("[" if len(rows) else "[]"))
+        for k, row in enumerate(rows):
+            csv_fh.write(",".join([_fmt(v) if isinstance(v, _NUMBER) else str(v) for v in row]) + "\n")
+            cells = [_json_number(float(v)) if isinstance(v, _NUMBER) else json.dumps(v) for v in row]
+            json_fh.write(("," if k else "") + "\n  "
+                          + ("[\n   " + ",\n   ".join(cells) + "\n  ]" if cells else "[]"))
+        json_fh.write("\n ]\n}\n" if len(rows) else "\n}\n")
 
 
 def read_table(path) -> tuple[list[str], list[list[float]]]:

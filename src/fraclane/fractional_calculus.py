@@ -15,7 +15,9 @@ like the half sine matrices of `spectral_domain`, and shared by
 is `apply_inverse` on the fundamental cell of a mirror-symmetric field,
 with the odd-k multipliers only. The pointwise
 kernels take batches of point pairs and evaluate G(x, y) with the blocked
-contraction of `synthesize_at`. `g_tilde`'s default grid is cached per basis.
+contraction of `synthesize_at`. `g_tilde` takes a batch of points x against
+one y and builds the y side once per call (G(y, .) on its grid, y's patch and
+polar nodes with their sine factors); its default grid is cached per basis.
 Gauss-Legendre rules, which `hls_limit` uses as well, are NumPy's rules bit
 for bit, the large orders solved on their tridiagonal Jacobi matrix; each is
 built once per order and handed out read-only. The kernels read s from their
@@ -47,6 +49,7 @@ from .spectral_domain import (
     _CellTransforms,
     _contract,
     _points_per_block,
+    _sine_factors,
     build_grid,
     synthesize,
     synthesize_at,
@@ -421,12 +424,9 @@ def _unit_directions(n: int, n_ang: int) -> tuple[np.ndarray, np.ndarray]:
     return dirs, weights
 
 
-def _polar_box_integral(center, lo, hi, gamma: float, smooth, n_rad: int, n_ang: int) -> float:
-    """int_box smooth(z) |z - center|^{-gamma} dz with the singularity absorbed.
-
-    The radial substitution u = r^{n-gamma}/(n-gamma) is exact for the power
-    factor, so plain Gauss-Legendre in u sees only the smooth remainder.
-    """
+def _polar_nodes(center, lo, hi, gamma: float, n_rad: int, n_ang: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (N, n) and weights (N,) of `_polar_box_integral`'s rule; N = 0
+    when no direction leaves the center into the box."""
     center = np.asarray(center, dtype=float)
     n = center.size
     m = n - gamma
@@ -441,15 +441,23 @@ def _polar_box_integral(center, lo, hi, gamma: float, smooth, n_rad: int, n_ang:
         crossings = np.where(np.abs(dirs) > 1e-300, (faces - center) / dirs, math.inf)
     rmax = np.min(crossings, axis=1)
     keep = np.isfinite(rmax) & (rmax > 0)
-    if not np.any(keep):
-        return 0.0
     dirs, wang, rmax = dirs[keep], wang[keep], rmax[keep]
     umax = rmax**m / m
     u = 0.5 * umax[:, None] * (u_nodes + 1.0)
     r = (m * u) ** (1.0 / m)
     pts = (center + r[:, :, None] * dirs[:, None, :]).reshape(-1, n)
     scale = ((wang * 0.5 * umax)[:, None] * u_weights).ravel()
-    return float(np.sum(scale * smooth(pts)))
+    return pts, scale
+
+
+def _polar_box_integral(center, lo, hi, gamma: float, smooth, n_rad: int, n_ang: int) -> float:
+    """int_box smooth(z) |z - center|^{-gamma} dz with the singularity absorbed.
+
+    The radial substitution u = r^{n-gamma}/(n-gamma) is exact for the power
+    factor, so plain Gauss-Legendre in u sees only the smooth remainder.
+    """
+    pts, scale = _polar_nodes(center, lo, hi, gamma, n_rad, n_ang)
+    return float(np.sum(scale * smooth(pts))) if len(pts) else 0.0
 
 
 def _ring_regular_part(c, basis: SpectralBasis, radius: float) -> float:
@@ -474,10 +482,10 @@ def _sublattice_spread(weighted_cells: np.ndarray) -> float:
     return 0.5 * (max(subs) - min(subs))
 
 
-# Polar patch rule of `g_tilde`: radial and angular nodes; the error estimate
-# compares it with the rule of half as many nodes each way.
-_PATCH_RADIAL_NODES = 8
-_PATCH_ANGULAR_NODES = 32
+# Polar patch rules of `g_tilde`, fine then coarse: radial and angular nodes;
+# the error estimate compares the fine rule with the rule of half as many
+# nodes each way.
+_PATCH_RULES = ((8, 32), (4, 16))
 
 
 @lru_cache(maxsize=16)
@@ -490,6 +498,27 @@ def _kernel_grid(basis: SpectralBasis) -> Grid:
     return grid
 
 
+def _check_iterated_pair(basis: SpectralBasis, x: np.ndarray, y: np.ndarray, p: float,
+                         grid: Grid | None = None) -> None:
+    """Every refusal of `g_tilde` for one point x against y: what `_check_pairs`
+    rejects, exponents outside `_check_iterated_kernel`, a separation below
+    4 grid cells (or the resolvability threshold), and singular patches that
+    overlap. `grid` defaults to `g_tilde`'s."""
+    _check_pairs(basis, x, y)
+    _check_iterated_kernel(p, basis.domain.dim, basis.domain.s)
+    if grid is None:
+        grid = _kernel_grid(basis)
+    min_sep = max(resolvability_threshold(basis), 4.0 * max(grid.spacing))
+    if float(np.linalg.norm(x - y)) < min_sep:
+        raise UnresolvedSingularityError(
+            f"g_tilde needs separation >= {min_sep:.3e} between x and y"
+        )
+    # a patch holds the nodes within one of its nearest node on every axis,
+    # so two patches share a node iff the nearest nodes are at most 2 apart
+    if all(abs(a - b) <= 2 for a, b in zip(grid.nearest_node(x), grid.nearest_node(y), strict=True)):
+        raise UnresolvedSingularityError("singular patches of x and y overlap")
+
+
 def g_tilde(
     x,
     y,
@@ -497,42 +526,44 @@ def g_tilde(
     basis: SpectralBasis,
     grid: Grid | None = None,
 ) -> KernelSample:
-    """Iterated kernel Gt(x, y) = int_Omega G(x, z) G^p(z, y) dz.
+    """Iterated kernel Gt(x, y) = int_Omega G(x, z) G^p(z, y) dz of a point x
+    (n,) or a batch (P, n) against one y (n,): one x gives float fields, P of
+    them (P,) arrays, each bitwise the value of its own call.
 
     Defined in the sub-Serrin regime (n - 2s) p < n with p >= 1, where G^p is
     integrable. Tensor midpoint rule globally, with polar-corrected patches of
     3^n cells around both singular points; the reported bound is the quadrature
     error estimate (sublattice spread plus patch refinement difference).
+    The y side is built once per call: G(y, .) on the grid and its p-th power,
+    y's patch with its ring estimate of H, and y's polar nodes with their sine
+    factors. Each x adds G(x, .) on the grid, its own patch and the patch
+    integrals. Every x is checked by `_check_iterated_pair` before any work.
     """
     n, s = basis.domain.dim, basis.domain.s
-    _check_iterated_kernel(p, n, s)
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    _check_pairs(basis, x, y)
+    if y.shape != (n,):
+        raise ValueError(f"g_tilde takes one point y of shape ({n},), got {y.shape}")
     if grid is None:
         grid = _kernel_grid(basis)
-    h = np.asarray(grid.spacing)
-    thr = resolvability_threshold(basis)
-    min_sep = max(thr, 4.0 * float(np.max(h)))
-    if float(np.linalg.norm(x - y)) < min_sep:
-        raise UnresolvedSingularityError(
-            f"g_tilde needs separation >= {min_sep:.3e} between x and y"
-        )
+    xs = np.atleast_2d(x)
+    for pt in xs:
+        _check_iterated_pair(basis, pt, y, p, grid)
 
     g_const = gns(n, s)
     lam_pow = n - 2 * s
+    ring = max(resolvability_threshold(basis) * 1.1, 2.0 * max(grid.spacing))
 
-    # eigen-coefficients lambda_k^{-s} phi_k(x) of G(x, .) and of G(y, .), for
-    # the grid and the patches
-    def green_coefficients(pt):
-        modes = [basis.sine_samples(axis, [pt[axis]])[0] for axis in range(n)]
+    # eigen-coefficients lambda_k^{-s} phi_k(c) of G(c, .), for the grid and
+    # the patches
+    def green_coefficients(c):
+        modes = [basis.sine_samples(axis, [c[axis]])[0] for axis in range(n)]
         return SpectralField(basis, _multipliers(basis, -s) * reduce(np.multiply.outer, modes))
 
-    coeff_x, coeff_y = green_coefficients(x), green_coefficients(y)
-
-    gx_vals = np.maximum(synthesize(coeff_x, grid).values, 0.0)
-    gy_vals = np.maximum(synthesize(coeff_y, grid).values, 0.0)
-
-    def patch_box(c):
+    def patch(c, gamma):
+        """The 3^n cells around c's nearest node as a grid mask, and per rule
+        of `_PATCH_RULES` the polar nodes around c: their weights, the local
+        model max(g_{n,s} - H r^{n-2s}, 0) of G(c, .) on them (H the ring
+        estimate of the regular part at c) and their sine factors."""
         idx = grid.nearest_node(c)
         lo = [max((j - 1) * hh, 0.0) for j, hh in zip(idx, grid.spacing, strict=True)]
         hi = [
@@ -540,48 +571,37 @@ def g_tilde(
             for j, hh, L in zip(idx, grid.spacing, basis.domain.lengths, strict=True)
         ]
         mask = np.zeros(grid.shape, dtype=bool)
-        sl = tuple(
-            slice(max(j - 1, 0), min(j + 2, m))
-            for j, m in zip(idx, grid.shape, strict=True)
-        )
-        mask[sl] = True
-        return np.asarray(lo), np.asarray(hi), mask
+        mask[tuple(slice(max(j - 1, 0), min(j + 2, m))
+                   for j, m in zip(idx, grid.shape, strict=True))] = True
+        h_c = _ring_regular_part(c, basis, ring)
+        rules = []
+        for n_rad, n_ang in _PATCH_RULES:
+            pts, weights = _polar_nodes(c, lo, hi, gamma, n_rad, n_ang)
+            r = np.linalg.norm(pts - c[None, :], axis=1)
+            rules.append((pts, weights, np.maximum(g_const - h_c * r**lam_pow, 0.0),
+                          _sine_factors(basis, pts)))
+        return mask, rules
 
-    lo_y, hi_y, mask_y = patch_box(y)
-    lo_x, hi_x, mask_x = patch_box(x)
-    if np.any(mask_x & mask_y):
-        raise UnresolvedSingularityError("singular patches of x and y overlap")
+    coeff_y = green_coefficients(y)
+    gy_pow = np.maximum(synthesize(coeff_y, grid).values, 0.0) ** p
+    mask_y, rules_y = patch(y, lam_pow * p)
+    rules_y = [(pts, weights, local**p, factors) for pts, weights, local, factors in rules_y]
 
-    cell = grid.cell_volume
-    weighted = cell * gx_vals * gy_vals**p
-    weighted[mask_y] = 0.0
-    weighted[mask_x] = 0.0
-    bulk = float(np.sum(weighted))
-    bulk_err = _sublattice_spread(weighted)
-
-    ring = max(thr * 1.1, 2.0 * float(np.max(h)))
-    h_y = _ring_regular_part(y, basis, ring)
-    h_x = _ring_regular_part(x, basis, ring)
-
-    def smooth_near_y(pts):
-        r = np.linalg.norm(pts - y[None, :], axis=1)
-        local = np.maximum(g_const - h_y * r**lam_pow, 0.0) ** p
-        gx_here = np.maximum(synthesize_at(coeff_x, pts), 0.0)
-        return gx_here * local
-
-    def smooth_near_x(pts):
-        r = np.linalg.norm(pts - x[None, :], axis=1)
-        local = np.maximum(g_const - h_x * r**lam_pow, 0.0)
-        gy_here = np.maximum(synthesize_at(coeff_y, pts), 0.0)
-        return local * gy_here**p
-
-    def patches(nr, na):
-        py = _polar_box_integral(y, lo_y, hi_y, lam_pow * p, smooth_near_y, nr, na)
-        px = _polar_box_integral(x, lo_x, hi_x, lam_pow, smooth_near_x, nr, na)
-        return py + px
-
-    patch_fine = patches(_PATCH_RADIAL_NODES, _PATCH_ANGULAR_NODES)
-    patch_coarse = patches(_PATCH_RADIAL_NODES // 2, _PATCH_ANGULAR_NODES // 2)
-    value = bulk + patch_fine
-    err = bulk_err + abs(patch_fine - patch_coarse)
-    return KernelSample(value, err)
+    value, bound = np.empty(len(xs)), np.empty(len(xs))
+    for i, pt in enumerate(xs):
+        coeff_x = green_coefficients(pt)
+        weighted = grid.cell_volume * np.maximum(synthesize(coeff_x, grid).values, 0.0) * gy_pow
+        mask_x, rules_x = patch(pt, lam_pow)
+        weighted[mask_y] = 0.0
+        weighted[mask_x] = 0.0
+        fine, coarse = [
+            float(np.sum(w_y * (np.maximum(synthesize_at(coeff_x, pts_y, f_y), 0.0) * local_y)))
+            + float(np.sum(w_x * (local_x * np.maximum(synthesize_at(coeff_y, pts_x, f_x), 0.0) ** p)))
+            for (pts_y, w_y, local_y, f_y), (pts_x, w_x, local_x, f_x)
+            in zip(rules_y, rules_x, strict=True)
+        ]
+        value[i] = float(np.sum(weighted)) + fine
+        bound[i] = _sublattice_spread(weighted) + abs(fine - coarse)
+    if x.ndim == 1:
+        return KernelSample(float(value[0]), float(bound[0]))
+    return KernelSample(value, bound)

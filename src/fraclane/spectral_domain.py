@@ -425,9 +425,22 @@ def _contract(coefficients: np.ndarray, factors: list[np.ndarray]) -> np.ndarray
     return t[:, 0]
 
 
-def synthesize_at(c: SpectralField, points) -> np.ndarray:
+def _sine_factors(basis: SpectralBasis, points: np.ndarray) -> list[np.ndarray]:
+    """The factor matrices of `_contract` for points (P, n): per axis the
+    `sine_samples` of every coordinate, computed once per distinct value
+    (bitwise the same sines; polar nodes share most of their coordinates)."""
+    factors = []
+    for axis in range(points.shape[1]):
+        coords, inverse = np.unique(points[:, axis], return_inverse=True)
+        factors.append(basis.sine_samples(axis, coords)[inverse])
+    return factors
+
+
+def synthesize_at(c: SpectralField, points, factors: list[np.ndarray] | None = None) -> np.ndarray:
     """Evaluate sum_k a_k phi_k at arbitrary points (P, n) -> (P,): `_contract`
-    with the sine samples as factors, per block of about 1 MB of temporaries."""
+    with the sine samples as factors, per block of about 1 MB of temporaries.
+    A caller that evaluates several fields at one point set passes its
+    `_sine_factors` once as `factors`."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = c.basis.domain.dim
     if points.shape[1] != n:
@@ -435,9 +448,10 @@ def synthesize_at(c: SpectralField, points) -> np.ndarray:
     block = _points_per_block(c.basis.cutoff)
     out = np.empty(points.shape[0])
     for start in range(0, points.shape[0], block):
-        pts = points[start:start + block]
-        out[start:start + block] = _contract(
-            c.coefficients, [c.basis.sine_samples(axis, pts[:, axis]) for axis in range(n)]
+        rows = slice(start, start + block)
+        out[rows] = _contract(
+            c.coefficients,
+            _sine_factors(c.basis, points[rows]) if factors is None else [f[rows] for f in factors],
         )
     return out
 

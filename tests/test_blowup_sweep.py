@@ -332,14 +332,53 @@ def test_green_limit_check_skips_unresolved_points(mini_sweep):
     assert close[0].dev_u is None and "kernel skipped" in close[0].note
 
 
-def test_sub_regime_sweep_evaluates_each_kernel_once(monkeypatch):
-    # x0 and the comparison points are fixed for the whole sweep, so each
-    # compared point costs one g_tilde call however many rows the sweep has
+def test_limit_kernels_notes_each_refusal(monkeypatch):
+    # a skipped point's note is the refusal of g_tilde on that point alone;
+    # the compared points take one g_tilde call
+    dom = unit_square()
+    basis = fl.build_basis(dom, (16, 16))
+    coords = fl.build_grid(dom, (32, 32)).coords[0]  # g_tilde's grid: h = 1/32
+    h = 1.0 / 32.0
+    x0 = np.full(2, coords[15] - 0.49 * h)
+    pts = np.array([
+        x0 + 0.01,  # inside the exclusion ball
+        x0 + (0.05, 0.0),  # below the resolvable spacing sqrt(2)/16
+        x0 + (0.1, 0.0),  # resolvable, but closer than 4 cells
+        np.full(2, coords[17] + 0.49 * h),  # 4.2 cells away, nearest nodes 2 apart
+        x0 + (0.3, 0.0),
+        x0 + (0.0, -0.3),
+    ])
     calls = []
     original = bs.g_tilde
 
     def counting(*args, **kwargs):
-        calls.append(tuple(args[0]))
+        calls.append(np.array(args[0]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bs, "g_tilde", counting)
+    kernels = bs.limit_kernels(x0, basis, pts, 1.5, exclusion_radius=0.02)
+    assert kernels.notes[0] == "inside exclusion ball"
+    for i, phrase in ((1, "below resolvable spacing"), (2, "g_tilde needs separation"),
+                      (3, "singular patches of x and y overlap")):
+        with pytest.raises(fl.UnresolvedSingularityError, match=phrase) as refusal:
+            original(pts[i], x0, 1.5, basis)
+        assert kernels.notes[i] == f"kernel skipped: {refusal.value}"
+    assert kernels.notes[4:] == ["", ""]
+    assert len(calls) == 1 and np.array_equal(calls[0], pts[4:])
+    for i in (4, 5):
+        assert kernels.target[i] == original(pts[i], x0, 1.5, basis).value
+    assert np.array_equal(kernels.green[4:], fl.green(pts[4:], x0, basis).value)
+    assert np.all(np.isnan(kernels.target[:4])) and np.all(np.isnan(kernels.green[:4]))
+
+
+def test_sub_regime_sweep_evaluates_each_kernel_once(monkeypatch):
+    # x0 and the comparison points are fixed for the whole sweep, so one
+    # g_tilde call takes every compared point, however many rows the sweep has
+    calls = []
+    original = bs.g_tilde
+
+    def counting(*args, **kwargs):
+        calls.append([tuple(pt) for pt in args[0]])
         return original(*args, **kwargs)
 
     monkeypatch.setattr(bs, "g_tilde", counting)
@@ -350,7 +389,7 @@ def test_sub_regime_sweep_evaluates_each_kernel_once(monkeypatch):
         res = bs.run_sweep(cfg)
     compared = [pd.point for pd in res.rows[-1].green_devs if pd.dev_u is not None]
     assert len(res.rows) == 2 and compared
-    assert sorted(calls) == sorted(compared)
+    assert calls == [compared]
     assert [pd.note for pd in res.rows[0].green_devs] == [pd.note for pd in res.rows[1].green_devs]
 
 
@@ -416,6 +455,16 @@ def test_cli_sweep_records_a_failed_row_once(tmp_path, monkeypatch):
     assert report["s_hat"] is None
 
 
+def test_sweep_fault_in_a_solve_propagates(monkeypatch):
+    # only a failed solve ends the sweep with a message; a fault is raised
+    def broken(*args, **kwargs):
+        raise TypeError("not a convergence failure")
+
+    monkeypatch.setattr(bs, "solve_ground_state", broken)
+    with pytest.raises(TypeError, match="not a convergence failure"):
+        bs.run_sweep(small_sweep_config())
+
+
 def test_sweep_failure_at_the_first_row_raises(monkeypatch):
     failing_solve(monkeypatch, 1, "no convergence at the first row")
     with pytest.raises(RuntimeError, match="sweep failed at the first row: no convergence"):
@@ -440,5 +489,5 @@ def test_sweep_holds_at_most_two_rows_of_fields(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = bs.run_sweep(small_sweep_config((0.06, 0.055, 0.05, 0.045)))
-    assert res.failed is None, res.failed  # a failed assert above ends the sweep here
+    assert res.failed is None, res.failed
     assert len(rows) == len(res.rows) == 4 and res.pairs is None

@@ -59,9 +59,12 @@ def test_parse_unknown_key_and_collects_all():
 
 
 def test_parse_hls_ignores_cutoff_and_grid():
-    # hls builds no basis and no grid, so their anti-aliasing rule is not its own
+    # hls builds no basis, grid or box: it reads n and s only, so the rules of
+    # the others (anti-aliasing, entry counts, side lengths) are not its own
     cfg = cli_io.parse_config("command = hls\ncutoff = 64,64\ngrid = 100,100\n")
     assert cfg.cutoff == (64, 64) and cfg.grid == (100, 100)
+    assert cli_io.parse_config("command = hls\ncutoff = 64\n").cutoff == (64,)
+    assert cli_io.parse_config("command = hls\nlengths = 1,0\n").lengths == (1.0, 0.0)
 
 
 def test_parse_other_constraints():
@@ -84,6 +87,25 @@ def test_write_table_round_trip(tmp_path):
     twin = json.loads(path.with_suffix(".csv.json").read_text())
     assert twin["columns"] == cols
     assert twin["rows"][0][1] == 1.0 / 3.0
+
+
+def test_write_table_json_twin_is_json_dump(tmp_path):
+    # the twin is written row by row, in the bytes json.dump writes
+    rows = [[1, 2.5, np.float32(0.1), np.int64(7), True],
+            [float("nan"), math.inf, -math.inf, -0.0, 'note, "quoted" \u00e9'],
+            [],
+            [None, 1e-300, 5e300]]
+    for columns, table in ((["a", "b\u00e9"], rows), (["x"], []), ([], [[1.0]])):
+        path = tmp_path / "t.csv"
+        cli_io.write_table(path, columns, table)
+        payload = {
+            "columns": columns,
+            "rows": [[float(v) if isinstance(v, (int, float, np.floating, np.integer)) else v
+                      for v in row] for row in table],
+            "meta": {"version": fl.__version__, "format": "fraclane-table-v1"},
+        }
+        expect = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        assert path.with_suffix(".csv.json").read_text() == expect
 
 
 def test_write_table_empty(tmp_path):
@@ -369,6 +391,8 @@ BAD_CONFIGS = [
     ("eps_above_limit_schedule", _SWEEP + "eps_schedule = 0.2,0.04\n", r"q >= p"),
     ("hls_lists", "command = hls\nhls_box_list = 8,13\nhls_grid_list = 64\n",
      r"hls_box_list and hls_grid_list"),
+    ("hls_n_not_above_2s", "command = hls\nn = 1\ns = 0.6\n", r"n > 2s"),
+    ("hls_s_above_one", "command = hls\nn = 3\ns = 1.2\n", r"s must lie in \(0, 1\)"),
     # the sampling box would be 0.02 wide, too narrow for two points 0.1 apart
     ("kernel_margin_too_wide", "command = kernels\nkernel_margin = 0.49\n", r"kernel_margin"),
     ("kernel_margin_negative", "command = kernels\nkernel_margin = -0.1\n", r"kernel_margin"),

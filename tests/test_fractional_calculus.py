@@ -480,6 +480,46 @@ def test_g_tilde_3d_positive_and_symmetric_p1():
     assert abs(a.value - b.value) <= a.truncation_bound + b.truncation_bound
 
 
+def ring_batch(lengths, count=6, radius=0.3):
+    center = np.asarray(lengths) / 2.0
+    xs = np.tile(center, (count, 1))
+    angles = 2.0 * math.pi * (np.arange(count) + 0.5) / count
+    xs[:, 0] += radius * np.cos(angles)
+    xs[:, 1] += radius * np.sin(angles)
+    return xs, center + 0.013 * np.arange(1, len(lengths) + 1)
+
+
+@pytest.mark.parametrize("lengths,cutoff,p", [
+    ((1.0, 1.3), (16, 20), 1.0),
+    ((1.0, 1.3), (16, 20), 1.5),
+    ((1.0, 1.0, 1.0), (12, 12, 12), 1.0),
+], ids=["2d_p1", "2d_p1.5", "3d_p1"])
+def test_g_tilde_batch_is_the_per_point_loop(lengths, cutoff, p):
+    # the batch shares the y side; every value and bound stays bitwise that
+    # of the point's own call
+    basis = fl.build_basis(fl.BoxDomain(lengths, 0.5), cutoff)
+    xs, y = ring_batch(lengths)
+    batch = fl.g_tilde(xs, y, p, basis)
+    singles = [fl.g_tilde(x, y, p, basis) for x in xs]
+    assert isinstance(singles[0].value, float)
+    assert np.array_equal(batch.value, [g.value for g in singles])
+    assert np.array_equal(batch.truncation_bound, [g.truncation_bound for g in singles])
+    one = fl.g_tilde(xs[:1], y, p, basis)  # a batch of one
+    assert one.value.shape == one.truncation_bound.shape == (1,)
+    assert one.value[0] == singles[0].value
+    assert one.truncation_bound[0] == singles[0].truncation_bound
+
+
+def test_g_tilde_batch_refuses_before_any_work():
+    dom, basis, grid = setup_square(K=8, m=16)
+    xs, y = ring_batch((1.0, 1.0))
+    xs[-1] = y + (0.02, 0.0)
+    with pytest.raises(fl.UnresolvedSingularityError, match="below resolvable spacing"):
+        fl.g_tilde(xs, y, 1.5, basis)
+    with pytest.raises(ValueError, match="one point y"):
+        fl.g_tilde(xs[0], xs[1:], 1.5, basis)
+
+
 def test_g_tilde_refinement_monotone():
     dom = fl.BoxDomain((1.0, 1.0), 0.5)
     basis = fl.build_basis(dom, (32, 32))

@@ -25,7 +25,11 @@ with warnings.catch_warnings():
     warnings.simplefilter("ignore")
     bs.run_sweep(cfg)
 metrics = layer_metrics(tracer.spans, ("fractional_calculus.g_tilde",))
-assert metrics["fractional_calculus.g_tilde.calls"] == len(cfg.comparison_points()), metrics
+# one batched call takes every comparison point, and the tracer still sees
+# its work: the patch evaluations and the time inside the hot span
+assert metrics["fractional_calculus.g_tilde.calls"] == 1, metrics
+assert metrics["spectral_domain.synthesize_at.points"] > 0, metrics
+assert metrics["hot_span_share"] > 0, metrics
 assert metrics["blowup_sweep.points_compared_frac"] == 1.0, metrics
 # the solver's iterations are counted from its report, whichever loop runs
 assert metrics["lane_emden.solve_ground_state.calls"] == len(cfg.eps_schedule), metrics

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import fraclane as fl
-from fraclane.spectral_domain import _points_per_block
+from fraclane.spectral_domain import _points_per_block, _sine_factors
 
 
 def unit_square(s=0.5):
@@ -170,6 +170,22 @@ def test_synthesize_at_matches_direct_sum(cutoff):
         assert got.shape == (count,)
         scale = float(np.max(np.abs(ref))) if count else 1.0
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_sine_factors_are_the_sine_samples():
+    # once per distinct coordinate, bitwise the samples of every point, and
+    # synthesize_at gives the same values with the factors passed in
+    dom = fl.BoxDomain((1.0, 0.7, 1.3), 0.3)
+    basis = fl.build_basis(dom, (5, 4, 3))
+    rng = np.random.default_rng(3)
+    coords = rng.random((7, 3)) * np.asarray(dom.lengths)
+    count = 2 * _points_per_block(basis.cutoff) + 5
+    points = coords[rng.integers(0, 7, size=(count, 3)), [0, 1, 2]]
+    factors = _sine_factors(basis, points)
+    for axis, f in enumerate(factors):
+        assert np.array_equal(f, basis.sine_samples(axis, points[:, axis]))
+    field = fl.SpectralField(basis, rng.standard_normal(basis.cutoff))
+    assert np.array_equal(fl.synthesize_at(field, points, factors), fl.synthesize_at(field, points))
 
 
 def dense_transform_oracle(values, basis, grid, inverse=False):
