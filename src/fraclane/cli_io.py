@@ -533,20 +533,29 @@ def _cmd_hls(cfg: RunConfig, out_dir: Path) -> tuple[dict, Checks]:
     return {"oracle": oracle, "field_quotient": field_payload}, checks
 
 
+def _kernel_pairs(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+    """`kernel_pairs` seeded pairs (x, y), each (P, n), drawn uniformly from the
+    `_kernel_box` and at least KERNEL_MIN_SEP apart. Blocks of candidate pairs
+    take the generator's doubles in the order one pair at a time would (x, then
+    y), and the accepted ones keep their draw order, so the pairs do not depend
+    on the block size."""
+    rng = np.random.default_rng(cfg.kernel_seed)
+    sides = _kernel_box(cfg)
+    kept, count = [], 0
+    while count < cfg.kernel_pairs:
+        pts = cfg.kernel_margin + rng.random((cfg.kernel_pairs, 2, cfg.n)) * sides
+        pts = pts[np.linalg.norm(pts[:, 0] - pts[:, 1], axis=1) >= KERNEL_MIN_SEP]
+        kept.append(pts)
+        count += len(pts)
+    pts = np.concatenate(kept)[:cfg.kernel_pairs]
+    return pts[:, 0], pts[:, 1]
+
+
 def _cmd_kernels(cfg: RunConfig, out_dir: Path) -> tuple[dict, Checks]:
     domain = BoxDomain(cfg.lengths, cfg.s)
     basis = build_basis(domain, cfg.cutoff)
-    rng = np.random.default_rng(cfg.kernel_seed)
     n = cfg.n
-    sides = _kernel_box(cfg)
-    xs, ys = [], []
-    while len(xs) < cfg.kernel_pairs:
-        x = cfg.kernel_margin + rng.random(n) * sides
-        y = cfg.kernel_margin + rng.random(n) * sides
-        if np.linalg.norm(x - y) >= KERNEL_MIN_SEP:
-            xs.append(x)
-            ys.append(y)
-    xs, ys = (np.array(pts).reshape(-1, n) for pts in (xs, ys))
+    xs, ys = _kernel_pairs(cfg)
 
     gxy = green(xs, ys, basis)
     gyx = green(ys, xs, basis)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ellipk, gamma as gamma_fn
 
 from .fractional_calculus import (THRESHOLD_TOL, RegimeError, _gauss_legendre, _polar_box_integral,
                                   classify_regime, gns, serrin_exponent)
@@ -24,7 +23,7 @@ from .lane_emden import diagonal_exponent, hyperbola_gap
 
 def sphere_area(n: int) -> float:
     """|S^{n-1}| = 2 pi^{n/2} / Gamma(n/2)."""
-    return 2.0 * math.pi ** (n / 2.0) / gamma_fn(n / 2.0)
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 class FreeField:
@@ -414,6 +413,21 @@ def bubble(r, n: int, s: float):
     return (1.0 + r**2) ** (-(n - 2.0 * s) / 2.0)
 
 
+_AGM_MAX_STEPS = 12  # m up to 1 - 1e-16 needs 8
+
+
+def _ellipk(m):
+    """Complete elliptic integral of the first kind, K(m) = pi / (2 AGM(1, sqrt(1 - m))),
+    for m in [0, 1) (Abramowitz & Stegun 17.6)."""
+    a = np.ones_like(m)
+    b = np.sqrt(1.0 - m)
+    for _ in range(_AGM_MAX_STEPS):
+        if np.all(a - b <= 4.0 * np.finfo(float).eps * a):
+            return math.pi / (a + b)
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+    raise RuntimeError(f"AGM did not converge in {_AGM_MAX_STEPS} steps (m too close to 1)")
+
+
 def kernel_sphere_integral(r, rho, n: int, lam: float):
     """int_{S^{n-1}} |r e1 - rho w|^{-lam} dw, closed forms for n = 2, 3."""
     r = np.asarray(r, dtype=float)
@@ -422,7 +436,7 @@ def kernel_sphere_integral(r, rho, n: int, lam: float):
         m = 4.0 * r * rho / (r + rho) ** 2
         if lam != 1.0:
             raise NotImplementedError("n = 2 sphere integral implemented for lam = 1")
-        return 4.0 / (r + rho) * ellipk(m)
+        return 4.0 / (r + rho) * _ellipk(m)
     if n == 3:
         a, b = (r - rho) ** 2, (r + rho) ** 2
         if abs(lam - 2.0) < 1e-14:

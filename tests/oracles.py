@@ -145,3 +145,17 @@ def plain_fixed_point(exps, basis, grid, theta_tol=1e-9, residual_tol=1e-7, max_
         raise RuntimeError(f"plain iteration did not converge in {max_iter} steps")
     w = theta ** (-q * (p + 1.0) / (p * q - 1.0)) * w
     return w ** (1.0 / q), inverse(w), np.asarray(history), iteration
+
+
+def kernel_pairs_one_at_a_time(seed, n, margin, sides, count, min_sep):
+    """The seeded kernel-pair sampler as one draw per pair: x, then y, kept if
+    |x - y| >= min_sep, until `count` pairs are kept."""
+    rng = np.random.default_rng(seed)
+    xs, ys = [], []
+    while len(xs) < count:
+        x = margin + rng.random(n) * sides
+        y = margin + rng.random(n) * sides
+        if np.linalg.norm(x - y) >= min_sep:
+            xs.append(x)
+            ys.append(y)
+    return np.array(xs).reshape(-1, n), np.array(ys).reshape(-1, n)

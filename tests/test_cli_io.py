@@ -4,11 +4,15 @@ import dataclasses
 import inspect
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import kernel_pairs_one_at_a_time
 
 import fraclane as fl
 from fraclane import blowup_sweep as bs
@@ -314,6 +318,62 @@ def test_cli_kernels_command(tmp_path):
     out2 = tmp_path / "kout2"
     assert run_cli(["kernels", "--config", str(cfg), "--out", str(out2)]) == 0
     assert (out / "kernels.csv").read_bytes() == (out2 / "kernels.csv").read_bytes()
+
+
+@pytest.mark.parametrize("text", [
+    "n = 2\nkernel_pairs = 4000\nkernel_margin = 0.2\n",
+    "n = 3\nkernel_pairs = 300\nkernel_margin = 0.05\nkernel_seed = 11\n",
+    "n = 2\nlengths = 1,2.5\nkernel_pairs = 1\nkernel_margin = 0.3\nkernel_seed = 3\n",
+    "n = 1\ns = 0.3\nlengths = 1\nkernel_pairs = 500\nkernel_margin = 0.3\nkernel_seed = 5\n",
+])
+def test_kernel_pairs_match_one_pair_at_a_time(text):
+    # block draws take the generator's doubles in the one-pair loop's order,
+    # so every seeded table is the same
+    cfg = cli_io.parse_config("command = kernels\n" + text)
+    xs, ys = cli_io._kernel_pairs(cfg)
+    ref_xs, ref_ys = kernel_pairs_one_at_a_time(cfg.kernel_seed, cfg.n, cfg.kernel_margin,
+                                                cli_io._kernel_box(cfg), cfg.kernel_pairs,
+                                                cli_io.KERNEL_MIN_SEP)
+    assert np.array_equal(xs, ref_xs) and np.array_equal(ys, ref_ys)
+
+
+NO_SCIPY_RUNS = """
+import sys
+from pathlib import Path
+
+from fraclane import cli_io
+
+out = Path(sys.argv[1])
+configs = {
+    "sweep": "n = 2\\np = 2.5\\neps_schedule = 0.06\\ncutoff = 16,16\\ngrid = 32,32\\n",
+    "hls": ("n = 2\\ns = 0.5\\np = 2.5\\nhls_box_list = 8\\nhls_grid_list = 32\\n"
+            f"hls_field = {out / 'sweep' / 'rescaled_w.bin'}\\n"),
+    "kernels": "cutoff = 16,16\\ngrid = 32,32\\nkernel_pairs = 50\\n",
+}
+for command, text in configs.items():
+    cfg = out / f"{command}.cfg"
+    cfg.write_text(text)
+    assert cli_io.main([command, "--config", str(cfg), "--out", str(out / command)]) in (0, 1)
+cfg = out / "sweep3d.cfg"
+cfg.write_text("n = 3\\np = 1.0\\neps_schedule = 0.1\\ncutoff = 8,8,8\\ngrid = 16,16,16\\n")
+assert cli_io.main(["sweep", "--config", str(cfg), "--out", str(out / "sweep3d")]) in (0, 1)
+assert "field_quotient" in (out / "hls" / "hls_report.json").read_text()
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+
+def test_cli_commands_never_import_scipy(tmp_path):
+    # SciPy costs about 180 ms of start-up, so no CLI path may load it: a 2-d
+    # sweep, hls on its field (the order-2000 rule and the n = 2 elliptic
+    # integral), kernels and a 3-d p = 1 sweep (g_tilde's small rules), in a
+    # fresh interpreter, because this one may have imported SciPy already
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUNS, str(tmp_path)], env=env,
+                          cwd=root, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_kernels_3d_without_p(tmp_path):

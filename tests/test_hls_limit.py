@@ -38,6 +38,18 @@ def test_sphere_area():
     assert hl.sphere_area(3) == pytest.approx(4 * math.pi, rel=1e-14)
 
 
+def test_ellipk_matches_scipy():
+    # the AGM form against SciPy's Cephes ellipk, over [0, 1) and up to the
+    # last double below 1, where K ~ 19.7; 4 eps relative covers the last
+    # AGM step's rounding and SciPy's own
+    ellipk = pytest.importorskip("scipy.special").ellipk
+    m = np.concatenate([np.linspace(0.0, 1.0, 20001)[:-1], 1.0 - np.logspace(-16, -1, 400)])
+    assert np.max(np.abs(hl._ellipk(m) / ellipk(m) - 1.0)) <= 4 * np.finfo(float).eps
+    assert hl._ellipk(np.array(0.0)) == math.pi / 2
+    with pytest.raises(RuntimeError, match="AGM"):
+        hl._ellipk(np.array([0.5, 1.0]))
+
+
 def test_sharp_diagonal_quotient_matches_analytic():
     # n=2, s=1/2 diagonal sharp constant is sqrt(pi) (bubble closed form)
     val = hl.sharp_diagonal_quotient(2, 0.5)
