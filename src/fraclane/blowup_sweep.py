@@ -174,7 +174,6 @@ class RescaledSolution:
     v: FreeField
     w: FreeField
     lam: float
-    center: tuple[float, ...]
     alpha: float
     beta: float
     q: float
@@ -194,7 +193,6 @@ class SExtrapolation:
 @dataclass
 class CollarBound:
     value: float
-    delta: float
     eta_margin: float
     hypothesis_ok: bool
 
@@ -296,7 +294,6 @@ def rescale_solution(pair: SolutionPair, lam: float, x_c) -> RescaledSolution:
         v=v_t,
         w=w_t,
         lam=lam,
-        center=tuple(float(c) for c in x_c),
         alpha=alpha,
         beta=beta,
         q=exps.q,
@@ -410,7 +407,6 @@ def boundary_bound_check(pair: SolutionPair, delta: float) -> CollarBound:
     eta = min(pair.exponents.p, pair.exponents.q) - 1.0
     return CollarBound(
         value=float(np.max(total[collar])),
-        delta=delta,
         eta_margin=eta,
         hypothesis_ok=eta > 0.0,
     )

@@ -11,9 +11,7 @@ around both integrable singularities.
 
 The eigenvalue multipliers lambda_k^{+-s} are cached per (basis, exponent),
 like the half sine matrices of `spectral_domain`, and shared by
-`apply_inverse`, `apply_fraclap` and the pointwise kernels; `_CellInverse`
-is `apply_inverse` on the fundamental cell of a mirror-symmetric field,
-with the odd-k multipliers only. The pointwise
+`apply_inverse`, `apply_fraclap` and the pointwise kernels. The pointwise
 kernels take batches of point pairs and evaluate G(x, y) with the blocked
 contraction of `synthesize_at`. `g_tilde` takes a batch of points x against
 one y and builds the y side once per call (G(y, .) on its grid, y's patch and
@@ -22,6 +20,16 @@ Gauss-Legendre rules, which `hls_limit` uses as well, come from Newton's
 method on the Legendre recurrence; each is built once per order and handed
 out read-only. The kernels read s from their basis. The Serrin split
 `classify_regime`, which every module asks, lives here.
+
+A field that is mirror-symmetric about every mid-plane is held by its
+fundamental cell, the first ceil(m_i/2) nodes per axis; its mirror
+differences and even-k coefficients are exact zeros. `_CellInverse` is the
+one owner of that cell: it cuts it out, applies (-Delta)^{-s} to it, weights
+its nodes and mirrors it back. It folds the cell as c + c, bitwise the
+head + tail of `analyze`'s fold, passes the middle plane of an odd m once
+(that plane has weight 1, every other node 2 per axis), and keeps the odd-k
+half of the transforms and multipliers, so its result is bitwise the cell
+of `apply_inverse`.
 
 Eigen-sum truncation is never silently dropped: every kernel sample carries
 a tail estimate extrapolated from the decay of the outer mode shells
@@ -44,11 +52,13 @@ from .spectral_domain import (
     SpectralBasis,
     SpectralField,
     analyze,
-    _CellTransforms,
+    _check_compatible,
     _contract,
+    _half_matrices,
     _points_per_block,
     _sine_factors,
     build_grid,
+    check_resolution,
     synthesize,
     synthesize_at,
 )
@@ -156,22 +166,81 @@ def apply_inverse(f: GridFunction, s: float, basis: SpectralBasis) -> GridFuncti
 
 class _CellInverse:
     """`apply_inverse` on mirror-symmetric fields, held by their fundamental
-    cell: the odd-k coefficients of `_CellTransforms.analyze` times the odd-k
-    multipliers, synthesized back onto the cell. Bitwise the cell of
-    `apply_inverse`; its work arrays are allocated once."""
+    cell (`cell_of`). A call folds the cell as c + c, bitwise the head + tail
+    of `analyze`'s fold, with the middle plane of an odd m passed once;
+    contracts it with the odd-k half matrices; multiplies by the odd-k
+    multipliers; and synthesizes the odd-k half back onto the cell. The
+    result is bitwise the cell of `apply_inverse`. `weights` counts the grid
+    nodes each cell node stands for (2 per axis, 1 on the middle plane of an
+    odd m), so a weighted sum over the cell is the sum over the full grid;
+    `extend` mirrors a cell back onto the full grid. The half matrices,
+    multipliers, weights and work arrays are built once."""
 
     def __init__(self, basis: SpectralBasis, grid: Grid, s: float):
         _check_order(s)
-        self._transforms = _CellTransforms(basis, grid)
+        _check_compatible(basis, grid)
+        check_resolution(basis.cutoff, grid.shape)
+        self._cell_volume = grid.cell_volume
+        self._odd = [odd for odd, _ in _half_matrices(basis, grid)]
         # the odd-k entries of _multipliers(basis, -s), taken by the same
         # power from the same eigenvalues
         odd_modes = (slice(None, None, 2),) * basis.domain.dim
         self._mults = np.ascontiguousarray(basis.eigenvalue_grid[odd_modes]) ** -s
+        self._halves = [m // 2 for m in grid.shape]
+        cell = [(m + 1) // 2 for m in grid.shape]
+        self.weights = reduce(np.multiply.outer, [
+            np.where(np.arange(c) < h, 2.0, 1.0) for c, h in zip(cell, self._halves, strict=True)
+        ])
+        modes = [odd.shape[1] for odd in self._odd]
+        n = len(cell)
+        # the fold of axis i takes (c_i, X) into (X, Kodd_i), with X the cells
+        # of the later axes times the modes of the earlier ones; synthesis of
+        # axis i takes (Kodd_i, X) into (X, c_i), the last one into `out`
+        self._folds, self._coeffs, self._nodes = [], [], []
+        for axis in range(n):
+            rest = math.prod(cell[axis + 1:]) * math.prod(modes[:axis])
+            self._folds.append(np.empty((cell[axis], rest)))
+            self._coeffs.append(np.empty((rest, modes[axis])))
+        for axis in range(n - 1):
+            rest = math.prod(modes[axis + 1:]) * math.prod(cell[:axis])
+            self._nodes.append(np.empty((rest, cell[axis])))
+
+    @staticmethod
+    def cell_of(values: np.ndarray) -> np.ndarray | None:
+        """A copy of the fundamental cell of `values`, the first ceil(m_i/2)
+        entries per axis, if `values` equals its flip about every axis bit for
+        bit; otherwise None."""
+        if not all(np.array_equal(values, np.flip(values, axis)) for axis in range(values.ndim)):
+            return None
+        return values[tuple(slice((m + 1) // 2) for m in values.shape)].copy()
+
+    def extend(self, cell: np.ndarray) -> np.ndarray:
+        """The full mirror-symmetric field whose fundamental cell is `cell`."""
+        for axis, h in enumerate(self._halves):
+            tail = np.flip(cell[(slice(None),) * axis + (slice(h),)], axis)
+            cell = np.concatenate([cell, tail], axis=axis)
+        return cell
 
     def __call__(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        coeff = self._transforms.analyze(values)
+        """(-Delta)^{-s} of the symmetric field with cell `values`, written
+        into `out` (C-contiguous, the cell's shape) and returned."""
+        coeff = values
+        for odd, h, fold, part in zip(self._odd, self._halves, self._folds, self._coeffs,
+                                      strict=True):
+            x = coeff.reshape(fold.shape)
+            np.add(x[:h], x[:h], out=fold[:h])
+            if h < len(fold):
+                fold[h] = x[h]
+            np.matmul(fold.T, odd, out=part)
+            coeff = part.reshape(coeff.shape[1:] + part.shape[1:])
+        coeff *= self._cell_volume
         coeff *= self._mults
-        return self._transforms.synthesize(coeff, out)
+        for odd, nodes in zip(self._odd, [*self._nodes, out.reshape(-1, out.shape[-1])],
+                              strict=True):
+            x = coeff.reshape(coeff.shape[0], -1)
+            np.matmul(x.T, odd.T, out=nodes)
+            coeff = nodes.reshape(coeff.shape[1:] + nodes.shape[1:])
+        return out
 
 
 def operator_algebra_residuals(

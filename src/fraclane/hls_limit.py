@@ -104,7 +104,6 @@ class DecayFit:
     """Least-squares radial decay fit over a window."""
 
     slope: float
-    window: tuple[float, float]
     residual: float
     n_shells: int
 
@@ -339,7 +338,6 @@ def decay_fit(
     residual = float(np.sqrt(np.mean((y - fitted) ** 2)))
     return DecayFit(
         slope=float(coef[1]),
-        window=(float(r_lo), float(r_hi)),
         residual=residual,
         n_shells=int(mask.sum()),
     )

@@ -21,13 +21,13 @@ A box is symmetric about each mid-plane, and (-Delta)^{-s} and the pointwise
 powers keep that symmetry bit for bit. So when the normalized start is
 bitwise mirror-symmetric, as the first eigenfunction and every warm start
 from an earlier solution are, the loop runs on the fundamental cell (the
-first ceil(m_i/2) nodes per axis) with the odd-k half of the transforms, and
-weights each cell node by the number of grid nodes it stands for; the full
-w is mirrored back once, after the loop. Every inverse, power and clamp is
-then bitwise the full loop's; only the summation order of the norms
-differs, so Theta, the residual and the clamped fraction agree to rounding
-and the iteration path is the same. Any other start runs the same loop on
-the full grid.
+first ceil(m_i/2) nodes per axis) through `_CellInverse`, which holds the
+odd-k half of the transforms and weights each cell node by the number of
+grid nodes it stands for; the full w is mirrored back once, after the loop.
+Every inverse, power and clamp is then bitwise the full loop's; only the
+summation order of the norms differs, so Theta, the residual and the
+clamped fraction agree to rounding and the iteration path is the same. Any
+other start runs the same loop on the full grid.
 """
 
 from __future__ import annotations
@@ -49,9 +49,6 @@ from .spectral_domain import (
     GridFunction,
     SpectralBasis,
     SpectralField,
-    _mirror_cell,
-    _mirror_extend,
-    _mirror_multiplicity,
     analyze,
     integrate,
     lp_norm,
@@ -275,10 +272,9 @@ def _iterate(
     (-Delta)^{-s} of such values, written into `out` or into a new array, and
     `weights` counts the grid nodes each node stands for, so every norm and
     clamp fraction is the full grid's. On the full grid that is
-    `apply_inverse` and 1, and the loop is bitwise what it was before the
-    cell existed. On a fundamental cell it is `_CellInverse` and the mirror
-    multiplicities: every inverse, power and clamp is bitwise the full
-    loop's, and only the summation order of the norms differs.
+    `apply_inverse` and 1. On a fundamental cell it is a `_CellInverse` and
+    its `weights`: every inverse, power and clamp is bitwise the full loop's,
+    and only the summation order of the norms differs.
 
     Returns (w, theta, theta_history, iterations, residual, clamp_max). The
     loop writes into `w`; its other work arrays are allocated once, and the
@@ -359,16 +355,17 @@ def _fixed_point(
     `_iterate` does, with w on the full grid; the loop's operator and work
     arrays die with this frame, before the caller builds the solution."""
     s = exponents.s
-    cell = _mirror_cell(w)
+    cell = _CellInverse.cell_of(w)
     if cell is None:
         def inverse(values, out):
             return apply_inverse(GridFunction(grid, values), s, basis).values
 
         return _iterate(w, inverse, 1.0, exponents, grid.cell_volume,
                         theta_tol, residual_tol, max_iter)
-    cell, *rest = _iterate(cell, _CellInverse(basis, grid, s), _mirror_multiplicity(grid.shape),
-                           exponents, grid.cell_volume, theta_tol, residual_tol, max_iter)
-    return (_mirror_extend(cell, grid.shape), *rest)
+    inverse = _CellInverse(basis, grid, s)
+    cell, *rest = _iterate(cell, inverse, inverse.weights, exponents, grid.cell_volume,
+                           theta_tol, residual_tol, max_iter)
+    return (inverse.extend(cell), *rest)
 
 
 def solve_ground_state(

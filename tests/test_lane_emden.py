@@ -1,5 +1,7 @@
 """Exponent algebra, quotient, and ground-state solver tests."""
 
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -288,7 +290,7 @@ def cell_solves(monkeypatch):
 
 def full_path_solve(monkeypatch, *args, **kwargs):
     with monkeypatch.context() as patched:
-        patched.setattr(le, "_mirror_cell", lambda values: None)
+        patched.setattr(le._CellInverse, "cell_of", staticmethod(lambda values: None))
         return fl.solve_ground_state(*args, **kwargs)
 
 
@@ -341,22 +343,36 @@ def test_cell_inverse_is_bitwise_the_cell_of_apply_inverse(lengths, cutoff, shap
     dom = fl.BoxDomain(lengths, 0.4)
     basis, grid = fl.build_basis(dom, cutoff), fl.build_grid(dom, shape)
     values = mirror_symmetric(grid, seed=len(shape))
-    cell = sd._mirror_cell(values)
+    cell = fc._CellInverse.cell_of(values)
     assert cell.shape == tuple((m + 1) // 2 for m in shape)
     out = np.empty_like(cell)
-    assert fc._CellInverse(basis, grid, dom.s)(cell, out) is out
+    inverse = fc._CellInverse(basis, grid, dom.s)
+    assert inverse(cell, out) is out
     full = fl.apply_inverse(fl.GridFunction(grid, values), dom.s, basis).values
     assert np.array_equal(out, full[tuple(slice(c) for c in cell.shape)])
-    assert np.array_equal(sd._mirror_extend(out, shape), full)
+    assert np.array_equal(inverse.extend(out), full)
     # node multiplicities sum to the full grid's node count
-    assert np.sum(sd._mirror_multiplicity(shape)) == math.prod(grid.shape)
+    assert np.sum(inverse.weights) == math.prod(grid.shape)
 
 
 def test_mirror_cell_rejects_an_asymmetric_field():
     values = np.ones((5, 6))
-    assert sd._mirror_cell(values) is not None
+    assert fc._CellInverse.cell_of(values) is not None
     values[0, 2] = 1.0 + 2.0**-52
-    assert sd._mirror_cell(values) is None
+    assert fc._CellInverse.cell_of(values) is None
+
+
+def test_cell_solve_has_one_home():
+    # _CellInverse alone cuts out, solves on, weights and mirrors back the
+    # fundamental cell: the transforms module knows nothing of it, and the
+    # solver imports that one name
+    assert [name for name in vars(sd)
+            if name.startswith("_mirror") or name == "_CellTransforms"] == []
+    imported = {alias.name for node in ast.walk(ast.parse(inspect.getsource(le)))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert [name for name in imported
+            if "cell" in name.lower() or "mirror" in name.lower()] == ["_CellInverse"]
+    assert le._CellInverse is fc._CellInverse
 
 
 def test_reduced_clamp_reports_full_grid_fraction(cell_solves, monkeypatch):
