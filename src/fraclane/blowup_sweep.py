@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -396,10 +397,9 @@ def boundary_bound_check(pair: SolutionPair, delta: float) -> CollarBound:
     dom = grid.domain
     if delta >= min(dom.lengths) / 2.0:
         raise ValueError("collar width must be below half the min side length")
-    mesh = grid.meshgrid()
-    dist = np.minimum.reduce(
-        [np.minimum(g, L - g) for g, L in zip(mesh, dom.lengths, strict=True)]
-    )
+    dist = reduce(np.minimum, [
+        np.minimum(g, L - g) for g, L in zip(np.ix_(*grid.coords), dom.lengths, strict=True)
+    ])
     collar = dist < delta
     if not collar.any():
         raise ValueError("collar contains no grid nodes")

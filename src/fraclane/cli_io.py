@@ -246,24 +246,6 @@ def write_table(path, columns: list[str], rows: list[list]) -> None:
         json_fh.write("\n ]\n}\n" if len(rows) else "\n}\n")
 
 
-def read_table(path) -> tuple[list[str], list[list[float]]]:
-    with open(path, newline="\n") as fh:
-        lines = fh.read().splitlines()
-    columns = lines[0].split(",") if lines else []
-    rows = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        row = []
-        for tok in line.split(","):
-            try:
-                row.append(float(tok))
-            except ValueError:
-                row.append(tok)
-        rows.append(row)
-    return columns, rows
-
-
 def dump_field(field, path) -> None:
     """Binary dump: magic, version, kind, dims, per-dim size/lo/hi, row-major
     float64 (little endian); deterministic byte-for-byte. Sidecar text header

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -24,6 +25,14 @@ from .lane_emden import diagonal_exponent, hyperbola_gap
 def sphere_area(n: int) -> float:
     """|S^{n-1}| = 2 pi^{n/2} / Gamma(n/2)."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+
+
+def _radii(axes) -> np.ndarray:
+    """|x| on the tensor grid of the 1-d coordinate arrays `axes`, in one array:
+    the open mesh's squares are added by broadcasting, in axis order, so the
+    result is bitwise the root of a sum over meshgrid copies."""
+    r = reduce(np.add, [a**2 for a in np.ix_(*axes)])
+    return np.sqrt(r, out=r)
 
 
 class FreeField:
@@ -78,12 +87,8 @@ class FreeField:
         h = self.spacing[axis]
         return self.lo[axis] + (np.arange(self.shape[axis]) + 0.5) * h
 
-    def meshgrid(self):
-        return np.meshgrid(*[self.coords(a) for a in range(self.dim)], indexing="ij")
-
     def radii(self) -> np.ndarray:
-        mesh = self.meshgrid()
-        return np.sqrt(np.add.reduce([m**2 for m in mesh]))
+        return _radii([self.coords(a) for a in range(self.dim)])
 
     def integral(self, values=None) -> float:
         v = self.values if values is None else values
@@ -114,14 +119,12 @@ class DecayFit:
 
 def _kernel_table(field: FreeField, lam: float) -> np.ndarray:
     """|delta|^{-lam} on the (2m-1)^n offset lattice, singular cell averaged exactly."""
-    axes = [
-        np.arange(-(m - 1), m) * h for m, h in zip(field.shape, field.spacing, strict=True)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    r = np.sqrt(np.add.reduce([g**2 for g in mesh]))
+    table = _radii(
+        [np.arange(-(m - 1), m) * h for m, h in zip(field.shape, field.spacing, strict=True)]
+    )
     center = tuple(m - 1 for m in field.shape)
-    r[center] = 1.0
-    table = r**-lam
+    table[center] = 1.0
+    table **= -lam
     half = np.asarray(field.spacing) / 2.0
     cell_int = _polar_box_integral(
         np.zeros(field.dim), -half, half, lam, lambda pts: np.ones(len(pts)), 12, 32
@@ -137,18 +140,29 @@ def free_convolution(field: FreeField, n: int, s: float, values=None) -> np.ndar
     [m - 1, 2m - 1) reads table offset k - j in [0, 2m - 2] for every input
     node j in [0, m), all below the period, so no wrapped term reaches the
     kept slice.
+
+    The inverse transform computes the kept rows only. It runs `irfftn`'s
+    passes in `irfftn`'s order: `ifft` along each leading axis, cutting that
+    axis to its kept range as soon as the pass returns, then `irfft` along
+    the last axis on what is left. The last pass thus transforms half of
+    `irfftn`'s lines in 2-d and a quarter in 3-d. Each pass transforms every
+    line on its own, with one plan per length, and no kept value reads a
+    skipped line, so the result is bitwise `irfftn(F K)[kept]`. The kernel's
+    spectrum is taken first, so its table is freed before f's spectrum exists.
     """
     f = field.values if values is None else np.asarray(values, dtype=float)
-    lam = n - 2.0 * s
-    table = _kernel_table(field, lam)
     shape = f.shape
     fft_shape = tuple(2 * m for m in shape)
     axes = tuple(range(f.ndim))
-    F = np.fft.rfftn(f, fft_shape, axes=axes)
-    K = np.fft.rfftn(table, fft_shape, axes=axes)
-    full = np.fft.irfftn(F * K, fft_shape, axes=axes)
-    sl = tuple(slice(m - 1, 2 * m - 1) for m in shape)
-    return gns(n, s) * field.cell_volume * full[sl]
+    kernel = np.fft.rfftn(_kernel_table(field, n - 2.0 * s), fft_shape, axes=axes)
+    spectrum = np.fft.rfftn(f, fft_shape, axes=axes)
+    spectrum *= kernel
+    del kernel
+    kept = [slice(m - 1, 2 * m - 1) for m in shape]
+    for axis in axes[:-1]:
+        spectrum = np.fft.ifft(spectrum, fft_shape[axis], axis)[(slice(None),) * axis + (kept[axis],)]
+    conv = np.fft.irfft(spectrum, fft_shape[-1], -1)[..., kept[-1]]
+    return gns(n, s) * field.cell_volume * conv
 
 
 def _require_critical(p: float, q0: float, n: int, s: float):
@@ -266,11 +280,10 @@ def limit_system_residual(
     _require_critical(p, q0, n, s)
     conv_vp = free_convolution(v, n, s, values=v.values**p)
     conv_uq = free_convolution(u, n, s, values=u.values**q0)
-    mesh = u.meshgrid()
-    interior = np.ones(u.shape, dtype=bool)
-    for axis, g in enumerate(mesh):
-        half = 0.5 * min(-u.lo[axis], u.hi[axis])
-        interior &= np.abs(g) <= half
+    coords = np.ix_(*[u.coords(axis) for axis in range(u.dim)])
+    interior = reduce(np.logical_and, [
+        np.abs(g) <= 0.5 * min(-a, b) for g, a, b in zip(coords, u.lo, u.hi, strict=True)
+    ])
     res_u = float(np.max(np.abs(u.values - conv_vp)[interior])) if interior.any() else 0.0
     res_v = float(np.max(np.abs(v.values - conv_uq)[interior])) if interior.any() else 0.0
     return LimitSystemResidual(

@@ -110,18 +110,6 @@ class SpectralBasis:
         self.eigenvalue_grid = np.add.reduce(grids)
         self.eigenvalues = np.sort(self.eigenvalue_grid, axis=None)
 
-    def eigenvalue_of(self, k) -> float:
-        """Closed-form lambda_k = sum_i (k_i pi / L_i)^2."""
-        k = tuple(int(v) for v in k)
-        if len(k) != self.domain.dim or any(v < 1 for v in k):
-            raise ValueError(f"invalid eigenindex {k}")
-        if any(v > K for v, K in zip(k, self.cutoff, strict=True)):
-            raise ValueError(f"eigenindex {k} beyond cutoff {self.cutoff}")
-        return sum(
-            (v * math.pi / L) ** 2
-            for v, L in zip(k, self.domain.lengths, strict=True)
-        )
-
     def sine_samples(self, axis: int, coords) -> np.ndarray:
         """Matrix of 1-d eigenfunction factors: S[j, k] = sqrt(2/L) sin((k+1) pi x_j / L)."""
         coords = np.asarray(coords, dtype=float)

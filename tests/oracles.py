@@ -6,7 +6,7 @@ from functools import reduce
 import numpy as np
 
 import fraclane as fl
-from fraclane.fractional_calculus import apply_inverse
+from fraclane.fractional_calculus import _polar_box_integral, apply_inverse
 from fraclane.spectral_domain import GridFunction
 
 
@@ -159,3 +159,55 @@ def kernel_pairs_one_at_a_time(seed, n, margin, sides, count, min_sep):
             xs.append(x)
             ys.append(y)
     return np.array(xs).reshape(-1, n), np.array(ys).reshape(-1, n)
+
+
+def read_table(path) -> tuple[list[str], list[list[float]]]:
+    """A CSV table written by `cli_io.write_table`: its columns, and its rows
+    with every cell that parses as a float read as one."""
+    with open(path, newline="\n") as fh:
+        lines = fh.read().splitlines()
+    columns = lines[0].split(",") if lines else []
+    rows = []
+    for line in lines[1:]:
+        if not line:
+            continue
+        row = []
+        for tok in line.split(","):
+            try:
+                row.append(float(tok))
+            except ValueError:
+                row.append(tok)
+        rows.append(row)
+    return columns, rows
+
+
+def mesh_radii(axes):
+    """|x| on the tensor grid of the 1-d coordinate arrays `axes`, as the root
+    of a sum over full meshgrid copies."""
+    return np.sqrt(np.add.reduce([g**2 for g in np.meshgrid(*axes, indexing="ij")]))
+
+
+def plain_kernel_table(field, lam):
+    """|delta|^{-lam} on the (2m-1)^n offset lattice from meshgrid radii; the
+    singular centre cell holds the exact cell average of the power law."""
+    r = mesh_radii([np.arange(-(m - 1), m) * h for m, h in zip(field.shape, field.spacing)])
+    center = tuple(m - 1 for m in field.shape)
+    r[center] = 1.0
+    table = r**-lam
+    half = np.asarray(field.spacing) / 2.0
+    cell_int = _polar_box_integral(np.zeros(field.dim), -half, half, lam,
+                                   lambda pts: np.ones(len(pts)), 12, 32)
+    table[center] = cell_int / field.cell_volume
+    return table
+
+
+def plain_free_convolution(field, n, s, values=None):
+    """g_{n,s} cell * irfftn(rfftn(f, 2m) rfftn(table, 2m)), the plain circular
+    convolution of period 2m per axis, cut to the kept rows [m - 1, 2m - 1)."""
+    f = field.values if values is None else values
+    fft_shape = tuple(2 * m for m in f.shape)
+    axes = tuple(range(f.ndim))
+    product = (np.fft.rfftn(f, fft_shape, axes=axes)
+               * np.fft.rfftn(plain_kernel_table(field, n - 2.0 * s), fft_shape, axes=axes))
+    full = np.fft.irfftn(product, fft_shape, axes=axes)
+    return fl.gns(n, s) * field.cell_volume * full[tuple(slice(m - 1, 2 * m - 1) for m in f.shape)]

@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from oracles import eigen_modes, eigenvalues
+from oracles import eigen_modes, eigenvalues, read_table
 
 import fraclane as fl
 from fraclane import blowup_sweep as bs
@@ -448,7 +448,7 @@ def test_cli_sweep_records_a_failed_row_once(tmp_path, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert cli_io.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-    _, rows = cli_io.read_table(out / "sweep.csv")
+    _, rows = read_table(out / "sweep.csv")
     assert [r[0] for r in rows] == [0.06, 0.05]
     report = json.loads((out / "sweep_report.json").read_text())
     assert report["rows_failed"] == ["no convergence at the third row"]

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import kernel_pairs_one_at_a_time
+from oracles import kernel_pairs_one_at_a_time, read_table
 
 import fraclane as fl
 from fraclane import blowup_sweep as bs
@@ -83,7 +83,7 @@ def test_write_table_round_trip(tmp_path):
     path = tmp_path / "t.csv"
     rows = [[0.1, 1.0 / 3.0, -2.5e-17], [math.pi, 2.0**-52, 1e300]]
     cli_io.write_table(path, ["a", "b", "c"], rows)
-    cols, back = cli_io.read_table(path)
+    cols, back = read_table(path)
     assert cols == ["a", "b", "c"]
     for row, expect in zip(back, rows, strict=True):
         for v, e in zip(row, expect, strict=True):
@@ -205,7 +205,7 @@ def test_radial_profile_export(tmp_path):
     f = FreeField.centered(4.0, 1.0 / (1.0 + X**2 + Y**2))
     path = tmp_path / "prof.csv"
     cli_io.write_radial_profile(f, path)
-    cols, rows = cli_io.read_table(path)
+    cols, rows = read_table(path)
     assert cols == ["r", "mean", "min", "max", "count"]
     assert all(row[2] <= row[1] <= row[3] for row in rows)
     radii = [row[0] for row in rows]
@@ -283,7 +283,7 @@ def test_cli_sweep_and_hls_field_chain(tmp_path):
     out = tmp_path / "sweep_out"
     code = run_cli(["sweep", "--config", str(sweep_cfg), "--out", str(out)])
     assert code == 0
-    cols, rows = cli_io.read_table(out / "sweep.csv")
+    cols, rows = read_table(out / "sweep.csv")
     assert cols == cli_io.sweep_columns(2)
     assert len(rows) == 3
     lam_idx = cols.index("lambda")

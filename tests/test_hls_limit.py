@@ -1,9 +1,11 @@
 """Whole-space quotient, limit-system, decay-fit and Appendix-style checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import mesh_radii, plain_free_convolution, plain_kernel_table
 
 import fraclane as fl
 from fraclane import fractional_calculus as fc
@@ -11,9 +13,7 @@ from fraclane import hls_limit as hl
 
 
 def radial_field(radius, m, profile, n=2, hint=None):
-    axes = [(np.arange(m) + 0.5) * (2 * radius / m) - radius for _ in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    r = np.sqrt(np.add.reduce([g**2 for g in mesh]))
+    r = mesh_radii([(np.arange(m) + 0.5) * (2 * radius / m) - radius for _ in range(n)])
     return hl.FreeField.centered(radius, profile(r), decay_exponent_hint=hint)
 
 
@@ -109,6 +109,62 @@ def test_free_convolution_matches_direct_sum(n, s, shape):
         ref = direct_free_convolution(field, n, s, values)
         assert conv.shape == shape
         assert np.max(np.abs(conv - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# all-odd and all-even m for n = 1, 2, 3, and a mixed shape in 2-d and 3-d
+PIN_CASES = [
+    (1, 0.25, (7,)), (1, 0.4, (8,)),
+    (2, 0.5, (7, 9)), (2, 0.3, (6, 10)), (2, 0.5, (5, 8)),
+    (3, 0.5, (5, 3, 7)), (3, 0.3, (4, 6, 4)), (3, 0.5, (3, 4, 6)),
+]
+
+
+def pin_field(n, shape):
+    rng = np.random.default_rng(sum(shape) + n)
+    return hl.FreeField(-rng.uniform(1.0, 2.0, n), rng.uniform(1.0, 2.0, n), rng.random(shape))
+
+
+@pytest.mark.parametrize("n, s, shape", PIN_CASES)
+def test_free_convolution_is_bitwise_the_plain_transform_product(n, s, shape):
+    field = pin_field(n, shape)
+    other = field.values**3
+    assert np.array_equal(hl.free_convolution(field, n, s), plain_free_convolution(field, n, s))
+    assert np.array_equal(hl.free_convolution(field, n, s, values=other),
+                          plain_free_convolution(field, n, s, values=other))
+
+
+@pytest.mark.parametrize("n, s, shape", PIN_CASES)
+def test_radii_and_kernel_table_are_bitwise_the_meshgrid_formulas(n, s, shape):
+    field = pin_field(n, shape)
+    assert np.array_equal(field.radii(), mesh_radii([field.coords(a) for a in range(n)]))
+    table = hl._kernel_table(field, n - 2.0 * s)
+    # direct_free_convolution reads this layout: (2m-1)^n, offset 0 at m - 1
+    assert table.shape == tuple(2 * m - 1 for m in shape)
+    assert np.array_equal(table, plain_kernel_table(field, n - 2.0 * s))
+
+
+def test_free_convolution_peak_memory_is_the_kernel_transform():
+    # At the peak of one call the kernel's spectrum is being taken, and three
+    # arrays are live: the (2m-1)^2 real kernel table, its rfft along the last
+    # axis ((2m-1, m+1) complex) and the kernel spectrum ((2m, m+1) complex).
+    # f's spectrum is taken after the table is freed, and the inverse passes
+    # hold two spectra at most. The allowance covers O(m) arrays (coordinate
+    # axes, FFT line buffers): sixteen complex lines of length 2m, far below
+    # one more transform-sized array.
+    m = 256
+    field = hl.FreeField.centered(4.0, np.random.default_rng(5).random((m, m)))
+    hl.free_convolution(field, 2, 0.5)  # builds the cached quadrature rules
+    table = (2 * m - 1) ** 2 * 8
+    table_rfft = (2 * m - 1) * (m + 1) * 16
+    kernel_spectrum = 2 * m * (m + 1) * 16
+    allowance = 16 * 2 * m * 16
+    tracemalloc.start()
+    try:
+        hl.free_convolution(field, 2, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= table + table_rfft + kernel_spectrum + allowance
 
 
 def test_hls_quotient_requires_critical_pair():

@@ -34,13 +34,12 @@ def test_domain_validation():
 def test_eigenvalues_closed_form():
     dom = unit_square()
     basis = fl.build_basis(dom, (8, 8))
-    assert basis.eigenvalue_of((1, 1)) == pytest.approx(2 * math.pi**2, rel=1e-15)
-    assert basis.eigenvalue_of((2, 3)) == pytest.approx(13 * math.pi**2, rel=1e-15)
-    with pytest.raises(ValueError):
-        basis.eigenvalue_of((0, 1))  # every component k_i >= 1
+    # eigenvalue_grid[k - 1] holds lambda_k for the multi-index k >= 1
+    assert basis.eigenvalue_grid[0, 0] == pytest.approx(2 * math.pi**2, rel=1e-15)
+    assert basis.eigenvalue_grid[1, 2] == pytest.approx(13 * math.pi**2, rel=1e-15)
     cube = fl.BoxDomain((1.0, 1.0, 1.0), 0.5)
     basis3 = fl.build_basis(cube, (3, 3, 3))
-    assert basis3.eigenvalue_of((1, 1, 1)) == pytest.approx(3 * math.pi**2, rel=1e-15)
+    assert basis3.eigenvalue_grid[0, 0, 0] == pytest.approx(3 * math.pi**2, rel=1e-15)
 
 
 def test_build_basis_rejects_zero_cutoff():
@@ -55,13 +54,7 @@ def test_eigenvalues_sorted_and_positive():
     assert lam[0] == pytest.approx(math.pi**2 * (1 + 0.25), rel=1e-15)
     # monotone in each index direction
     for axis in range(2):
-        k = [2, 2]
-        prev = basis.eigenvalue_of(k)
-        for v in range(3, 7):
-            k[axis] = v
-            cur = basis.eigenvalue_of(k)
-            assert cur > prev
-            prev = cur
+        assert np.all(np.diff(basis.eigenvalue_grid, axis=axis) > 0)
 
 
 def test_quadrature_weight_sum_is_volume():
