@@ -204,12 +204,10 @@ class SweepResult:
     rows: list[SweepRow]
     x0: tuple[float, ...]
     extrapolation: SExtrapolation | None
-    final_pair: SolutionPair
     rescaled: RescaledSolution
     diagnostics: dict
     decay: dict
     failed: str | None  # the message of the solve that ended the sweep early
-    pairs: list[SolutionPair] | None = None
 
 
 def _quadratic_peak(values: np.ndarray, idx: tuple[int, ...], coords) -> tuple[float, np.ndarray]:
@@ -274,26 +272,18 @@ def rescale_solution(pair: SolutionPair, lam: float, x_c) -> RescaledSolution:
     dom = pair.u.grid.domain
     lo = tuple(lam * (0.0 - c) for c in x_c)
     hi = tuple(lam * (L - c) for L, c in zip(dom.lengths, x_c, strict=True))
-    n, sfrac = dom.dim, dom.s
 
     u_vals = np.maximum(lam**-alpha * pair.u.values, 0.0)
     v_vals = np.maximum(lam**-beta * pair.v.values, 0.0)
-    w_vals = u_vals**exps.q
-
-    u_hint = -(n - 2.0 * sfrac)  # super and serrin: u decays like G
-    if classify_regime(exps.p, n, sfrac) == "sub":
-        u_hint = -(exps.p * (n - 2.0 * sfrac) - 2.0 * sfrac)
-    u_t = FreeField(lo, hi, u_vals, decay_exponent_hint=u_hint)
-    v_t = FreeField(lo, hi, v_vals, decay_exponent_hint=-(n - 2.0 * sfrac))
-    w_t = FreeField(lo, hi, w_vals, decay_exponent_hint=u_hint * exps.q)
+    u_t = FreeField(lo, hi, u_vals)
 
     idx = np.unravel_index(int(np.argmax(u_vals)), u_vals.shape)
-    coords = [u_t.coords(a) for a in range(n)]
+    coords = [u_t.coords(a) for a in range(dom.dim)]
     peak, _ = _quadratic_peak(u_vals, idx, coords)
     return RescaledSolution(
         u=u_t,
-        v=v_t,
-        w=w_t,
+        v=FreeField(lo, hi, v_vals),
+        w=FreeField(lo, hi, u_vals**exps.q),
         lam=lam,
         alpha=alpha,
         beta=beta,
@@ -333,17 +323,18 @@ class LimitKernels:
     notes: list[str]
 
 
-def limit_kernels(x0, basis: SpectralBasis, points: np.ndarray, p: float,
-                  exclusion_radius: float = 0.0) -> LimitKernels:
+def limit_kernels(x0, basis: SpectralBasis, points: np.ndarray, p: float) -> LimitKernels:
     """The comparison kernels against x0, once for a whole sweep: G(., x0) and,
     in the sub regime, Gt(., x0), each in one batch over the points kept.
-    Points inside the exclusion ball around x0, or that a kernel refuses
-    (`_check_pairs`, and `_check_iterated_pair` for Gt), are skipped with a note."""
+    Points inside the exclusion ball around x0 (radius EXCLUSION_RADIUS_FRAC
+    of the shortest side), or that a kernel refuses (`_check_pairs`, and
+    `_check_iterated_pair` for Gt), are skipped with a note."""
     x0 = np.asarray(x0, dtype=float)
-    sub = classify_regime(p, basis.domain.dim, basis.domain.s) == "sub"
+    dom = basis.domain
+    sub = classify_regime(p, dom.dim, dom.s) == "sub"
     g, target = np.full(len(points), np.nan), np.full(len(points), np.nan)
-    notes = ["inside exclusion ball" if np.linalg.norm(pt - x0) < exclusion_radius else ""
-             for pt in points]
+    ball = EXCLUSION_RADIUS_FRAC * min(dom.lengths)
+    notes = ["inside exclusion ball" if np.linalg.norm(pt - x0) < ball else "" for pt in points]
     for i in [i for i, note in enumerate(notes) if not note]:
         try:
             if sub:
@@ -445,7 +436,7 @@ def extrapolate_S(
     )
 
 
-def run_sweep(config: SweepConfig, keep_pairs: bool = False) -> SweepResult:
+def run_sweep(config: SweepConfig) -> SweepResult:
     """Solve the schedule, each row warm-started from the previous row's w,
     and measure each row as its solve returns: peak, collar, constants and
     u, v on the comparison ring. Once x0 = x_eps at the smallest eps is known,
@@ -455,9 +446,7 @@ def run_sweep(config: SweepConfig, keep_pairs: bool = False) -> SweepResult:
     A failed solve (`ConvergenceError`, or a `ValueError` the solver raises)
     ends the sweep (later rows depend on the warm start); its message is
     `SweepResult.failed`, and the rows before it stand. Any other exception
-    is a fault and propagates. Only the last row's pair is held past its row,
-    unless `keep_pairs` keeps every row's pair on the result (memory: rows x
-    3 fields)."""
+    is a fault and propagates. Only the last row's pair is held past its row."""
     dom = config.domain
     n, s = dom.dim, dom.s
     basis = build_basis(dom, config.cutoff)
@@ -465,7 +454,6 @@ def run_sweep(config: SweepConfig, keep_pairs: bool = False) -> SweepResult:
     points = config.comparison_points()
 
     rows: list[SweepRow] = []
-    pairs: list[SolutionPair] = []
     pair = failed = None
     for eps in config.eps_schedule:
         q = solve_q_epsilon(config.p, n, s, eps)
@@ -508,17 +496,13 @@ def run_sweep(config: SweepConfig, keep_pairs: bool = False) -> SweepResult:
                 v_ring=synthesize_at(analyze(pair.v, basis), points),
             )
         )
-        if keep_pairs:
-            pairs.append(pair)
 
     if not rows:
         raise RuntimeError(f"sweep failed at the first row: {failed}")
 
     last = rows[-1]
     x0 = np.asarray(last.x_c)
-    kernels = limit_kernels(
-        x0, basis, points, config.p, exclusion_radius=EXCLUSION_RADIUS_FRAC * min(dom.lengths),
-    )
+    kernels = limit_kernels(x0, basis, points, config.p)
     for row in rows:
         row.green_devs = green_limit_check(
             row.u_ring, row.v_ring, row.lam, kernels, row.constants, config
@@ -551,12 +535,10 @@ def run_sweep(config: SweepConfig, keep_pairs: bool = False) -> SweepResult:
         rows=rows,
         x0=tuple(float(c) for c in x0),
         extrapolation=extrapolation,
-        final_pair=pair,
         rescaled=rescaled,
         diagnostics=_sweep_diagnostics(rows),
         decay=decay_report(rescaled, last.constants.c1, config),
         failed=failed,
-        pairs=pairs if keep_pairs else None,
     )
 
 

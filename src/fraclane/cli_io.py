@@ -32,7 +32,7 @@ from .fractional_calculus import free_kernel, green, operator_algebra_residuals
 from .hls_limit import FreeField, bubble_ladder, hls_quotient, radial_shells, sharp_diagonal_quotient
 from .lane_emden import (_POSITIVITY_BUDGET, MAX_ITER, RESIDUAL_TOL, THETA_TOL, ExponentPair,
                          ascent_budget, critical_q, identity_report, solve_ground_state,
-                         solve_q_epsilon)
+                         solve_q_epsilon, symmetry_classes)
 from .spectral_domain import BoxDomain, Grid, GridFunction, build_basis, build_grid, check_resolution
 
 FIELD_MAGIC = b"FRLNFLD\x00"
@@ -409,7 +409,7 @@ def _cmd_solve(cfg: RunConfig, out_dir: Path) -> tuple[dict, Checks]:
     return {
         "theta": report.theta,
         "identities": {k: {"value": v, "tol": 1e-6} for k, v in gaps.items()},
-        "symmetry": report.symmetry,
+        "symmetry": symmetry_classes(pair.u),
     }, checks
 
 
@@ -510,7 +510,8 @@ def _cmd_hls(cfg: RunConfig, out_dir: Path) -> tuple[dict, Checks]:
         norm = field.lp_norm((qc + 1.0) / qc)
         normalized = field.with_values(field.values / norm)
         quotient = hls_quotient(normalized, cfg.p, qc, n, s)
-        field_payload = {"path": cfg.hls_field, "p": cfg.p, "q0": qc, "quotient": quotient}
+        field_payload = {"path": cfg.hls_field, "p": cfg.p, "q0": qc, "quotient": quotient,
+                         "sha256": hashlib.sha256(Path(cfg.hls_field).read_bytes()).hexdigest()}
 
     return {"oracle": oracle, "field_quotient": field_payload}, checks
 

@@ -43,7 +43,7 @@ class FreeField:
     original domain). Radial quantities are measured from the origin.
     """
 
-    def __init__(self, lo, hi, values, decay_exponent_hint: float | None = None):
+    def __init__(self, lo, hi, values):
         values = np.asarray(values, dtype=float)
         lo = tuple(float(a) for a in np.atleast_1d(lo))
         hi = tuple(float(b) for b in np.atleast_1d(hi))
@@ -58,12 +58,11 @@ class FreeField:
         self.lo = lo
         self.hi = hi
         self.values = values
-        self.decay_exponent_hint = decay_exponent_hint
 
     @classmethod
-    def centered(cls, radius: float, values, decay_exponent_hint=None) -> "FreeField":
+    def centered(cls, radius: float, values) -> "FreeField":
         n = np.asarray(values).ndim
-        return cls((-radius,) * n, (radius,) * n, values, decay_exponent_hint)
+        return cls((-radius,) * n, (radius,) * n, values)
 
     @property
     def dim(self) -> int:
@@ -101,7 +100,7 @@ class FreeField:
         return float((self.cell_volume * np.sum(np.abs(v) ** r)) ** (1.0 / r))
 
     def with_values(self, values) -> "FreeField":
-        return FreeField(self.lo, self.hi, values, self.decay_exponent_hint)
+        return FreeField(self.lo, self.hi, values)
 
 
 @dataclass
@@ -210,15 +209,21 @@ class LimitSystemResidual:
         )
 
 
-def _tail_budget(field: FreeField, power: float, n: int, s: float) -> float:
-    """Convolution tail beyond the box for f ~ A r^{-gamma}, bounding the kernel
-    by (rho - R/2)^{-lam} for interior targets |x| <= R/2; inf when the tail is
-    not integrable. Carries a 1.5x margin for the amplitude/shape estimates."""
-    gamma = field.decay_exponent_hint
-    if gamma is None:
-        # no hint: the tail is unknowable; only the zero field has zero tail
-        return 0.0 if not np.any(field.values) else math.inf
-    gamma = abs(gamma) * power
+def _decay_exponent(p: float, n: int, s: float) -> float:
+    """gamma in U ~ |x|^{-gamma}, for U = g k * V^p with V decaying like G,
+    |x|^{-(n-2s)}: n - 2s at or above the Serrin exponent, and p(n-2s) - 2s
+    below it, where V^p is not integrable."""
+    if classify_regime(p, n, s) == "sub":
+        return p * (n - 2.0 * s) - 2.0 * s
+    return n - 2.0 * s
+
+
+def _tail_budget(field: FreeField, gamma: float, power: float, n: int, s: float) -> float:
+    """Convolution tail beyond the box of field^power for field ~ A r^{-gamma},
+    bounding the kernel by (rho - R/2)^{-lam} for interior targets |x| <= R/2;
+    inf when the tail is not integrable. Carries a 1.5x margin for the
+    amplitude/shape estimates."""
+    gamma = gamma * power
     lam = n - 2.0 * s
     r = field.radii()
     rmax = float(min(min(-a for a in field.lo), min(field.hi)))
@@ -275,11 +280,16 @@ def limit_system_residual(
     u: FreeField, v: FreeField, p: float, q0: float, n: int, s: float
 ) -> LimitSystemResidual:
     """Sup-norm residuals of U = g k * V^p and V = g k * U^{q0} on the interior
-    half-box; the error budget combines convolution-tail estimates from the
-    decay hints with an h-vs-2h quadrature estimate."""
+    half-box of u and v's shared grid; the error budget combines
+    convolution-tail estimates at the decay exponents the system implies
+    (`_decay_exponent`) with an h-vs-2h quadrature estimate."""
     _require_critical(p, q0, n, s)
-    conv_vp = free_convolution(v, n, s, values=v.values**p)
-    conv_uq = free_convolution(u, n, s, values=u.values**q0)
+    if (u.lo, u.hi, u.shape) != (v.lo, v.hi, v.shape):
+        raise ValueError(f"u and v must share one grid: u on {u.lo}..{u.hi} {u.shape}, "
+                         f"v on {v.lo}..{v.hi} {v.shape}")
+    vp, uq = v.values**p, u.values**q0
+    conv_vp = free_convolution(v, n, s, values=vp)
+    conv_uq = free_convolution(u, n, s, values=uq)
     coords = np.ix_(*[u.coords(axis) for axis in range(u.dim)])
     interior = reduce(np.logical_and, [
         np.abs(g) <= 0.5 * min(-a, b) for g, a, b in zip(coords, u.lo, u.hi, strict=True)
@@ -289,10 +299,10 @@ def limit_system_residual(
     return LimitSystemResidual(
         residual_u=res_u,
         residual_v=res_v,
-        tail_budget_u=_tail_budget(v, p, n, s),
-        tail_budget_v=_tail_budget(u, q0, n, s),
-        quad_budget_u=_coarse_convolution_gap(v, n, s, v.values**p, conv_vp),
-        quad_budget_v=_coarse_convolution_gap(u, n, s, u.values**q0, conv_uq),
+        tail_budget_u=_tail_budget(v, n - 2.0 * s, p, n, s),
+        tail_budget_v=_tail_budget(u, _decay_exponent(p, n, s), q0, n, s),
+        quad_budget_u=_coarse_convolution_gap(v, n, s, vp, conv_vp),
+        quad_budget_v=_coarse_convolution_gap(u, n, s, uq, conv_uq),
     )
 
 

@@ -33,7 +33,7 @@ other start runs the same loop on the full grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,7 +174,6 @@ class SolveReport:
     residual_w: float
     theta_history: np.ndarray
     clamped_fraction_max: float
-    symmetry: dict = field(default_factory=dict)
     converged: bool = True
 
     def __post_init__(self):
@@ -436,7 +435,6 @@ def solve_ground_state(
         residual_w=residual_w,
         theta_history=np.asarray(theta_history),
         clamped_fraction_max=clamp_max,
-        symmetry=symmetry_classes(u_final),
     )
     return pair, report
 

@@ -6,6 +6,7 @@ from functools import reduce
 import numpy as np
 
 import fraclane as fl
+from fraclane import blowup_sweep
 from fraclane.fractional_calculus import _polar_box_integral, apply_inverse
 from fraclane.spectral_domain import GridFunction
 
@@ -211,3 +212,17 @@ def plain_free_convolution(field, n, s, values=None):
                * np.fft.rfftn(plain_kernel_table(field, n - 2.0 * s), fft_shape, axes=axes))
     full = np.fft.irfftn(product, fft_shape, axes=axes)
     return fl.gns(n, s) * field.cell_volume * full[tuple(slice(m - 1, 2 * m - 1) for m in f.shape)]
+
+
+def recording_solve(pairs):
+    """`blowup_sweep.solve_ground_state` as bound now, appending each pair it
+    returns to `pairs`: patched into `blowup_sweep`, it keeps the pair of every
+    row of a sweep, which `run_sweep` itself does not hold."""
+    solve = blowup_sweep.solve_ground_state
+
+    def recording(*args, **kwargs):
+        pair, report = solve(*args, **kwargs)
+        pairs.append(pair)
+        return pair, report
+
+    return recording

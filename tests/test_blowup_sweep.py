@@ -3,16 +3,18 @@ boundary collar, and the rescaled-equation identity."""
 
 import gc
 import json
+import math
 import warnings
 import weakref
 
 import numpy as np
 import pytest
-from oracles import eigen_modes, eigenvalues, read_table
+from oracles import eigen_modes, eigenvalues, read_table, recording_solve
 
 import fraclane as fl
 from fraclane import blowup_sweep as bs
 from fraclane import cli_io
+from fraclane import hls_limit as hl
 
 
 def unit_square():
@@ -20,13 +22,26 @@ def unit_square():
 
 
 @pytest.fixture(scope="module")
-def mini_sweep():
+def mini_run():
+    # the sweep and the pair of each of its rows, recorded as each solve returns
     cfg = bs.SweepConfig(domain=unit_square(), p=2.5,
                          eps_schedule=(0.06, 0.05, 0.04),
                          cutoff=(24, 24), grid_shape=(48, 48))
-    with warnings.catch_warnings():
+    pairs = []
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(bs, "solve_ground_state", recording_solve(pairs))
         warnings.simplefilter("ignore")
-        return bs.run_sweep(cfg, keep_pairs=True)
+        return bs.run_sweep(cfg), pairs
+
+
+@pytest.fixture(scope="module")
+def mini_sweep(mini_run):
+    return mini_run[0]
+
+
+@pytest.fixture(scope="module")
+def mini_pairs(mini_run):
+    return mini_run[1]
 
 
 def test_regime_classification():
@@ -118,7 +133,7 @@ def test_rescale_identity_translation():
     assert res.u.lo == (-0.5, -0.5) and res.u.hi == (0.5, 0.5)
 
 
-def test_rescale_peak_and_wtilde(mini_sweep):
+def test_rescale_peak_and_wtilde(mini_sweep, mini_pairs):
     res = mini_sweep
     rs = res.rescaled
     assert rs.peak_u == pytest.approx(1.0, abs=1e-6)
@@ -128,7 +143,7 @@ def test_rescale_peak_and_wtilde(mini_sweep):
     # (uniform-boundedness relation of the rescaling)
     p = res.config.p
     lhs = rs.v.lp_norm(p + 1.0)
-    rhs = fl.lp_norm(res.final_pair.v, p + 1.0)
+    rhs = fl.lp_norm(mini_pairs[-1].v, p + 1.0)
     assert lhs <= rhs + 1e-12
 
 
@@ -169,9 +184,8 @@ def test_extrapolation_linear_model_exact():
         bs.extrapolate_S(eps[:2], s_vals[:2], theta[:2], 1.0, 2.5, 2, 0.5, 1.0)
 
 
-def test_collar_bound(mini_sweep):
-    res = mini_sweep
-    pair = res.final_pair
+def test_collar_bound(mini_pairs):
+    pair = mini_pairs[-1]
     col = bs.boundary_bound_check(pair, 0.1)
     total = pair.u.values + pair.v.values
     assert col.value <= float(np.max(total))
@@ -216,12 +230,12 @@ def test_comparison_points_geometry():
         assert cfg.domain.contains(pt, margin=0.1)
 
 
-def test_rescaled_equation_identity(mini_sweep):
+def test_rescaled_equation_identity(mini_sweep, mini_pairs):
     # w-tilde^{1/q} = inv_eps((inv_eps w-tilde)^p) with the rescaled kernel,
     # checked by dense quadrature on a coarse oracle grid; the kernel matrix is
     # spot-verified against the rescaled_green operation
     res = mini_sweep
-    pair = res.final_pair
+    pair = mini_pairs[-1]
     row = res.rows[-1]
     lam, x_c = row.lam, np.asarray(row.x_c)
     exps = pair.exponents
@@ -257,25 +271,23 @@ def test_rescaled_equation_identity(mini_sweep):
     assert rel < 5e-4  # interpolation + solver tolerance at this coarse scale
 
 
-def test_identity_suite_inherited_per_row(mini_sweep):
+def test_identity_suite_inherited_per_row(mini_sweep, mini_pairs):
     # every row's converged pair satisfies the algebraic identity suite
-    res = mini_sweep
     dom = unit_square()
     basis = fl.build_basis(dom, (24, 24))
-    for pair in res.pairs:
+    assert len(mini_pairs) == len(mini_sweep.rows)
+    for pair in mini_pairs:
         gaps = fl.identity_report(pair, basis)
         assert all(g < 1e-6 for g in gaps.values()), gaps
 
 
-def test_limit_system_residual_decreases_along_sweep(mini_sweep):
+def test_limit_system_residual_decreases_along_sweep(mini_sweep, mini_pairs):
     # rescaled (u-tilde, v-tilde) plugged into the whole-space limit system:
     # sup residuals decrease as eps decreases
-    from fraclane import hls_limit as hl
-
     res = mini_sweep
     q0 = fl.critical_q(res.config.p, 2, 0.5)
     resid_u, resid_v = [], []
-    for row, pair in zip(res.rows, res.pairs, strict=True):
+    for row, pair in zip(res.rows, mini_pairs, strict=True):
         rs = bs.rescale_solution(pair, row.lam, np.asarray(row.x_c))
         out = hl.limit_system_residual(rs.u, rs.v, res.config.p, q0, 2, 0.5)
         resid_u.append(out.residual_u)
@@ -285,66 +297,69 @@ def test_limit_system_residual_decreases_along_sweep(mini_sweep):
 
 
 def test_decay_table_predictions():
-    # the decay-table regime lines as formulas: u-tilde hints carried by the
-    # rescaled fields match -(n-2s), -(p(n-2s)-2s) by regime; v-tilde always
-    # -(n-2s); the n=3, s=1/2, p=1 sub-Serrin line is -1
-    n, s = 3, 0.5
-    assert -(1.0 * (n - 2 * s) - 2 * s) == pytest.approx(-1.0)
-    cube = fl.BoxDomain((1.0, 1.0, 1.0), s)
-    basis = fl.build_basis(cube, (6, 6, 6))
-    grid = fl.build_grid(cube, (12, 12, 12))
-    q = fl.solve_q_epsilon(1.0, 3, 0.5, 0.15)
-    exps = fl.ExponentPair(p=1.0, q=q, n=3, s=0.5)
-    pair, _ = fl.solve_ground_state(exps, basis, grid)
-    rs = bs.rescale_solution(pair, 2.0, np.full(3, 0.5))
-    assert rs.u.decay_exponent_hint == pytest.approx(-1.0)
-    assert rs.v.decay_exponent_hint == pytest.approx(-2.0)
-
-    dom2 = unit_square()
-    basis2 = fl.build_basis(dom2, (6, 6))
-    grid2 = fl.build_grid(dom2, (12, 12))
-    q2 = fl.solve_q_epsilon(2.5, 2, 0.5, 0.05)
-    pair2, _ = fl.solve_ground_state(
-        fl.ExponentPair(p=2.5, q=q2, n=2, s=0.5), basis2, grid2)
-    rs2 = bs.rescale_solution(pair2, 2.0, np.full(2, 0.5))
-    assert rs2.u.decay_exponent_hint == pytest.approx(-1.0)  # super regime
+    # the decay-table lines of u-tilde as formulas: the limit system's U decays
+    # like |x|^{-(n-2s)} at or above the Serrin exponent and like
+    # |x|^{-(p(n-2s)-2s)} below it (V always like |x|^{-(n-2s)})
+    assert hl._decay_exponent(1.0, 3, 0.5) == pytest.approx(1.0)  # n=3, s=1/2, p=1: sub
+    assert hl._decay_exponent(1.5, 2, 0.5) == pytest.approx(0.5)  # sub
+    assert hl._decay_exponent(2.0, 2, 0.5) == pytest.approx(1.0)  # Serrin
+    assert hl._decay_exponent(2.5, 2, 0.5) == pytest.approx(1.0)  # super
+    assert hl._decay_exponent(3.0, 3, 0.5) == pytest.approx(2.0)  # super, n=3
 
 
-def test_green_limit_check_skips_unresolved_points(mini_sweep):
+def test_limit_budgets_do_not_depend_on_where_a_field_came_from(mini_sweep, tmp_path):
+    # the rescaled fields of a sweep and the same fields read back from their
+    # dumps give the same residuals and budgets: both come from the values and
+    # the exponents alone
+    res = mini_sweep
+    rs = res.rescaled
+    q0 = fl.critical_q(res.config.p, 2, 0.5)
+    for name in ("u", "v"):
+        cli_io.dump_field(getattr(rs, name), tmp_path / f"{name}.bin")
+    loaded = [cli_io.load_field(tmp_path / f"{name}.bin") for name in ("u", "v")]
+    in_memory = hl.limit_system_residual(rs.u, rs.v, res.config.p, q0, 2, 0.5)
+    from_dump = hl.limit_system_residual(*loaded, res.config.p, q0, 2, 0.5)
+    assert from_dump.residuals == in_memory.residuals
+    assert from_dump.budgets == in_memory.budgets
+    assert all(0.0 < b < math.inf for b in in_memory.budgets), in_memory.budgets
+
+
+def test_green_limit_check_skips_unresolved_points(mini_sweep, mini_pairs):
     # points inside the exclusion ball or below kernel resolvability are
     # skipped with a notice instead of producing bogus ratios
     res = mini_sweep
     row = res.rows[-1]
-    pair = res.pairs[-1]
+    pair = mini_pairs[-1]
     basis = fl.build_basis(unit_square(), (24, 24))
     x0 = np.asarray(res.x0)
     pts = np.array([x0 + (0.01, 0.0), x0 + (0.3, 0.0)])
     def samples(pts):
         return [fl.synthesize_at(fl.analyze(f, basis), pts) for f in (pair.u, pair.v)]
 
-    kernels = bs.limit_kernels(x0, basis, pts, res.config.p, exclusion_radius=0.15)
+    kernels = bs.limit_kernels(x0, basis, pts, res.config.p)
     devs = bs.green_limit_check(*samples(pts), row.lam, kernels, row.constants, res.config)
     assert devs[0].dev_u is None and "exclusion" in devs[0].note
     assert devs[1].dev_u is not None
-    pts = np.array([x0 + (0.02, 0.0)])
+    pts = np.array([x0 + (0.5, 0.0)])  # outside the ball, on the boundary
     kernels = bs.limit_kernels(x0, basis, pts, res.config.p)
-    close = bs.green_limit_check(*samples(pts), row.lam, kernels, row.constants, res.config)
-    assert close[0].dev_u is None and "kernel skipped" in close[0].note
+    edge = bs.green_limit_check(*samples(pts), row.lam, kernels, row.constants, res.config)
+    assert edge[0].dev_u is None and "kernel skipped" in edge[0].note
 
 
 def test_limit_kernels_notes_each_refusal(monkeypatch):
     # a skipped point's note is the refusal of g_tilde on that point alone;
-    # the compared points take one g_tilde call
+    # the compared points take one g_tilde call. Every refused point lies
+    # outside the exclusion ball of radius 0.15 of the unit side.
     dom = unit_square()
-    basis = fl.build_basis(dom, (16, 16))
-    coords = fl.build_grid(dom, (32, 32)).coords[0]  # g_tilde's grid: h = 1/32
-    h = 1.0 / 32.0
-    x0 = np.full(2, coords[15] - 0.49 * h)
+    basis = fl.build_basis(dom, (8, 8))
+    coords = fl.build_grid(dom, (16, 16)).coords[0]  # g_tilde's grid: h = 1/16
+    h = 1.0 / 16.0
+    x0 = np.full(2, coords[7] - 0.49 * h)
     pts = np.array([
-        x0 + 0.01,  # inside the exclusion ball
-        x0 + (0.05, 0.0),  # below the resolvable spacing sqrt(2)/16
-        x0 + (0.1, 0.0),  # resolvable, but closer than 4 cells
-        np.full(2, coords[17] + 0.49 * h),  # 4.2 cells away, nearest nodes 2 apart
+        x0 + 0.05,  # 0.071 away: inside the exclusion ball
+        x0 + (0.16, 0.0),  # below the resolvable spacing sqrt(2)/8 = 0.177
+        x0 + (0.2, 0.0),  # resolvable, but closer than 4 cells (0.25)
+        np.full(2, coords[9] + 0.49 * h),  # 0.263 away, nearest nodes 2 apart
         x0 + (0.3, 0.0),
         x0 + (0.0, -0.3),
     ])
@@ -356,7 +371,7 @@ def test_limit_kernels_notes_each_refusal(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(bs, "g_tilde", counting)
-    kernels = bs.limit_kernels(x0, basis, pts, 1.5, exclusion_radius=0.02)
+    kernels = bs.limit_kernels(x0, basis, pts, 1.5)
     assert kernels.notes[0] == "inside exclusion ball"
     for i, phrase in ((1, "below resolvable spacing"), (2, "g_tilde needs separation"),
                       (3, "singular patches of x and y overlap")):
@@ -393,7 +408,7 @@ def test_sub_regime_sweep_evaluates_each_kernel_once(monkeypatch):
     assert [pd.note for pd in res.rows[0].green_devs] == [pd.note for pd in res.rows[1].green_devs]
 
 
-def test_measure_constants_change_of_variables(mini_sweep):
+def test_measure_constants_change_of_variables(mini_sweep, mini_pairs):
     # C1 via the limit normalization equals the rescaled-field integral up to
     # lam^{O(eps)}
     res = mini_sweep
@@ -405,7 +420,7 @@ def test_measure_constants_change_of_variables(mini_sweep):
     drift = row.lam ** (2 / (q0 + 1) - (2 - row.alpha * row.q))
     assert row.constants.c1 == pytest.approx(direct * drift, rel=1e-10)
     # the row's constants are measure_constants of its pair and scale alone
-    assert bs.measure_constants(res.pairs[-1], row.lam) == row.constants
+    assert bs.measure_constants(mini_pairs[-1], row.lam) == row.constants
 
 
 def failing_solve(monkeypatch, row, message):
@@ -490,4 +505,7 @@ def test_sweep_holds_at_most_two_rows_of_fields(monkeypatch):
         warnings.simplefilter("ignore")
         res = bs.run_sweep(small_sweep_config((0.06, 0.055, 0.05, 0.045)))
     assert res.failed is None, res.failed
-    assert len(rows) == len(res.rows) == 4 and res.pairs is None
+    assert len(rows) == len(res.rows) == 4
+    # and the result holds none of them: not even the last row's pair outlives the sweep
+    gc.collect()
+    assert all(ref() is None for refs in rows for ref in refs)

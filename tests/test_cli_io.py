@@ -1,6 +1,7 @@
 """Config parsing, tables, field dumps, CLI round trips and determinism."""
 
 import dataclasses
+import hashlib
 import inspect
 import json
 import math
@@ -17,6 +18,7 @@ from oracles import kernel_pairs_one_at_a_time, read_table
 import fraclane as fl
 from fraclane import blowup_sweep as bs
 from fraclane import cli_io
+from fraclane import lane_emden as le
 from fraclane.hls_limit import FreeField
 
 
@@ -239,6 +241,8 @@ def test_cli_solve_end_to_end(tmp_path):
         assert gap["value"] <= gap["tol"]
     u = cli_io.load_field(out / "field_u.bin")
     assert u.max() > 0
+    assert report["symmetry"] == le.symmetry_classes(u) == {"flip_0": True, "flip_1": True,
+                                                            "swap_01": True}
 
 
 def test_cli_solve_determinism(tmp_path):
@@ -301,6 +305,32 @@ def test_cli_sweep_and_hls_field_chain(tmp_path):
     rep = json.loads((out2 / "hls_report.json").read_text())
     assert rep["field_quotient"]["quotient"] > 0
     assert rep["oracle"] == pytest.approx(math.sqrt(math.pi), rel=1e-4)
+
+
+def test_hls_report_identifies_its_field_by_its_bytes(tmp_path):
+    # the same field copied into two directories gives one hash, and a changed
+    # field at the same path another; the hash adds no check
+    values = np.random.default_rng(3).random((16, 16))
+
+    def field_quotient(path, name):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text("n = 2\ns = 0.5\np = 2.5\nhls_box_list = 8\nhls_grid_list = 32\n"
+                       f"hls_field = {path}\n")
+        assert run_cli(["hls", "--config", str(cfg), "--out", str(tmp_path / name)]) in (0, 1)
+        report = json.loads((tmp_path / name / "hls_report.json").read_text())
+        assert [c["name"] for c in report["checks"]] == ["bubble_refinement_monotone",
+                                                          "bubble_within_1pct"]
+        return report["field_quotient"]
+
+    a, b = tmp_path / "a" / "field.bin", tmp_path / "b" / "field.bin"
+    for path in (a, b):
+        cli_io.dump_field(FreeField.centered(4.0, values), path)
+    first, copy = field_quotient(a, "first"), field_quotient(b, "copy")
+    assert first["path"] != copy["path"] and first["quotient"] == copy["quotient"]
+    assert first["sha256"] == copy["sha256"] == hashlib.sha256(a.read_bytes()).hexdigest()
+    cli_io.dump_field(FreeField.centered(4.0, values**2), a)
+    changed = field_quotient(a, "changed")
+    assert changed["path"] == first["path"] and changed["sha256"] != first["sha256"]
 
 
 def test_cli_kernels_command(tmp_path):

@@ -12,9 +12,9 @@ from fraclane import fractional_calculus as fc
 from fraclane import hls_limit as hl
 
 
-def radial_field(radius, m, profile, n=2, hint=None):
+def radial_field(radius, m, profile, n=2):
     r = mesh_radii([(np.arange(m) + 0.5) * (2 * radius / m) - radius for _ in range(n)])
-    return hl.FreeField.centered(radius, profile(r), decay_exponent_hint=hint)
+    return hl.FreeField.centered(radius, profile(r))
 
 
 @pytest.fixture(scope="module")
@@ -225,17 +225,50 @@ def test_limit_system_zero_and_bubble(bubble_2d):
     res0 = hl.limit_system_residual(zero, zero, q0, q0, 2, 0.5)
     assert res0.residuals == (0.0, 0.0)
 
-    f = radial_field(14.0, 96, lambda r: amp * hl.bubble(r, 2, 0.5), hint=-1.0)
+    f = radial_field(14.0, 96, lambda r: amp * hl.bubble(r, 2, 0.5))
     res = hl.limit_system_residual(f, f, q0, q0, 2, 0.5)
     assert res.residual_u == res.residual_v  # diagonal pair
     assert res.residual_u <= res.budgets[0]
+
+
+def test_limit_system_residual_is_its_parts(bubble_2d):
+    # each power f^p is taken once and serves both the convolution and the
+    # h-vs-2h gap; the tails use the exponents the system implies (the bubble
+    # decays like G: gamma = n - 2s = 1)
+    amp, q0 = bubble_2d
+    f = radial_field(14.0, 96, lambda r: amp * hl.bubble(r, 2, 0.5))
+    g = f.with_values(1.1 * f.values)
+    res = hl.limit_system_residual(f, g, q0, q0, 2, 0.5)
+    conv_gp = hl.free_convolution(g, 2, 0.5, values=g.values**q0)
+    conv_fq = hl.free_convolution(f, 2, 0.5, values=f.values**q0)
+    inner = np.abs(f.coords(0)) <= 0.5 * 14.0  # the half-box, on both axes
+    mask = inner[:, None] & inner[None, :]
+    assert res.residual_u == np.max(np.abs(f.values - conv_gp)[mask])
+    assert res.residual_v == np.max(np.abs(g.values - conv_fq)[mask])
+    assert res.tail_budget_u == hl._tail_budget(g, 1.0, q0, 2, 0.5)
+    assert res.tail_budget_v == hl._tail_budget(f, 1.0, q0, 2, 0.5)
+    assert res.quad_budget_u == hl._coarse_convolution_gap(g, 2, 0.5, g.values**q0, conv_gp)
+    assert res.quad_budget_v == hl._coarse_convolution_gap(f, 2, 0.5, f.values**q0, conv_fq)
+    assert 0.0 < min(res.budgets) and max(res.budgets) < math.inf
+
+
+def test_limit_system_residual_needs_one_grid(bubble_2d):
+    amp, q0 = bubble_2d
+    f = radial_field(14.0, 96, lambda r: amp * hl.bubble(r, 2, 0.5))
+    for other in (radial_field(12.0, 96, lambda r: amp * hl.bubble(r, 2, 0.5)),  # box
+                  radial_field(14.0, 48, lambda r: amp * hl.bubble(r, 2, 0.5)),  # shape
+                  hl.FreeField((-14.0, -13.0), (14.0, 15.0), f.values)):  # shifted box
+        with pytest.raises(ValueError, match="share one grid"):
+            hl.limit_system_residual(f, other, q0, q0, 2, 0.5)
+        with pytest.raises(ValueError, match="share one grid"):
+            hl.limit_system_residual(other, f, q0, q0, 2, 0.5)
 
 
 def test_limit_system_residual_refinement(bubble_2d):
     amp, q0 = bubble_2d
     values = []
     for radius, m in [(10.0, 48), (14.0, 96), (18.0, 160)]:
-        f = radial_field(radius, m, lambda r: amp * hl.bubble(r, 2, 0.5), hint=-1.0)
+        f = radial_field(radius, m, lambda r: amp * hl.bubble(r, 2, 0.5))
         values.append(hl.limit_system_residual(f, f, q0, q0, 2, 0.5).residual_u)
     assert values[0] > values[1] > values[2]
 
@@ -319,8 +352,8 @@ def test_serrin_log_integral_synthetic_convergence():
 
 
 def test_tail_budget_infinite_when_not_integrable():
-    # hint too shallow for the kernel: lam + gamma*p <= n, tail diverges and
-    # the budget says so
-    f = radial_field(8.0, 32, lambda r: np.maximum(r, 0.5) ** -0.3, hint=-0.3)
-    res = hl.limit_system_residual(f, f, 3.0, 3.0, 2, 0.5)
-    assert math.isinf(res.tail_budget_u)
+    # decay too shallow for the kernel: lam + gamma*p <= n, the tail diverges
+    # and the budget says so; at gamma = n - 2s it converges
+    f = radial_field(8.0, 32, lambda r: np.maximum(r, 0.5) ** -0.3)
+    assert math.isinf(hl._tail_budget(f, 0.3, 3.0, 2, 0.5))
+    assert 0.0 < hl._tail_budget(f, 1.0, 3.0, 2, 0.5) < math.inf

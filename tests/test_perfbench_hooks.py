@@ -38,12 +38,48 @@ assert metrics["lane_emden.converged_frac"] == 1.0, metrics
 """
 
 
-def test_perfbench_tracer_installs_and_records_a_sweep():
+TRACED_HLS = """
+import sys
+from pathlib import Path
+
+import numpy as np
+from spans import Tracer, install, layer_metrics
+
+tracer = Tracer("t")
+install(tracer)
+
+from fraclane import cli_io
+from fraclane.hls_limit import FreeField
+
+out = Path(sys.argv[1])
+field = FreeField.centered(4.0, np.random.default_rng(7).random((32, 32)))
+cli_io.dump_field(field, out / "field.bin")
+cfg = out / "hls.cfg"
+cfg.write_text("n = 2\\ns = 0.5\\np = 2.5\\nhls_box_list = 8,13\\nhls_grid_list = 32,52\\n"
+               f"hls_field = {out / 'field.bin'}\\n")
+assert cli_io.main(["hls", "--config", str(cfg), "--out", str(out / "hls")]) in (0, 1)
+metrics = layer_metrics(tracer.spans, ("hls_limit.sharp_diagonal_quotient",))
+# one convolution per ladder rung and one for the field score
+assert metrics["hls_limit.free_convolution.calls"] == 2 + 1, metrics
+assert metrics["hls_limit.radial_convolution.calls"] >= 1, metrics
+assert metrics["hot_span_share"] > 0, metrics
+"""
+
+
+def run_traced(script, *args):
     # a subprocess, because `install` rebinds the functions for the whole process
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "perfbench"), str(ROOT / "src"), env.get("PYTHONPATH", "")]
     )
-    proc = subprocess.run([sys.executable, "-c", TRACED_SWEEP], env=env, cwd=ROOT,
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_perfbench_tracer_installs_and_records_a_sweep():
+    run_traced(TRACED_SWEEP)
+
+
+def test_perfbench_tracer_records_an_hls_run(tmp_path):
+    run_traced(TRACED_HLS, str(tmp_path))
