@@ -46,6 +46,7 @@ from .lane_emden import (
     ExponentPair,
     SolutionPair,
     alpha_beta,
+    check_stopping_rule,
     critical_q,
     solve_ground_state,
     solve_q_epsilon,
@@ -97,6 +98,7 @@ class SweepConfig:
         if self.regime == "sub":
             _check_iterated_kernel(self.p, n, s)
         check_resolution(self.cutoff, self.grid_shape)
+        check_stopping_rule(self.theta_tol, self.residual_tol, self.max_iter)
 
     @property
     def regime(self) -> str:
@@ -378,20 +380,18 @@ def green_limit_check(u_at: np.ndarray, v_at: np.ndarray, lam: float, kernels: L
     return out
 
 
-def boundary_bound_check(pair: SolutionPair, delta: float) -> CollarBound:
-    """Sup of u + v over the collar {dist(x, boundary) < delta}.
+def boundary_bound_check(pair: SolutionPair) -> CollarBound:
+    """Sup of u + v over the collar {dist(x, boundary) < COLLAR_FRAC min(L)} of the pair's box.
 
     The uniform-boundedness statement needs p, q > 1; the eta margin
     min(p, q) - 1 is reported alongside.
     """
     grid = pair.u.grid
     dom = grid.domain
-    if delta >= min(dom.lengths) / 2.0:
-        raise ValueError("collar width must be below half the min side length")
     dist = reduce(np.minimum, [
         np.minimum(g, L - g) for g, L in zip(np.ix_(*grid.coords), dom.lengths, strict=True)
     ])
-    collar = dist < delta
+    collar = dist < COLLAR_FRAC * min(dom.lengths)
     if not collar.any():
         raise ValueError("collar contains no grid nodes")
     total = pair.u.values + pair.v.values
@@ -404,12 +404,13 @@ def boundary_bound_check(pair: SolutionPair, delta: float) -> CollarBound:
 
 
 def extrapolate_S(
-    eps_values, s_values, theta_values, energy_min: float, p: float, n: int, s: float, volume: float
+    eps_values, s_values, theta_values, energy_min: float, p: float, domain: BoxDomain
 ) -> SExtrapolation:
     """Linear-in-eps extrapolation of S_Omega(eps) to eps = 0 (heuristic: the
     convergence rate is not available), plus the per-row quotient bound
     Theta(eps) <= S_hat^{-1} |Omega|^{1/(q_eps+1) - 1/(q0+1)} and the energy
-    limit comparison at the smallest eps."""
+    limit comparison at the smallest eps; n, s and |Omega| are the domain's."""
+    n, s, volume = domain.dim, domain.s, domain.volume()
     eps_values = np.asarray(eps_values, dtype=float)
     s_values = np.asarray(s_values, dtype=float)
     theta_values = np.asarray(theta_values, dtype=float)
@@ -488,7 +489,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 energy=report.energy,
                 lam_dist=lam * dom.boundary_distance(x_c),
                 lam_pow_eps=lam**eps,
-                boundary_sup=boundary_bound_check(pair, COLLAR_FRAC * min(dom.lengths)).value,
+                boundary_sup=boundary_bound_check(pair).value,
                 core_cells=core_cells,
                 clamped_fraction=report.clamped_fraction_max,
                 constants=measure_constants(pair, lam),
@@ -525,9 +526,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             [r.theta for r in rows],
             last.energy,
             config.p,
-            n,
-            s,
-            dom.volume(),
+            dom,
         )
 
     return SweepResult(
@@ -567,7 +566,7 @@ def decay_report(rescaled: RescaledSolution, c1: float, config: SweepConfig) -> 
     try:
         fit_v = decay_fit(rescaled.v, win)
         fit_u = decay_fit(rescaled.u, win, serrin_power=n - 2 * s if serrin else None)
-        sandwich = sharp_decay_check(rescaled.v, c1, 0.25, win[0], win[1] / lam, lam, n, s)
+        sandwich = sharp_decay_check(rescaled.v, c1, 0.25, win, s)
         report = {
             "window": list(win),
             "v_slope": {"value": fit_v.slope, "target": -(n - 2 * s), "tol": 0.1},
@@ -576,7 +575,7 @@ def decay_report(rescaled: RescaledSolution, c1: float, config: SweepConfig) -> 
                          "delta": 0.25, "passed": sandwich.passed},
         }
         if serrin:
-            si = serrin_log_integral(rescaled.v, config.p, lam, c1, n, s)
+            si = serrin_log_integral(rescaled.v, config.p, lam, c1, s)
             report["serrin_log_integral"] = {"value": si.value, "target": si.target, "tol_rel": 0.2}
     except ValueError as exc:
         return {"error": str(exc)}

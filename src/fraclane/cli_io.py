@@ -29,10 +29,11 @@ import numpy as np
 from . import __version__
 from .blowup_sweep import SweepConfig, run_sweep
 from .fractional_calculus import free_kernel, green, operator_algebra_residuals
-from .hls_limit import FreeField, bubble_ladder, hls_quotient, radial_shells, sharp_diagonal_quotient
+from .hls_limit import (FreeField, bubble_ladder, check_ladder, hls_quotient, radial_shells,
+                        sharp_diagonal_quotient)
 from .lane_emden import (_POSITIVITY_BUDGET, MAX_ITER, RESIDUAL_TOL, THETA_TOL, ExponentPair,
-                         ascent_budget, critical_q, identity_report, solve_ground_state,
-                         solve_q_epsilon, symmetry_classes)
+                         ascent_budget, check_stopping_rule, critical_q, identity_report,
+                         solve_ground_state, solve_q_epsilon, symmetry_classes)
 from .spectral_domain import BoxDomain, Grid, GridFunction, build_basis, build_grid, check_resolution
 
 FIELD_MAGIC = b"FRLNFLD\x00"
@@ -85,8 +86,8 @@ _PARSERS = {f.name: _parser(f.default) for f in dc_fields(RunConfig)}
 def parse_config(text: str, command: str | None = None) -> RunConfig:
     """Parse flat `key = value` lines (lists comma-separated, # comments).
 
-    Every unknown key and malformed number is reported, with its line
-    number, before raising. A config that parses is then checked by building
+    Every unknown key, malformed number and key set twice is reported, with
+    its line numbers, before raising. A config that parses is then checked by building
     the objects its command builds; each object reports one violation, the
     first of its rules that the config breaks, so a config that breaks two
     rules of one object shows only the first.
@@ -95,6 +96,7 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
     """
     defaults = RunConfig()
     values: dict[str, object] = {}
+    line_of: dict[str, int] = {}
     violations: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -107,6 +109,10 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
         if key not in _PARSERS:
             violations.append(f"line {lineno}: unknown key {key!r}")
             continue
+        if key in line_of:
+            violations.append(f"line {lineno}: key {key!r} already set on line {line_of[key]}")
+            continue
+        line_of[key] = lineno
         try:
             values[key] = _PARSERS[key](raw)
         except ValueError:
@@ -146,6 +152,14 @@ def _resolution(cfg: RunConfig) -> None:
     check_resolution(cfg.cutoff, cfg.grid)
 
 
+def _stopping_rule(cfg: RunConfig) -> None:
+    check_stopping_rule(cfg.theta_tol, cfg.residual_tol, cfg.max_iter)
+
+
+def _ladder(cfg: RunConfig) -> None:
+    check_ladder(cfg.hls_box_list, cfg.hls_grid_list)
+
+
 def _kernel_box(cfg: RunConfig) -> np.ndarray:
     """The sides L_i - 2 margin of the box kernel pairs are drawn from. Each
     spans at least 2 KERNEL_MIN_SEP, so a drawn pair is far enough apart with
@@ -157,8 +171,8 @@ def _kernel_box(cfg: RunConfig) -> np.ndarray:
 
 
 # What each command builds on its domain, in the order it builds it.
-_BUILDS = {"solve": (_resolution, _exponents), "sweep": (_sweep_config,),
-           "hls": (_exponents,), "kernels": (_resolution, _kernel_box)}
+_BUILDS = {"solve": (_resolution, _exponents, _stopping_rule), "sweep": (_sweep_config,),
+           "hls": (_exponents, _ladder), "kernels": (_resolution, _kernel_box)}
 
 
 def _validate(cfg: RunConfig) -> list[str]:
@@ -174,8 +188,10 @@ def _validate(cfg: RunConfig) -> list[str]:
     out.extend(counts)
     if cfg.command == "hls" and len(cfg.hls_box_list) != len(cfg.hls_grid_list):
         out.append("hls_box_list and hls_grid_list must have equal length")
-    if cfg.command == "kernels" and cfg.kernel_seed < 0:
-        out.append(f"kernel_seed must be >= 0, got {cfg.kernel_seed}")
+    if cfg.command == "kernels":
+        out.extend(f"{key} must be >= {least}, got {getattr(cfg, key)}"
+                   for key, least in (("kernel_pairs", 1), ("kernel_seed", 0))
+                   if getattr(cfg, key) < least)
     if counts or cfg.command not in _BUILDS:
         return out
     try:  # every other object is built on the domain's n and s
@@ -509,7 +525,7 @@ def _cmd_hls(cfg: RunConfig, out_dir: Path) -> tuple[dict, Checks]:
         qc = critical_q(cfg.p, n, s)
         norm = field.lp_norm((qc + 1.0) / qc)
         normalized = field.with_values(field.values / norm)
-        quotient = hls_quotient(normalized, cfg.p, qc, n, s)
+        quotient = hls_quotient(normalized, cfg.p, qc, s)
         field_payload = {"path": cfg.hls_field, "p": cfg.p, "q0": qc, "quotient": quotient,
                          "sha256": hashlib.sha256(Path(cfg.hls_field).read_bytes()).hexdigest()}
 
@@ -537,16 +553,15 @@ def _kernel_pairs(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
 def _cmd_kernels(cfg: RunConfig, out_dir: Path) -> tuple[dict, Checks]:
     domain = BoxDomain(cfg.lengths, cfg.s)
     basis = build_basis(domain, cfg.cutoff)
-    n = cfg.n
     xs, ys = _kernel_pairs(cfg)
 
     gxy = green(xs, ys, basis)
     gyx = green(ys, xs, basis)
-    fk = free_kernel(xs, ys, n, cfg.s)
+    fk = free_kernel(xs, ys, cfg.s)
     h = fk - gxy.value
-    h_sym = float(np.max(np.abs(h - (free_kernel(ys, xs, n, cfg.s) - gyx.value)), initial=0.0))
+    h_sym = float(np.max(np.abs(h - (free_kernel(ys, xs, cfg.s) - gyx.value)), initial=0.0))
     ok = (0.0 < gxy.value) & (gxy.value < fk + gxy.truncation_bound)
-    cols = ([f"x{i + 1}" for i in range(n)] + [f"y{i + 1}" for i in range(n)]
+    cols = ([f"x{i + 1}" for i in range(cfg.n)] + [f"y{i + 1}" for i in range(cfg.n)]
             + ["green", "truncation_bound", "free_kernel", "regular_part", "bound_ok"])
     table = np.column_stack([xs, ys, gxy.value, gxy.truncation_bound, fk, h])
     write_table(out_dir / "kernels.csv", cols,

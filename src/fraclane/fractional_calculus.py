@@ -120,10 +120,12 @@ class KernelSample:
             raise ValueError("truncation bound must be nonnegative")
 
 
-def free_kernel(x, y, n: int, s: float):
-    """Free-space kernel g_{n,s} |x-y|^{2s-n} of points (n,) or pairs (P, n);
-    coincident points rejected."""
-    d = np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float), axis=-1)
+def free_kernel(x, y, s: float):
+    """Free-space kernel g_{n,s} |x-y|^{2s-n} of points (n,) or pairs (P, n),
+    n the last axis of the broadcast points; coincident points rejected."""
+    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    n = diff.shape[-1]
+    d = np.linalg.norm(diff, axis=-1)
     if np.any(d == 0.0):
         raise ValueError("free kernel is singular at coincident points")
     out = gns(n, s) * d ** (2 * s - n)
@@ -304,7 +306,7 @@ def _clamp_in_place(values: np.ndarray, weights, context: str) -> float:
 
 def resolvability_threshold(basis: SpectralBasis) -> float:
     """Shortest retained wavelength 2 pi / sqrt(lambda_max); kernels refuse below it."""
-    return 2.0 * math.pi / math.sqrt(float(basis.eigenvalues[-1]))
+    return 2.0 * math.pi / math.sqrt(float(basis.eigenvalue_grid[(-1,) * basis.domain.dim]))
 
 
 # The outer mode shells of the tail estimate: shell j holds the modes whose largest
@@ -394,7 +396,7 @@ def regular_part(x, y, basis: SpectralBasis) -> KernelSample:
     """Regular part H = free_kernel - green of points (n,) or pairs (P, n);
     smooth, symmetric, positive."""
     g = green(x, y, basis)
-    h = free_kernel(x, y, basis.domain.dim, basis.domain.s) - g.value
+    h = free_kernel(x, y, basis.domain.s) - g.value
     return KernelSample(h, g.truncation_bound)
 
 

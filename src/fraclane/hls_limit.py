@@ -132,8 +132,8 @@ def _kernel_table(field: FreeField, lam: float) -> np.ndarray:
     return table
 
 
-def free_convolution(field: FreeField, n: int, s: float, values=None) -> np.ndarray:
-    """g_{n,s} (|x|^{-(n-2s)} * f) on the field's nodes (zero outside the box).
+def free_convolution(field: FreeField, s: float, values=None) -> np.ndarray:
+    """g_{n,s} (|x|^{-(n-2s)} * f) on the field's nodes (zero outside the box), n = `field.dim`.
 
     The convolution is circular with period 2m per axis. A kept index k in
     [m - 1, 2m - 1) reads table offset k - j in [0, 2m - 2] for every input
@@ -153,7 +153,7 @@ def free_convolution(field: FreeField, n: int, s: float, values=None) -> np.ndar
     shape = f.shape
     fft_shape = tuple(2 * m for m in shape)
     axes = tuple(range(f.ndim))
-    kernel = np.fft.rfftn(_kernel_table(field, n - 2.0 * s), fft_shape, axes=axes)
+    kernel = np.fft.rfftn(_kernel_table(field, field.dim - 2.0 * s), fft_shape, axes=axes)
     spectrum = np.fft.rfftn(f, fft_shape, axes=axes)
     spectrum *= kernel
     del kernel
@@ -161,7 +161,7 @@ def free_convolution(field: FreeField, n: int, s: float, values=None) -> np.ndar
     for axis in axes[:-1]:
         spectrum = np.fft.ifft(spectrum, fft_shape[axis], axis)[(slice(None),) * axis + (kept[axis],)]
     conv = np.fft.irfft(spectrum, fft_shape[-1], -1)[..., kept[-1]]
-    return gns(n, s) * field.cell_volume * conv
+    return gns(field.dim, s) * field.cell_volume * conv
 
 
 def _require_critical(p: float, q0: float, n: int, s: float):
@@ -172,15 +172,15 @@ def _require_critical(p: float, q0: float, n: int, s: float):
         )
 
 
-def hls_quotient(f: FreeField, p: float, q0: float, n: int, s: float) -> float:
-    """||f||_{(p+1)/p} / (g_{n,s} || |x|^{-(n-2s)} * f ||_{q0+1}) on the grid.
+def hls_quotient(f: FreeField, p: float, q0: float, s: float) -> float:
+    """||f||_{(p+1)/p} / (g_{n,s} || |x|^{-(n-2s)} * f ||_{q0+1}) on the grid, n = `f.dim`.
 
     Requires a critical pair; f is treated as compactly supported in the box.
     The infimum of this quotient over f is the sharp constant, so minimizer
     candidates evaluate to it from above (up to truncation/quadrature).
     """
-    _require_critical(p, q0, n, s)
-    conv = free_convolution(f, n, s)
+    _require_critical(p, q0, f.dim, s)
+    conv = free_convolution(f, s)
     num = f.lp_norm((p + 1.0) / p)
     den = f.lp_norm(q0 + 1.0, values=conv)
     if den == 0.0:
@@ -218,11 +218,12 @@ def _decay_exponent(p: float, n: int, s: float) -> float:
     return n - 2.0 * s
 
 
-def _tail_budget(field: FreeField, gamma: float, power: float, n: int, s: float) -> float:
+def _tail_budget(field: FreeField, gamma: float, power: float, s: float) -> float:
     """Convolution tail beyond the box of field^power for field ~ A r^{-gamma},
     bounding the kernel by (rho - R/2)^{-lam} for interior targets |x| <= R/2;
     inf when the tail is not integrable. Carries a 1.5x margin for the
     amplitude/shape estimates."""
+    n = field.dim
     gamma = gamma * power
     lam = n - 2.0 * s
     r = field.radii()
@@ -258,7 +259,7 @@ def _block_mean(values: np.ndarray) -> np.ndarray:
     return v
 
 
-def _coarse_convolution_gap(field: FreeField, n: int, s: float, values, fine: np.ndarray) -> float:
+def _coarse_convolution_gap(field: FreeField, s: float, values, fine: np.ndarray) -> float:
     """h vs 2h midpoint-convolution difference (cell means): quadrature scale."""
     if any(m < 4 for m in field.shape):
         return 0.0
@@ -268,7 +269,7 @@ def _coarse_convolution_gap(field: FreeField, n: int, s: float, values, fine: np
         for a, h, m2 in zip(field.lo, field.spacing, coarse_vals.shape, strict=True)
     )
     coarse = FreeField(field.lo, hi, np.maximum(coarse_vals, 0.0))
-    conv_c = free_convolution(coarse, n, s)
+    conv_c = free_convolution(coarse, s)
     trim = tuple(slice(0, 2 * m2) for m2 in coarse_vals.shape)
     gap = np.abs(_block_mean(fine[trim]) - conv_c)
     # the h-2h gap tracks the true error closely (near-kernel cells converge
@@ -277,19 +278,22 @@ def _coarse_convolution_gap(field: FreeField, n: int, s: float, values, fine: np
 
 
 def limit_system_residual(
-    u: FreeField, v: FreeField, p: float, q0: float, n: int, s: float
+    u: FreeField, v: FreeField, p: float, q0: float, s: float
 ) -> LimitSystemResidual:
     """Sup-norm residuals of U = g k * V^p and V = g k * U^{q0} on the interior
-    half-box of u and v's shared grid; the error budget combines
+    half-box of u and v's shared grid, in n = `u.dim`; the error budget combines
     convolution-tail estimates at the decay exponents the system implies
-    (`_decay_exponent`) with an h-vs-2h quadrature estimate."""
+    (`_decay_exponent`) with an h-vs-2h quadrature estimate. The budgets bound
+    the error of evaluating the residuals, not the distance of (u, v) from the
+    limit system, which at finite eps can exceed them."""
+    n = u.dim
     _require_critical(p, q0, n, s)
     if (u.lo, u.hi, u.shape) != (v.lo, v.hi, v.shape):
         raise ValueError(f"u and v must share one grid: u on {u.lo}..{u.hi} {u.shape}, "
                          f"v on {v.lo}..{v.hi} {v.shape}")
     vp, uq = v.values**p, u.values**q0
-    conv_vp = free_convolution(v, n, s, values=vp)
-    conv_uq = free_convolution(u, n, s, values=uq)
+    conv_vp = free_convolution(v, s, values=vp)
+    conv_uq = free_convolution(u, s, values=uq)
     coords = np.ix_(*[u.coords(axis) for axis in range(u.dim)])
     interior = reduce(np.logical_and, [
         np.abs(g) <= 0.5 * min(-a, b) for g, a, b in zip(coords, u.lo, u.hi, strict=True)
@@ -299,10 +303,10 @@ def limit_system_residual(
     return LimitSystemResidual(
         residual_u=res_u,
         residual_v=res_v,
-        tail_budget_u=_tail_budget(v, n - 2.0 * s, p, n, s),
-        tail_budget_v=_tail_budget(u, _decay_exponent(p, n, s), q0, n, s),
-        quad_budget_u=_coarse_convolution_gap(v, n, s, vp, conv_vp),
-        quad_budget_v=_coarse_convolution_gap(u, n, s, uq, conv_uq),
+        tail_budget_u=_tail_budget(v, n - 2.0 * s, p, s),
+        tail_budget_v=_tail_budget(u, _decay_exponent(p, n, s), q0, s),
+        quad_budget_u=_coarse_convolution_gap(v, s, vp, conv_vp),
+        quad_budget_v=_coarse_convolution_gap(u, s, uq, conv_uq),
     )
 
 
@@ -374,20 +378,15 @@ class SandwichReport:
 
 
 def sharp_decay_check(
-    v_tilde: FreeField,
-    c1: float,
-    delta: float,
-    r_inner: float,
-    r_outer: float,
-    lam: float,
-    n: int,
-    s: float,
+    v_tilde: FreeField, c1: float, delta: float, window: tuple[float, float], s: float
 ) -> SandwichReport:
     """Fraction of annulus nodes violating the two-sided bound
-    (1 - delta) g C1 |x|^{-(n-2s)} <= v <= (1 + delta) g C1 |x|^{-(n-2s)}
-    on r_inner <= |x| <= lam * r_outer; passes iff the fraction is zero."""
+    (1 - delta) g C1 |x|^{-(n-2s)} <= v <= (1 + delta) g C1 |x|^{-(n-2s)}, n =
+    `v_tilde.dim`, on the annulus `window` = (r_lo, r_hi) of the field's
+    coordinates, as in `decay_fit`; passes iff the fraction is zero."""
+    n = v_tilde.dim
     r = v_tilde.radii()
-    mask = (r >= r_inner) & (r <= lam * r_outer)
+    mask = (r >= window[0]) & (r <= window[1])
     npts = int(mask.sum())
     if npts == 0:
         raise ValueError("empty annulus for the sharp-decay check")
@@ -411,12 +410,13 @@ def serrin_constant(c1: float, n: int, s: float) -> float:
 
 
 def serrin_log_integral(
-    v_tilde: FreeField, p: float, lam: float, c1: float, n: int, s: float
+    v_tilde: FreeField, p: float, lam: float, c1: float, s: float
 ) -> SerrinIntegral:
     """(1 / log lam) int v^p against its limit C3 = `serrin_constant`.
 
-    Only defined in the Serrin regime p = n/(n-2s).
+    Only defined in the Serrin regime p = n/(n-2s), n = `v_tilde.dim`.
     """
+    n = v_tilde.dim
     if classify_regime(p, n, s) != "serrin":
         raise RegimeError(f"log integral needs p = n/(n-2s) = {serrin_exponent(n, s)}, got {p}")
     if lam <= 1.0:
@@ -545,17 +545,29 @@ def sharp_diagonal_quotient(n: int, s: float) -> float:
     return num / den
 
 
+def check_ladder(box_radii, grid_sizes) -> None:
+    """The rule of a `bubble_ladder`: at least one rung, every box radius
+    R > 0 and every grid at least one node per axis."""
+    if len(box_radii) == 0:
+        raise ValueError("the bubble ladder needs at least one rung")
+    if any(not radius > 0 for radius in box_radii):
+        raise ValueError(f"ladder box radii must be positive, got {tuple(box_radii)}")
+    if any(m < 1 for m in grid_sizes):
+        raise ValueError(f"ladder grids need at least one node per axis, got {tuple(grid_sizes)}")
+
+
 def bubble_ladder(n: int, s: float, box_radii, grid_sizes) -> list[float]:
     """HLS quotients of the diagonal critical bubble power on centred boxes
-    [-R, R]^n with m nodes per axis, one per (R, m); on boxes growing with
-    their grids they approach `sharp_diagonal_quotient` from above, up to
-    truncation and quadrature."""
+    [-R, R]^n with m nodes per axis, one per (R, m) (`check_ladder`); on
+    boxes growing with their grids they approach `sharp_diagonal_quotient`
+    from above, up to truncation and quadrature."""
+    check_ladder(box_radii, grid_sizes)
     q0 = diagonal_exponent(n, s)
     quotients = []
     for radius, m in zip(box_radii, grid_sizes, strict=True):
         box = FreeField.centered(radius, np.zeros((m,) * n))
         f = box.with_values(bubble(box.radii(), n, s) ** q0)
-        quotients.append(hls_quotient(f, q0, q0, n, s))
+        quotients.append(hls_quotient(f, q0, q0, s))
     return quotients
 
 

@@ -229,10 +229,20 @@ _ASCENT_SLACK = 1e-12
 _POSITIVITY_BUDGET = 1e-4
 
 # The stopping rule of `solve_ground_state` and its iteration cap; `SweepConfig`
-# and the CLI default to the same three.
+# and the CLI default to the same three, and check theirs by `check_stopping_rule`.
 THETA_TOL = 1e-9
 RESIDUAL_TOL = 1e-7
 MAX_ITER = 2000
+
+
+def check_stopping_rule(theta_tol: float, residual_tol: float, max_iter: int) -> None:
+    """Refuse a stopping rule that `solve_ground_state` could never meet:
+    it needs max_iter >= 1, theta_tol > 0 and residual_tol > 0."""
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    for name, tol in (("theta_tol", theta_tol), ("residual_tol", residual_tol)):
+        if not tol > 0:
+            raise ValueError(f"{name} must be > 0, got {tol}")
 
 
 def ascent_budget(theta_prev):
@@ -384,13 +394,18 @@ def solve_ground_state(
     positivity beyond 1e-4 of L1 mass (sub-budget truncation ringing is
     clamped and reported; clamps above 1e-8 of L1 mass warn), and on any
     Theta decrease beyond 1e-12 max(1, Theta) (ascent is an observed property,
-    checked every step).
+    checked every step). Refuses, before iterating, a critical pair, exponents
+    of another (n, s) than the basis's box, and a stopping rule it cannot meet.
     """
     if exponents.critical:
         raise CriticalPairError(
             "critical pair (epsilon = 0): the embedding is not compact and the "
             "maximizer may not exist; solve_ground_state requires epsilon > 0"
         )
+    if (exponents.n, exponents.s) != (basis.domain.dim, basis.domain.s):
+        raise ValueError(f"exponents of (n, s) = {exponents.n, exponents.s} do not belong to the "
+                         f"basis's box, (n, s) = {basis.domain.dim, basis.domain.s}")
+    check_stopping_rule(theta_tol, residual_tol, max_iter)
     p, q, s = exponents.p, exponents.q, exponents.s
     qnorm = (q + 1.0) / q
 

@@ -85,9 +85,8 @@ class BoxDomain:
 class SpectralBasis:
     """All Dirichlet eigenpairs of a box with k_i <= K_i, eigenvalues closed form.
 
-    `eigenvalues` lists the eigenvalues of the flattened modes in
-    nondecreasing order; `eigenvalue_grid` keeps the tensor layout used by
-    the transforms.
+    `eigenvalue_grid` holds the eigenvalues in the transforms' tensor layout,
+    increasing along every axis.
     """
 
     def __init__(self, domain: BoxDomain, cutoff):
@@ -108,7 +107,6 @@ class SpectralBasis:
         ]
         grids = np.meshgrid(*lam1d, indexing="ij")
         self.eigenvalue_grid = np.add.reduce(grids)
-        self.eigenvalues = np.sort(self.eigenvalue_grid, axis=None)
 
     def sine_samples(self, axis: int, coords) -> np.ndarray:
         """Matrix of 1-d eigenfunction factors: S[j, k] = sqrt(2/L) sin((k+1) pi x_j / L)."""

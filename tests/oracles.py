@@ -202,9 +202,10 @@ def plain_kernel_table(field, lam):
     return table
 
 
-def plain_free_convolution(field, n, s, values=None):
+def plain_free_convolution(field, s, values=None):
     """g_{n,s} cell * irfftn(rfftn(f, 2m) rfftn(table, 2m)), the plain circular
     convolution of period 2m per axis, cut to the kept rows [m - 1, 2m - 1)."""
+    n = field.dim
     f = field.values if values is None else values
     fft_shape = tuple(2 * m for m in f.shape)
     axes = tuple(range(f.ndim))

@@ -137,7 +137,7 @@ def test_criterion_02_kernel_bound(square):
         gxy = fl.green(x, y, basis)
         if gxy.value != fl.green(y, x, basis).value:
             asym += 1
-        if not 0.0 < gxy.value < fl.free_kernel(x, y, 2, 0.5) + gxy.truncation_bound:
+        if not 0.0 < gxy.value < fl.free_kernel(x, y, 0.5) + gxy.truncation_bound:
             violations += 1
     elapsed = time.perf_counter() - t0
     ok = violations == 0 and asym == 0 and elapsed < 10.0
@@ -362,8 +362,7 @@ def test_criterion_09_sharp_decay_sandwich(sweep_p20):
     rs = sweep_p20.rescaled
     row = sweep_p20.rows[-1]
     win = bs.decay_window(rs.lam, sweep_p20.config.domain, sweep_p20.config.grid_shape)
-    rep = hl.sharp_decay_check(rs.v, row.constants.c1, 0.25, win[0], win[1] / rs.lam,
-                               rs.lam, 2, 0.5)
+    rep = hl.sharp_decay_check(rs.v, row.constants.c1, 0.25, win, 0.5)
     record(9, "sharp-decay sandwich d=0.25", rep.passed,
            f"violating={rep.fraction_violating:.3f} of {rep.n_points} pts "
            f"annulus=({win[0]:.1f},{win[1]:.1f})")
@@ -373,7 +372,7 @@ def test_criterion_09_sharp_decay_sandwich(sweep_p20):
 def test_criterion_09_serrin_log_integral(sweep_p20):
     rs = sweep_p20.rescaled
     row = sweep_p20.rows[-1]
-    si = hl.serrin_log_integral(rs.v, 2.0, rs.lam, row.constants.c1, 2, 0.5)
+    si = hl.serrin_log_integral(rs.v, 2.0, rs.lam, row.constants.c1, 0.5)
     rel = abs(si.value - si.target) / si.target
     ok = rel < 0.2
     record(9, "serrin log integral", ok,
@@ -392,7 +391,7 @@ def test_criterion_10_hls_consistency(sweep_p25):
     q0 = fl.critical_q(2.5, 2, 0.5)
     w = res.rescaled.w
     norm = w.lp_norm((q0 + 1.0) / q0)
-    quotient = hl.hls_quotient(w.with_values(w.values / norm), 2.5, q0, 2, 0.5)
+    quotient = hl.hls_quotient(w.with_values(w.values / norm), 2.5, q0, 0.5)
     rel = abs(quotient - s_hat) / s_hat
 
     sharp = hl.sharp_diagonal_quotient(2, 0.5)
@@ -401,7 +400,7 @@ def test_criterion_10_hls_consistency(sweep_p25):
         ax = (np.arange(m) + 0.5) * (2 * radius / m) - radius
         X, Y = np.meshgrid(ax, ax, indexing="ij")
         bub = hl.FreeField.centered(radius, hl.bubble(np.hypot(X, Y), 2, 0.5) ** 3.0)
-        ladder.append(hl.hls_quotient(bub, 3.0, 3.0, 2, 0.5))
+        ladder.append(hl.hls_quotient(bub, 3.0, 3.0, 0.5))
     monotone = all(b < a for a, b in zip(ladder[:-1], ladder[1:], strict=True))
     within = ladder[-1] / sharp - 1.0 < 0.01
     elapsed = time.perf_counter() - t0

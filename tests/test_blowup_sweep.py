@@ -176,24 +176,25 @@ def test_extrapolation_linear_model_exact():
     s_vals = [s0 + c * e for e in eps]
     theta = [1.0 / v for v in s_vals]
     ex = bs.extrapolate_S(eps, s_vals, theta, energy_min=0.5 * s0**2 * 1.0,
-                          p=2.5, n=2, s=0.5, volume=1.0)
+                          p=2.5, domain=unit_square())
     assert ex.s_hat == pytest.approx(s0, rel=1e-12)
     assert ex.slope == pytest.approx(c, rel=1e-12)
     assert ex.bound_ok
     with pytest.raises(ValueError):
-        bs.extrapolate_S(eps[:2], s_vals[:2], theta[:2], 1.0, 2.5, 2, 0.5, 1.0)
+        bs.extrapolate_S(eps[:2], s_vals[:2], theta[:2], 1.0, 2.5, unit_square())
 
 
 def test_collar_bound(mini_pairs):
     pair = mini_pairs[-1]
-    col = bs.boundary_bound_check(pair, 0.1)
+    col = bs.boundary_bound_check(pair)
     total = pair.u.values + pair.v.values
     assert col.value <= float(np.max(total))
     assert col.hypothesis_ok and col.eta_margin > 0
-    wider = bs.boundary_bound_check(pair, 0.2)
-    assert wider.value >= col.value  # collar sup monotone in delta
-    with pytest.raises(ValueError):
-        bs.boundary_bound_check(pair, 0.6)
+    # the collar is the nodes within COLLAR_FRAC of the shortest side (0.1 on
+    # the unit square) of the boundary
+    pts = pair.u.grid.points()
+    dist = np.minimum(pts, 1.0 - pts).min(axis=1)
+    assert col.value == float(np.max(total.ravel()[dist < bs.COLLAR_FRAC]))
 
 
 def test_collar_bounded_across_schedule(mini_sweep):
@@ -289,7 +290,7 @@ def test_limit_system_residual_decreases_along_sweep(mini_sweep, mini_pairs):
     resid_u, resid_v = [], []
     for row, pair in zip(res.rows, mini_pairs, strict=True):
         rs = bs.rescale_solution(pair, row.lam, np.asarray(row.x_c))
-        out = hl.limit_system_residual(rs.u, rs.v, res.config.p, q0, 2, 0.5)
+        out = hl.limit_system_residual(rs.u, rs.v, res.config.p, q0, 0.5)
         resid_u.append(out.residual_u)
         resid_v.append(out.residual_v)
     assert all(b < a for a, b in zip(resid_u[:-1], resid_u[1:], strict=True))
@@ -317,8 +318,8 @@ def test_limit_budgets_do_not_depend_on_where_a_field_came_from(mini_sweep, tmp_
     for name in ("u", "v"):
         cli_io.dump_field(getattr(rs, name), tmp_path / f"{name}.bin")
     loaded = [cli_io.load_field(tmp_path / f"{name}.bin") for name in ("u", "v")]
-    in_memory = hl.limit_system_residual(rs.u, rs.v, res.config.p, q0, 2, 0.5)
-    from_dump = hl.limit_system_residual(*loaded, res.config.p, q0, 2, 0.5)
+    in_memory = hl.limit_system_residual(rs.u, rs.v, res.config.p, q0, 0.5)
+    from_dump = hl.limit_system_residual(*loaded, res.config.p, q0, 0.5)
     assert from_dump.residuals == in_memory.residuals
     assert from_dump.budgets == in_memory.budgets
     assert all(0.0 < b < math.inf for b in in_memory.budgets), in_memory.budgets

@@ -473,12 +473,12 @@ BAD_CONFIGS = [
     ("cutoff_zero", _SOLVE + "cutoff = 0,8\ngrid = 16,16\n", r"cutoff entries must be >= 1"),
     ("aliasing_solve", _SOLVE + "cutoff = 64,64\ngrid = 100,128\n", r"anti-aliasing"),
     ("aliasing_kernels", "command = kernels\ncutoff = 8,8\ngrid = 15,16\n", r"anti-aliasing"),
-    ("aliasing_sweep", _SWEEP + "grid = 16,12\n", r"anti-aliasing"),
+    ("aliasing_sweep", _SWEEP.replace("grid = 16,16", "grid = 16,12"), r"anti-aliasing"),
     ("p_low_solve", _SOLVE + "p = 0.9\n", r"p > 2s/\(n-2s\)"),
     ("p_low_sweep", _SWEEP + "p = 0.9\n", r"p > 2s/\(n-2s\)"),
     ("p_low_hls", "command = hls\np = 0.9\n", r"p > 2s/\(n-2s\)"),
     ("eps_above_limit_solve", _SOLVE + "p = 2.5\neps = 0.1\n", r"q >= p"),
-    ("eps_above_limit_schedule", _SWEEP + "eps_schedule = 0.2,0.04\n", r"q >= p"),
+    ("eps_above_limit_schedule", _SWEEP.replace("0.06,0.04", "0.2,0.04"), r"q >= p"),
     ("hls_lists", "command = hls\nhls_box_list = 8,13\nhls_grid_list = 64\n",
      r"hls_box_list and hls_grid_list"),
     ("hls_n_not_above_2s", "command = hls\nn = 1\ns = 0.6\n", r"n > 2s"),
@@ -487,6 +487,7 @@ BAD_CONFIGS = [
     ("kernel_margin_too_wide", "command = kernels\nkernel_margin = 0.49\n", r"kernel_margin"),
     ("kernel_margin_negative", "command = kernels\nkernel_margin = -0.1\n", r"kernel_margin"),
     ("kernel_seed_negative", "command = kernels\nkernel_seed = -1\n", r"kernel_seed"),
+    ("key_set_twice", _SOLVE + "p = 3.0\np = 2.5\n", r"line 3: key 'p' already set on line 2"),
 ]
 
 
@@ -502,15 +503,29 @@ def test_kernel_margin_at_its_limit_is_accepted():
     assert cli_io.parse_config("command = kernels\nkernel_margin = 0.4\n").kernel_margin == 0.4
 
 
-# Rejected at parse time, before anything runs: the two sweeps used to fail
-# only once the run had started (exit 3), and the hls config used to run.
+# Rejected at parse time, before anything runs. Without these rules each one
+# ran: hls_p_above_diagonal to its end, hls_no_rung into an IndexError (exit
+# 1), a tolerance <= 0 through max_iter iterations to exit 3, and the rest into
+# an error of the run (exit 3).
 NEWLY_REJECTED = [
-    ("schedule_not_decreasing", "sweep", _SWEEP + "eps_schedule = 0.04,0.06\n",
+    ("schedule_not_decreasing", "sweep", _SWEEP.replace("0.06,0.04", "0.04,0.06"),
      r"strictly decreasing"),
     ("sub_serrin_p_below_one", "sweep",
      "n = 3\ns = 0.5\np = 0.8\neps_schedule = 0.06\ncutoff = 4,4,4\ngrid = 8,8,8\n",
      r"p >= 1"),
     ("hls_p_above_diagonal", "hls", "n = 2\ns = 0.5\np = 3.5\n", r"q >= p"),
+    ("kernel_pairs_zero", "kernels", "kernel_pairs = 0\n", r"kernel_pairs must be >= 1, got 0"),
+    ("kernel_pairs_negative", "kernels", "kernel_pairs = -3\n", r"kernel_pairs must be >= 1"),
+    ("hls_radius_zero", "hls", "hls_box_list = 8,0\nhls_grid_list = 64,104\n",
+     r"box radii must be positive"),
+    ("hls_grid_zero", "hls", "hls_box_list = 8,13\nhls_grid_list = 64,0\n",
+     r"at least one node per axis"),
+    ("hls_no_rung", "hls", "hls_box_list =\nhls_grid_list =\n", r"at least one rung"),
+    ("solve_max_iter_zero", "solve", "max_iter = 0\n", r"max_iter must be >= 1"),
+    ("solve_theta_tol_negative", "solve", "theta_tol = -1\n", r"theta_tol must be > 0"),
+    ("solve_residual_tol_zero", "solve", "residual_tol = 0\n", r"residual_tol must be > 0"),
+    ("sweep_max_iter_zero", "sweep", _SWEEP + "max_iter = 0\n", r"max_iter must be >= 1"),
+    ("sweep_theta_tol_negative", "sweep", _SWEEP + "theta_tol = -1\n", r"theta_tol must be > 0"),
 ]
 
 

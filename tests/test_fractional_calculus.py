@@ -53,12 +53,12 @@ def test_free_kernel_constants():
 
 
 def test_free_kernel_values_and_scaling():
-    assert fl.free_kernel((0.0, 0.0), (0.5, 0.0), 2, 0.5) == pytest.approx(1.0 / math.pi, rel=1e-14)
-    r1 = fl.free_kernel((0.0, 0.0, 0.0), (0.3, 0.0, 0.0), 3, 0.5)
-    r2 = fl.free_kernel((0.0, 0.0, 0.0), (0.6, 0.0, 0.0), 3, 0.5)
+    assert fl.free_kernel((0.0, 0.0), (0.5, 0.0), 0.5) == pytest.approx(1.0 / math.pi, rel=1e-14)
+    r1 = fl.free_kernel((0.0, 0.0, 0.0), (0.3, 0.0, 0.0), 0.5)
+    r2 = fl.free_kernel((0.0, 0.0, 0.0), (0.6, 0.0, 0.0), 0.5)
     assert r2 == pytest.approx(2.0 ** (2 * 0.5 - 3) * r1, rel=1e-13)
     with pytest.raises(ValueError):
-        fl.free_kernel((0.1, 0.1), (0.1, 0.1), 2, 0.5)
+        fl.free_kernel((0.1, 0.1), (0.1, 0.1), 0.5)
 
 
 def test_fraclap_single_mode_multiplier():
@@ -126,7 +126,7 @@ def test_green_symmetry_exact_and_bound_example():
     gxy = fl.green(x, y, basis)
     gyx = fl.green(y, x, basis)
     assert gxy.value == gyx.value  # summand symmetric, bitwise
-    free = fl.free_kernel(x, y, 2, 0.5)
+    free = fl.free_kernel(x, y, 0.5)
     assert free == pytest.approx(2.0 / math.pi, rel=1e-13)
     assert 0.0 < gxy.value < free + gxy.truncation_bound
 
@@ -186,7 +186,7 @@ def test_green_single_pair_and_batch_agree_and_refuse_alike():
         assert isinstance(single.value, float) and isinstance(single.truncation_bound, float)
         assert single.value == pytest.approx(batch.value[i], rel=1e-13)
     h = fl.regular_part(pts, x0, basis)
-    np.testing.assert_allclose(h.value, fl.free_kernel(pts, x0, 2, 0.5) - batch.value, rtol=1e-14)
+    np.testing.assert_allclose(h.value, fl.free_kernel(pts, x0, 0.5) - batch.value, rtol=1e-14)
     with pytest.raises(fl.UnresolvedSingularityError, match="below resolvable spacing"):
         fl.green(np.vstack([pts, x0 + (0.25 * thr, 0.0)]), x0, basis)
     with pytest.raises(ValueError, match="is not interior"):
@@ -321,8 +321,8 @@ def test_free_kernel_homogeneity_matches_rescaling():
     n, s = 2, 0.5
     x, y = np.array([0.3, 0.4]), np.array([0.6, 0.1])
     lam = 3.7
-    lhs = lam ** -(n - 2 * s) * fl.free_kernel(x / lam, y / lam, n, s)
-    assert lhs == pytest.approx(fl.free_kernel(x, y, n, s), rel=1e-13)
+    lhs = lam ** -(n - 2 * s) * fl.free_kernel(x / lam, y / lam, s)
+    assert lhs == pytest.approx(fl.free_kernel(x, y, s), rel=1e-13)
 
 
 def test_g_tilde_regime_guard():
@@ -344,7 +344,7 @@ def test_regime_boundary_is_decided_once():
     with pytest.raises(fl.RegimeError):
         fl.g_tilde((0.3, 0.3), (0.7, 0.7), on, basis)
     v = fl.FreeField.centered(4.0, np.ones((8, 8)))
-    assert fl.serrin_log_integral(v, on, 10.0, 1.0, 2, 0.5).value > 0
+    assert fl.serrin_log_integral(v, on, 10.0, 1.0, 0.5).value > 0
     assert fl.classify_regime(fl.serrin_exponent(2, 0.5) - 1e-9, 2, 0.5) == "sub"
 
 
@@ -458,7 +458,7 @@ def test_green_3d_error_bars_bracket():
         g24 = fl.green(x, y, b24)
         assert abs(g12.value - g24.value) <= g12.truncation_bound + g24.truncation_bound
         assert g12.value + g12.truncation_bound > 0.0
-        assert g12.value - g12.truncation_bound < fl.free_kernel(x, y, 3, 0.5)
+        assert g12.value - g12.truncation_bound < fl.free_kernel(x, y, 0.5)
 
 
 def test_green_bound_on_rectangle():
@@ -473,7 +473,7 @@ def test_green_bound_on_rectangle():
                 break
         g = fl.green(x, y, basis)
         assert g.value == fl.green(y, x, basis).value
-        assert 0.0 < g.value < fl.free_kernel(x, y, 2, 0.5) + g.truncation_bound
+        assert 0.0 < g.value < fl.free_kernel(x, y, 0.5) + g.truncation_bound
 
 
 def test_g_tilde_3d_positive_and_symmetric_p1():

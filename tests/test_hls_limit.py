@@ -10,6 +10,7 @@ from oracles import mesh_radii, plain_free_convolution, plain_kernel_table
 import fraclane as fl
 from fraclane import fractional_calculus as fc
 from fraclane import hls_limit as hl
+from fraclane.lane_emden import diagonal_exponent
 
 
 def radial_field(radius, m, profile, n=2):
@@ -83,9 +84,10 @@ def test_bubble_pair_constants():
     assert amp3 == pytest.approx(2.0, rel=1e-5)  # kappa(3, 1/2) = 1/2
 
 
-def direct_free_convolution(field, n, s, values):
+def direct_free_convolution(field, s, values):
     # the O(N^2) discrete sum over the kernel table: node i reads offset
     # i - j + m - 1 for input node j, i.e. the flipped table's window at m - 1 - i
+    n = field.dim
     flipped = np.flip(hl._kernel_table(field, n - 2.0 * s))
     shape = values.shape
     out = np.empty(shape)
@@ -104,9 +106,9 @@ def test_free_convolution_matches_direct_sum(n, s, shape):
     hi = rng.uniform(1.0, 2.0, n)
     field = hl.FreeField(lo, hi, rng.random(shape))
     other = rng.random(shape) ** 3
-    for values, conv in ((field.values, hl.free_convolution(field, n, s)),
-                         (other, hl.free_convolution(field, n, s, values=other))):
-        ref = direct_free_convolution(field, n, s, values)
+    for values, conv in ((field.values, hl.free_convolution(field, s)),
+                         (other, hl.free_convolution(field, s, values=other))):
+        ref = direct_free_convolution(field, s, values)
         assert conv.shape == shape
         assert np.max(np.abs(conv - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -128,9 +130,9 @@ def pin_field(n, shape):
 def test_free_convolution_is_bitwise_the_plain_transform_product(n, s, shape):
     field = pin_field(n, shape)
     other = field.values**3
-    assert np.array_equal(hl.free_convolution(field, n, s), plain_free_convolution(field, n, s))
-    assert np.array_equal(hl.free_convolution(field, n, s, values=other),
-                          plain_free_convolution(field, n, s, values=other))
+    assert np.array_equal(hl.free_convolution(field, s), plain_free_convolution(field, s))
+    assert np.array_equal(hl.free_convolution(field, s, values=other),
+                          plain_free_convolution(field, s, values=other))
 
 
 @pytest.mark.parametrize("n, s, shape", PIN_CASES)
@@ -153,14 +155,14 @@ def test_free_convolution_peak_memory_is_the_kernel_transform():
     # one more transform-sized array.
     m = 256
     field = hl.FreeField.centered(4.0, np.random.default_rng(5).random((m, m)))
-    hl.free_convolution(field, 2, 0.5)  # builds the cached quadrature rules
+    hl.free_convolution(field, 0.5)  # builds the cached quadrature rules
     table = (2 * m - 1) ** 2 * 8
     table_rfft = (2 * m - 1) * (m + 1) * 16
     kernel_spectrum = 2 * m * (m + 1) * 16
     allowance = 16 * 2 * m * 16
     tracemalloc.start()
     try:
-        hl.free_convolution(field, 2, 0.5)
+        hl.free_convolution(field, 0.5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -170,7 +172,32 @@ def test_free_convolution_peak_memory_is_the_kernel_transform():
 def test_hls_quotient_requires_critical_pair():
     f = radial_field(5.0, 32, lambda r: np.exp(-(r**2)))
     with pytest.raises(fl.RegimeError):
-        hl.hls_quotient(f, 2.5, 3.0, 2, 0.5)
+        hl.hls_quotient(f, 2.5, 3.0, 0.5)
+
+
+def test_hls_quotient_reads_n_from_its_field():
+    # a 2-d field is scored in 2-d: the diagonal pair of (3, 0.9) is not
+    # critical there and is refused, the one of (2, 0.9) is scored
+    f = hl.FreeField.centered(4.0, np.random.default_rng(0).random((16, 16)))
+    q3 = diagonal_exponent(3, 0.9)
+    with pytest.raises(fl.RegimeError, match="not a critical pair"):
+        hl.hls_quotient(f, q3, q3, 0.9)
+    q2 = diagonal_exponent(2, 0.9)
+    assert 0.0 < hl.hls_quotient(f, q2, q2, 0.9) < math.inf
+
+
+@pytest.mark.parametrize("radii, grids, match", [
+    ((), (), "at least one rung"),
+    ((8.0, 0.0), (64, 104), "box radii must be positive"),
+    ((8.0, -13.0), (64, 104), "box radii must be positive"),
+    ((8.0, 13.0), (64, 0), "at least one node per axis"),
+])
+def test_bubble_ladder_refuses_a_bad_rung(radii, grids, match, monkeypatch):
+    # an empty ladder returned no quotient, and a rung of radius <= 0 or no
+    # nodes failed inside FreeField after the rungs before it had run
+    monkeypatch.setattr(hl, "hls_quotient", lambda *args: pytest.fail("a rung ran"))
+    with pytest.raises(ValueError, match=match):
+        hl.bubble_ladder(2, 0.5, radii, grids)
 
 
 def test_hls_quotient_scale_invariance_on_grid():
@@ -187,10 +214,10 @@ def test_hls_quotient_scale_invariance_on_grid():
     def dilated_profile(r):
         return delta ** (-2 * q0 / (q0 + 1)) * profile(r / delta)
 
-    base = hl.hls_quotient(radial_field(6.0, 96, profile), q0, q0, 2, 0.5)
-    base_coarse = hl.hls_quotient(radial_field(6.0, 48, profile), q0, q0, 2, 0.5)
-    dil = hl.hls_quotient(radial_field(12.0, 192, dilated_profile), q0, q0, 2, 0.5)
-    dil_coarse = hl.hls_quotient(radial_field(12.0, 96, dilated_profile), q0, q0, 2, 0.5)
+    base = hl.hls_quotient(radial_field(6.0, 96, profile), q0, q0, 0.5)
+    base_coarse = hl.hls_quotient(radial_field(6.0, 48, profile), q0, q0, 0.5)
+    dil = hl.hls_quotient(radial_field(12.0, 192, dilated_profile), q0, q0, 0.5)
+    dil_coarse = hl.hls_quotient(radial_field(12.0, 96, dilated_profile), q0, q0, 0.5)
     budget = abs(base - base_coarse) + abs(dil - dil_coarse)
     assert abs(dil - base) <= budget
     assert abs(dil - base) / base < 5e-3
@@ -202,8 +229,8 @@ def test_indicator_dilation_equal_quotients():
     q0 = 3.0
     ball = radial_field(4.0, 128, lambda r: (r < 0.8).astype(float))
     ball2 = radial_field(8.0, 256, lambda r: (r < 1.6).astype(float))
-    qa = hl.hls_quotient(ball, q0, q0, 2, 0.5)
-    qb = hl.hls_quotient(ball2, q0, q0, 2, 0.5)
+    qa = hl.hls_quotient(ball, q0, q0, 0.5)
+    qb = hl.hls_quotient(ball2, q0, q0, 0.5)
     assert qb == pytest.approx(qa, rel=5e-3)
 
 
@@ -213,7 +240,7 @@ def test_bubble_quotient_refinement_monotone(bubble_2d):
     quotients = []
     for radius, m in [(10.0, 48), (14.0, 96), (18.0, 160)]:
         f = radial_field(radius, m, lambda r: hl.bubble(r, 2, 0.5) ** q0)
-        quotients.append(hl.hls_quotient(f, q0, q0, 2, 0.5))
+        quotients.append(hl.hls_quotient(f, q0, q0, 0.5))
     assert all(q > sharp for q in quotients)  # approach from above
     assert all(b < a for a, b in zip(quotients[:-1], quotients[1:], strict=True))
     assert quotients[-1] / sharp - 1.0 < 0.01
@@ -222,11 +249,11 @@ def test_bubble_quotient_refinement_monotone(bubble_2d):
 def test_limit_system_zero_and_bubble(bubble_2d):
     amp, q0 = bubble_2d
     zero = radial_field(8.0, 32, lambda r: 0.0 * r)
-    res0 = hl.limit_system_residual(zero, zero, q0, q0, 2, 0.5)
+    res0 = hl.limit_system_residual(zero, zero, q0, q0, 0.5)
     assert res0.residuals == (0.0, 0.0)
 
     f = radial_field(14.0, 96, lambda r: amp * hl.bubble(r, 2, 0.5))
-    res = hl.limit_system_residual(f, f, q0, q0, 2, 0.5)
+    res = hl.limit_system_residual(f, f, q0, q0, 0.5)
     assert res.residual_u == res.residual_v  # diagonal pair
     assert res.residual_u <= res.budgets[0]
 
@@ -238,17 +265,17 @@ def test_limit_system_residual_is_its_parts(bubble_2d):
     amp, q0 = bubble_2d
     f = radial_field(14.0, 96, lambda r: amp * hl.bubble(r, 2, 0.5))
     g = f.with_values(1.1 * f.values)
-    res = hl.limit_system_residual(f, g, q0, q0, 2, 0.5)
-    conv_gp = hl.free_convolution(g, 2, 0.5, values=g.values**q0)
-    conv_fq = hl.free_convolution(f, 2, 0.5, values=f.values**q0)
+    res = hl.limit_system_residual(f, g, q0, q0, 0.5)
+    conv_gp = hl.free_convolution(g, 0.5, values=g.values**q0)
+    conv_fq = hl.free_convolution(f, 0.5, values=f.values**q0)
     inner = np.abs(f.coords(0)) <= 0.5 * 14.0  # the half-box, on both axes
     mask = inner[:, None] & inner[None, :]
     assert res.residual_u == np.max(np.abs(f.values - conv_gp)[mask])
     assert res.residual_v == np.max(np.abs(g.values - conv_fq)[mask])
-    assert res.tail_budget_u == hl._tail_budget(g, 1.0, q0, 2, 0.5)
-    assert res.tail_budget_v == hl._tail_budget(f, 1.0, q0, 2, 0.5)
-    assert res.quad_budget_u == hl._coarse_convolution_gap(g, 2, 0.5, g.values**q0, conv_gp)
-    assert res.quad_budget_v == hl._coarse_convolution_gap(f, 2, 0.5, f.values**q0, conv_fq)
+    assert res.tail_budget_u == hl._tail_budget(g, 1.0, q0, 0.5)
+    assert res.tail_budget_v == hl._tail_budget(f, 1.0, q0, 0.5)
+    assert res.quad_budget_u == hl._coarse_convolution_gap(g, 0.5, g.values**q0, conv_gp)
+    assert res.quad_budget_v == hl._coarse_convolution_gap(f, 0.5, f.values**q0, conv_fq)
     assert 0.0 < min(res.budgets) and max(res.budgets) < math.inf
 
 
@@ -259,9 +286,9 @@ def test_limit_system_residual_needs_one_grid(bubble_2d):
                   radial_field(14.0, 48, lambda r: amp * hl.bubble(r, 2, 0.5)),  # shape
                   hl.FreeField((-14.0, -13.0), (14.0, 15.0), f.values)):  # shifted box
         with pytest.raises(ValueError, match="share one grid"):
-            hl.limit_system_residual(f, other, q0, q0, 2, 0.5)
+            hl.limit_system_residual(f, other, q0, q0, 0.5)
         with pytest.raises(ValueError, match="share one grid"):
-            hl.limit_system_residual(other, f, q0, q0, 2, 0.5)
+            hl.limit_system_residual(other, f, q0, q0, 0.5)
 
 
 def test_limit_system_residual_refinement(bubble_2d):
@@ -269,7 +296,7 @@ def test_limit_system_residual_refinement(bubble_2d):
     values = []
     for radius, m in [(10.0, 48), (14.0, 96), (18.0, 160)]:
         f = radial_field(radius, m, lambda r: amp * hl.bubble(r, 2, 0.5))
-        values.append(hl.limit_system_residual(f, f, q0, q0, 2, 0.5).residual_u)
+        values.append(hl.limit_system_residual(f, f, q0, q0, 0.5).residual_u)
     assert values[0] > values[1] > values[2]
 
 
@@ -315,23 +342,23 @@ def test_sharp_decay_check_synthetic():
     c1 = 2.0
     g = fl.gns(n, s)
     f = radial_field(30.0, 192, lambda r: g * c1 * np.where(r > 0.5, r, 0.5) ** -1.0)
-    ok = hl.sharp_decay_check(f, c1, 0.1, 3.0, 0.5, 50.0, n, s)
+    ok = hl.sharp_decay_check(f, c1, 0.1, (3.0, 25.0), s)
     assert ok.passed and ok.fraction_violating == 0.0
     doubled = f.with_values(2.0 * f.values)
-    bad = hl.sharp_decay_check(doubled, c1, 0.5, 3.0, 0.5, 50.0, n, s)
+    bad = hl.sharp_decay_check(doubled, c1, 0.5, (3.0, 25.0), s)
     assert not bad.passed
     with pytest.raises(ValueError):
-        hl.sharp_decay_check(f, c1, 0.25, 40.0, 0.1, 1.0, n, s)
+        hl.sharp_decay_check(f, c1, 0.25, (40.0, 0.1), s)
 
 
 def test_serrin_log_integral_target_and_regime():
-    n, s = 2, 0.5
+    s = 0.5  # on 2-d fields
     c1 = 1.7
     with pytest.raises(fl.RegimeError):
-        hl.serrin_log_integral(radial_field(5.0, 16, lambda r: 0 * r + 1), 2.5, 10.0, c1, n, s)
+        hl.serrin_log_integral(radial_field(5.0, 16, lambda r: 0 * r + 1), 2.5, 10.0, c1, s)
     # target formula: (g C1)^{n/(n-2s)} |S^{n-1}| = C1^2/(2 pi) at n=2, s=1/2
     f = radial_field(5.0, 16, lambda r: 0 * r + 1)
-    si = hl.serrin_log_integral(f, 2.0, 10.0, c1, n, s)
+    si = hl.serrin_log_integral(f, 2.0, 10.0, c1, s)
     assert si.target == pytest.approx(c1**2 / (2 * math.pi), rel=1e-12)
 
 
@@ -345,7 +372,7 @@ def test_serrin_log_integral_synthetic_convergence():
     rels = []
     for lam, m in [(20.0, 256), (60.0, 768)]:
         f = radial_field(lam, m, lambda r: np.where(r >= 1.0, g * c1 / np.maximum(r, 1.0), 0.0))
-        si = hl.serrin_log_integral(f, 2.0, lam, c1, n, s)
+        si = hl.serrin_log_integral(f, 2.0, lam, c1, s)
         rels.append(abs(si.value - si.target) / si.target)
     assert rels[1] < rels[0]
     assert rels[1] < 0.15
@@ -355,5 +382,5 @@ def test_tail_budget_infinite_when_not_integrable():
     # decay too shallow for the kernel: lam + gamma*p <= n, the tail diverges
     # and the budget says so; at gamma = n - 2s it converges
     f = radial_field(8.0, 32, lambda r: np.maximum(r, 0.5) ** -0.3)
-    assert math.isinf(hl._tail_budget(f, 0.3, 3.0, 2, 0.5))
-    assert 0.0 < hl._tail_budget(f, 1.0, 3.0, 2, 0.5) < math.inf
+    assert math.isinf(hl._tail_budget(f, 0.3, 3.0, 0.5))
+    assert 0.0 < hl._tail_budget(f, 1.0, 3.0, 0.5) < math.inf

@@ -100,6 +100,42 @@ def test_solver_rejects_bad_init():
                               init=fl.GridFunction(grid, -np.ones(grid.shape)))
 
 
+def refuse_to_iterate(*args, **kwargs):
+    raise AssertionError("the solver iterated")
+
+
+def test_solver_refuses_another_problems_exponents(monkeypatch):
+    # 3-d exponents, or exponents of another order s, on a 2-d s = 1/2 box
+    # converged to a Theta of a problem nobody posed; they are refused before
+    # the first iteration
+    dom, basis, grid = small_setup(K=4, m=8)
+    monkeypatch.setattr(le, "_fixed_point", refuse_to_iterate)
+    three_d = fl.ExponentPair(p=1.5, q=fl.solve_q_epsilon(1.5, 3, 0.5, 0.05), n=3, s=0.5)
+    other_s = fl.ExponentPair(p=2.5, q=fl.solve_q_epsilon(2.5, 2, 0.6, 0.05), n=2, s=0.6)
+    for exps in (three_d, other_s):
+        with pytest.raises(ValueError, match=r"do not belong to the basis's box, \(n, s\) = \(2, 0.5\)"):
+            fl.solve_ground_state(exps, basis, grid)
+
+
+@pytest.mark.parametrize("rule, match", [
+    ({"max_iter": 0}, r"max_iter must be >= 1, got 0"),
+    ({"theta_tol": -1.0}, r"theta_tol must be > 0, got -1.0"),
+    ({"theta_tol": math.nan}, r"theta_tol must be > 0, got nan"),
+    ({"residual_tol": 0.0}, r"residual_tol must be > 0, got 0.0"),
+])
+def test_solver_refuses_a_stopping_rule_it_cannot_meet(rule, match, monkeypatch):
+    # max_iter = 0 used to end in "no convergence in 0 iterations", and a
+    # tolerance <= 0 iterated to max_iter; both are refused before iterating
+    dom, basis, grid = small_setup(K=4, m=8)
+    exps = fl.ExponentPair(p=2.5, q=3.0, n=2, s=0.5)
+    monkeypatch.setattr(le, "_fixed_point", refuse_to_iterate)
+    with pytest.raises(ValueError, match=match):
+        fl.solve_ground_state(exps, basis, grid, **rule)
+    with pytest.raises(ValueError, match=match):
+        le.check_stopping_rule(**{"theta_tol": 1e-9, "residual_tol": 1e-7, "max_iter": 5, **rule})
+    le.check_stopping_rule(theta_tol=1e-9, residual_tol=1e-7, max_iter=1)
+
+
 def test_converged_solution_properties(solved):
     dom, basis, grid, exps, pair, report = solved
     assert report.converged and report.iterations >= 1

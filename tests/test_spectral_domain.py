@@ -49,12 +49,15 @@ def test_build_basis_rejects_zero_cutoff():
 
 def test_eigenvalues_sorted_and_positive():
     basis = fl.build_basis(fl.BoxDomain((1.0, 2.0), 0.5), (6, 9))
-    lam = basis.eigenvalues
-    assert np.all(np.diff(lam) >= 0)
-    assert lam[0] == pytest.approx(math.pi**2 * (1 + 0.25), rel=1e-15)
-    # monotone in each index direction
+    lam = basis.eigenvalue_grid
+    assert lam.shape == (6, 9) and np.all(lam > 0)
+    assert lam[0, 0] == pytest.approx(math.pi**2 * (1 + 0.25), rel=1e-15)
+    assert lam[-1, -1] == pytest.approx(math.pi**2 * (36 + 81 / 4), rel=1e-15)
+    # monotone in each index direction, so the first entry is the least and
+    # the last the largest
     for axis in range(2):
-        assert np.all(np.diff(basis.eigenvalue_grid, axis=axis) > 0)
+        assert np.all(np.diff(lam, axis=axis) > 0)
+    assert lam[0, 0] == lam.min() and lam[-1, -1] == lam.max()
 
 
 def test_quadrature_weight_sum_is_volume():
