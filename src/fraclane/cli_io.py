@@ -239,25 +239,55 @@ def _json_number(x: float) -> str:
     return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
 
 
+def _row_templates(types: tuple[type, ...]) -> tuple[str, str] | None:
+    """The `%` templates of a row of numbers of these types: its CSV line
+    (`%d` where `_fmt` writes an integer, `%.17g` = `format(float(x), ".17g")`
+    elsewhere) and its JSON-twin entry (`%r` of each cell's float, which is
+    `float.__repr__`). None for a row with any other cell."""
+    if not all(issubclass(t, _NUMBER) for t in types):
+        return None
+    csv = ",".join("%d" if issubclass(t, (int, np.integer)) else "%.17g" for t in types)
+    entry = "[\n   " + ",\n   ".join(["%r"] * len(types)) + "\n  ]" if types else "[]"
+    return csv + "\n", "\n  " + entry
+
+
 def write_table(path, columns: list[str], rows: list[list]) -> None:
     """CSV (17 significant digits, LF endings) plus a JSON twin with metadata.
 
     The twin holds the bytes of `json.dump(payload, sort_keys=True, indent=1)`
     (numbers as floats, other cells as `json` writes them), written a row at
-    a time beside the CSV's row."""
+    a time beside the CSV's row. A row of finite numbers is spelled by one
+    template per file, built once per tuple of cell types; any other row is
+    spelled cell by cell, in the same bytes."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     meta = {"version": __version__, "format": "fraclane-table-v1"}
     # "rows" sorts last, so the rows stream in place of its empty list
     head = json.dumps({"columns": columns, "meta": meta, "rows": []}, sort_keys=True, indent=1)
+    templates: dict[tuple[type, ...], tuple[str, str] | None] = {}
     with (open(path, "w", newline="\n") as csv_fh,
           open(path.with_suffix(path.suffix + ".json"), "w", newline="\n") as json_fh):
         csv_fh.write(",".join(columns) + "\n")
         json_fh.write(head.removesuffix("[]\n}") + ("[" if len(rows) else "[]"))
         for k, row in enumerate(rows):
+            sep = "," if k else ""
+            row = tuple(row)
+            types = tuple(map(type, row))
+            if types not in templates:
+                templates[types] = _row_templates(types)
+            spelled = templates[types]
+            if spelled is not None:
+                floats = tuple(map(float, row))
+                # a non-finite cell makes the sum non-finite (the templates would
+                # spell it "nan", not "NaN"); a finite row whose sum overflows
+                # also takes the per-cell path, which writes the same bytes
+                if math.isfinite(sum(floats)):
+                    csv_fh.write(spelled[0] % row)
+                    json_fh.write(sep + spelled[1] % floats)
+                    continue
             csv_fh.write(",".join([_fmt(v) if isinstance(v, _NUMBER) else str(v) for v in row]) + "\n")
             cells = [_json_number(float(v)) if isinstance(v, _NUMBER) else json.dumps(v) for v in row]
-            json_fh.write(("," if k else "") + "\n  "
+            json_fh.write(sep + "\n  "
                           + ("[\n   " + ",\n   ".join(cells) + "\n  ]" if cells else "[]"))
         json_fh.write("\n ]\n}\n" if len(rows) else "\n}\n")
 
@@ -522,6 +552,9 @@ def _cmd_hls(cfg: RunConfig, out_dir: Path) -> tuple[dict, Checks]:
         field = load_field(cfg.hls_field)
         if not isinstance(field, FreeField):
             raise ValueError("hls_field must point at a free-field dump")
+        if field.dim != n:
+            raise ValueError(f"hls_field {cfg.hls_field} holds an ndim = {field.dim} field, "
+                             f"but the config sets n = {n}")
         qc = critical_q(cfg.p, n, s)
         norm = field.lp_norm((qc + 1.0) / qc)
         normalized = field.with_values(field.values / norm)

@@ -570,10 +570,3 @@ def bubble_ladder(n: int, s: float, box_radii, grid_sizes) -> list[float]:
         quotients.append(hls_quotient(f, q0, q0, s))
     return quotients
 
-
-def bubble_pair(n: int, s: float):
-    """Scaled bubble pair solving the diagonal limit system U = g k * V^p,
-    V = g k * U^{q0}: returns (amplitude, q0) with U = V = amplitude * bubble."""
-    q0 = diagonal_exponent(n, s)
-    amplitude = _bubble_kappa(n, s) ** (-(q0 + 1.0) / (q0 * q0 - 1.0))
-    return amplitude, q0

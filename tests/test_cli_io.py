@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import kernel_pairs_one_at_a_time, read_table
+from oracles import kernel_pairs_one_at_a_time, read_table, write_table_per_cell
 
 import fraclane as fl
 from fraclane import blowup_sweep as bs
@@ -114,6 +114,43 @@ def test_write_table_json_twin_is_json_dump(tmp_path):
         assert path.with_suffix(".csv.json").read_text() == expect
 
 
+# every cell type a table meets, in rows that repeat a type tuple, and a
+# column whose type changes from row to row (a note or NaN after a float)
+_ZOO = [
+    [1, True, np.int64(-7), np.float32(0.1), np.float64(1.0 / 3.0), 2**60, -0.0, 1e300],
+    [2, False, np.int64(2**62 + 1), np.float32(-2.5), np.float64(-1e-300), -(2**60), 0.0, 5e-324],
+    [np.uint64(2**63), np.int8(-3), 0.1, math.pi, "x", None, 'a, "b" \u00e9\u2211', ""],
+    [float("nan"), math.inf, -math.inf, 1.0, 2, 3, 4, 5],
+    [1e308, 1e308, -1e308],  # finite cells whose sum overflows
+    [],
+    [0.25],
+    [],
+    [0.5, "note"],
+    [0.5, float("nan")],
+    [0.5, 0.75],
+    [0.5, None],
+    [np.float64(1e22), np.float64(123456789.0), 1e16, 1e-5, 1e-4],
+]
+
+
+def _kernels_shaped(rng):
+    values = rng.random((4000, 8)) * [1, 1, 1, 1, 10, 1e-9, 10, 1]
+    ok = rng.random(4000) < 0.99
+    return [[*v, int(o)] for v, o in zip(values.tolist(), ok, strict=True)]
+
+
+@pytest.mark.parametrize("table", ["zoo", "kernels", "empty"])
+def test_write_table_bytes_match_per_cell_oracle(tmp_path, table):
+    columns = {"zoo": [f"c{i}" for i in range(8)], "empty": ["x", "y"],
+               "kernels": ["x1", "x2", "y1", "y2", "green", "truncation_bound", "free_kernel",
+                           "regular_part", "bound_ok"]}[table]
+    rows = {"zoo": _ZOO, "empty": [], "kernels": _kernels_shaped(np.random.default_rng(7))}[table]
+    cli_io.write_table(tmp_path / "new" / "t.csv", columns, rows)
+    write_table_per_cell(tmp_path / "ref" / "t.csv", columns, rows)
+    for name in ("t.csv", "t.csv.json"):
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+
 def test_write_table_empty(tmp_path):
     path = tmp_path / "e.csv"
     cli_io.write_table(path, ["x", "y"], [])
@@ -198,6 +235,20 @@ def test_cli_hls_rejects_field_of_unknown_kind(tmp_path, capsys):
                    f"hls_field = {kind_patched_dump(tmp_path, 7)}\n")
     assert run_cli(["hls", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
     assert "unknown field dump kind 7" in capsys.readouterr().err
+
+
+def test_cli_hls_rejects_field_of_another_dimension(tmp_path, capsys):
+    # an 8^3 free field scored under n = 2 is refused by its dimension, not
+    # by the exponent pair that n = 2 would make of it
+    field = tmp_path / "field3d.bin"
+    cli_io.dump_field(FreeField.centered(4.0, np.random.default_rng(7).random((8, 8, 8))), field)
+    cfg = tmp_path / "hls.cfg"
+    cfg.write_text("n = 2\ns = 0.5\np = 2.5\nhls_box_list = 8\nhls_grid_list = 32\n"
+                   f"hls_field = {field}\n")
+    assert run_cli(["hls", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "ndim = 3" in err and "n = 2" in err and str(field) in err
+    assert "critical pair" not in err
 
 
 def test_radial_profile_export(tmp_path):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import mesh_radii, plain_free_convolution, plain_kernel_table
+from oracles import bubble_pair, mesh_radii, plain_free_convolution, plain_kernel_table
 
 import fraclane as fl
 from fraclane import fractional_calculus as fc
@@ -20,7 +20,7 @@ def radial_field(radius, m, profile, n=2):
 
 @pytest.fixture(scope="module")
 def bubble_2d():
-    amp, q0 = hl.bubble_pair(2, 0.5)
+    amp, q0 = bubble_pair(2, 0.5)
     return amp, q0
 
 
@@ -76,10 +76,10 @@ def test_sharp_diagonal_quotient_builds_each_rule_once(monkeypatch):
 
 
 def test_bubble_pair_constants():
-    amp2, q02 = hl.bubble_pair(2, 0.5)
+    amp2, q02 = bubble_pair(2, 0.5)
     assert q02 == pytest.approx(3.0, rel=1e-14)
     assert amp2 == pytest.approx(1.0, rel=1e-5)  # kappa(2, 1/2) = 1
-    amp3, q03 = hl.bubble_pair(3, 0.5)
+    amp3, q03 = bubble_pair(3, 0.5)
     assert q03 == pytest.approx(2.0, rel=1e-14)
     assert amp3 == pytest.approx(2.0, rel=1e-5)  # kappa(3, 1/2) = 1/2
 

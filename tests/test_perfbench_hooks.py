@@ -66,6 +66,29 @@ assert metrics["hot_span_share"] > 0, metrics
 """
 
 
+TRACED_KERNELS = """
+import sys
+from pathlib import Path
+
+from spans import Tracer, install, layer_metrics
+
+tracer = Tracer("t")
+install(tracer)
+
+from fraclane import cli_io
+
+out = Path(sys.argv[1])
+cfg = out / "kernels.cfg"
+cfg.write_text("n = 2\\ncutoff = 16,16\\ngrid = 32,32\\nkernel_pairs = 12\\nkernel_margin = 0.2\\n")
+assert cli_io.main(["kernels", "--config", str(cfg), "--out", str(out / "kernels")]) in (0, 1)
+# the table is written by the one traced writer, through the module global
+writes = [span for span in tracer.spans if span["name"] == "cli_io.write_table"]
+assert len(writes) == 1, [span["name"] for span in tracer.spans]
+metrics = layer_metrics(tracer.spans, ("fractional_calculus.green",))
+assert metrics["fractional_calculus.green.calls"] == 2, metrics
+assert metrics["cli_io.write_table.self_s"] > 0, metrics
+"""
+
 def run_traced(script, *args):
     # a subprocess, because `install` rebinds the functions for the whole process
     env = dict(os.environ)
@@ -83,3 +106,7 @@ def test_perfbench_tracer_installs_and_records_a_sweep():
 
 def test_perfbench_tracer_records_an_hls_run(tmp_path):
     run_traced(TRACED_HLS, str(tmp_path))
+
+
+def test_perfbench_tracer_records_one_table_write_per_kernels_run(tmp_path):
+    run_traced(TRACED_KERNELS, str(tmp_path))
