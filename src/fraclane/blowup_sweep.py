@@ -55,7 +55,6 @@ from .spectral_domain import (
     BoxDomain,
     GridFunction,
     SpectralBasis,
-    analyze,
     build_basis,
     build_grid,
     check_resolution,
@@ -440,9 +439,11 @@ def extrapolate_S(
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Solve the schedule, each row warm-started from the previous row's w,
     and measure each row as its solve returns: peak, collar, constants and
-    u, v on the comparison ring. Once x0 = x_eps at the smallest eps is known,
-    compare every row with the Green-function limits at x0, and run the decay
-    diagnostics of the last row's rescaled fields.
+    u, v on the comparison ring, synthesized from the analyses of u and v
+    that the solve made for its energy (`SolveReport.coefficients`). Once
+    x0 = x_eps at the smallest eps is known, compare every row with the
+    Green-function limits at x0, and run the decay diagnostics of the last
+    row's rescaled fields.
 
     A failed solve (`ConvergenceError`, or a `ValueError` the solver raises)
     ends the sweep (later rows depend on the warm start); its message is
@@ -493,10 +494,11 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 core_cells=core_cells,
                 clamped_fraction=report.clamped_fraction_max,
                 constants=measure_constants(pair, lam),
-                u_ring=synthesize_at(analyze(pair.u, basis), points),
-                v_ring=synthesize_at(analyze(pair.v, basis), points),
+                u_ring=synthesize_at(report.coefficients[0], points),
+                v_ring=synthesize_at(report.coefficients[1], points),
             )
         )
+        del report  # its coefficients are this row's, not the next solve's
 
     if not rows:
         raise RuntimeError(f"sweep failed at the first row: {failed}")

@@ -25,11 +25,12 @@ A field that is mirror-symmetric about every mid-plane is held by its
 fundamental cell, the first ceil(m_i/2) nodes per axis; its mirror
 differences and even-k coefficients are exact zeros. `_CellInverse` is the
 one owner of that cell: it cuts it out, applies (-Delta)^{-s} to it, weights
-its nodes and mirrors it back. It folds the cell as c + c, bitwise the
-head + tail of `analyze`'s fold, passes the middle plane of an odd m once
-(that plane has weight 1, every other node 2 per axis), and keeps the odd-k
-half of the transforms and multipliers, so its result is bitwise the cell
-of `apply_inverse`.
+its nodes and mirrors it back. Its analysis matrices are the odd-k half
+matrices times the node multiplicities (2 per axis, 1 on the middle plane
+of an odd m); a doubled factor makes a bitwise doubled product, so
+contracting the cell with them is bitwise `analyze`'s contraction of its
+fold head + tail, with no fold pass. With the odd-k half of the multipliers
+and of the synthesis, its result is bitwise the cell of `apply_inverse`.
 
 Eigen-sum truncation is never silently dropped: every kernel sample carries
 a tail estimate extrapolated from the decay of the outer mode shells
@@ -39,6 +40,7 @@ quantified anywhere authoritative).
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -168,44 +170,45 @@ def apply_inverse(f: GridFunction, s: float, basis: SpectralBasis) -> GridFuncti
 
 class _CellInverse:
     """`apply_inverse` on mirror-symmetric fields, held by their fundamental
-    cell (`cell_of`). A call folds the cell as c + c, bitwise the head + tail
-    of `analyze`'s fold, with the middle plane of an odd m passed once;
-    contracts it with the odd-k half matrices; multiplies by the odd-k
-    multipliers; and synthesizes the odd-k half back onto the cell. The
-    result is bitwise the cell of `apply_inverse`. `weights` counts the grid
-    nodes each cell node stands for (2 per axis, 1 on the middle plane of an
-    odd m), so a weighted sum over the cell is the sum over the full grid;
-    `extend` mirrors a cell back onto the full grid. The half matrices,
-    multipliers, weights and work arrays are built once."""
+    cell (`cell_of`). A call contracts the cell with analysis matrices that
+    carry the node multiplicities (the odd-k half matrices, doubled on every
+    row but the middle one of an odd m), multiplies by the odd-k multipliers
+    and synthesizes the odd-k half back onto the cell. Doubling a factor of a
+    product is exact, so each contraction is bitwise `analyze`'s contraction
+    of its fold head + tail, and the result is bitwise the cell of
+    `apply_inverse`. `weights` counts the grid nodes each cell node stands
+    for (2 per axis, 1 on the middle plane of an odd m), so a weighted sum
+    over the cell is the sum over the full grid; `extend` mirrors a cell back
+    onto the full grid. The matrices, multipliers, weights and work arrays
+    are built once."""
 
     def __init__(self, basis: SpectralBasis, grid: Grid, s: float):
         _check_order(s)
         _check_compatible(basis, grid)
         check_resolution(basis.cutoff, grid.shape)
+        self._shape = grid.shape
         self._cell_volume = grid.cell_volume
+        self._halves = [m // 2 for m in grid.shape]
+        cell = [(m + 1) // 2 for m in grid.shape]
+        multiplicity = [np.where(np.arange(c) < h, 2.0, 1.0)
+                        for c, h in zip(cell, self._halves, strict=True)]
+        self.weights = reduce(np.multiply.outer, multiplicity)
         self._odd = [odd for odd, _ in _half_matrices(basis, grid)]
+        self._analysis = [odd * mult[:, None]
+                          for odd, mult in zip(self._odd, multiplicity, strict=True)]
         # the odd-k entries of _multipliers(basis, -s), taken by the same
         # power from the same eigenvalues
         odd_modes = (slice(None, None, 2),) * basis.domain.dim
         self._mults = np.ascontiguousarray(basis.eigenvalue_grid[odd_modes]) ** -s
-        self._halves = [m // 2 for m in grid.shape]
-        cell = [(m + 1) // 2 for m in grid.shape]
-        self.weights = reduce(np.multiply.outer, [
-            np.where(np.arange(c) < h, 2.0, 1.0) for c, h in zip(cell, self._halves, strict=True)
-        ])
         modes = [odd.shape[1] for odd in self._odd]
         n = len(cell)
-        # the fold of axis i takes (c_i, X) into (X, Kodd_i), with X the cells
+        # analysis of axis i takes (c_i, X) into (X, Kodd_i), with X the cells
         # of the later axes times the modes of the earlier ones; synthesis of
         # axis i takes (Kodd_i, X) into (X, c_i), the last one into `out`
-        self._folds, self._coeffs, self._nodes = [], [], []
-        for axis in range(n):
-            rest = math.prod(cell[axis + 1:]) * math.prod(modes[:axis])
-            self._folds.append(np.empty((cell[axis], rest)))
-            self._coeffs.append(np.empty((rest, modes[axis])))
-        for axis in range(n - 1):
-            rest = math.prod(modes[axis + 1:]) * math.prod(cell[:axis])
-            self._nodes.append(np.empty((rest, cell[axis])))
+        self._coeffs = [np.empty((math.prod(cell[i + 1:]) * math.prod(modes[:i]), modes[i]))
+                        for i in range(n)]
+        self._nodes = [np.empty((math.prod(modes[i + 1:]) * math.prod(cell[:i]), cell[i]))
+                       for i in range(n - 1)]
 
     @staticmethod
     def cell_of(values: np.ndarray) -> np.ndarray | None:
@@ -217,23 +220,25 @@ class _CellInverse:
         return values[tuple(slice((m + 1) // 2) for m in values.shape)].copy()
 
     def extend(self, cell: np.ndarray) -> np.ndarray:
-        """The full mirror-symmetric field whose fundamental cell is `cell`."""
-        for axis, h in enumerate(self._halves):
-            tail = np.flip(cell[(slice(None),) * axis + (slice(h),)], axis)
-            cell = np.concatenate([cell, tail], axis=axis)
-        return cell
+        """The full mirror-symmetric field whose fundamental cell is `cell`,
+        written block by block into one new array: per axis, the cell itself
+        and, unless m = 1, its first m//2 entries reversed."""
+        full = np.empty(self._shape)
+        sides = [[(slice(c), slice(None))]
+                 + ([(slice(c, None), slice(h - 1, None, -1))] if h else [])
+                 for c, h in zip(cell.shape, self._halves, strict=True)]
+        for block in itertools.product(*sides):
+            target, source = zip(*block, strict=True)
+            full[target] = cell[source]
+        return full
 
     def __call__(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """(-Delta)^{-s} of the symmetric field with cell `values`, written
-        into `out` (C-contiguous, the cell's shape) and returned."""
+        """(-Delta)^{-s} of the symmetric field with cell `values` (C-contiguous),
+        written into `out` (C-contiguous, the cell's shape) and returned."""
         coeff = values
-        for odd, h, fold, part in zip(self._odd, self._halves, self._folds, self._coeffs,
-                                      strict=True):
-            x = coeff.reshape(fold.shape)
-            np.add(x[:h], x[:h], out=fold[:h])
-            if h < len(fold):
-                fold[h] = x[h]
-            np.matmul(fold.T, odd, out=part)
+        for analysis, part in zip(self._analysis, self._coeffs, strict=True):
+            x = coeff.reshape(len(analysis), -1)
+            np.matmul(x.T, analysis, out=part)
             coeff = part.reshape(coeff.shape[1:] + part.shape[1:])
         coeff *= self._cell_volume
         coeff *= self._mults

@@ -23,17 +23,19 @@ bitwise mirror-symmetric, as the first eigenfunction and every warm start
 from an earlier solution are, the loop runs on the fundamental cell (the
 first ceil(m_i/2) nodes per axis) through `_CellInverse`, which holds the
 odd-k half of the transforms and weights each cell node by the number of
-grid nodes it stands for; the full w is mirrored back once, after the loop.
-Every inverse, power and clamp is then bitwise the full loop's; only the
-summation order of the norms differs, so Theta, the residual and the
-clamped fraction agree to rounding and the iteration path is the same. Any
-other start runs the same loop on the full grid.
+grid nodes it stands for. Every inverse, power and clamp is then bitwise the
+full loop's; only the summation order of the norms differs, so Theta, the
+residual and the clamped fraction agree to rounding and the iteration path
+is the same. The rescaling, the final v and the residual check run on the
+same cell, and u, v, w are mirrored back once, at the end. Any other start
+runs the same loop and the same post-processing on the full grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,8 +43,8 @@ from .fractional_calculus import (
     THRESHOLD_TOL,
     _CellInverse,
     _clamp_in_place,
+    _multipliers,
     apply_inverse,
-    clamp_nonnegative,
 )
 from .spectral_domain import (
     Grid,
@@ -174,6 +176,9 @@ class SolveReport:
     residual_w: float
     theta_history: np.ndarray
     clamped_fraction_max: float
+    # the eigen-coefficients of u and v that `energy` read; a caller that
+    # evaluates u or v off the grid synthesizes from them
+    coefficients: tuple[SpectralField, SpectralField] = field(repr=False)
     converged: bool = True
 
     def __post_init__(self):
@@ -259,8 +264,11 @@ def _check_finite(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def _weighted_sum(a: np.ndarray, b: np.ndarray, weights, work: np.ndarray) -> float:
-    """sum(a * b * weights), through `work`."""
+    """sum(a * b * weights), through `work`. Scalar weights scale the sum,
+    not each product: for a power of two that is bitwise the same."""
     np.multiply(a, b, out=work)
+    if np.ndim(weights) == 0:
+        return float(np.sum(work)) * weights
     work *= weights
     return float(np.sum(work))
 
@@ -282,8 +290,10 @@ def _iterate(
     `weights` counts the grid nodes each node stands for, so every norm and
     clamp fraction is the full grid's. On the full grid that is
     `apply_inverse` and 1. On a fundamental cell it is a `_CellInverse` and
-    its `weights`: every inverse, power and clamp is bitwise the full loop's,
-    and only the summation order of the norms differs.
+    its `weights`, or the scalar 2^n when every m_i is even (each node then
+    stands for 2^n, and scaling a sum by a power of two is exact): every
+    inverse, power and clamp is bitwise the full loop's, and only the
+    summation order of the norms differs.
 
     Returns (w, theta, theta_history, iterations, residual, clamp_max). The
     loop writes into `w`; its other work arrays are allocated once, and the
@@ -350,6 +360,18 @@ def _iterate(
     )
 
 
+@dataclass(frozen=True)
+class _Nodes:
+    """The nodes the solver runs on: `inverse(values, out)` is (-Delta)^{-s}
+    of values on them (written into `out` or a new array), `weights` counts
+    the grid nodes each stands for, and `extend` maps node values onto the
+    full grid."""
+
+    inverse: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    weights: float | np.ndarray
+    extend: Callable[[np.ndarray], np.ndarray]
+
+
 def _fixed_point(
     w: np.ndarray,
     exponents: ExponentPair,
@@ -358,23 +380,51 @@ def _fixed_point(
     theta_tol: float,
     residual_tol: float,
     max_iter: int,
-) -> tuple[np.ndarray, float, list[float], int, float, float]:
+) -> tuple[_Nodes, tuple[np.ndarray, float, list[float], int, float, float]]:
     """`_iterate` from the normalized w on the full grid: on its fundamental
-    cell if w is bitwise mirror-symmetric, else on every node. Returns what
-    `_iterate` does, with w on the full grid; the loop's operator and work
-    arrays die with this frame, before the caller builds the solution."""
+    cell if w is bitwise mirror-symmetric, else on every node. Returns the
+    nodes it ran on and what `_iterate` returns, with w on those nodes; the
+    loop's work arrays die with this frame, and the caller post-processes on
+    the same nodes."""
     s = exponents.s
     cell = _CellInverse.cell_of(w)
     if cell is None:
         def inverse(values, out):
             return apply_inverse(GridFunction(grid, values), s, basis).values
 
-        return _iterate(w, inverse, 1.0, exponents, grid.cell_volume,
-                        theta_tol, residual_tol, max_iter)
-    inverse = _CellInverse(basis, grid, s)
-    cell, *rest = _iterate(cell, inverse, inverse.weights, exponents, grid.cell_volume,
+        nodes = _Nodes(inverse, 1.0, np.asarray)
+    else:
+        inverse = _CellInverse(basis, grid, s)
+        weights = inverse.weights if any(m % 2 for m in grid.shape) else 2.0**grid.domain.dim
+        nodes, w = _Nodes(inverse, weights, inverse.extend), cell
+    return nodes, _iterate(w, nodes.inverse, nodes.weights, exponents, grid.cell_volume,
                            theta_tol, residual_tol, max_iter)
-    return (inverse.extend(cell), *rest)
+
+
+def _clamped_inverse(values: np.ndarray, nodes: _Nodes, context: str) -> np.ndarray:
+    """(-Delta)^{-s} of finite node values, its negative ringing clamped and
+    warned about as `clamp_nonnegative` does."""
+    _check_finite(values, np.empty(values.shape, dtype=bool))
+    out = nodes.inverse(values, np.empty_like(values))
+    _clamp_in_place(out, nodes.weights, context)
+    return out
+
+
+def _solution(w: np.ndarray, theta: float, nodes: _Nodes, exponents: ExponentPair,
+              grid: Grid) -> tuple[SolutionPair, float]:
+    """Scale the loop's normalized maximizer w (on `nodes`, overwritten) by
+    Theta^{-q(p+1)/(pq-1)} into a solution of the integral equation, read off
+    v = (-Delta)^{-s} w and u = w^{1/q}, and check (-Delta)^{-s} v^p = u, all
+    on the loop's nodes. Returns the pair on the full grid and the relative
+    sup residual of the check."""
+    p, q = exponents.p, exponents.q
+    w *= theta ** (-q * (p + 1.0) / (p * q - 1.0))
+    v = _clamped_inverse(w, nodes, "final v")
+    u = w ** (1.0 / q)
+    lhs = _clamped_inverse(v**p, nodes, "residual check")
+    residual_w = float(np.max(np.abs(lhs - u))) / max(float(u.max()), 1e-300)
+    u, v, w = (GridFunction(grid, nodes.extend(f)) for f in (u, v, w))
+    return SolutionPair(u=u, v=v, w=w, exponents=exponents), residual_w
 
 
 def solve_ground_state(
@@ -395,7 +445,8 @@ def solve_ground_state(
     clamped and reported; clamps above 1e-8 of L1 mass warn), and on any
     Theta decrease beyond 1e-12 max(1, Theta) (ascent is an observed property,
     checked every step). Refuses, before iterating, a critical pair, exponents
-    of another (n, s) than the basis's box, and a stopping rule it cannot meet.
+    of another (n, s) than the basis's box, an `init` on another grid, and a
+    stopping rule it cannot meet.
     """
     if exponents.critical:
         raise CriticalPairError(
@@ -406,64 +457,59 @@ def solve_ground_state(
         raise ValueError(f"exponents of (n, s) = {exponents.n, exponents.s} do not belong to the "
                          f"basis's box, (n, s) = {basis.domain.dim, basis.domain.s}")
     check_stopping_rule(theta_tol, residual_tol, max_iter)
-    p, q, s = exponents.p, exponents.q, exponents.s
+    p, q = exponents.p, exponents.q
     qnorm = (q + 1.0) / q
 
     if init is None:
         w = _first_eigenfunction(basis, grid)
     else:
+        if (init.grid.shape, init.grid.domain.lengths) != (grid.shape, grid.domain.lengths):
+            raise ValueError(f"init lives on the {init.grid.shape} grid of the box "
+                             f"{init.grid.domain.lengths}, not on the solver's {grid.shape} grid "
+                             f"of the box {grid.domain.lengths}")
         if init.min() < 0 or init.max() <= 0:
             raise ValueError("init must be nonnegative and nontrivial")
         w = init
-    w, theta, theta_history, it, residual, clamp_max = _fixed_point(
+    nodes, (w, theta, theta_history, it, residual, clamp_max) = _fixed_point(
         w.values / lp_norm(w, qnorm), exponents, basis, grid, theta_tol, residual_tol, max_iter
     )
-    w = GridFunction(grid, w)
     if clamp_max > _POSITIVITY_BUDGET:
         raise ConvergenceError(
             f"positivity lost beyond clamp budget {_POSITIVITY_BUDGET:.1e}: "
             f"{clamp_max:.3e} of L1 mass clamped"
         )
 
-    # scale the normalized maximizer into a solution of the integral equation
-    t_scale = theta ** (-q * (p + 1.0) / (p * q - 1.0))
-    w_final = w.with_values(t_scale * w.values)
-    v_final, _ = clamp_nonnegative(apply_inverse(w_final, s, basis), context="final v")
-    u_final = w_final.with_values(w_final.values ** (1.0 / q))
-    pair = SolutionPair(u=u_final, v=v_final, w=w_final, exponents=exponents)
-
-    lhs, _ = clamp_nonnegative(
-        apply_inverse(v_final.with_values(v_final.values**p), s, basis),
-        context="residual check",
-    )
-    residual_w = float(np.max(np.abs(lhs.values - u_final.values))) / max(
-        u_final.max(), 1e-300
-    )
+    pair, residual_w = _solution(w, theta, nodes, exponents, grid)
+    del nodes, w  # the loop's operator and node values go before the analyses
+    coefficients = (analyze(pair.u, basis), analyze(pair.v, basis))
 
     report = SolveReport(
         theta=theta,
         mu=theta ** (p + 1.0),
-        energy=energy(pair, basis),
+        energy=energy(pair, basis, coefficients),
         sobolev_quotient=sobolev_quotient(pair),
         iterations=it,
         residual_el=residual,
         residual_w=residual_w,
         theta_history=np.asarray(theta_history),
         clamped_fraction_max=clamp_max,
+        coefficients=coefficients,
     )
     return pair, report
 
 
-def energy(pair: SolutionPair, basis: SpectralBasis) -> float:
+def energy(pair: SolutionPair, basis: SpectralBasis,
+           coefficients: tuple[SpectralField, SpectralField] | None = None) -> float:
     """Direct energy: the s/2-bilinear term spectrally minus the potential terms.
 
-    The bilinear term is sum_k lambda_k^s a_k b_k for the coefficients of u, v.
+    The bilinear term is sum_k lambda_k^s a_k b_k for the coefficients of u, v:
+    `coefficients` if the caller has analyzed them, else analyzed here.
     """
     p, q = pair.exponents.p, pair.exponents.q
-    a = analyze(pair.u, basis).coefficients
-    b = analyze(pair.v, basis).coefficients
-    s = pair.exponents.s
-    bilinear = float(np.sum(basis.eigenvalue_grid**s * a * b))
+    if coefficients is None:
+        coefficients = (analyze(pair.u, basis), analyze(pair.v, basis))
+    a, b = (c.coefficients for c in coefficients)
+    bilinear = float(np.sum(_multipliers(basis, pair.exponents.s) * a * b))
     int_v = integrate(pair.v.with_values(pair.v.values ** (p + 1.0)))
     int_u = integrate(pair.u.with_values(pair.u.values ** (q + 1.0)))
     return bilinear - int_v / (p + 1.0) - int_u / (q + 1.0)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import fraclane as fl
-from fraclane import blowup_sweep
+from fraclane import blowup_sweep, lane_emden
 from fraclane.fractional_calculus import _polar_box_integral, apply_inverse
 from fraclane.hls_limit import _bubble_kappa
 from fraclane.lane_emden import diagonal_exponent
@@ -152,6 +152,49 @@ def plain_fixed_point(exps, basis, grid, theta_tol=1e-9, residual_tol=1e-7, max_
     return w ** (1.0 / q), inverse(w), np.asarray(history), iteration
 
 
+def mirrored(cell, shape):
+    """The field on a grid of `shape` whose fundamental cell (the first
+    ceil(m_i/2) nodes per axis) is `cell`, mirrored about every mid-plane by
+    concatenating each axis with its reversed head."""
+    values = np.asarray(cell)
+    for axis, m in enumerate(shape):
+        head = np.take(values, np.arange(m // 2), axis=axis)
+        values = np.concatenate([values, np.flip(head, axis)], axis=axis)
+    return values
+
+
+def full_grid_post_solve(w, theta, exps, basis, grid, points=None):
+    """What `solve_ground_state` makes of its loop's normalized maximizer w
+    (values on the full grid) and Theta, every step taken on the full grid:
+    w scaled by Theta^{-q(p+1)/(pq-1)}, v = clamp((-Delta)^{-s} w),
+    u = w^{1/q}, the residual check clamp((-Delta)^{-s} v^p) against u, the
+    direct energy from fresh analyses of u and v, and the Sobolev quotient.
+    With `points`, also u and v there, synthesized from those analyses."""
+    p, q, s = exps.p, exps.q, exps.s
+    w = theta ** (-q * (p + 1.0) / (p * q - 1.0)) * np.asarray(w)
+    v = np.maximum(apply_inverse(GridFunction(grid, w), s, basis).values, 0.0)
+    u = w ** (1.0 / q)
+    lhs = np.maximum(apply_inverse(GridFunction(grid, v**p), s, basis).values, 0.0)
+    a = fl.analyze(GridFunction(grid, u), basis)
+    b = fl.analyze(GridFunction(grid, v), basis)
+    int_v = grid.cell_volume * np.sum(v ** (p + 1.0))
+    int_u = grid.cell_volume * np.sum(u ** (q + 1.0))
+    bilinear = float(np.sum(basis.eigenvalue_grid**s * a.coefficients * b.coefficients))
+    out = {
+        "u": u,
+        "v": v,
+        "w": w,
+        "residual_w": float(np.max(np.abs(lhs - u))) / max(float(u.max()), 1e-300),
+        "energy": bilinear - float(int_v) / (p + 1.0) - float(int_u) / (q + 1.0),
+        "sobolev_quotient": fl.lp_norm(GridFunction(grid, v**p), (p + 1.0) / p)
+        / fl.lp_norm(GridFunction(grid, u), q + 1.0),
+    }
+    if points is not None:
+        out["u_ring"] = fl.synthesize_at(a, points)
+        out["v_ring"] = fl.synthesize_at(b, points)
+    return out
+
+
 def kernel_pairs_one_at_a_time(seed, n, margin, sides, count, min_sep):
     """The seeded kernel-pair sampler as one draw per pair: x, then y, kept if
     |x - y| >= min_sep, until `count` pairs are kept."""
@@ -270,5 +313,19 @@ def recording_solve(pairs):
         pair, report = solve(*args, **kwargs)
         pairs.append(pair)
         return pair, report
+
+    return recording
+
+
+def recording_iterate(loops):
+    """`lane_emden._iterate` as bound now, appending a copy of the w and the
+    Theta of each loop it runs to `loops` (w on the nodes the loop ran on;
+    the solver overwrites its own)."""
+    iterate = lane_emden._iterate
+
+    def recording(*args, **kwargs):
+        w, theta, *rest = iterate(*args, **kwargs)
+        loops.append((w.copy(), theta))
+        return (w, theta, *rest)
 
     return recording

@@ -9,12 +9,14 @@ import weakref
 
 import numpy as np
 import pytest
-from oracles import eigen_modes, eigenvalues, read_table, recording_solve
+from oracles import (eigen_modes, eigenvalues, full_grid_post_solve, mirrored, read_table,
+                     recording_iterate, recording_solve)
 
 import fraclane as fl
 from fraclane import blowup_sweep as bs
 from fraclane import cli_io
 from fraclane import hls_limit as hl
+from fraclane import lane_emden as le
 
 
 def unit_square():
@@ -510,3 +512,34 @@ def test_sweep_holds_at_most_two_rows_of_fields(monkeypatch):
     # and the result holds none of them: not even the last row's pair outlives the sweep
     gc.collect()
     assert all(ref() is None for refs in rows for ref in refs)
+
+
+@pytest.mark.parametrize("lengths, p, eps_schedule, cutoff, shape", [
+    ((1.0, 1.0), 2.5, (0.06, 0.05), (16, 16), (32, 32)),
+    ((1.0, 1.2), 2.5, (0.06, 0.05), (12, 14), (25, 29)),
+    ((1.0, 1.0, 1.0), 1.8, (0.04, 0.035), (8, 8, 8), (16, 16, 16)),
+    ((1.0, 1.1, 0.9), 1.8, (0.04, 0.035), (8, 9, 7), (17, 19, 15)),
+])
+def test_row_measures_are_bitwise_the_full_grid_post_solve(lengths, p, eps_schedule, cutoff,
+                                                           shape, monkeypatch):
+    # each row analyzes u and v once: its energy and its ring values share the
+    # analyses, and are bit for bit the full-grid post-solve of the row's loop
+    loops = []
+    monkeypatch.setattr(le, "_iterate", recording_iterate(loops))
+    cfg = bs.SweepConfig(domain=fl.BoxDomain(lengths, 0.5), p=p, eps_schedule=eps_schedule,
+                         cutoff=cutoff, grid_shape=shape)
+    assert cfg.regime == "super"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = bs.run_sweep(cfg)
+    assert res.failed is None, res.failed
+    basis, grid = fl.build_basis(cfg.domain, cutoff), fl.build_grid(cfg.domain, shape)
+    points = cfg.comparison_points()
+    assert len(loops) == len(res.rows) == len(eps_schedule)
+    for row, (cell, theta) in zip(res.rows, loops):
+        exps = fl.ExponentPair(p=p, q=row.q, n=cfg.domain.dim, s=0.5)
+        want = full_grid_post_solve(mirrored(cell, shape), theta, exps, basis, grid, points)
+        assert np.array_equal(row.u_ring, want["u_ring"])
+        assert np.array_equal(row.v_ring, want["v_ring"])
+        assert row.energy == want["energy"]
+        assert row.s_omega == want["sobolev_quotient"]

@@ -3,6 +3,7 @@
 import ast
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ import fraclane as fl
 from fraclane import fractional_calculus as fc
 from fraclane import lane_emden as le
 from fraclane import spectral_domain as sd
-from oracles import eigenvalues, multistart_theta, plain_fixed_point
+from oracles import (eigenvalues, full_grid_post_solve, mirrored, multistart_theta,
+                     plain_fixed_point, recording_iterate)
 
 
 def small_setup(K=16, m=32):
@@ -115,6 +117,26 @@ def test_solver_refuses_another_problems_exponents(monkeypatch):
     for exps in (three_d, other_s):
         with pytest.raises(ValueError, match=r"do not belong to the basis's box, \(n, s\) = \(2, 0.5\)"):
             fl.solve_ground_state(exps, basis, grid)
+
+
+def test_solver_refuses_an_init_on_another_grid(monkeypatch):
+    # a 20x20 init on a 16x16 grid died inside the cell solve with a reshape
+    # error, and a 16x16 init from a 1x2 box ran silently on the unit square
+    dom, basis, grid = small_setup(K=8, m=16)
+    exps = fl.ExponentPair(p=2.5, q=3.0, n=2, s=0.5)
+    monkeypatch.setattr(le, "_fixed_point", refuse_to_iterate)
+    finer = fl.build_grid(dom, (20, 20))
+    tall = fl.build_grid(fl.BoxDomain((1.0, 2.0), 0.5), (16, 16))
+    for other, named in ((finer, r"\(20, 20\) grid of the box \(1.0, 1.0\)"),
+                         (tall, r"\(16, 16\) grid of the box \(1.0, 2.0\)")):
+        init = fl.GridFunction(other, np.ones(other.shape))
+        with pytest.raises(ValueError, match=named + r", not on the solver's \(16, 16\) grid "
+                                                     r"of the box \(1.0, 1.0\)"):
+            fl.solve_ground_state(exps, basis, grid, init=init)
+    # the same nodes on an equal box (another object, another s) are the solver's grid
+    same = fl.build_grid(fl.BoxDomain((1.0, 1.0), 0.4), (16, 16))
+    with pytest.raises(AssertionError, match="the solver iterated"):
+        fl.solve_ground_state(exps, basis, grid, init=fl.GridFunction(same, np.ones((16, 16))))
 
 
 @pytest.mark.parametrize("rule, match", [
@@ -441,3 +463,126 @@ def test_asymmetric_init_takes_full_path(cell_solves):
     np.testing.assert_allclose(report.theta_history, history, rtol=1e-12, atol=0)
     np.testing.assert_allclose(pair.u.values, u, rtol=0, atol=1e-12 * np.max(u))
     np.testing.assert_allclose(pair.v.values, v, rtol=0, atol=1e-12 * np.max(v))
+
+
+POST_SOLVE_CASES = ["2d-square-even", "2d-rectangle-odd", "3d-cube-even", "3d-box-odd"]
+
+
+@pytest.mark.parametrize("case", POST_SOLVE_CASES)
+def test_post_solve_is_bitwise_the_full_grid_post_solve(case, monkeypatch):
+    # the scaling, final v and residual check run on the loop's cell, and the
+    # energy reads the analyses it shares with the caller; each output is bit
+    # for bit what the same steps give on the full grid
+    lengths, s, p, eps, cutoff, shape = REDUCED_CASES[case]
+    dom = fl.BoxDomain(lengths, s)
+    basis, grid = fl.build_basis(dom, cutoff), fl.build_grid(dom, shape)
+    exps = fl.ExponentPair(p=p, q=fl.solve_q_epsilon(p, dom.dim, s, eps), n=dom.dim, s=s)
+    loops = []
+    monkeypatch.setattr(le, "_iterate", recording_iterate(loops))
+    pair, report = fl.solve_ground_state(exps, basis, grid)
+    (cell, theta), = loops
+    assert cell.shape == tuple((m + 1) // 2 for m in shape)
+    want = full_grid_post_solve(mirrored(cell, shape), theta, exps, basis, grid)
+    for name in ("u", "v", "w"):
+        assert np.array_equal(getattr(pair, name).values, want[name]), name
+    for name in ("residual_w", "energy", "sobolev_quotient"):
+        assert getattr(report, name) == want[name], name
+    a, b = report.coefficients
+    assert np.array_equal(a.coefficients, fl.analyze(pair.u, basis).coefficients)
+    assert np.array_equal(b.coefficients, fl.analyze(pair.v, basis).coefficients)
+
+
+@pytest.mark.filterwarnings("ignore:clamped")
+def test_full_path_post_solve_is_the_full_grid_post_solve(monkeypatch):
+    dom, basis, grid = small_setup(K=8, m=16)
+    exps = fl.ExponentPair(p=2.5, q=fl.solve_q_epsilon(2.5, 2, 0.5, 0.05), n=2, s=0.5)
+    init = np.random.default_rng(777).random(grid.shape) + 0.1
+    loops = []
+    monkeypatch.setattr(le, "_iterate", recording_iterate(loops))
+    pair, report = fl.solve_ground_state(exps, basis, grid, init=fl.GridFunction(grid, init))
+    (w, theta), = loops
+    assert w.shape == grid.shape
+    want = full_grid_post_solve(w, theta, exps, basis, grid)
+    for name in ("u", "v", "w"):
+        assert np.array_equal(getattr(pair, name).values, want[name]), name
+    for name in ("residual_w", "energy", "sobolev_quotient"):
+        assert getattr(report, name) == want[name], name
+
+
+@pytest.mark.filterwarnings("ignore:clamped")
+def test_symmetric_solve_makes_no_full_grid_inverse(monkeypatch):
+    # the loop and the post-processing both run on the cell
+    calls = []
+    full_inverse = le.apply_inverse
+
+    def counting(f, s, basis):
+        calls.append(f.grid.shape)
+        return full_inverse(f, s, basis)
+
+    monkeypatch.setattr(le, "apply_inverse", counting)
+    dom = fl.BoxDomain((1.0, 1.0), 0.5)
+    basis, grid = fl.build_basis(dom, (8, 8)), fl.build_grid(dom, (17, 17))
+    exps = fl.ExponentPair(p=2.5, q=fl.solve_q_epsilon(2.5, 2, 0.5, 0.04), n=2, s=0.5)
+    fl.solve_ground_state(exps, basis, grid)
+    assert calls == []
+    # an asymmetric start takes the full path, every inverse on the full grid
+    dom, basis, grid = small_setup(K=8, m=16)
+    exps = fl.ExponentPair(p=2.5, q=fl.solve_q_epsilon(2.5, 2, 0.5, 0.05), n=2, s=0.5)
+    init = np.random.default_rng(777).random(grid.shape) + 0.1
+    fl.solve_ground_state(exps, basis, grid, init=fl.GridFunction(grid, init))
+    assert calls and set(calls) == {grid.shape}
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it traced, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("lengths, cutoff, shape", [
+    ((1.0, 1.0), (64, 64), (128, 128)),
+    ((1.0, 1.6), (30, 45), (61, 91)),
+    ((1.0, 1.3, 0.8), (12, 14, 10), (25, 29, 21)),
+])
+def test_cell_inverse_allocates_no_cell_sized_array(lengths, cutoff, shape):
+    dom = fl.BoxDomain(lengths, 0.5)
+    basis, grid = fl.build_basis(dom, cutoff), fl.build_grid(dom, shape)
+    cell = fc._CellInverse.cell_of(mirror_symmetric(grid, seed=1))
+    inverse = fc._CellInverse(basis, grid, dom.s)
+    out = np.empty_like(cell)
+    inverse(cell, out)
+    _, peak = traced_peak(inverse, cell, out)
+    # every work array is the operator's own; a call allocates views only
+    assert peak < cell.nbytes // 8, (peak, cell.nbytes)
+
+
+@pytest.mark.parametrize("shape", [(41,), (128, 128), (25, 36), (17, 21, 13), (16, 16, 16)])
+def test_extend_allocates_one_full_grid_array(shape):
+    dom = fl.BoxDomain((1.0,) * len(shape), 0.25)
+    grid = fl.build_grid(dom, shape)
+    basis = fl.build_basis(dom, tuple(m // 2 for m in shape))
+    values = mirror_symmetric(grid, seed=2)
+    inverse = fc._CellInverse(basis, grid, dom.s)
+    cell = fc._CellInverse.cell_of(values)
+    full, peak = traced_peak(inverse.extend, cell)
+    assert np.array_equal(full, values)
+    assert values.nbytes <= peak <= values.nbytes + 4096, (peak, values.nbytes)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_weighted_sum_with_scalar_power_of_two_is_bitwise(n):
+    # an all-even grid hands the loop the scalar 2^n in place of the cell's
+    # weights array; scaling the sum by it is exact
+    shape = (37, 23, 11)[:n]
+    rng = np.random.default_rng(n)
+    a, b = rng.random(shape), rng.random(shape) ** 3
+    work = np.empty(shape)
+    weight = 2.0**n
+    scalar = le._weighted_sum(a, b, weight, work)
+    assert scalar == le._weighted_sum(a, b, np.full(shape, weight), work)
+    assert scalar == float(np.sum(a * b * weight))
