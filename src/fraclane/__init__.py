@@ -25,7 +25,6 @@ from .fractional_calculus import (
     UnresolvedSingularityError,
     apply_fraclap,
     apply_inverse,
-    clamp_nonnegative,
     classify_regime,
     free_kernel,
     g_tilde,
@@ -50,7 +49,6 @@ from .lane_emden import (
     sobolev_quotient,
     solve_ground_state,
     solve_q_epsilon,
-    theta_quotient,
 )
 from .hls_limit import (
     DecayFit,

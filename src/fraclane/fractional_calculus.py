@@ -159,8 +159,8 @@ def apply_inverse(f: GridFunction, s: float, basis: SpectralBasis) -> GridFuncti
     """Multiplier action a_k -> lambda_k^{-s} a_k (the Green-kernel integral, spectrally).
 
     Linear by construction; positivity of the exact operator can surface as a
-    small negative ringing on the truncation, which callers clamp via
-    :func:`clamp_nonnegative` before taking fractional powers.
+    small negative ringing on the truncation, which the solver clamps with
+    `_clamp_in_place` before taking fractional powers.
     """
     _check_order(s)
     field = analyze(f, basis)
@@ -275,25 +275,25 @@ def operator_algebra_residuals(
 _CLAMP_WARN_FRACTION = 1e-8  # clamped L1 mass fraction above which a clamp warns
 
 
-def clamp_nonnegative(f: GridFunction, context: str = "") -> tuple[GridFunction, float]:
-    """Zero out negative ringing; returns (clamped, removed L1 mass fraction).
-
-    Warns when the clamped mass exceeds `_CLAMP_WARN_FRACTION` of the L1 norm:
-    the exact inverse is positivity-preserving, so larger clamps indicate an
-    under-resolved field.
-    """
-    if not f.min() < 0.0:
-        return f, 0.0
-    out = f.values.copy()
-    return f.with_values(out), _clamp_in_place(out, 1.0, context)
+def _check_finite(total: float) -> float:
+    """`total`, a minimum or a sum of nonnegative products over node values,
+    refused as a `GridFunction` refuses non-finite values unless it is
+    finite: a NaN node makes either NaN, a -inf node the minimum -inf, and a
+    +inf node or an overflow the sum +inf."""
+    if not math.isfinite(total):
+        raise ValueError("grid function carries non-finite values")
+    return total
 
 
 def _clamp_in_place(values: np.ndarray, weights, context: str) -> float:
-    """`clamp_nonnegative` on `values` in place, each node's mass counted
-    `weights` times (a scalar, or the multiplicities of a fundamental cell);
-    returns the removed fraction and warns as `clamp_nonnegative` does, for
-    the caller's caller."""
-    if not values.min() < 0.0:
+    """Zero out the negative ringing of `values` in place, each node's mass
+    counted `weights` times (a scalar, or the multiplicities of a fundamental
+    cell), and return the removed L1 mass fraction. Warns, for the caller's
+    caller, when that fraction exceeds `_CLAMP_WARN_FRACTION`: the exact
+    inverse is positivity-preserving, so larger clamps indicate an
+    under-resolved field. The minimum it takes is checked by
+    `_check_finite`, so a NaN or -inf node raises."""
+    if not _check_finite(float(values.min())) < 0.0:
         return 0.0
     neg = values < 0.0
     mass = np.abs(values) * weights

@@ -29,6 +29,13 @@ residual and the clamped fraction agree to rounding and the iteration path
 is the same. The rescaling, the final v and the residual check run on the
 same cell, and u, v, w are mirrored back once, at the end. Any other start
 runs the same loop and the same post-processing on the full grid.
+
+Each iteration reads each array as few times as it can. Every norm is one
+dot product of two fields the loop already holds (`_weighted_sum`). No pass
+scans for non-finite values: the minimum each clamp takes and each norm sum
+are checked instead, and a NaN or infinite node, an overflowing power
+included, makes one of them non-finite. The sup residual is formed only once
+Theta has settled, and on the last allowed iteration.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ import numpy as np
 from .fractional_calculus import (
     THRESHOLD_TOL,
     _CellInverse,
+    _check_finite,
     _clamp_in_place,
     _multipliers,
     apply_inverse,
@@ -188,18 +196,6 @@ class SolveReport:
             raise ValueError("report needs at least one iteration")
 
 
-def theta_quotient(w: GridFunction, exponents: ExponentPair, basis: SpectralBasis) -> float:
-    """Theta(w) = ||(-Delta)^{-s} w||_{p+1} / ||w||_{(q+1)/q}; zero input rejected.
-
-    Invariant under positive rescaling of w (both norms are 1-homogeneous).
-    """
-    denom = lp_norm(w, (exponents.q + 1.0) / exponents.q)
-    if denom == 0.0:
-        raise ValueError("theta quotient of the zero function")
-    num = lp_norm(apply_inverse(w, exponents.s, basis), exponents.p + 1.0)
-    return num / denom
-
-
 def _first_eigenfunction(basis: SpectralBasis, grid: Grid) -> GridFunction:
     coeff = np.zeros(basis.cutoff)
     coeff[(0,) * basis.domain.dim] = 1.0
@@ -255,22 +251,15 @@ def ascent_budget(theta_prev):
     return _ASCENT_SLACK * np.maximum(1.0, theta_prev)
 
 
-def _check_finite(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """`values`, after the check every `GridFunction` makes; `mask` is a
-    boolean array of the same shape."""
-    if not np.isfinite(values, out=mask).all():
-        raise ValueError("grid function carries non-finite values")
-    return values
-
-
 def _weighted_sum(a: np.ndarray, b: np.ndarray, weights, work: np.ndarray) -> float:
-    """sum(a * b * weights), through `work`. Scalar weights scale the sum,
-    not each product: for a power of two that is bitwise the same."""
-    np.multiply(a, b, out=work)
-    if np.ndim(weights) == 0:
-        return float(np.sum(work)) * weights
-    work *= weights
-    return float(np.sum(work))
+    """sum(a * b * weights) as one dot product of the raveled arrays, checked
+    finite. Scalar weights scale the sum, not each product: for a power of
+    two that is bitwise the same. An array of weights multiplies `a` once,
+    into `work`."""
+    if np.ndim(weights) != 0:
+        a = np.multiply(a, weights, out=work)
+        weights = 1.0
+    return _check_finite(float(np.dot(a.ravel(), b.ravel())) * weights)
 
 
 def _iterate(
@@ -300,12 +289,21 @@ def _iterate(
     powers, clamps and cell inverses write into them with `out=`. w^{1/q} is
     carried from one iteration to the next, and every field is nonnegative,
     so each norm reuses a power already taken: one v^p and one t^q per
-    iteration.
+    iteration, and each norm is one dot product (`_weighted_sum`).
+
+    No pass scans for non-finite values. Each inverse is clamped, and the
+    minimum the clamp takes is NaN or -inf if a node is; each norm sum is a
+    sum of nonnegative products, so it is NaN or +inf if a node of v, v^p, w,
+    w^{1/q}, t or t^q is, overflow of a power included. Both are checked
+    (`_check_finite`), so a non-finite value raises in the iteration that
+    made it, and no field leaves the loop unchecked. The relative sup
+    residual of (-Delta)^{-s} v^p = mu w^{1/q} is formed only when Theta has
+    settled (its relative change below `theta_tol`) and on the last allowed
+    iteration, whose residual the non-convergence message gives.
     """
     p, q = exponents.p, exponents.q
     qnorm = (q + 1.0) / q
-    finite = np.empty(w.shape, dtype=bool)
-    w_root = _check_finite(w, finite) ** (1.0 / q)
+    w_root = w ** (1.0 / q)
     v, v_pow, t, work = (np.empty_like(w) for _ in range(4))
 
     theta_history = []
@@ -314,10 +312,10 @@ def _iterate(
     residual = math.inf
     for it in range(1, max_iter + 1):
         v = inverse(w, v)
-        c1 = _clamp_in_place(_check_finite(v, finite), weights, "inner inverse")
+        c1 = _clamp_in_place(v, weights, "inner inverse")
         np.power(v, p, out=v_pow)
-        t = inverse(_check_finite(v_pow, finite), t)
-        c2 = _clamp_in_place(_check_finite(t, finite), weights, "outer inverse")
+        t = inverse(v_pow, t)
+        c2 = _clamp_in_place(t, weights, "outer inverse")
         clamp_max = max(clamp_max, c1, c2)
 
         v_norm = (cell * _weighted_sum(v, v_pow, weights, work)) ** (1.0 / (p + 1.0))
@@ -333,25 +331,25 @@ def _iterate(
                 },
             )
 
-        mu = theta ** (p + 1.0)
-        np.multiply(w_root, mu, out=work)
-        np.subtract(t, work, out=work)
-        residual = float(np.max(np.abs(work, out=work))) / max(
-            mu * float(np.max(w_root)), 1e-300
-        )
         rel_change = (
             math.inf if theta_prev is None else abs(theta - theta_prev) / theta
         )
         theta_prev = theta
-        if rel_change < theta_tol and residual < residual_tol:
-            return w, theta, theta_history, it, residual, clamp_max
+        if rel_change < theta_tol or it == max_iter:
+            mu = theta ** (p + 1.0)
+            np.multiply(w_root, mu, out=work)
+            np.subtract(t, work, out=work)
+            residual = float(np.max(np.abs(work, out=work))) / max(
+                mu * float(np.max(w_root)), 1e-300
+            )
+            if rel_change < theta_tol and residual < residual_tol:
+                return w, theta, theta_history, it, residual, clamp_max
 
         np.power(t, q, out=w)
         norm = (cell * _weighted_sum(t, w, weights, work)) ** (1.0 / qnorm)
         if norm == 0.0:
             raise ConvergenceError("iteration collapsed to zero")
         w /= norm
-        _check_finite(w, finite)
         np.divide(t, norm ** (1.0 / q), out=w_root)
     raise ConvergenceError(
         f"no convergence in {max_iter} iterations "
@@ -402,9 +400,8 @@ def _fixed_point(
 
 
 def _clamped_inverse(values: np.ndarray, nodes: _Nodes, context: str) -> np.ndarray:
-    """(-Delta)^{-s} of finite node values, its negative ringing clamped and
-    warned about as `clamp_nonnegative` does."""
-    _check_finite(values, np.empty(values.shape, dtype=bool))
+    """(-Delta)^{-s} of node values, its negative ringing clamped and warned
+    about by `_clamp_in_place`, which refuses a NaN or -inf result."""
     out = nodes.inverse(values, np.empty_like(values))
     _clamp_in_place(out, nodes.weights, context)
     return out

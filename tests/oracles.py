@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from functools import reduce
 from pathlib import Path
 
@@ -40,6 +41,36 @@ def green_direct(basis, s, x, y):
     sums = np.bincount(shell.ravel(), weights=terms.ravel(), minlength=5)
     value = float(np.sum(sums))
     return value, max(8.0 * float(np.max(np.abs(sums[2:]))), 1e-15 * abs(value))
+
+
+def theta_quotient(w, exps, basis):
+    """Theta(w) = ||(-Delta)^{-s} w||_{p+1} / ||w||_{(q+1)/q} of a
+    `GridFunction` w; the zero function is refused. Invariant under positive
+    rescaling of w, since both norms are 1-homogeneous."""
+    denom = fl.lp_norm(w, (exps.q + 1.0) / exps.q)
+    if denom == 0.0:
+        raise ValueError("theta quotient of the zero function")
+    return fl.lp_norm(apply_inverse(w, exps.s, basis), exps.p + 1.0) / denom
+
+
+def clamp_nonnegative(f):
+    """f (a `GridFunction`) with its negative values set to zero, and the
+    fraction of its L1 mass that this removed."""
+    values = f.values
+    total = float(np.sum(np.abs(values)))
+    removed = float(-np.sum(values[values < 0.0]))
+    return f.with_values(np.maximum(values, 0.0)), removed / total if total > 0 else 0.0
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it traced, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def inverse_matrix(basis, grid, s):

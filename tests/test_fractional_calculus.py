@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss, legvander
-from oracles import eigen_modes, eigenvalues, green_direct
+from oracles import clamp_nonnegative, eigen_modes, eigenvalues, green_direct
 from scipy import integrate
 
 import fraclane as fl
@@ -107,9 +107,13 @@ def test_inverse_positivity_up_to_clamp():
     rng = np.random.default_rng(8)
     f = fl.GridFunction(grid, rng.random(grid.shape))
     inv = fl.apply_inverse(f, 0.5, basis)
-    clamped, fraction = fl.clamp_nonnegative(inv)
+    clamped, fraction = clamp_nonnegative(inv)
     assert fraction < 1e-8
     assert clamped.min() >= 0.0
+    # the solver's in-place clamp removes the same mass from the same nodes
+    values = inv.values.copy()
+    assert fc._clamp_in_place(values, 1.0, "") == pytest.approx(fraction, rel=1e-12, abs=0)
+    assert np.array_equal(values, clamped.values)
 
 
 def test_apply_fraclap_rejects_bad_s():

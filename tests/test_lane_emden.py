@@ -3,7 +3,8 @@
 import ast
 import inspect
 import math
-import tracemalloc
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ import fraclane as fl
 from fraclane import fractional_calculus as fc
 from fraclane import lane_emden as le
 from fraclane import spectral_domain as sd
-from oracles import (eigenvalues, full_grid_post_solve, mirrored, multistart_theta,
-                     plain_fixed_point, recording_iterate)
+from oracles import (clamp_nonnegative, eigenvalues, full_grid_post_solve, mirrored,
+                     multistart_theta, plain_fixed_point, recording_iterate, theta_quotient,
+                     traced_peak)
 
 
 def small_setup(K=16, m=32):
@@ -72,19 +74,19 @@ def test_theta_quotient_scale_invariance_and_phi1():
     exps = fl.ExponentPair(p=2.5, q=3.0, n=2, s=0.5)
     rng = np.random.default_rng(2)
     w = fl.GridFunction(grid, rng.random(grid.shape) + 0.2)
-    base = fl.theta_quotient(w, exps, basis)
+    base = theta_quotient(w, exps, basis)
     for c in (0.003, 7.0, 1234.5):
-        scaled = fl.theta_quotient(w.with_values(c * w.values), exps, basis)
+        scaled = theta_quotient(w.with_values(c * w.values), exps, basis)
         assert scaled == pytest.approx(base, rel=1e-12)
     with pytest.raises(ValueError):
-        fl.theta_quotient(w.with_values(np.zeros(grid.shape)), exps, basis)
+        theta_quotient(w.with_values(np.zeros(grid.shape)), exps, basis)
 
     coeff = np.zeros(basis.cutoff)
     coeff[0, 0] = 1.0
     phi1 = fl.synthesize(fl.SpectralField(basis, coeff), grid)
     lam1 = eigenvalues(basis)[0, 0]
     expect = lam1 ** -exps.s * fl.lp_norm(phi1, exps.p + 1) / fl.lp_norm(phi1, (exps.q + 1) / exps.q)
-    assert fl.theta_quotient(phi1, exps, basis) == pytest.approx(expect, rel=1e-12)
+    assert theta_quotient(phi1, exps, basis) == pytest.approx(expect, rel=1e-12)
 
 
 def test_solver_refuses_critical_pair():
@@ -191,7 +193,7 @@ def test_scaling_law_eq_w1_residual(solved):
     # t = Theta^{-q(p+1)/(pq-1)} rescale
     dom, basis, grid, exps, pair, report = solved
     inner = fl.apply_inverse(pair.w, exps.s, basis)
-    inner, _ = fl.clamp_nonnegative(inner)
+    inner, _ = clamp_nonnegative(inner)
     outer = fl.apply_inverse(inner.with_values(inner.values**exps.p), exps.s, basis)
     lhs = outer.values
     rhs = pair.w.values ** (1.0 / exps.q)
@@ -217,7 +219,7 @@ def test_maximality_spot_check(solved):
     rng = np.random.default_rng(9)
     for _ in range(8):
         trial = fl.GridFunction(grid, rng.random(grid.shape) + 0.05)
-        assert fl.theta_quotient(trial, exps, basis) <= report.theta * (1 + 1e-9)
+        assert theta_quotient(trial, exps, basis) <= report.theta * (1 + 1e-9)
 
 
 def test_p_equals_q_self_consistency():
@@ -227,7 +229,7 @@ def test_p_equals_q_self_consistency():
     pair, report = fl.solve_ground_state(exps, basis, grid)
     uq = pair.u.with_values(pair.u.values**exps.q)
     v = fl.apply_inverse(uq, exps.s, basis)
-    v, _ = fl.clamp_nonnegative(v)
+    v, _ = clamp_nonnegative(v)
     assert np.max(np.abs(v.values - pair.v.values)) / pair.v.max() < 1e-7
     back = fl.apply_inverse(v.with_values(v.values**exps.p), exps.s, basis)
     assert np.max(np.abs(back.values - pair.u.values)) / pair.u.max() < 1e-6
@@ -533,17 +535,6 @@ def test_symmetric_solve_makes_no_full_grid_inverse(monkeypatch):
     assert calls and set(calls) == {grid.shape}
 
 
-def traced_peak(fn, *args):
-    """fn(*args) and the peak of the memory it traced, in bytes."""
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak
-
-
 @pytest.mark.parametrize("lengths, cutoff, shape", [
     ((1.0, 1.0), (64, 64), (128, 128)),
     ((1.0, 1.6), (30, 45), (61, 91)),
@@ -577,7 +568,7 @@ def test_extend_allocates_one_full_grid_array(shape):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_weighted_sum_with_scalar_power_of_two_is_bitwise(n):
     # an all-even grid hands the loop the scalar 2^n in place of the cell's
-    # weights array; scaling the sum by it is exact
+    # weights array; scaling the sum by it is exact, so both give the same bits
     shape = (37, 23, 11)[:n]
     rng = np.random.default_rng(n)
     a, b = rng.random(shape), rng.random(shape) ** 3
@@ -585,4 +576,96 @@ def test_weighted_sum_with_scalar_power_of_two_is_bitwise(n):
     weight = 2.0**n
     scalar = le._weighted_sum(a, b, weight, work)
     assert scalar == le._weighted_sum(a, b, np.full(shape, weight), work)
-    assert scalar == float(np.sum(a * b * weight))
+    # any summation order of nonnegative terms lies within size * 2^-52 of
+    # the correctly rounded sum
+    exact = math.fsum((a * b * weight).ravel())
+    assert abs(scalar - exact) <= a.size * 2.0**-52 * exact
+
+
+def solver_case(shape):
+    dom = fl.BoxDomain((1.0, 1.0), 0.5)
+    basis = fl.build_basis(dom, tuple(m // 2 for m in shape))
+    exps = fl.ExponentPair(p=2.5, q=fl.solve_q_epsilon(2.5, 2, 0.5, 0.05), n=2, s=0.5)
+    return exps, basis, fl.build_grid(dom, shape)
+
+
+def poisoned(inverse, poison_call, bad, returned):
+    """`inverse` (returning an array, or a `GridFunction` as `apply_inverse`
+    does) with `bad` written at one node of the result of its call number
+    `poison_call`; `returned` counts the calls that returned."""
+    def call(*args):
+        result = inverse(*args)
+        returned.append(None)
+        if len(returned) != poison_call:
+            return result
+        values = np.array(getattr(result, "values", result))
+        values.flat[values.size // 2] = bad
+        if isinstance(result, np.ndarray):
+            result[...] = values
+            return result
+        return SimpleNamespace(values=values)
+
+    return call
+
+
+@pytest.mark.filterwarnings("ignore:clamped", "ignore:invalid value")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("poison_call", [1, 2, 5, 6])  # inner, outer of iterations 1 and 3
+@pytest.mark.parametrize("path", ["cell-even", "cell-odd", "full"])
+def test_loop_refuses_non_finite_values(path, poison_call, bad, monkeypatch):
+    exps, basis, grid = solver_case((17, 17) if path == "cell-odd" else (16, 16))
+    returned = []
+    init = None
+    if path == "full":
+        init = fl.GridFunction(grid, np.random.default_rng(777).random(grid.shape) + 0.1)
+        monkeypatch.setattr(le, "apply_inverse",
+                            poisoned(le.apply_inverse, poison_call, bad, returned))
+    else:
+        monkeypatch.setattr(le._CellInverse, "__call__",
+                            poisoned(le._CellInverse.__call__, poison_call, bad, returned))
+    with pytest.raises(ValueError, match="non-finite"):
+        fl.solve_ground_state(exps, basis, grid, init=init)
+    # the loop stops in the iteration it was poisoned in: a bad inner inverse
+    # reaches at most the outer one, a bad outer inverse nothing more
+    assert poison_call <= len(returned) <= poison_call + poison_call % 2
+
+
+@pytest.mark.parametrize("max_iter", [1, 2])
+def test_non_convergence_message_gives_the_last_residual(max_iter):
+    # the residual is formed lazily; the last allowed iteration forms it anyway
+    exps, basis, grid = solver_case((16, 16))
+    with pytest.raises(fl.ConvergenceError, match=f"no convergence in {max_iter} iter") as info:
+        fl.solve_ground_state(exps, basis, grid, max_iter=max_iter)
+    residual = float(re.search(r"last residual ([^)]+)\)", str(info.value)).group(1))
+    assert math.isfinite(residual) and residual > 0
+    assert len(info.value.diagnostics["theta_history"]) == max_iter
+
+
+def test_fixed_point_loop_allocates_nothing_per_iteration():
+    exps, basis, grid = solver_case((64, 64))
+    page = 4096
+
+    def stopped_solve(max_iter):
+        # residual_tol = 1e-300 is a stopping rule the loop cannot meet
+        with pytest.raises(fl.ConvergenceError):
+            fl.solve_ground_state(exps, basis, grid, residual_tol=1e-300, max_iter=max_iter)
+
+    stopped_solve(3)  # fills the basis's caches before any peak is read
+    _, short = traced_peak(stopped_solve, 3)
+    _, long = traced_peak(stopped_solve, 30)
+    assert abs(long - short) <= page, (short, long)
+
+    # the loop alone holds w^{1/q} and its four work arrays beside its start,
+    # and nothing else cell-sized, not even for the length of one iteration
+    w = le._first_eigenfunction(basis, grid)
+    cell = fc._CellInverse.cell_of(w.values / fl.lp_norm(w, (exps.q + 1.0) / exps.q))
+    inverse = fc._CellInverse(basis, grid, exps.s)
+
+    def stopped_loop(max_iter):
+        start = cell.copy()
+        with pytest.raises(fl.ConvergenceError):
+            le._iterate(start, inverse, 4.0, exps, grid.cell_volume, 1e-9, 1e-300, max_iter)
+
+    for max_iter in (3, 30):
+        _, peak = traced_peak(stopped_loop, max_iter)
+        assert peak <= 6 * cell.nbytes + page, (max_iter, peak, cell.nbytes)
