@@ -31,7 +31,6 @@ from .fractional_calculus import (
     gns,
     green,
     regular_part,
-    rescaled_green,
     resolvability_threshold,
     serrin_exponent,
 )

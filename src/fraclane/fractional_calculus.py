@@ -24,13 +24,17 @@ out read-only. The kernels read s from their basis. The Serrin split
 A field that is mirror-symmetric about every mid-plane is held by its
 fundamental cell, the first ceil(m_i/2) nodes per axis; its mirror
 differences and even-k coefficients are exact zeros. `_CellInverse` is the
-one owner of that cell: it cuts it out, applies (-Delta)^{-s} to it, weights
-its nodes and mirrors it back. Its analysis matrices are the odd-k half
-matrices times the node multiplicities (2 per axis, 1 on the middle plane
-of an odd m); a doubled factor makes a bitwise doubled product, so
-contracting the cell with them is bitwise `analyze`'s contraction of its
-fold head + tail, with no fold pass. With the odd-k half of the multipliers
-and of the synthesis, its result is bitwise the cell of `apply_inverse`.
+one owner of that cell: it cuts it out, analyzes it, applies (-Delta)^{-s}
+to it, weights its nodes and mirrors it back. It contracts the cell with one
+odd-k half sine matrix per distinct axis, shared by the analysis and the
+synthesis and by equal axes. The node multiplicity 2 of an even m goes into
+one scalar coefficient scale, and only an odd m's axis has an analysis matrix
+of its own, weighted 1 on its middle plane; scaling by a power of two is
+exact, so the analysis is bitwise `analyze`'s contraction of the fold
+head + tail, with no fold pass. With the odd-k half of the multipliers and a
+contiguous synthesis chain, its result is bitwise the cell of
+`apply_inverse`, and its coefficients are bitwise `analyze` of the full
+field.
 
 Eigen-sum truncation is never silently dropped: every kernel sample carries
 a tail estimate extrapolated from the decay of the outer mode shells
@@ -170,45 +174,80 @@ def apply_inverse(f: GridFunction, s: float, basis: SpectralBasis) -> GridFuncti
 
 class _CellInverse:
     """`apply_inverse` on mirror-symmetric fields, held by their fundamental
-    cell (`cell_of`). A call contracts the cell with analysis matrices that
-    carry the node multiplicities (the odd-k half matrices, doubled on every
-    row but the middle one of an odd m), multiplies by the odd-k multipliers
-    and synthesizes the odd-k half back onto the cell. Doubling a factor of a
-    product is exact, so each contraction is bitwise `analyze`'s contraction
-    of its fold head + tail, and the result is bitwise the cell of
-    `apply_inverse`. `weights` counts the grid nodes each cell node stands
-    for (2 per axis, 1 on the middle plane of an odd m), so a weighted sum
-    over the cell is the sum over the full grid; `extend` mirrors a cell back
-    onto the full grid. The matrices, multipliers, weights and work arrays
-    are built once."""
+    cell (`cell_of`), on one odd-k half sine matrix per distinct axis: equal
+    axes share `_half_matrices`' array.
+
+    A call analyzes the cell, scales the odd-k coefficients by the cell
+    volume times 2 per even-m axis, multiplies them by the odd-k multipliers
+    and synthesizes them back onto the cell. On an even m every cell node
+    stands for two grid nodes, a factor the scale carries, so the analysis
+    contracts with the shared matrix itself; an odd m's axis has its own
+    analysis matrix, the odd half doubled on every row but the middle one.
+    Scaling by a power of two is exact, so each analysis is bitwise
+    `analyze`'s contraction of its fold head + tail, and the result is
+    bitwise the cell of `apply_inverse`.
+
+    The analysis contracts each axis as `analyze` does, node axis in front
+    and transposed. A BLAS picks its kernel by the operands' layout and
+    shape, and OpenBLAS rounds a contiguous analysis differently from
+    `analyze` on some shapes: 25 x 37, 48^2 and 48^3 with every matrix in its
+    own layout, 64^2, 128^2 and 1-d with the last one stored transposed.
+    The synthesis is a contiguous GEMM chain in `synthesize`'s axis order,
+    bitwise on every shape tested: the first axis multiplied from the left,
+    the last from the right, a middle one batched over the earlier axes.
+
+    `coefficients` is the same analysis with its even-k modes zero: bitwise
+    `analyze` of the full field. `weights` counts the grid nodes each cell
+    node stands for (2 per axis, 1 on the middle plane of an odd m), so a
+    weighted sum over the cell is the sum over the full grid; `extend`
+    mirrors a cell back onto the full grid. The matrices, multipliers,
+    weights, work arrays and their views are built once."""
 
     def __init__(self, basis: SpectralBasis, grid: Grid, s: float):
         _check_order(s)
         _check_compatible(basis, grid)
         check_resolution(basis.cutoff, grid.shape)
+        self._basis = basis
         self._shape = grid.shape
-        self._cell_volume = grid.cell_volume
         self._halves = [m // 2 for m in grid.shape]
         cell = [(m + 1) // 2 for m in grid.shape]
         multiplicity = [np.where(np.arange(c) < h, 2.0, 1.0)
                         for c, h in zip(cell, self._halves, strict=True)]
         self.weights = reduce(np.multiply.outer, multiplicity)
         self._odd = [odd for odd, _ in _half_matrices(basis, grid)]
-        self._analysis = [odd * mult[:, None]
-                          for odd, mult in zip(self._odd, multiplicity, strict=True)]
+        weighted = {}  # one analysis matrix per distinct odd-m axis
+        self._analysis = [
+            weighted.setdefault(id(odd), odd * mult[:, None]) if m % 2 else odd
+            for odd, mult, m in zip(self._odd, multiplicity, grid.shape, strict=True)
+        ]
+        self._scale = grid.cell_volume * 2.0 ** sum(m % 2 == 0 for m in grid.shape)
         # the odd-k entries of _multipliers(basis, -s), taken by the same
         # power from the same eigenvalues
-        odd_modes = (slice(None, None, 2),) * basis.domain.dim
-        self._mults = np.ascontiguousarray(basis.eigenvalue_grid[odd_modes]) ** -s
+        self._odd_modes = (slice(None, None, 2),) * basis.domain.dim
+        self._mults = np.ascontiguousarray(basis.eigenvalue_grid[self._odd_modes]) ** -s
         modes = [odd.shape[1] for odd in self._odd]
-        n = len(cell)
         # analysis of axis i takes (c_i, X) into (X, Kodd_i), with X the cells
-        # of the later axes times the modes of the earlier ones; synthesis of
-        # axis i takes (Kodd_i, X) into (X, c_i), the last one into `out`
-        self._coeffs = [np.empty((math.prod(cell[i + 1:]) * math.prod(modes[:i]), modes[i]))
-                        for i in range(n)]
-        self._nodes = [np.empty((math.prod(modes[i + 1:]) * math.prod(cell[:i]), cell[i]))
-                       for i in range(n - 1)]
+        # of the later axes times the modes of the earlier ones; each step
+        # after the first reads the one before as a transposed view
+        parts = [np.empty((math.prod(cell[i + 1:]) * math.prod(modes[:i]), modes[i]))
+                 for i in range(len(cell))]
+        self._first = parts[0]
+        self._analysis_steps = [(part.reshape(c, -1).T, analysis, after)
+                                for part, c, analysis, after
+                                in zip(parts, cell[1:], self._analysis[1:], parts[1:])]
+        self._coeff = parts[-1].reshape(modes)
+        # synthesis of axis i < last takes (C, Kodd_i, Y) into (C, c_i, Y),
+        # with C the cells of the earlier axes and Y the modes of the later
+        # ones; the last axis goes from (C, Kodd) into the caller's `out`
+        coeff = self._coeff
+        self._synthesis_steps = []
+        for i, odd in enumerate(self._odd[:-1]):
+            nodes = np.empty(cell[:i + 1] + modes[i + 1:])
+            batch = math.prod(cell[:i])
+            self._synthesis_steps.append((odd, coeff.reshape(batch, modes[i], -1),
+                                          nodes.reshape(batch, cell[i], -1)))
+            coeff = nodes
+        self._last = coeff.reshape(-1, modes[-1]), self._odd[-1].T
 
     @staticmethod
     def cell_of(values: np.ndarray) -> np.ndarray | None:
@@ -232,21 +271,37 @@ class _CellInverse:
             full[target] = cell[source]
         return full
 
+    def _analyze(self, values: np.ndarray) -> np.ndarray:
+        """The odd-k coefficients of the symmetric field with cell `values`
+        (C-contiguous), unscaled, in the operator's buffer."""
+        np.matmul(values.reshape(len(self._analysis[0]), -1).T, self._analysis[0], out=self._first)
+        for x, analysis, part in self._analysis_steps:
+            np.matmul(x, analysis, out=part)
+        return self._coeff
+
+    def coefficients(self, values: np.ndarray) -> SpectralField:
+        """The eigen-coefficients of the symmetric field with cell `values`
+        (C-contiguous), bitwise `analyze` of the full field: even-k modes
+        zero."""
+        coeff = np.zeros(self._basis.cutoff)
+        np.multiply(self._analyze(values), self._scale, out=coeff[self._odd_modes])
+        return SpectralField(self._basis, coeff)
+
     def __call__(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """(-Delta)^{-s} of the symmetric field with cell `values` (C-contiguous),
-        written into `out` (C-contiguous, the cell's shape) and returned."""
-        coeff = values
-        for analysis, part in zip(self._analysis, self._coeffs, strict=True):
-            x = coeff.reshape(len(analysis), -1)
-            np.matmul(x.T, analysis, out=part)
-            coeff = part.reshape(coeff.shape[1:] + part.shape[1:])
-        coeff *= self._cell_volume
-        coeff *= self._mults
-        for odd, nodes in zip(self._odd, [*self._nodes, out.reshape(-1, out.shape[-1])],
-                              strict=True):
-            x = coeff.reshape(coeff.shape[0], -1)
-            np.matmul(x.T, odd.T, out=nodes)
-            coeff = nodes.reshape(coeff.shape[1:] + nodes.shape[1:])
+        written into `out` (C-contiguous, the cell's shape) and returned.
+
+        A non-finite node makes NaN or infinite entries, without the warning
+        a product with it would give: the clamp's minimum and the norm sums
+        refuse them (`_check_finite`)."""
+        with np.errstate(invalid="ignore"):
+            coeff = self._analyze(values)
+            coeff *= self._scale
+            coeff *= self._mults
+            for odd, before, after in self._synthesis_steps:
+                np.matmul(odd, before, out=after)
+            before, synthesis = self._last
+            np.matmul(before, synthesis, out=out.reshape(len(before), -1))
         return out
 
 
@@ -403,18 +458,6 @@ def regular_part(x, y, basis: SpectralBasis) -> KernelSample:
     g = green(x, y, basis)
     h = free_kernel(x, y, basis.domain.s) - g.value
     return KernelSample(h, g.truncation_bound)
-
-
-def rescaled_green(x, y, lam: float, center, basis: SpectralBasis):
-    """lambda^{-(n-2s)} G(x/lambda + c, y/lambda + c) of points (n,) or pairs
-    (P, n); `green` refuses mapped points outside the box."""
-    if lam <= 0:
-        raise ValueError("rescaling factor must be positive")
-    center = np.asarray(center, dtype=float)
-    xm = np.asarray(x, dtype=float) / lam + center
-    ym = np.asarray(y, dtype=float) / lam + center
-    n, s = basis.domain.dim, basis.domain.s
-    return lam ** -(n - 2 * s) * green(xm, ym, basis).value
 
 
 _NEWTON_MAX_STEPS = 10  # Tricomi's start needs 3-4 steps at every order up to 2000
@@ -669,7 +712,11 @@ def g_tilde(
     value, bound = np.empty(len(xs)), np.empty(len(xs))
     for i, pt in enumerate(xs):
         coeff_x = green_coefficients(pt)
-        weighted = grid.cell_volume * np.maximum(synthesize(coeff_x, grid).values, 0.0) * gy_pow
+        # in place: each point holds one grid-sized array, with the same products
+        weighted = synthesize(coeff_x, grid).values
+        np.maximum(weighted, 0.0, out=weighted)
+        weighted *= grid.cell_volume
+        weighted *= gy_pow
         mask_x, rules_x = patch(pt, lam_pow)
         weighted[mask_y] = 0.0
         weighted[mask_x] = 0.0

@@ -26,9 +26,10 @@ odd-k half of the transforms and weights each cell node by the number of
 grid nodes it stands for. Every inverse, power and clamp is then bitwise the
 full loop's; only the summation order of the norms differs, so Theta, the
 residual and the clamped fraction agree to rounding and the iteration path
-is the same. The rescaling, the final v and the residual check run on the
-same cell, and u, v, w are mirrored back once, at the end. Any other start
-runs the same loop and the same post-processing on the full grid.
+is the same. The rescaling, the final v, the residual check and the
+eigen-coefficients of u and v come from the same cell, and u, v, w are
+mirrored back once, at the end. Any other start runs the same loop and the
+same post-processing on the full grid.
 
 Each iteration reads each array as few times as it can. Every norm is one
 dot product of two fields the loop already holds (`_weighted_sum`). No pass
@@ -362,12 +363,14 @@ def _iterate(
 class _Nodes:
     """The nodes the solver runs on: `inverse(values, out)` is (-Delta)^{-s}
     of values on them (written into `out` or a new array), `weights` counts
-    the grid nodes each stands for, and `extend` maps node values onto the
-    full grid."""
+    the grid nodes each stands for, `extend` maps node values onto the full
+    grid and `coefficients` gives the eigen-coefficients of node values,
+    bitwise `analyze` of their full-grid field."""
 
     inverse: Callable[[np.ndarray, np.ndarray], np.ndarray]
     weights: float | np.ndarray
     extend: Callable[[np.ndarray], np.ndarray]
+    coefficients: Callable[[np.ndarray], SpectralField]
 
 
 def _fixed_point(
@@ -390,11 +393,14 @@ def _fixed_point(
         def inverse(values, out):
             return apply_inverse(GridFunction(grid, values), s, basis).values
 
-        nodes = _Nodes(inverse, 1.0, np.asarray)
+        def coefficients(values):
+            return analyze(GridFunction(grid, values), basis)
+
+        nodes = _Nodes(inverse, 1.0, np.asarray, coefficients)
     else:
         inverse = _CellInverse(basis, grid, s)
         weights = inverse.weights if any(m % 2 for m in grid.shape) else 2.0**grid.domain.dim
-        nodes, w = _Nodes(inverse, weights, inverse.extend), cell
+        nodes, w = _Nodes(inverse, weights, inverse.extend, inverse.coefficients), cell
     return nodes, _iterate(w, nodes.inverse, nodes.weights, exponents, grid.cell_volume,
                            theta_tol, residual_tol, max_iter)
 
@@ -408,20 +414,22 @@ def _clamped_inverse(values: np.ndarray, nodes: _Nodes, context: str) -> np.ndar
 
 
 def _solution(w: np.ndarray, theta: float, nodes: _Nodes, exponents: ExponentPair,
-              grid: Grid) -> tuple[SolutionPair, float]:
+              grid: Grid) -> tuple[SolutionPair, float, tuple[SpectralField, SpectralField]]:
     """Scale the loop's normalized maximizer w (on `nodes`, overwritten) by
     Theta^{-q(p+1)/(pq-1)} into a solution of the integral equation, read off
-    v = (-Delta)^{-s} w and u = w^{1/q}, and check (-Delta)^{-s} v^p = u, all
-    on the loop's nodes. Returns the pair on the full grid and the relative
-    sup residual of the check."""
+    v = (-Delta)^{-s} w and u = w^{1/q}, check (-Delta)^{-s} v^p = u and
+    analyze u and v, all on the loop's nodes. Returns the pair on the full
+    grid, the relative sup residual of the check and the coefficients of u
+    and v."""
     p, q = exponents.p, exponents.q
     w *= theta ** (-q * (p + 1.0) / (p * q - 1.0))
     v = _clamped_inverse(w, nodes, "final v")
     u = w ** (1.0 / q)
     lhs = _clamped_inverse(v**p, nodes, "residual check")
     residual_w = float(np.max(np.abs(lhs - u))) / max(float(u.max()), 1e-300)
+    coefficients = (nodes.coefficients(u), nodes.coefficients(v))
     u, v, w = (GridFunction(grid, nodes.extend(f)) for f in (u, v, w))
-    return SolutionPair(u=u, v=v, w=w, exponents=exponents), residual_w
+    return SolutionPair(u=u, v=v, w=w, exponents=exponents), residual_w, coefficients
 
 
 def solve_ground_state(
@@ -476,9 +484,8 @@ def solve_ground_state(
             f"{clamp_max:.3e} of L1 mass clamped"
         )
 
-    pair, residual_w = _solution(w, theta, nodes, exponents, grid)
-    del nodes, w  # the loop's operator and node values go before the analyses
-    coefficients = (analyze(pair.u, basis), analyze(pair.v, basis))
+    pair, residual_w, coefficients = _solution(w, theta, nodes, exponents, grid)
+    del nodes, w  # the loop's operator and node values go before the full-grid sums
 
     report = SolveReport(
         theta=theta,

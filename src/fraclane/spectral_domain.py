@@ -18,7 +18,8 @@ middle node joins the sums; every even-k sine vanishes there) and contracts
 the sums with the odd-k columns, the differences with the even-k columns.
 `synthesize` runs the same steps backwards. Each axis then costs half the
 flops of the dense contraction, for any m and K. The half matrices are
-cached per (basis, grid), read-only.
+cached per (basis, grid), read-only; axes with equal side, cutoff and node
+count share one pair.
 """
 
 from __future__ import annotations
@@ -212,16 +213,21 @@ def build_grid(domain: BoxDomain, shape) -> Grid:
 @lru_cache(maxsize=128)
 def _half_matrices(basis: SpectralBasis, grid: Grid) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per axis, the odd-k and even-k columns (1-based k) of the sine matrix,
-    sampled on the first ceil(m/2) nodes and the first m//2 nodes; read-only."""
-    halves = []
+    sampled on the first ceil(m/2) nodes and the first m//2 nodes; read-only.
+    Axes with the same side, cutoff and node count share one pair of arrays."""
+    by_axis = {}
     for axis, m in enumerate(grid.shape):
+        key = (basis.domain.lengths[axis], basis.cutoff[axis], m)
+        if key in by_axis:
+            continue
         sines = basis.sine_samples(axis, grid.coords[axis][: (m + 1) // 2])
         odd = np.ascontiguousarray(sines[:, 0::2])
         even = np.ascontiguousarray(sines[: m // 2, 1::2])
         odd.flags.writeable = False
         even.flags.writeable = False
-        halves.append((odd, even))
-    return tuple(halves)
+        by_axis[key] = (odd, even)
+    return tuple(by_axis[(L, K, m)] for L, K, m in
+                 zip(basis.domain.lengths, basis.cutoff, grid.shape, strict=True))
 
 
 def _check_cutoff(cutoff: tuple[int, ...]) -> None:

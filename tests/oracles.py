@@ -43,6 +43,18 @@ def green_direct(basis, s, x, y):
     return value, max(8.0 * float(np.max(np.abs(sums[2:]))), 1e-15 * abs(value))
 
 
+def rescaled_green(x, y, lam, center, basis):
+    """lambda^{-(n-2s)} G(x/lambda + c, y/lambda + c) of points (n,) or pairs
+    (P, n); `green` refuses mapped points outside the box."""
+    if lam <= 0:
+        raise ValueError("rescaling factor must be positive")
+    center = np.asarray(center, dtype=float)
+    xm = np.asarray(x, dtype=float) / lam + center
+    ym = np.asarray(y, dtype=float) / lam + center
+    n, s = basis.domain.dim, basis.domain.s
+    return lam ** -(n - 2 * s) * fl.green(xm, ym, basis).value
+
+
 def theta_quotient(w, exps, basis):
     """Theta(w) = ||(-Delta)^{-s} w||_{p+1} / ||w||_{(q+1)/q} of a
     `GridFunction` w; the zero function is refused. Invariant under positive

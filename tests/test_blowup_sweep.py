@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 from oracles import (eigen_modes, eigenvalues, full_grid_post_solve, mirrored, read_table,
-                     recording_iterate, recording_solve)
+                     recording_iterate, recording_solve, rescaled_green)
 
 import fraclane as fl
 from fraclane import blowup_sweep as bs
@@ -262,7 +262,7 @@ def test_rescaled_equation_identity(mini_sweep, mini_pairs):
         i, j = rng.integers(0, len(nodes), size=2)
         if np.linalg.norm(nodes[i] - nodes[j]) < 3 * fl.resolvability_threshold(basis):
             continue
-        val = fl.rescaled_green(xi[i], xi[j], lam, x_c, basis)
+        val = rescaled_green(xi[i], xi[j], lam, x_c, basis)
         assert val == pytest.approx(G_eps[i, j], rel=1e-10)
         checked += 1
     assert checked > 20

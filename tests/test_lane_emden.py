@@ -399,6 +399,8 @@ def test_reduced_solve_matches_full_solve(case, cell_solves, monkeypatch):
     ((1.0, 1.0), (64, 64), (128, 128)),
     ((1.0, 1.3, 0.8), (8, 10, 6), (17, 21, 13)),
     ((1.0, 1.0, 1.0), (12, 12, 12), (24, 24, 24)),
+    ((1.0, 1.0), (16, 16), (32, 33)),
+    ((1.0, 1.0, 1.0), (24, 24, 24), (48, 48, 48)),
 ])
 def test_cell_inverse_is_bitwise_the_cell_of_apply_inverse(lengths, cutoff, shape):
     dom = fl.BoxDomain(lengths, 0.4)
@@ -412,8 +414,34 @@ def test_cell_inverse_is_bitwise_the_cell_of_apply_inverse(lengths, cutoff, shap
     full = fl.apply_inverse(fl.GridFunction(grid, values), dom.s, basis).values
     assert np.array_equal(out, full[tuple(slice(c) for c in cell.shape)])
     assert np.array_equal(inverse.extend(out), full)
+    analyzed = fl.analyze(fl.GridFunction(grid, values), basis).coefficients
+    assert np.array_equal(inverse.coefficients(cell).coefficients, analyzed)
     # node multiplicities sum to the full grid's node count
     assert np.sum(inverse.weights) == math.prod(grid.shape)
+
+
+def test_cell_inverse_shares_one_matrix_per_distinct_axis():
+    # equal axes of an all-even grid: every product reads the one cached odd
+    # matrix, and the node multiplicity 2 lives in the scale, not in a copy
+    for shape in [(64, 64), (16, 16, 16)]:
+        dom = fl.BoxDomain((1.0,) * len(shape), 0.5)
+        grid = fl.build_grid(dom, shape)
+        basis = fl.build_basis(dom, tuple(m // 2 for m in shape))
+        inverse = fc._CellInverse(basis, grid, dom.s)
+        odd = sd._half_matrices(basis, grid)[0][0]
+        assert all(matrix is odd for matrix in inverse._odd + inverse._analysis), shape
+        assert inverse._scale == grid.cell_volume * 2.0**len(shape)
+    # sides 1 and 1 on 32 x 33 nodes: the odd axis samples other nodes and
+    # weights its middle row once, so the two axes share no matrix
+    dom = fl.BoxDomain((1.0, 1.0), 0.5)
+    basis, grid = fl.build_basis(dom, (16, 16)), fl.build_grid(dom, (32, 33))
+    inverse = fc._CellInverse(basis, grid, dom.s)
+    even_axis, odd_axis = inverse._odd
+    assert even_axis is not odd_axis
+    assert inverse._analysis[0] is even_axis
+    assert np.array_equal(inverse._analysis[1][:-1], 2.0 * odd_axis[:-1])
+    assert np.array_equal(inverse._analysis[1][-1], odd_axis[-1])
+    assert inverse._scale == grid.cell_volume * 2.0
 
 
 def test_mirror_cell_rejects_an_asymmetric_field():
@@ -608,7 +636,7 @@ def poisoned(inverse, poison_call, bad, returned):
     return call
 
 
-@pytest.mark.filterwarnings("ignore:clamped", "ignore:invalid value")
+@pytest.mark.filterwarnings("ignore:clamped")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("poison_call", [1, 2, 5, 6])  # inner, outer of iterations 1 and 3
 @pytest.mark.parametrize("path", ["cell-even", "cell-odd", "full"])
