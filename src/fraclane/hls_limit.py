@@ -11,6 +11,7 @@ the singularity. Exponent thresholds are decided in `lane_emden` and
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -117,50 +118,86 @@ class DecayFit:
 
 
 def _kernel_table(field: FreeField, lam: float) -> np.ndarray:
-    """|delta|^{-lam} on the (2m-1)^n offset lattice, singular cell averaged exactly."""
-    table = _radii(
-        [np.arange(-(m - 1), m) * h for m, h in zip(field.shape, field.spacing, strict=True)]
-    )
-    center = tuple(m - 1 for m in field.shape)
-    table[center] = 1.0
+    """|delta|^{-lam} on the quadrant of offsets [0, m] per axis, (m+1)^n entries.
+
+    The origin holds the exact cell average of the singular cell. An entry at
+    offset m on any axis is zero: that offset is both +m and -m of the 2m
+    period, and no kept node reads it. The kernel is even, so this quadrant
+    holds the whole 2m-periodic kernel.
+    """
+    table = _radii([np.arange(m + 1) * h for m, h in zip(field.shape, field.spacing, strict=True)])
+    origin = (0,) * field.dim
+    table[origin] = 1.0
     table **= -lam
     half = np.asarray(field.spacing) / 2.0
     cell_int = _polar_box_integral(
         np.zeros(field.dim), -half, half, lam, lambda pts: np.ones(len(pts)), 12, 32
     )
-    table[center] = cell_int / field.cell_volume
+    table[origin] = cell_int / field.cell_volume
+    for axis, m in enumerate(field.shape):
+        table[(slice(None),) * axis + (m,)] = 0.0
     return table
+
+
+def _kernel_spectrum(field: FreeField, lam: float) -> np.ndarray:
+    """The real DFT of the 2m-periodic, even kernel at frequencies [0, m] per axis.
+
+    An even real sequence has a real, even spectrum, sum_d K(d) cos(pi d k / m),
+    which `irfft` with `norm="forward"` computes from the offsets [0, m]; the
+    frequencies above m mirror those below it. Each axis takes one pass, and
+    the result is copied out of the last pass's 2m-long lines.
+    """
+    spectrum = _kernel_table(field, lam)
+    for axis, m in enumerate(field.shape):
+        kept = (slice(None),) * axis + (slice(0, m + 1),)
+        spectrum = np.fft.irfft(spectrum, 2 * m, axis, norm="forward")[kept]
+    return spectrum.copy()
+
+
+def _mirrored_blocks(shape):
+    """(spectrum block, half-kernel block) pairs over the leading axes of a
+    `rfftn` spectrum of period 2m: frequencies [0, m] read the half-kernel's
+    [0, m], and frequencies (m, 2m) read its (0, m) reversed."""
+    pairs = [((slice(0, m + 1), slice(0, m + 1)), (slice(m + 1, 2 * m), slice(m - 1, 0, -1)))
+             for m in shape[:-1]]
+    for blocks in itertools.product(*pairs):
+        yield tuple(b[0] for b in blocks), tuple(b[1] for b in blocks)
 
 
 def free_convolution(field: FreeField, s: float, values=None) -> np.ndarray:
     """g_{n,s} (|x|^{-(n-2s)} * f) on the field's nodes (zero outside the box), n = `field.dim`.
 
-    The convolution is circular with period 2m per axis. A kept index k in
-    [m - 1, 2m - 1) reads table offset k - j in [0, 2m - 2] for every input
-    node j in [0, m), all below the period, so no wrapped term reaches the
-    kept slice.
+    `values`, if given, replaces the field's values and must have its shape.
+    The convolution is circular with period 2m per axis, and the kernel sits
+    at offset 0. A kept index k in [0, m) reads offset k - j in (-m, m) for
+    every input node j in [0, m), so no wrapped term reaches the kept rows.
 
-    The inverse transform computes the kept rows only. It runs `irfftn`'s
-    passes in `irfftn`'s order: `ifft` along each leading axis, cutting that
-    axis to its kept range as soon as the pass returns, then `irfft` along
-    the last axis on what is left. The last pass thus transforms half of
-    `irfftn`'s lines in 2-d and a quarter in 3-d. Each pass transforms every
-    line on its own, with one plan per length, and no kept value reads a
-    skipped line, so the result is bitwise `irfftn(F K)[kept]`. The kernel's
-    spectrum is taken first, so its table is freed before f's spectrum exists.
+    The kernel is real and even, so its spectrum is real: `_kernel_spectrum`
+    gives it at the frequencies [0, m] per axis, and f's `rfftn` spectrum is
+    multiplied by it in place, block by block over the mirrored ranges of
+    the leading axes. The inverse transform computes the kept rows only. It
+    runs `irfftn`'s passes in `irfftn`'s order: `ifft` in place along each
+    leading axis, cutting that axis to its kept range as soon as the pass
+    returns, then `irfft` along the last axis on what is left. Each pass
+    transforms every line on its own, with one plan per length, and no kept
+    value reads a skipped line, so the result is bitwise `irfftn(F K)[kept]`.
     """
     f = field.values if values is None else np.asarray(values, dtype=float)
     shape = f.shape
+    if shape != field.shape:
+        raise ValueError(f"values of shape {shape} do not match the field's grid {field.shape}")
     fft_shape = tuple(2 * m for m in shape)
     axes = tuple(range(f.ndim))
-    kernel = np.fft.rfftn(_kernel_table(field, field.dim - 2.0 * s), fft_shape, axes=axes)
+    kernel = _kernel_spectrum(field, field.dim - 2.0 * s)
     spectrum = np.fft.rfftn(f, fft_shape, axes=axes)
-    spectrum *= kernel
+    for block, mirror in _mirrored_blocks(shape):
+        spectrum[block] *= kernel[mirror]
     del kernel
-    kept = [slice(m - 1, 2 * m - 1) for m in shape]
     for axis in axes[:-1]:
-        spectrum = np.fft.ifft(spectrum, fft_shape[axis], axis)[(slice(None),) * axis + (kept[axis],)]
-    conv = np.fft.irfft(spectrum, fft_shape[-1], -1)[..., kept[-1]]
+        np.fft.ifft(spectrum, fft_shape[axis], axis, out=spectrum)
+        spectrum = spectrum[(slice(None),) * axis + (slice(0, shape[axis]),)]
+    conv = np.fft.irfft(spectrum, fft_shape[-1], -1)[..., : shape[-1]]
+    del spectrum
     return gns(field.dim, s) * field.cell_volume * conv
 
 

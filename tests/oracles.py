@@ -333,9 +333,36 @@ def plain_kernel_table(field, lam):
     return table
 
 
+def plain_quadrant_table(field, lam):
+    """The offsets [0, m] per axis of the 2m-periodic even kernel: the full
+    table's entries at offsets [0, m), zero-padded at offset m on every axis."""
+    full = plain_kernel_table(field, lam)
+    return np.pad(full[tuple(slice(m - 1, None) for m in field.shape)], [(0, 1)] * field.dim)
+
+
 def plain_free_convolution(field, s, values=None):
-    """g_{n,s} cell * irfftn(rfftn(f, 2m) rfftn(table, 2m)), the plain circular
-    convolution of period 2m per axis, cut to the kept rows [m - 1, 2m - 1)."""
+    """g_{n,s} cell * irfftn(rfftn(f, 2m) K), the unpruned circular convolution of
+    period 2m per axis with the kernel at offset 0, cut to the kept rows [0, m).
+    K is the kernel's real spectrum: one `irfft` per axis of the quadrant table
+    gives the frequencies [0, m], and the leading axes are mirrored to the full
+    period with explicit copies."""
+    n = field.dim
+    f = field.values if values is None else values
+    kernel = plain_quadrant_table(field, n - 2.0 * s)
+    for axis, m in enumerate(f.shape):
+        kernel = np.take(np.fft.irfft(kernel, 2 * m, axis, norm="forward"), range(m + 1), axis)
+    for axis, m in enumerate(f.shape[:-1]):
+        kernel = np.concatenate([kernel, np.flip(np.take(kernel, range(1, m), axis), axis)], axis)
+    fft_shape = tuple(2 * m for m in f.shape)
+    axes = tuple(range(f.ndim))
+    full = np.fft.irfftn(np.fft.rfftn(f, fft_shape, axes=axes) * kernel, fft_shape, axes=axes)
+    return fl.gns(n, s) * field.cell_volume * full[tuple(slice(0, m) for m in f.shape)]
+
+
+def full_table_free_convolution(field, s, values=None):
+    """g_{n,s} cell * irfftn(rfftn(f, 2m) rfftn(table, 2m)) over the (2m-1)^n
+    table of `plain_kernel_table`, cut to the kept rows [m - 1, 2m - 1): the
+    same circular convolution with a complex kernel spectrum."""
     n = field.dim
     f = field.values if values is None else values
     fft_shape = tuple(2 * m for m in f.shape)

@@ -5,7 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import bubble_pair, mesh_radii, plain_free_convolution, plain_kernel_table
+from oracles import (bubble_pair, full_table_free_convolution, mesh_radii, plain_free_convolution,
+                     plain_kernel_table, plain_quadrant_table)
 
 import fraclane as fl
 from fraclane import fractional_calculus as fc
@@ -85,10 +86,11 @@ def test_bubble_pair_constants():
 
 
 def direct_free_convolution(field, s, values):
-    # the O(N^2) discrete sum over the kernel table: node i reads offset
-    # i - j + m - 1 for input node j, i.e. the flipped table's window at m - 1 - i
+    # the O(N^2) discrete sum over the oracle's (2m-1)^n table: node i reads
+    # offset i - j + m - 1 for input node j, i.e. the flipped table's window at
+    # m - 1 - i
     n = field.dim
-    flipped = np.flip(hl._kernel_table(field, n - 2.0 * s))
+    flipped = np.flip(plain_kernel_table(field, n - 2.0 * s))
     shape = values.shape
     out = np.empty(shape)
     for i in np.ndindex(*shape):
@@ -99,6 +101,8 @@ def direct_free_convolution(field, s, values):
 
 @pytest.mark.parametrize("n, s, shape", [
     (1, 0.25, (7,)), (1, 0.4, (8,)), (2, 0.5, (5, 8)), (2, 0.3, (6, 6)), (3, 0.5, (3, 4, 6)),
+    (1, 0.25, (1,)), (1, 0.3, (2,)), (2, 0.5, (1, 5)), (2, 0.4, (2, 1)),
+    (3, 0.5, (2, 1, 1)), (3, 0.3, (1, 2, 3)),
 ])
 def test_free_convolution_matches_direct_sum(n, s, shape):
     rng = np.random.default_rng(sum(shape))
@@ -113,11 +117,13 @@ def test_free_convolution_matches_direct_sum(n, s, shape):
         assert np.max(np.abs(conv - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-# all-odd and all-even m for n = 1, 2, 3, and a mixed shape in 2-d and 3-d
+# all-odd and all-even m for n = 1, 2, 3, a mixed shape in 2-d and 3-d, and
+# axes of length 1 and 2
 PIN_CASES = [
     (1, 0.25, (7,)), (1, 0.4, (8,)),
     (2, 0.5, (7, 9)), (2, 0.3, (6, 10)), (2, 0.5, (5, 8)),
     (3, 0.5, (5, 3, 7)), (3, 0.3, (4, 6, 4)), (3, 0.5, (3, 4, 6)),
+    (1, 0.25, (1,)), (1, 0.3, (2,)), (2, 0.5, (1, 5)), (2, 0.4, (2, 1)), (3, 0.5, (2, 1, 1)),
 ]
 
 
@@ -136,29 +142,55 @@ def test_free_convolution_is_bitwise_the_plain_transform_product(n, s, shape):
 
 
 @pytest.mark.parametrize("n, s, shape", PIN_CASES)
+def test_real_kernel_spectrum_matches_the_full_table_transform(n, s, shape):
+    # the kernel's real spectrum against the complex rfftn of the (2m-1)^n
+    # table: the same convolution up to rounding
+    field = pin_field(n, shape)
+    for values in (field.values, field.values**3):
+        ref = full_table_free_convolution(field, s, values=values)
+        conv = hl.free_convolution(field, s, values=values)
+        assert np.max(np.abs(conv - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n, s, shape", PIN_CASES)
 def test_radii_and_kernel_table_are_bitwise_the_meshgrid_formulas(n, s, shape):
     field = pin_field(n, shape)
     assert np.array_equal(field.radii(), mesh_radii([field.coords(a) for a in range(n)]))
     table = hl._kernel_table(field, n - 2.0 * s)
-    # direct_free_convolution reads this layout: (2m-1)^n, offset 0 at m - 1
-    assert table.shape == tuple(2 * m - 1 for m in shape)
-    assert np.array_equal(table, plain_kernel_table(field, n - 2.0 * s))
+    # the quadrant of offsets [0, m] per axis, zero at offset m
+    assert table.shape == tuple(m + 1 for m in shape)
+    assert np.array_equal(table, plain_quadrant_table(field, n - 2.0 * s))
+    for axis, m in enumerate(shape):
+        assert not np.any(np.take(table, m, axis))
+    # every offset of the full meshgrid table reads the quadrant at |offset|
+    offsets = np.ix_(*[np.abs(np.arange(-(m - 1), m)) for m in shape])
+    assert np.array_equal(table[offsets], plain_kernel_table(field, n - 2.0 * s))
 
 
-def test_free_convolution_peak_memory_is_the_kernel_transform():
-    # At the peak of one call the kernel's spectrum is being taken, and three
-    # arrays are live: the (2m-1)^2 real kernel table, its rfft along the last
-    # axis ((2m-1, m+1) complex) and the kernel spectrum ((2m, m+1) complex).
-    # f's spectrum is taken after the table is freed, and the inverse passes
-    # hold two spectra at most. The allowance covers O(m) arrays (coordinate
-    # axes, FFT line buffers): sixteen complex lines of length 2m, far below
-    # one more transform-sized array.
+def test_free_convolution_refuses_values_of_another_shape():
+    field = hl.FreeField.centered(2.0, np.ones((8, 8)))
+    with pytest.raises(ValueError, match="shape"):
+        hl.free_convolution(field, 0.5, values=np.ones((6, 6)))
+    with pytest.raises(ValueError, match="shape"):
+        hl.free_convolution(field, 0.5, values=np.ones(8))
+    with pytest.raises(ValueError, match="shape"):
+        hl.free_convolution(field, 0.5, values=np.ones((8, 8, 1)))
+
+
+def test_free_convolution_peak_memory_is_f_spectrum():
+    # At the peak of one call f's spectrum is being taken, and three arrays
+    # are live: the (m+1)^2 real half-kernel, f's rfft along the last axis
+    # ((m, m+1) complex) and f's spectrum ((2m, m+1) complex). The kernel's
+    # passes hold less, the product is taken in place, and the inverse passes
+    # run in place on f's spectrum. The allowance covers O(m) arrays
+    # (coordinate axes, FFT line buffers): sixteen complex lines of length
+    # 2m, far below one more transform-sized array.
     m = 256
     field = hl.FreeField.centered(4.0, np.random.default_rng(5).random((m, m)))
     hl.free_convolution(field, 0.5)  # builds the cached quadrature rules
-    table = (2 * m - 1) ** 2 * 8
-    table_rfft = (2 * m - 1) * (m + 1) * 16
-    kernel_spectrum = 2 * m * (m + 1) * 16
+    half_kernel = (m + 1) ** 2 * 8
+    last_axis_rfft = m * (m + 1) * 16
+    spectrum = 2 * m * (m + 1) * 16
     allowance = 16 * 2 * m * 16
     tracemalloc.start()
     try:
@@ -166,7 +198,7 @@ def test_free_convolution_peak_memory_is_the_kernel_transform():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= table + table_rfft + kernel_spectrum + allowance
+    assert peak <= half_kernel + last_axis_rfft + spectrum + allowance
 
 
 def test_hls_quotient_requires_critical_pair():
