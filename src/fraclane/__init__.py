@@ -54,7 +54,6 @@ from .hls_limit import (
     FreeField,
     decay_fit,
     hls_quotient,
-    limit_system_residual,
     serrin_log_integral,
     sharp_decay_check,
     sphere_area,

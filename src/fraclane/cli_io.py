@@ -9,8 +9,9 @@ checked by building the objects its command builds (`BoxDomain`,
 `ExponentPair`, `SweepConfig`), so the rules are the library's own; each
 object reports the first of its rules that the config breaks. Exit code 0
 iff every gating check passes, 1 otherwise, 2 for a rejected config and 3 for
-a run that raised; acceptance-level tolerance checks are reported in the JSON
-output with their budgets and never gate.
+a run that raised, a file it could not read included; acceptance-level
+tolerance checks are reported in the JSON output with their budgets and never
+gate.
 """
 
 from __future__ import annotations
@@ -331,23 +332,40 @@ def dump_field(field, path) -> None:
         fh.write("\n".join(header) + "\n")
 
 
+def _unpack(fmt: str, fh):
+    """`struct.unpack(fmt, ...)` of the next bytes of a field dump; a dump
+    that ends first is refused."""
+    size = struct.calcsize(fmt)
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(f"truncated field dump header: {len(data)} of {size} bytes left")
+    return struct.unpack(fmt, data)
+
+
 def load_field(path):
+    """The field of a `dump_field` file. A header cut short, or a payload of
+    another size than the header's shape, is refused with a `ValueError`."""
     with open(path, "rb") as fh:
         magic = fh.read(len(FIELD_MAGIC))
         if magic != FIELD_MAGIC:
             raise ValueError(f"not a fraclane field dump: bad magic {magic!r}")
-        version, kind, ndim, s = struct.unpack("<IBBd", fh.read(struct.calcsize("<IBBd")))
+        version, kind, ndim, s = _unpack("<IBBd", fh)
         if version != FIELD_VERSION:
             raise ValueError(f"unsupported field dump version {version} (expected {FIELD_VERSION})")
         if kind not in (0, 1):
             raise ValueError(f"unknown field dump kind {kind} (expected 0 = grid or 1 = free)")
         shape, lo, hi = [], [], []
         for _ in range(ndim):
-            m, a, b = struct.unpack("<Qdd", fh.read(struct.calcsize("<Qdd")))
+            m, a, b = _unpack("<Qdd", fh)
             shape.append(int(m))
             lo.append(a)
             hi.append(b)
-        values = np.frombuffer(fh.read(), dtype="<f8").reshape(shape)
+        payload = fh.read()
+    size = 8 * math.prod(shape)
+    if len(payload) != size:
+        raise ValueError(f"field dump payload holds {len(payload)} bytes, but its header's "
+                         f"shape {tuple(shape)} needs {size}")
+    values = np.frombuffer(payload, dtype="<f8").reshape(shape)
     if kind == 0:
         domain = BoxDomain(tuple(b - a for a, b in zip(lo, hi, strict=True)), s)
         return GridFunction(Grid(domain, tuple(shape)), values.copy())
@@ -533,6 +551,15 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> tuple[dict, Checks]:
 
 def _cmd_hls(cfg: RunConfig, out_dir: Path) -> tuple[dict, Checks]:
     n, s = cfg.n, cfg.s
+    field = None
+    if cfg.hls_field:
+        field = load_field(cfg.hls_field)
+        if not isinstance(field, FreeField):
+            raise ValueError("hls_field must point at a free-field dump")
+        if field.dim != n:
+            raise ValueError(f"hls_field {cfg.hls_field} holds an ndim = {field.dim} field, "
+                             f"but the config sets n = {n}")
+
     oracle = sharp_diagonal_quotient(n, s)
     quotients = bubble_ladder(n, s, cfg.hls_box_list, cfg.hls_grid_list)
     rows = [[radius, m, quotient, oracle, quotient / oracle - 1.0]
@@ -548,13 +575,7 @@ def _cmd_hls(cfg: RunConfig, out_dir: Path) -> tuple[dict, Checks]:
                quotients[-1] / oracle - 1.0, 0.01)
 
     field_payload = {}
-    if cfg.hls_field:
-        field = load_field(cfg.hls_field)
-        if not isinstance(field, FreeField):
-            raise ValueError("hls_field must point at a free-field dump")
-        if field.dim != n:
-            raise ValueError(f"hls_field {cfg.hls_field} holds an ndim = {field.dim} field, "
-                             f"but the config sets n = {n}")
+    if field is not None:
         qc = critical_q(cfg.p, n, s)
         norm = field.lp_norm((qc + 1.0) / qc)
         normalized = field.with_values(field.values / norm)
@@ -641,7 +662,7 @@ def main(argv=None) -> int:
         payload, checks = _COMMANDS[args.command](cfg, out_dir)
         _write_report(out_dir, f"{args.command}_report.json",
                       {**_config_echo(cfg, raw), **payload, "checks": checks.items})
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0 if checks.all_passed() else 1

@@ -1,5 +1,5 @@
-"""Whole-space objects: the HLS quotient, the limit integral system, bubble
-profiles, radial decay fitting, and the sharp-decay / log-integral checks.
+"""Whole-space objects: the HLS quotient, bubble profiles, radial decay
+fitting, and the sharp-decay / log-integral checks.
 
 Fields live on truncated boxes with uniform cell-centered grids. The
 free-space convolution |x|^{-(n-2s)} * f is evaluated on the grid by
@@ -164,10 +164,9 @@ def _mirrored_blocks(shape):
         yield tuple(b[0] for b in blocks), tuple(b[1] for b in blocks)
 
 
-def free_convolution(field: FreeField, s: float, values=None) -> np.ndarray:
+def free_convolution(field: FreeField, s: float) -> np.ndarray:
     """g_{n,s} (|x|^{-(n-2s)} * f) on the field's nodes (zero outside the box), n = `field.dim`.
 
-    `values`, if given, replaces the field's values and must have its shape.
     The convolution is circular with period 2m per axis, and the kernel sits
     at offset 0. A kept index k in [0, m) reads offset k - j in (-m, m) for
     every input node j in [0, m), so no wrapped term reaches the kept rows.
@@ -182,14 +181,11 @@ def free_convolution(field: FreeField, s: float, values=None) -> np.ndarray:
     transforms every line on its own, with one plan per length, and no kept
     value reads a skipped line, so the result is bitwise `irfftn(F K)[kept]`.
     """
-    f = field.values if values is None else np.asarray(values, dtype=float)
-    shape = f.shape
-    if shape != field.shape:
-        raise ValueError(f"values of shape {shape} do not match the field's grid {field.shape}")
+    shape = field.shape
     fft_shape = tuple(2 * m for m in shape)
-    axes = tuple(range(f.ndim))
+    axes = tuple(range(field.dim))
     kernel = _kernel_spectrum(field, field.dim - 2.0 * s)
-    spectrum = np.fft.rfftn(f, fft_shape, axes=axes)
+    spectrum = np.fft.rfftn(field.values, fft_shape, axes=axes)
     for block, mirror in _mirrored_blocks(shape):
         spectrum[block] *= kernel[mirror]
     del kernel
@@ -223,128 +219,6 @@ def hls_quotient(f: FreeField, p: float, q0: float, s: float) -> float:
     if den == 0.0:
         raise ValueError("zero field has no quotient")
     return num / den
-
-
-@dataclass
-class LimitSystemResidual:
-    residual_u: float
-    residual_v: float
-    tail_budget_u: float
-    tail_budget_v: float
-    quad_budget_u: float = 0.0
-    quad_budget_v: float = 0.0
-
-    @property
-    def residuals(self) -> tuple[float, float]:
-        return (self.residual_u, self.residual_v)
-
-    @property
-    def budgets(self) -> tuple[float, float]:
-        return (
-            self.tail_budget_u + self.quad_budget_u,
-            self.tail_budget_v + self.quad_budget_v,
-        )
-
-
-def _decay_exponent(p: float, n: int, s: float) -> float:
-    """gamma in U ~ |x|^{-gamma}, for U = g k * V^p with V decaying like G,
-    |x|^{-(n-2s)}: n - 2s at or above the Serrin exponent, and p(n-2s) - 2s
-    below it, where V^p is not integrable."""
-    if classify_regime(p, n, s) == "sub":
-        return p * (n - 2.0 * s) - 2.0 * s
-    return n - 2.0 * s
-
-
-def _tail_budget(field: FreeField, gamma: float, power: float, s: float) -> float:
-    """Convolution tail beyond the box of field^power for field ~ A r^{-gamma},
-    bounding the kernel by (rho - R/2)^{-lam} for interior targets |x| <= R/2;
-    inf when the tail is not integrable. Carries a 1.5x margin for the
-    amplitude/shape estimates."""
-    n = field.dim
-    gamma = gamma * power
-    lam = n - 2.0 * s
-    r = field.radii()
-    rmax = float(min(min(-a for a in field.lo), min(field.hi)))
-    shell = (r >= rmax - 2 * max(field.spacing)) & (r <= rmax)
-    if not np.any(shell):
-        return 0.0
-    amp = float(np.max(field.values[shell] ** power * r[shell] ** gamma))
-    if lam + gamma <= n:
-        return math.inf
-    # worst interior target sits at the sub-box corner, radius R sqrt(n)/2;
-    # int_R^inf (rho - r_far)^{-lam} rho^{n-1-gamma} drho on log-stretched nodes
-    r_far = rmax * math.sqrt(n) / 2.0
-    t, wt = _gl_on(0.0, 1.0, 256)
-    stretch = math.log(1e6)
-    rho = rmax * np.exp(t * stretch)
-    wr = wt * stretch * rho
-    integral = float(np.sum(wr * (rho - r_far) ** -lam * rho ** (n - 1.0 - gamma)))
-    return 1.5 * gns(n, s) * amp * sphere_area(n) * integral
-
-
-def _block_mean(values: np.ndarray) -> np.ndarray:
-    """Mean over 2^n blocks (trailing odd slab trimmed)."""
-    v = values
-    for axis in range(v.ndim):
-        m2 = v.shape[axis] // 2
-        sl = [slice(None)] * v.ndim
-        sl[axis] = slice(0, 2 * m2)
-        v = v[tuple(sl)]
-        shape = list(v.shape)
-        shape[axis : axis + 1] = [m2, 2]
-        v = v.reshape(shape).mean(axis=axis + 1)
-    return v
-
-
-def _coarse_convolution_gap(field: FreeField, s: float, values, fine: np.ndarray) -> float:
-    """h vs 2h midpoint-convolution difference (cell means): quadrature scale."""
-    if any(m < 4 for m in field.shape):
-        return 0.0
-    coarse_vals = _block_mean(np.asarray(values, dtype=float))
-    hi = tuple(
-        a + 2.0 * h * m2
-        for a, h, m2 in zip(field.lo, field.spacing, coarse_vals.shape, strict=True)
-    )
-    coarse = FreeField(field.lo, hi, np.maximum(coarse_vals, 0.0))
-    conv_c = free_convolution(coarse, s)
-    trim = tuple(slice(0, 2 * m2) for m2 in coarse_vals.shape)
-    gap = np.abs(_block_mean(fine[trim]) - conv_c)
-    # the h-2h gap tracks the true error closely (near-kernel cells converge
-    # at first order); 1.5x turns the estimate into a working bound
-    return 1.5 * float(np.max(gap))
-
-
-def limit_system_residual(
-    u: FreeField, v: FreeField, p: float, q0: float, s: float
-) -> LimitSystemResidual:
-    """Sup-norm residuals of U = g k * V^p and V = g k * U^{q0} on the interior
-    half-box of u and v's shared grid, in n = `u.dim`; the error budget combines
-    convolution-tail estimates at the decay exponents the system implies
-    (`_decay_exponent`) with an h-vs-2h quadrature estimate. The budgets bound
-    the error of evaluating the residuals, not the distance of (u, v) from the
-    limit system, which at finite eps can exceed them."""
-    n = u.dim
-    _require_critical(p, q0, n, s)
-    if (u.lo, u.hi, u.shape) != (v.lo, v.hi, v.shape):
-        raise ValueError(f"u and v must share one grid: u on {u.lo}..{u.hi} {u.shape}, "
-                         f"v on {v.lo}..{v.hi} {v.shape}")
-    vp, uq = v.values**p, u.values**q0
-    conv_vp = free_convolution(v, s, values=vp)
-    conv_uq = free_convolution(u, s, values=uq)
-    coords = np.ix_(*[u.coords(axis) for axis in range(u.dim)])
-    interior = reduce(np.logical_and, [
-        np.abs(g) <= 0.5 * min(-a, b) for g, a, b in zip(coords, u.lo, u.hi, strict=True)
-    ])
-    res_u = float(np.max(np.abs(u.values - conv_vp)[interior])) if interior.any() else 0.0
-    res_v = float(np.max(np.abs(v.values - conv_uq)[interior])) if interior.any() else 0.0
-    return LimitSystemResidual(
-        residual_u=res_u,
-        residual_v=res_v,
-        tail_budget_u=_tail_budget(v, n - 2.0 * s, p, s),
-        tail_budget_v=_tail_budget(u, _decay_exponent(p, n, s), q0, s),
-        quad_budget_u=_coarse_convolution_gap(v, s, vp, conv_vp),
-        quad_budget_v=_coarse_convolution_gap(u, s, uq, conv_uq),
-    )
 
 
 _SHELL_WIDTH_CELLS = 2.0  # width of a `radial_shells` shell, in grid cells

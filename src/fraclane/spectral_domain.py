@@ -144,14 +144,6 @@ class Grid:
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
-    def meshgrid(self):
-        return np.meshgrid(*self.coords, indexing="ij")
-
-    def points(self) -> np.ndarray:
-        """All nodes as an (N, n) array in C order."""
-        mesh = self.meshgrid()
-        return np.stack([m.ravel(order="C") for m in mesh], axis=-1)
-
     def nearest_node(self, x) -> tuple[int, ...]:
         x = np.asarray(x, dtype=float)
         idx = []

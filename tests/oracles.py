@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import fraclane as fl
-from fraclane import blowup_sweep, lane_emden
+from fraclane import blowup_sweep, hls_limit, lane_emden
 from fraclane.fractional_calculus import _polar_box_integral, apply_inverse
 from fraclane.hls_limit import _bubble_kappa
 from fraclane.lane_emden import diagonal_exponent
@@ -85,10 +85,20 @@ def traced_peak(fn, *args):
     return result, peak
 
 
+def grid_meshgrid(grid):
+    """The node coordinates of a `Grid`, one full array per axis."""
+    return np.meshgrid(*grid.coords, indexing="ij")
+
+
+def grid_points(grid):
+    """All nodes of a `Grid` as an (N, n) array in C order."""
+    return np.stack([m.ravel(order="C") for m in grid_meshgrid(grid)], axis=-1)
+
+
 def inverse_matrix(basis, grid, s):
     """(-Delta)^{-s} on the flattened grid nodes as one dense matrix
     cell * Phi diag(lambda^{-s}) Phi^T, built from the closed-form sines."""
-    phi = np.stack([eigen_modes(basis, x).ravel() for x in grid.points()])
+    phi = np.stack([eigen_modes(basis, x).ravel() for x in grid_points(grid)])
     return grid.cell_volume * (phi * eigenvalues(basis).ravel() ** -s) @ phi.T
 
 
@@ -311,6 +321,19 @@ def bubble_pair(n, s):
     q0 = diagonal_exponent(n, s)
     amplitude = _bubble_kappa(n, s) ** (-(q0 + 1.0) / (q0 * q0 - 1.0))
     return amplitude, q0
+
+
+def limit_system_residuals(u, v, p, q0, s):
+    """Sup-norm residuals of U = g k * V^p and V = g k * U^{q0} on the interior
+    half-box of u and v's shared grid (`FreeField`s), by `free_convolution`."""
+    conv_vp = hls_limit.free_convolution(v.with_values(v.values**p), s)
+    conv_uq = hls_limit.free_convolution(u.with_values(u.values**q0), s)
+    coords = np.ix_(*[u.coords(axis) for axis in range(u.dim)])
+    interior = reduce(np.logical_and, [
+        np.abs(g) <= 0.5 * min(-a, b) for g, a, b in zip(coords, u.lo, u.hi)
+    ])
+    return (float(np.max(np.abs(u.values - conv_vp)[interior])),
+            float(np.max(np.abs(v.values - conv_uq)[interior])))
 
 
 def mesh_radii(axes):

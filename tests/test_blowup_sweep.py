@@ -3,19 +3,18 @@ boundary collar, and the rescaled-equation identity."""
 
 import gc
 import json
-import math
 import warnings
 import weakref
 
 import numpy as np
 import pytest
-from oracles import (eigen_modes, eigenvalues, full_grid_post_solve, mirrored, read_table,
-                     recording_iterate, recording_solve, rescaled_green)
+from oracles import (eigen_modes, eigenvalues, full_grid_post_solve, grid_meshgrid, grid_points,
+                     limit_system_residuals, mirrored, read_table, recording_iterate,
+                     recording_solve, rescaled_green)
 
 import fraclane as fl
 from fraclane import blowup_sweep as bs
 from fraclane import cli_io
-from fraclane import hls_limit as hl
 from fraclane import lane_emden as le
 
 
@@ -106,7 +105,7 @@ def test_find_max_paraboloid_subgrid_accuracy():
     grid = fl.build_grid(dom, (32, 32))
     h = grid.spacing[0]
     x0, y0 = 0.5 + 0.31 * h, 0.5 - 0.17 * h
-    mesh = grid.meshgrid()
+    mesh = grid_meshgrid(grid)
     vals = 3.0 - 4.0 * (mesh[0] - x0) ** 2 - 2.5 * (mesh[1] - y0) ** 2
     lam, x_c = bs.find_max(fl.GridFunction(grid, vals), 1.0)
     assert abs(x_c[0] - x0) < 1e-3 * h and abs(x_c[1] - y0) < 1e-3 * h
@@ -116,7 +115,7 @@ def test_find_max_paraboloid_subgrid_accuracy():
 def test_find_max_boundary_warning():
     dom = unit_square()
     grid = fl.build_grid(dom, (16, 16))
-    mesh = grid.meshgrid()
+    mesh = grid_meshgrid(grid)
     vals = mesh[0] + 0.1 * mesh[1]
     with pytest.warns(UserWarning, match="outermost"):
         bs.find_max(fl.GridFunction(grid, vals), 1.0)
@@ -194,7 +193,7 @@ def test_collar_bound(mini_pairs):
     assert col.hypothesis_ok and col.eta_margin > 0
     # the collar is the nodes within COLLAR_FRAC of the shortest side (0.1 on
     # the unit square) of the boundary
-    pts = pair.u.grid.points()
+    pts = grid_points(pair.u.grid)
     dist = np.minimum(pts, 1.0 - pts).min(axis=1)
     assert col.value == float(np.max(total.ravel()[dist < bs.COLLAR_FRAC]))
 
@@ -246,7 +245,7 @@ def test_rescaled_equation_identity(mini_sweep, mini_pairs):
     basis = fl.build_basis(dom, (24, 24))
 
     coarse = fl.build_grid(dom, (48, 48))
-    nodes = coarse.points()
+    nodes = grid_points(coarse)
     xi = lam * (nodes - x_c)  # rescaled nodes
     w_t = (lam ** -res.rescaled.alpha * pair.u.values.reshape(-1)) ** exps.q
     cell_eps = coarse.cell_volume * lam**2
@@ -292,39 +291,11 @@ def test_limit_system_residual_decreases_along_sweep(mini_sweep, mini_pairs):
     resid_u, resid_v = [], []
     for row, pair in zip(res.rows, mini_pairs, strict=True):
         rs = bs.rescale_solution(pair, row.lam, np.asarray(row.x_c))
-        out = hl.limit_system_residual(rs.u, rs.v, res.config.p, q0, 0.5)
-        resid_u.append(out.residual_u)
-        resid_v.append(out.residual_v)
+        out = limit_system_residuals(rs.u, rs.v, res.config.p, q0, 0.5)
+        resid_u.append(out[0])
+        resid_v.append(out[1])
     assert all(b < a for a, b in zip(resid_u[:-1], resid_u[1:], strict=True))
     assert all(b < a for a, b in zip(resid_v[:-1], resid_v[1:], strict=True))
-
-
-def test_decay_table_predictions():
-    # the decay-table lines of u-tilde as formulas: the limit system's U decays
-    # like |x|^{-(n-2s)} at or above the Serrin exponent and like
-    # |x|^{-(p(n-2s)-2s)} below it (V always like |x|^{-(n-2s)})
-    assert hl._decay_exponent(1.0, 3, 0.5) == pytest.approx(1.0)  # n=3, s=1/2, p=1: sub
-    assert hl._decay_exponent(1.5, 2, 0.5) == pytest.approx(0.5)  # sub
-    assert hl._decay_exponent(2.0, 2, 0.5) == pytest.approx(1.0)  # Serrin
-    assert hl._decay_exponent(2.5, 2, 0.5) == pytest.approx(1.0)  # super
-    assert hl._decay_exponent(3.0, 3, 0.5) == pytest.approx(2.0)  # super, n=3
-
-
-def test_limit_budgets_do_not_depend_on_where_a_field_came_from(mini_sweep, tmp_path):
-    # the rescaled fields of a sweep and the same fields read back from their
-    # dumps give the same residuals and budgets: both come from the values and
-    # the exponents alone
-    res = mini_sweep
-    rs = res.rescaled
-    q0 = fl.critical_q(res.config.p, 2, 0.5)
-    for name in ("u", "v"):
-        cli_io.dump_field(getattr(rs, name), tmp_path / f"{name}.bin")
-    loaded = [cli_io.load_field(tmp_path / f"{name}.bin") for name in ("u", "v")]
-    in_memory = hl.limit_system_residual(rs.u, rs.v, res.config.p, q0, 0.5)
-    from_dump = hl.limit_system_residual(*loaded, res.config.p, q0, 0.5)
-    assert from_dump.residuals == in_memory.residuals
-    assert from_dump.budgets == in_memory.budgets
-    assert all(0.0 < b < math.inf for b in in_memory.budgets), in_memory.budgets
 
 
 def test_green_limit_check_skips_unresolved_points(mini_sweep, mini_pairs):

@@ -251,6 +251,31 @@ def test_cli_hls_rejects_field_of_another_dimension(tmp_path, capsys):
     assert "critical pair" not in err
 
 
+@pytest.mark.parametrize("damage, message", [
+    ("missing", "No such file"),
+    ("header", "truncated field dump header"),
+    ("short payload", "payload holds"),
+    ("long payload", "payload holds"),
+])
+def test_cli_hls_refuses_an_unreadable_field_before_any_table(tmp_path, capsys, damage, message):
+    # a dump that is not there, one cut inside its header and one whose
+    # payload does not match its header: the run raised (exit 3), not a
+    # failed check (exit 1), and it wrote no table
+    field = tmp_path / "field.bin"
+    if damage != "missing":
+        cli_io.dump_field(FreeField.centered(2.0, np.ones((4, 4))), field)
+        raw = field.read_bytes()
+        field.write_bytes({"header": raw[:len(cli_io.FIELD_MAGIC) + 6],
+                           "short payload": raw[:-8],
+                           "long payload": raw + raw[-8:]}[damage])
+    cfg = tmp_path / "hls.cfg"
+    cfg.write_text(f"command = hls\nhls_box_list = 8\nhls_grid_list = 64\nhls_field = {field}\n")
+    out = tmp_path / "out"
+    assert run_cli(["hls", "--config", str(cfg), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not (out / "hls.csv").exists()
+
+
 def test_radial_profile_export(tmp_path):
     m = 32
     ax = (np.arange(m) + 0.5) * (8.0 / m) - 4.0
