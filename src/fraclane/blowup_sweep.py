@@ -16,7 +16,8 @@ constant fractions of the shortest side. Each row's solve starts from the
 previous row's w, and each row is measured as soon as its solve returns (its
 constants and its u, v on the ring), so a sweep holds the fields of at most
 two rows at a time; only the comparison against the kernels at x0, known
-after the last row, waits for the end of the schedule.
+after the last row, waits for the end of the schedule. `sweep_checks` holds
+the sweep command's rules and bands.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 
 from .fractional_calculus import (
     THRESHOLD_TOL,
+    Check,
     _check_iterated_kernel,
     _check_iterated_pair,
     _check_pairs,
@@ -584,15 +586,41 @@ def decay_report(rescaled: RescaledSolution, c1: float, config: SweepConfig) -> 
     return report
 
 
+_GREEN_DEV_JITTER = 0.05  # what a row's deviation at a point may add over the row before
+
+
+def sweep_checks(result: SweepResult) -> list[Check]:
+    """The checks of a sweep: its monotonicity diagnostics and, with an
+    extrapolation, the quotient bound and the bands, which never gate."""
+    diag, ex, rows = result.diagnostics, result.extrapolation, result.rows
+    checks = [Check("lambda_increasing", diag["lam_increasing"]),
+              Check("lambda_dist_increasing", diag["lam_dist_increasing"]),
+              Check("s_omega_decreasing", diag["s_omega_decreasing"])]
+    if diag.get("green_dev_nonincreasing") is not None:
+        checks.append(Check("green_dev_nonincreasing", diag["green_dev_nonincreasing"],
+                            note=f"per comparison point, additive jitter {_GREEN_DEV_JITTER:g}"))
+    if ex is None:
+        return checks
+    lpe, final = diag["lam_pow_eps"], rows[-1].max_green_dev
+    band, gap, dev = 0.1, 0.1, 0.15  # of |lam^eps - 1|, the energy gap, the last deviation
+    checks += [Check("quotient_bound", ex.bound_ok, min(ex.bound_margins), 0.0,
+                     note="Theta(eps) <= S_hat^{-1} |Omega|^{1/(q+1)-1/(q0+1)}"),
+               Check("lam_pow_eps_band", all(1.0 - band < v < 1.0 + band for v in lpe),
+                     max(abs(v - 1.0) for v in lpe), band, gating=False),
+               Check("energy_limit_gap", ex.e_rel_gap < gap, ex.e_rel_gap, gap, gating=False)]
+    if all(r.max_green_dev is not None for r in rows):
+        checks.append(Check("green_dev_final", final < dev, final, dev, gating=False))
+    return checks
+
+
 def _sweep_diagnostics(rows: list[SweepRow]) -> dict:
-    lam = [r.lam for r in rows]
-    lam_dist = [r.lam_dist for r in rows]
+    def increasing(values):
+        return all(b > a for a, b in zip(values[:-1], values[1:], strict=True))
+
     lpe = [r.lam_pow_eps for r in rows]
     out = {
-        "lam_increasing": all(b > a for a, b in zip(lam[:-1], lam[1:], strict=True)),
-        "lam_dist_increasing": all(
-            b > a for a, b in zip(lam_dist[:-1], lam_dist[1:], strict=True)
-        ),
+        "lam_increasing": increasing([r.lam for r in rows]),
+        "lam_dist_increasing": increasing([r.lam_dist for r in rows]),
         "lam_pow_eps": lpe,
         "lam_pow_eps_gap_decreasing_tail": (
             abs(lpe[-1] - 1.0) < abs(lpe[-2] - 1.0) if len(lpe) >= 2 else None
@@ -602,24 +630,16 @@ def _sweep_diagnostics(rows: list[SweepRow]) -> dict:
         ),
     }
     if len(rows) >= 2 and all(r.max_green_dev is not None for r in rows):
-        # nonincreasing per comparison point beyond the first row; the 5%
+        # nonincreasing per comparison point beyond the first row; the
         # jitter allowance is additive on the deviation scale (once the
         # leading error cancels, |deviation| crosses zero and cannot be
         # multiplicatively monotone)
-        per_point_ok = True
-        npts = len(rows[0].green_devs)
-        for i in range(npts):
-            seq = []
-            for r in rows:
-                pd = r.green_devs[i]
-                if pd.dev_u is None:
-                    continue
-                seq.append(max(pd.dev_u, pd.dev_v))
-            for a, b in zip(seq[1:-1], seq[2:], strict=True):
-                if b > a + 0.05:
-                    per_point_ok = False
-        out["green_dev_nonincreasing"] = per_point_ok
+        per_point = [[max(pd.dev_u, pd.dev_v) for pd in devs if pd.dev_u is not None]
+                     for devs in zip(*(r.green_devs for r in rows), strict=True)]
+        out["green_dev_nonincreasing"] = not any(
+            b > a + _GREEN_DEV_JITTER
+            for seq in per_point for a, b in zip(seq[1:-1], seq[2:], strict=True))
         c1 = [r.constants.c1 for r in rows]
         rel = [abs(b - a) / a for a, b in zip(c1[:-1], c1[1:], strict=True)]
-        out["c1_stabilizing"] = all(b < a for a, b in zip(rel[:-1], rel[1:], strict=True)) if len(rel) >= 2 else None
+        out["c1_stabilizing"] = increasing(rel[::-1]) if len(rel) >= 2 else None
     return out

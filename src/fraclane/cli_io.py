@@ -2,39 +2,42 @@
 persistence (full-precision CSV + JSON tables, binary field dumps, radial
 profiles).
 
-Subcommands: solve, sweep, hls, kernels. Each one runs the library, writes
-its tables and field dumps, and hands back its report payload and checks;
-`main` writes `<command>_report.json` and picks the exit code. A config is
-checked by building the objects its command builds (`BoxDomain`,
-`ExponentPair`, `SweepConfig`), so the rules are the library's own; each
-object reports the first of its rules that the config breaks. Exit code 0
-iff every gating check passes, 1 otherwise, 2 for a rejected config and 3 for
-a run that raised, a file it could not read included; acceptance-level
-tolerance checks are reported in the JSON output with their budgets and never
-gate.
+Subcommands: solve, sweep, hls, kernels. Each one calls the library, writes
+its tables and field dumps, and hands back its report payload and the check
+records (`Check`) of the module that owns each rule (`solve_checks`,
+`sweep_checks`, `ladder_checks`, `kernel_checks`); this module holds no rule,
+budget or formula of its own. `main` writes `<command>_report.json` and picks
+the exit code. A config is checked by building the objects its command
+builds (`BoxDomain`, `ExponentPair`, `SweepConfig`), so the rules are the
+library's own; each object reports the first of its rules that the config
+breaks. Exit code 0 iff every gating check passes, 1 otherwise, 2 for a
+rejected config and 3 for a run that raised, a file it could not read (the
+config included) among them; acceptance-level tolerance checks are reported
+in the JSON output with their budgets and never gate.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import struct
 import sys
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import asdict, dataclass, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .blowup_sweep import SweepConfig, run_sweep
-from .fractional_calculus import free_kernel, green, operator_algebra_residuals
-from .hls_limit import (FreeField, bubble_ladder, check_ladder, hls_quotient, radial_shells,
-                        sharp_diagonal_quotient)
-from .lane_emden import (_POSITIVITY_BUDGET, MAX_ITER, RESIDUAL_TOL, THETA_TOL, ExponentPair,
-                         ascent_budget, check_stopping_rule, critical_q, identity_report,
-                         solve_ground_state, solve_q_epsilon, symmetry_classes)
+from .blowup_sweep import SweepConfig, run_sweep, sweep_checks
+from .fractional_calculus import Check, kernel_checks
+from .hls_limit import (FreeField, bubble_ladder, check_ladder, hls_quotient, ladder_checks,
+                        radial_shells, sharp_diagonal_quotient)
+from .lane_emden import (MAX_ITER, RESIDUAL_TOL, THETA_TOL, ExponentPair, check_stopping_rule,
+                         critical_q, solve_checks, solve_ground_state, solve_q_epsilon,
+                         symmetry_classes)
 from .spectral_domain import BoxDomain, Grid, GridFunction, build_basis, build_grid, check_resolution
 
 FIELD_MAGIC = b"FRLNFLD\x00"
@@ -343,9 +346,10 @@ def _unpack(fmt: str, fh):
 
 
 def load_field(path):
-    """The field of a `dump_field` file. A header cut short, or a payload of
+    """The field of a `dump_field` file, named by its path or given as a
+    binary file object, read to its end. A header cut short, or a payload of
     another size than the header's shape, is refused with a `ValueError`."""
-    with open(path, "rb") as fh:
+    with (path if hasattr(path, "read") else open(path, "rb")) as fh:
         magic = fh.read(len(FIELD_MAGIC))
         if magic != FIELD_MAGIC:
             raise ValueError(f"not a fraclane field dump: bad magic {magic!r}")
@@ -385,29 +389,6 @@ def write_radial_profile(field: FreeField, path) -> None:
 # ---------------------------------------------------------------------------
 # report plumbing
 
-class Checks:
-    """Named pass/fail records; each carries the value and its budget."""
-
-    def __init__(self):
-        self.items: list[dict] = []
-
-    def add(self, name: str, passed: bool, value=None, budget=None, gating=True, note=""):
-        self.items.append(
-            {
-                "name": name,
-                "passed": bool(passed),
-                "value": None if value is None else float(value),
-                "budget": None if budget is None else float(budget),
-                "gating": bool(gating),
-                "note": note,
-            }
-        )
-
-    def all_passed(self) -> bool:
-        """True when every gating check passed."""
-        return all(item["passed"] for item in self.items if item["gating"])
-
-
 def _write_report(out_dir: Path, name: str, payload: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / name, "w", newline="\n") as fh:
@@ -423,18 +404,10 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-def _config_echo(cfg: RunConfig, raw_text: str) -> dict:
-    return {
-        "config": serialize_config(cfg),
-        "input_sha256": hashlib.sha256(raw_text.encode()).hexdigest(),
-        "version": __version__,
-    }
-
-
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_solve(cfg: RunConfig, out_dir: Path) -> tuple[dict, Checks]:
+def _cmd_solve(cfg: RunConfig, out_dir: Path) -> tuple[dict, list[Check]]:
     domain = BoxDomain(cfg.lengths, cfg.s)
     basis = build_basis(domain, cfg.cutoff)
     grid = build_grid(domain, cfg.grid)
@@ -443,36 +416,20 @@ def _cmd_solve(cfg: RunConfig, out_dir: Path) -> tuple[dict, Checks]:
         exps, basis, grid,
         theta_tol=cfg.theta_tol, residual_tol=cfg.residual_tol, max_iter=cfg.max_iter,
     )
-    gaps = identity_report(pair, basis)
-    checks = Checks()
-    checks.add("converged", report.converged)
-    checks.add("residual_w", report.residual_w <= 10 * cfg.residual_tol,
-               report.residual_w, 10 * cfg.residual_tol)
-    # the solver's own rule, step by step; the budget shown is the tightest step's
-    dth = np.diff(report.theta_history)
-    budgets = -ascent_budget(report.theta_history[:-1])
-    checks.add("theta_nondecreasing", bool((dth >= budgets).all()),
-               float(dth.min()) if dth.size else 0.0,
-               float(budgets.max()) if dth.size else -ascent_budget(report.theta))
-    for key, gap in gaps.items():
-        checks.add(f"identity_{key}", gap <= 1e-6, gap, 1e-6)
-    checks.add("positivity_clamp", report.clamped_fraction_max <= _POSITIVITY_BUDGET,
-               report.clamped_fraction_max, _POSITIVITY_BUDGET,
-               note="warn level 1e-8; hard budget 1e-4")
+    checks = solve_checks(pair, report, basis, cfg.residual_tol)
 
-    rows = [[
-        cfg.eps, exps.q, report.theta, report.mu, report.energy, report.sobolev_quotient,
-        report.iterations, report.residual_el, report.residual_w,
-        report.clamped_fraction_max,
-    ]]
     write_table(out_dir / "solve.csv",
                 ["eps", "q", "theta", "mu", "energy", "S_Omega", "iterations",
-                 "residual_el", "residual_w", "clamped_fraction"], rows)
+                 "residual_el", "residual_w", "clamped_fraction"],
+                [[cfg.eps, exps.q, report.theta, report.mu, report.energy, report.sobolev_quotient,
+                  report.iterations, report.residual_el, report.residual_w,
+                  report.clamped_fraction_max]])
     for name, f in (("u", pair.u), ("v", pair.v), ("w", pair.w)):
         dump_field(f, out_dir / f"field_{name}.bin")
     return {
         "theta": report.theta,
-        "identities": {k: {"value": v, "tol": 1e-6} for k, v in gaps.items()},
+        "identities": {c.name.removeprefix("identity_"): {"value": c.value, "tol": c.budget}
+                       for c in checks if c.name.startswith("identity_")},
         "symmetry": symmetry_classes(pair.u),
     }, checks
 
@@ -490,7 +447,7 @@ def _nan(value):
     return float("nan") if value is None else value
 
 
-def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> tuple[dict, Checks]:
+def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> tuple[dict, list[Check]]:
     result = run_sweep(_sweep_config(cfg))
 
     rows = [[r.eps, r.q, r.alpha, r.beta, r.lam, *r.x_c, r.theta, r.s_omega, r.energy,
@@ -508,26 +465,6 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> tuple[dict, Checks]:
                 ["eps", *[f"x{i + 1}" for i in range(cfg.n)], "dev_v", "dev_u", "note"],
                 dev_rows)
 
-    checks = Checks()
-    diag = result.diagnostics
-    checks.add("lambda_increasing", diag["lam_increasing"])
-    checks.add("lambda_dist_increasing", diag["lam_dist_increasing"])
-    checks.add("s_omega_decreasing", diag["s_omega_decreasing"])
-    if diag.get("green_dev_nonincreasing") is not None:
-        checks.add("green_dev_nonincreasing", diag["green_dev_nonincreasing"],
-                   note="per comparison point, additive jitter 0.05")
-    ex = result.extrapolation
-    if ex is not None:
-        checks.add("quotient_bound", ex.bound_ok, min(ex.bound_margins), 0.0,
-                   note="Theta(eps) <= S_hat^{-1} |Omega|^{1/(q+1)-1/(q0+1)}")
-        lpe = diag["lam_pow_eps"]
-        checks.add("lam_pow_eps_band", all(0.9 < v < 1.1 for v in lpe),
-                   max(abs(v - 1.0) for v in lpe), 0.1, gating=False)
-        checks.add("energy_limit_gap", ex.e_rel_gap < 0.1, ex.e_rel_gap, 0.1, gating=False)
-        final_dev = result.rows[-1].max_green_dev
-        if all(r.max_green_dev is not None for r in result.rows):
-            checks.add("green_dev_final", final_dev < 0.15, final_dev, 0.15, gating=False)
-
     if "error" not in result.decay:
         write_radial_profile(result.rescaled.v, out_dir / "profile_v.csv")
         write_radial_profile(result.rescaled.u, out_dir / "profile_u.csv")
@@ -535,6 +472,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> tuple[dict, Checks]:
     for name in ("u", "v", "w"):
         dump_field(getattr(result.rescaled, name), out_dir / f"rescaled_{name}.bin")
 
+    ex = result.extrapolation
     payload = {
         "regime": result.config.regime,
         "x0": list(result.x0),
@@ -544,16 +482,17 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> tuple[dict, Checks]:
         "rows_failed": [] if result.failed is None else [result.failed],
         "core_cells": [r.core_cells for r in result.rows],
         "decay": result.decay,
-        "diagnostics": dict(diag),
+        "diagnostics": dict(result.diagnostics),
     }
-    return payload, checks
+    return payload, sweep_checks(result)
 
 
-def _cmd_hls(cfg: RunConfig, out_dir: Path) -> tuple[dict, Checks]:
+def _cmd_hls(cfg: RunConfig, out_dir: Path) -> tuple[dict, list[Check]]:
     n, s = cfg.n, cfg.s
     field = None
     if cfg.hls_field:
-        field = load_field(cfg.hls_field)
+        data = Path(cfg.hls_field).read_bytes()  # the bytes scored are the bytes hashed
+        field = load_field(io.BytesIO(data))
         if not isinstance(field, FreeField):
             raise ValueError("hls_field must point at a free-field dump")
         if field.dim != n:
@@ -562,26 +501,17 @@ def _cmd_hls(cfg: RunConfig, out_dir: Path) -> tuple[dict, Checks]:
 
     oracle = sharp_diagonal_quotient(n, s)
     quotients = bubble_ladder(n, s, cfg.hls_box_list, cfg.hls_grid_list)
-    rows = [[radius, m, quotient, oracle, quotient / oracle - 1.0]
-            for radius, m, quotient in zip(cfg.hls_box_list, cfg.hls_grid_list, quotients,
-                                           strict=True)]
-    write_table(out_dir / "hls.csv",
-                ["box_radius", "grid", "quotient", "oracle", "rel_excess"], rows)
-
-    checks = Checks()
-    checks.add("bubble_refinement_monotone",
-               all(b < a for a, b in zip(quotients[:-1], quotients[1:], strict=True)))
-    checks.add("bubble_within_1pct", quotients[-1] / oracle - 1.0 < 0.01,
-               quotients[-1] / oracle - 1.0, 0.01)
+    excess, checks = ladder_checks(quotients, oracle)
+    write_table(out_dir / "hls.csv", ["box_radius", "grid", "quotient", "oracle", "rel_excess"],
+                [[radius, m, quotient, oracle, rel] for radius, m, quotient, rel
+                 in zip(cfg.hls_box_list, cfg.hls_grid_list, quotients, excess, strict=True)])
 
     field_payload = {}
     if field is not None:
         qc = critical_q(cfg.p, n, s)
-        norm = field.lp_norm((qc + 1.0) / qc)
-        normalized = field.with_values(field.values / norm)
-        quotient = hls_quotient(normalized, cfg.p, qc, s)
-        field_payload = {"path": cfg.hls_field, "p": cfg.p, "q0": qc, "quotient": quotient,
-                         "sha256": hashlib.sha256(Path(cfg.hls_field).read_bytes()).hexdigest()}
+        field_payload = {"path": cfg.hls_field, "p": cfg.p, "q0": qc,
+                         "quotient": hls_quotient(field, cfg.p, qc, s),
+                         "sha256": hashlib.sha256(data).hexdigest()}
 
     return {"oracle": oracle, "field_quotient": field_payload}, checks
 
@@ -604,32 +534,16 @@ def _kernel_pairs(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     return pts[:, 0], pts[:, 1]
 
 
-def _cmd_kernels(cfg: RunConfig, out_dir: Path) -> tuple[dict, Checks]:
+def _cmd_kernels(cfg: RunConfig, out_dir: Path) -> tuple[dict, list[Check]]:
     domain = BoxDomain(cfg.lengths, cfg.s)
-    basis = build_basis(domain, cfg.cutoff)
     xs, ys = _kernel_pairs(cfg)
-
-    gxy = green(xs, ys, basis)
-    gyx = green(ys, xs, basis)
-    fk = free_kernel(xs, ys, cfg.s)
-    h = fk - gxy.value
-    h_sym = float(np.max(np.abs(h - (free_kernel(ys, xs, cfg.s) - gyx.value)), initial=0.0))
-    ok = (0.0 < gxy.value) & (gxy.value < fk + gxy.truncation_bound)
-    cols = ([f"x{i + 1}" for i in range(cfg.n)] + [f"y{i + 1}" for i in range(cfg.n)]
-            + ["green", "truncation_bound", "free_kernel", "regular_part", "bound_ok"])
-    table = np.column_stack([xs, ys, gxy.value, gxy.truncation_bound, fk, h])
-    write_table(out_dir / "kernels.csv", cols,
-                [[*values, int(o)] for values, o in zip(table.tolist(), ok, strict=True)])
-
-    checks = Checks()
-    checks.add("kernel_bound", bool(np.all(ok)), note="0 < G < free + truncation_bound")
-    checks.add("green_symmetry_exact", np.array_equal(gxy.value, gyx.value))
-    checks.add("regular_part_symmetry", h_sym <= 1e-12, h_sym, 1e-12)
-    worst_inv, worst_semi = operator_algebra_residuals(
-        basis, build_grid(domain, cfg.grid), cfg.kernel_seed)
-    checks.add("operator_inverse_identity", worst_inv < 1e-12, worst_inv, 1e-12)
-    checks.add("operator_semigroup", worst_semi < 1e-12, worst_semi, 1e-12)
-
+    columns, checks = kernel_checks(xs, ys, build_basis(domain, cfg.cutoff),
+                                    build_grid(domain, cfg.grid), cfg.kernel_seed)
+    # one float array: bound_ok's 1.0 and 0.0 are spelled 1 and 0, as an integer cell's
+    write_table(out_dir / "kernels.csv",
+                [f"x{i + 1}" for i in range(cfg.n)] + [f"y{i + 1}" for i in range(cfg.n)]
+                + list(columns),
+                np.column_stack([xs, ys, *columns.values()]).tolist())
     return {"pairs": len(xs)}, checks
 
 
@@ -649,23 +563,23 @@ def main(argv=None) -> int:
                         help="output directory (overrides config out_dir)")
     args = parser.parse_args(argv)
 
-    raw = args.config.read_text() if args.config else ""
     try:
+        raw = args.config.read_text() if args.config else ""
         cfg = parse_config(raw, args.command)
+        out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
+        payload, checks = _COMMANDS[args.command](cfg, out_dir)
+        _write_report(out_dir, f"{args.command}_report.json",
+                      {"config": serialize_config(cfg), "version": __version__,
+                       "input_sha256": hashlib.sha256(raw.encode()).hexdigest(),
+                       **payload, "checks": [asdict(c) for c in checks]})
     except ConfigError as exc:
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
-
-    try:
-        payload, checks = _COMMANDS[args.command](cfg, out_dir)
-        _write_report(out_dir, f"{args.command}_report.json",
-                      {**_config_echo(cfg, raw), **payload, "checks": checks.items})
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    return 0 if checks.all_passed() else 1
+    return 0 if all(c.passed for c in checks if c.gating) else 1
 
 
 if __name__ == "__main__":

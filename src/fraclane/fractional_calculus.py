@@ -19,7 +19,8 @@ polar nodes with their sine factors); its default grid is cached per basis.
 Gauss-Legendre rules, which `hls_limit` uses as well, come from Newton's
 method on the Legendre recurrence; each is built once per order and handed
 out read-only. The kernels read s from their basis. The Serrin split
-`classify_regime`, which every module asks, lives here.
+`classify_regime`, which every module asks, lives here, as does `Check`, the
+record of every report check; `kernel_checks` holds the kernels command's.
 
 A field that is mirror-symmetric about every mid-plane is held by its
 fundamental cell, the first ceil(m_i/2) nodes per axis; its mirror
@@ -79,6 +80,22 @@ class RegimeError(ValueError):
 
 
 THRESHOLD_TOL = 1e-12  # an exponent this close to a threshold counts as on it
+
+
+@dataclass
+class Check:
+    """A named pass/fail record of a report, built by the module that owns
+    its rule: the value measured, its budget, and whether it gates."""
+
+    name: str
+    passed: bool
+    value: float | None = None
+    budget: float | None = None
+    gating: bool = True
+    note: str = ""
+
+    def __post_init__(self):
+        self.passed = bool(self.passed)  # a NumPy comparison gives a NumPy bool
 
 
 def serrin_exponent(n: int, s: float) -> float:
@@ -458,6 +475,28 @@ def regular_part(x, y, basis: SpectralBasis) -> KernelSample:
     g = green(x, y, basis)
     h = free_kernel(x, y, basis.domain.s) - g.value
     return KernelSample(h, g.truncation_bound)
+
+
+def kernel_checks(x: np.ndarray, y: np.ndarray, basis: SpectralBasis, grid: Grid,
+                  seed: int) -> tuple[dict[str, np.ndarray], list[Check]]:
+    """G, its truncation bound, the free kernel, H = free - G and the flag
+    0 < G < free + bound at the pairs (x_i, y_i), (P, n) each, by column name;
+    and the kernels command's checks."""
+    s, tol = basis.domain.s, 1e-12  # the budget of H's symmetry and the operator algebra
+    gxy, gyx = green(x, y, basis), green(y, x, basis)
+    free = free_kernel(x, y, s)
+    h = free - gxy.value
+    h_sym = float(np.max(np.abs(h - (free_kernel(y, x, s) - gyx.value)), initial=0.0))
+    ok = (0.0 < gxy.value) & (gxy.value < free + gxy.truncation_bound)
+    inverse, semigroup = operator_algebra_residuals(basis, grid, seed)
+    return {"green": gxy.value, "truncation_bound": gxy.truncation_bound, "free_kernel": free,
+            "regular_part": h, "bound_ok": ok}, [
+        Check("kernel_bound", np.all(ok), note="0 < G < free + truncation_bound"),
+        Check("green_symmetry_exact", np.array_equal(gxy.value, gyx.value)),
+        Check("regular_part_symmetry", h_sym <= tol, h_sym, tol),
+        Check("operator_inverse_identity", inverse < tol, inverse, tol),
+        Check("operator_semigroup", semigroup < tol, semigroup, tol),
+    ]
 
 
 _NEWTON_MAX_STEPS = 10  # Tricomi's start needs 3-4 steps at every order up to 2000

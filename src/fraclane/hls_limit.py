@@ -7,6 +7,7 @@ discrete convolution with a kernel table whose singular cell is replaced by
 the exact cell average of the power law, so the midpoint rule never sees
 the singularity. Exponent thresholds are decided in `lane_emden` and
 `fractional_calculus`; the diagonal oracles share one measurement of kappa.
+`ladder_checks` holds the hls command's rules on the bubble ladder.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from functools import reduce
 
 import numpy as np
 
-from .fractional_calculus import (THRESHOLD_TOL, RegimeError, _gauss_legendre, _polar_box_integral,
-                                  classify_regime, gns, serrin_exponent)
+from .fractional_calculus import (THRESHOLD_TOL, Check, RegimeError, _gauss_legendre,
+                                  _polar_box_integral, classify_regime, gns, serrin_exponent)
 from .lane_emden import diagonal_exponent, hyperbola_gap
 
 
@@ -481,3 +482,14 @@ def bubble_ladder(n: int, s: float, box_radii, grid_sizes) -> list[float]:
         quotients.append(hls_quotient(f, q0, q0, s))
     return quotients
 
+
+def ladder_checks(quotients: list[float], oracle: float) -> tuple[list[float], list[Check]]:
+    """Each `bubble_ladder` rung's excess quotient / oracle - 1 over
+    `sharp_diagonal_quotient`, and the checks: each rung below the one
+    before, and the last within 1% of the oracle."""
+    excess, tol = [quotient / oracle - 1.0 for quotient in quotients], 0.01
+    return excess, [
+        Check("bubble_refinement_monotone",
+              all(b < a for a, b in zip(quotients[:-1], quotients[1:], strict=True))),
+        Check("bubble_within_1pct", excess[-1] < tol, excess[-1], tol),
+    ]

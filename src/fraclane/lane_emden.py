@@ -36,7 +36,8 @@ dot product of two fields the loop already holds (`_weighted_sum`). No pass
 scans for non-finite values: the minimum each clamp takes and each norm sum
 are checked instead, and a NaN or infinite node, an overflowing power
 included, makes one of them non-finite. The sup residual is formed only once
-Theta has settled, and on the last allowed iteration.
+Theta has settled, and on the last allowed iteration. `solve_checks` holds
+the solve command's checks, the solver's own budgets among them.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ import numpy as np
 
 from .fractional_calculus import (
     THRESHOLD_TOL,
+    _CLAMP_WARN_FRACTION,
+    Check,
     _CellInverse,
     _check_finite,
     _clamp_in_place,
@@ -229,6 +232,9 @@ def symmetry_classes(f: GridFunction) -> dict:
 # max(1, Theta), and the largest L1 mass fraction the clamps may remove.
 _ASCENT_SLACK = 1e-12
 _POSITIVITY_BUDGET = 1e-4
+_POSITIVITY_NOTE = (f"warn level {_CLAMP_WARN_FRACTION:.0e}; "
+                    f"hard budget {_POSITIVITY_BUDGET:.0e}").replace("e-0", "e-")
+_IDENTITY_BUDGET = 1e-6  # the relative gap an `identity_report` identity may show
 
 # The stopping rule of `solve_ground_state` and its iteration cap; `SweepConfig`
 # and the CLI default to the same three, and check theirs by `check_stopping_rule`.
@@ -503,15 +509,11 @@ def solve_ground_state(
 
 
 def energy(pair: SolutionPair, basis: SpectralBasis,
-           coefficients: tuple[SpectralField, SpectralField] | None = None) -> float:
-    """Direct energy: the s/2-bilinear term spectrally minus the potential terms.
-
-    The bilinear term is sum_k lambda_k^s a_k b_k for the coefficients of u, v:
-    `coefficients` if the caller has analyzed them, else analyzed here.
-    """
+           coefficients: tuple[SpectralField, SpectralField]) -> float:
+    """Direct energy: the s/2-bilinear term spectrally minus the potential
+    terms. The bilinear term is sum_k lambda_k^s a_k b_k for `coefficients`,
+    the eigen-coefficients a, b of u, v."""
     p, q = pair.exponents.p, pair.exponents.q
-    if coefficients is None:
-        coefficients = (analyze(pair.u, basis), analyze(pair.v, basis))
     a, b = (c.coefficients for c in coefficients)
     bilinear = float(np.sum(_multipliers(basis, pair.exponents.s) * a * b))
     int_v = integrate(pair.v.with_values(pair.v.values ** (p + 1.0)))
@@ -526,16 +528,6 @@ def energy_reduced(pair: SolutionPair) -> float:
     return factor * integrate(pair.w.with_values(pair.w.values ** ((q + 1.0) / q)))
 
 
-def energy_from_quotient(pair: SolutionPair, basis: SpectralBasis) -> float:
-    """Energy from the quotient alone: factor * [||w||/||(-Delta)^{-s}w||]^((p+1)(q+1)/(pq-1))."""
-    p, q, s = pair.exponents.p, pair.exponents.q, pair.exponents.s
-    factor = 1.0 - 1.0 / (p + 1.0) - 1.0 / (q + 1.0)
-    ratio = lp_norm(pair.w, (q + 1.0) / q) / lp_norm(
-        apply_inverse(pair.w, s, basis), p + 1.0
-    )
-    return factor * ratio ** ((p + 1.0) * (q + 1.0) / (p * q - 1.0))
-
-
 def sobolev_quotient(pair: SolutionPair) -> float:
     """S(Omega) = ||(-Delta)^s u||_{(p+1)/p} / ||u||_{q+1} using (-Delta)^s u = v^p."""
     p, q = pair.exponents.p, pair.exponents.q
@@ -544,23 +536,45 @@ def sobolev_quotient(pair: SolutionPair) -> float:
     return num / den
 
 
-def identity_report(pair: SolutionPair, basis: SpectralBasis) -> dict:
-    """Relative gaps of the algebraic identities that hold at exact solutions.
+def identity_report(pair: SolutionPair, basis: SpectralBasis, energy_direct: float) -> dict:
+    """Relative gaps of the algebraic identities that hold at exact solutions,
+    against the pair's direct energy `energy_direct` (`SolveReport.energy`).
 
     Keys: a75 (int v^{p+1} = int u^{q+1}), a74 (||(-Delta)^{-s}w||_{p+1}^{p+1}
-    = ||w||^{(q+1)/q}), a80 (reduced energy vs direct), a7 (quotient form vs
-    direct).
+    = ||w||^{(q+1)/q}), a80 (reduced energy vs direct), a7 (the quotient form
+    factor * [||w|| / ||(-Delta)^{-s}w||]^{(p+1)(q+1)/(pq-1)} vs direct).
     """
     p, q, s = pair.exponents.p, pair.exponents.q, pair.exponents.s
+    qnorm = (q + 1.0) / q
     int_v = integrate(pair.v.with_values(pair.v.values ** (p + 1.0)))
     int_u = integrate(pair.u.with_values(pair.u.values ** (q + 1.0)))
-    a75 = abs(int_v - int_u) / abs(int_u)
+    norm_v = lp_norm(apply_inverse(pair.w, s, basis), p + 1.0)
+    norm_w = lp_norm(pair.w, qnorm)
+    factor = 1.0 - 1.0 / (p + 1.0) - 1.0 / (q + 1.0)
+    energy_quotient = factor * (norm_w / norm_v) ** ((p + 1.0) * (q + 1.0) / (p * q - 1.0))
 
-    lhs = lp_norm(apply_inverse(pair.w, s, basis), p + 1.0) ** (p + 1.0)
-    rhs = lp_norm(pair.w, (q + 1.0) / q) ** ((q + 1.0) / q)
-    a74 = abs(lhs - rhs) / abs(rhs)
+    def gap(value, exact):
+        return abs(value - exact) / abs(exact)
 
-    e_direct = energy(pair, basis)
-    a80 = abs(energy_reduced(pair) - e_direct) / abs(e_direct)
-    a7 = abs(energy_from_quotient(pair, basis) - e_direct) / abs(e_direct)
-    return {"a75": a75, "a74": a74, "a80": a80, "a7": a7}
+    return {"a75": gap(int_v, int_u), "a74": gap(norm_v ** (p + 1.0), norm_w ** qnorm),
+            "a80": gap(energy_reduced(pair), energy_direct),
+            "a7": gap(energy_quotient, energy_direct)}
+
+
+def solve_checks(pair: SolutionPair, report: SolveReport, basis: SpectralBasis,
+                 residual_tol: float) -> list[Check]:
+    """The checks of a solve run with `residual_tol`; the ascent rule's budget
+    is the tightest step's."""
+    steps = np.diff(report.theta_history)
+    budgets = -ascent_budget(report.theta_history[:-1])
+    gaps, tol = identity_report(pair, basis, report.energy), _IDENTITY_BUDGET
+    clamped, clamp_tol = report.clamped_fraction_max, _POSITIVITY_BUDGET
+    return [
+        Check("converged", report.converged),
+        Check("residual_w", report.residual_w <= 10 * residual_tol, report.residual_w,
+              10 * residual_tol),
+        Check("theta_nondecreasing", (steps >= budgets).all(), steps.min() if steps.size else 0.0,
+              budgets.max() if steps.size else -ascent_budget(report.theta)),
+        *(Check(f"identity_{key}", gap <= tol, gap, tol) for key, gap in gaps.items()),
+        Check("positivity_clamp", clamped <= clamp_tol, clamped, clamp_tol, note=_POSITIVITY_NOTE),
+    ]

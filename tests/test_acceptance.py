@@ -153,7 +153,7 @@ def test_criterion_03_solver_identities(square):
     q = fl.solve_q_epsilon(2.5, 2, 0.5, 0.04)
     exps = fl.ExponentPair(p=2.5, q=q, n=2, s=0.5)
     pair, report = fl.solve_ground_state(exps, basis, grid)
-    gaps = fl.identity_report(pair, basis)
+    gaps = fl.identity_report(pair, basis, report.energy)
     dth = np.diff(report.theta_history)
     monotone = bool(np.all(dth >= -1e-12 * max(1.0, report.theta)))
     elapsed = time.perf_counter() - t0

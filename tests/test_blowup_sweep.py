@@ -278,8 +278,8 @@ def test_identity_suite_inherited_per_row(mini_sweep, mini_pairs):
     dom = unit_square()
     basis = fl.build_basis(dom, (24, 24))
     assert len(mini_pairs) == len(mini_sweep.rows)
-    for pair in mini_pairs:
-        gaps = fl.identity_report(pair, basis)
+    for pair, row in zip(mini_pairs, mini_sweep.rows, strict=True):
+        gaps = fl.identity_report(pair, basis, row.energy)
         assert all(g < 1e-6 for g in gaps.values()), gaps
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import inspect
+import io
 import json
 import math
 import os
@@ -409,6 +410,42 @@ def test_hls_report_identifies_its_field_by_its_bytes(tmp_path):
     assert changed["path"] == first["path"] and changed["sha256"] != first["sha256"]
 
 
+def test_hls_report_hashes_the_bytes_it_scored(tmp_path, monkeypatch):
+    # the file is overwritten while its field is scored: the report's hash and
+    # quotient both belong to the bytes the run loaded
+    field = tmp_path / "field.bin"
+    cli_io.dump_field(FreeField.centered(4.0, np.random.default_rng(3).random((16, 16))), field)
+    scored = field.read_bytes()
+    score = cli_io.hls_quotient
+    seen = []
+
+    def overwriting(f, *args):
+        cli_io.dump_field(FreeField.centered(4.0, np.ones((16, 16))), field)
+        seen.append(score(f, *args))
+        return seen[-1]
+
+    monkeypatch.setattr(cli_io, "hls_quotient", overwriting)
+    cfg = tmp_path / "hls.cfg"
+    cfg.write_text("n = 2\ns = 0.5\np = 2.5\nhls_box_list = 8\nhls_grid_list = 32\n"
+                   f"hls_field = {field}\n")
+    assert run_cli(["hls", "--config", str(cfg), "--out", str(tmp_path / "out")]) in (0, 1)
+    report = json.loads((tmp_path / "out" / "hls_report.json").read_text())["field_quotient"]
+    assert field.read_bytes() != scored
+    assert report["sha256"] == hashlib.sha256(scored).hexdigest()
+    original = score(cli_io.load_field(io.BytesIO(scored)), 2.5, report["q0"], 0.5)
+    assert report["quotient"] == seen[-1] == original
+
+
+def test_cli_unreadable_config_exits_3(tmp_path, capsys):
+    # a config that cannot be read is an error of the run, not a failed check
+    # (exit 1): one error line, and nothing written
+    out = tmp_path / "out"
+    assert run_cli(["hls", "--config", str(tmp_path / "missing.cfg"), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "missing.cfg" in err
+    assert not out.exists()
+
+
 def test_cli_kernels_command(tmp_path):
     cfg = tmp_path / "k.cfg"
     cfg.write_text(
@@ -626,7 +663,7 @@ def test_cli_without_config_is_validated(tmp_path, monkeypatch):
         return real(text, command)
 
     monkeypatch.setattr(cli_io, "parse_config", spy)
-    monkeypatch.setitem(cli_io._COMMANDS, "kernels", lambda cfg, out: ({}, cli_io.Checks()))
+    monkeypatch.setitem(cli_io._COMMANDS, "kernels", lambda cfg, out: ({}, []))
     assert run_cli(["kernels", "--out", str(tmp_path)]) == 0
     assert seen == [("", "kernels")]
 
@@ -637,3 +674,49 @@ def test_shipped_configs_parse(path):
     # each file names its own subcommand in its `command` line
     text = path.read_text()
     assert f"command = {cli_io.parse_config(text).command}\n" in text
+
+
+# The check list of each shipped config's report, in report order: name,
+# gating, budget and passed. The 2-d sweep's bands report and never gate;
+# two of them miss at this resolution.
+SHIPPED_CHECKS = {
+    "hls_bubble": [("bubble_refinement_monotone", True, None, True),
+                   ("bubble_within_1pct", True, 0.01, True)],
+    "kernels_square": [("kernel_bound", True, None, True),
+                       ("green_symmetry_exact", True, None, True),
+                       ("regular_part_symmetry", True, 1e-12, True),
+                       ("operator_inverse_identity", True, 1e-12, True),
+                       ("operator_semigroup", True, 1e-12, True)],
+    "solve_square": [("converged", True, None, True),
+                     ("residual_w", True, 1e-6, True),
+                     ("theta_nondecreasing", True, -1e-12, True),
+                     ("identity_a75", True, 1e-6, True),
+                     ("identity_a74", True, 1e-6, True),
+                     ("identity_a80", True, 1e-6, True),
+                     ("identity_a7", True, 1e-6, True),
+                     ("positivity_clamp", True, 1e-4, True)],
+    "sweep_cube_p1": [("lambda_increasing", True, None, True),
+                      ("lambda_dist_increasing", True, None, True),
+                      ("s_omega_decreasing", True, None, True),
+                      ("green_dev_nonincreasing", True, None, True)],
+    "sweep_square": [("lambda_increasing", True, None, True),
+                     ("lambda_dist_increasing", True, None, True),
+                     ("s_omega_decreasing", True, None, True),
+                     ("green_dev_nonincreasing", True, None, True),
+                     ("quotient_bound", True, 0.0, True),
+                     ("lam_pow_eps_band", False, 0.1, False),
+                     ("energy_limit_gap", False, 0.1, False),
+                     ("green_dev_final", False, 0.15, True)],
+}
+
+
+# the shipped sweeps clamp and reach the core-resolution floor; they warn of both
+@pytest.mark.filterwarnings("ignore:clamped:UserWarning", "ignore:blow-up core:UserWarning")
+@pytest.mark.parametrize("path", sorted((Path(__file__).parents[1] / "configs").glob("*.cfg")),
+                         ids=lambda p: p.stem)
+def test_shipped_config_check_lists(tmp_path, path):
+    command = cli_io.parse_config(path.read_text()).command
+    assert run_cli([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / f"{command}_report.json").read_text())
+    checks = [(c["name"], c["gating"], c["budget"], c["passed"]) for c in report["checks"]]
+    assert checks == SHIPPED_CHECKS[path.stem]

@@ -180,7 +180,7 @@ def test_converged_solution_properties(solved):
 
 def test_identity_suite_at_convergence(solved):
     dom, basis, grid, exps, pair, report = solved
-    gaps = fl.identity_report(pair, basis)
+    gaps = fl.identity_report(pair, basis, report.energy)
     for name, gap in gaps.items():
         assert gap < 1e-6, (name, gap)
     # S_Omega = 1/Theta at the maximizer (eq-a-74 algebra)
@@ -307,7 +307,7 @@ def test_solver_on_rectangle():
     q = fl.solve_q_epsilon(2.5, 2, 0.5, 0.05)
     exps = fl.ExponentPair(p=2.5, q=q, n=2, s=0.5)
     pair, report = fl.solve_ground_state(exps, basis, grid)
-    gaps = fl.identity_report(pair, basis)
+    gaps = fl.identity_report(pair, basis, report.energy)
     assert all(g < 1e-6 for g in gaps.values()), gaps
     idx = np.unravel_index(np.argmax(pair.u.values), pair.u.values.shape)
     center = np.array([grid.coords[0][idx[0]], grid.coords[1][idx[1]]])
@@ -326,7 +326,7 @@ def test_solver_at_other_fractional_order():
     q = fl.solve_q_epsilon(2.0, 2, 0.4, 0.05)
     exps = fl.ExponentPair(p=2.0, q=q, n=2, s=0.4)
     pair, report = fl.solve_ground_state(exps, basis, grid)
-    gaps = fl.identity_report(pair, basis)
+    gaps = fl.identity_report(pair, basis, report.energy)
     assert all(g < 1e-6 for g in gaps.values()), gaps
     assert report.sobolev_quotient == pytest.approx(1.0 / report.theta, rel=1e-8)
 
