@@ -12,10 +12,11 @@ around both integrable singularities.
 The eigenvalue multipliers lambda_k^{+-s} are cached per (basis, exponent),
 like the half sine matrices of `spectral_domain`, and shared by
 `apply_inverse`, `apply_fraclap` and the pointwise kernels. The pointwise
-kernels take batches of point pairs and evaluate G(x, y) with the blocked
-contraction of `synthesize_at`. `g_tilde` takes a batch of points x against
-one y and builds the y side once per call (G(y, .) on its grid, y's patch and
-polar nodes with their sine factors); its default grid is cached per basis.
+kernels take batches of point pairs and evaluate G(x, y) with `_contract`,
+the contraction of `synthesize_at`, on each pair's products of sine rows.
+`g_tilde` takes a batch of points x against one y and builds the y side once
+per call (G(y, .) on its grid, y's patch and polar nodes with the sine tables
+of their distinct coordinates); its default grid is cached per basis.
 Gauss-Legendre rules, which `hls_limit` uses as well, come from Newton's
 method on the Legendre recurrence; each is built once per order and handed
 out read-only. The kernels read s from their basis. The Serrin split
@@ -456,11 +457,12 @@ def green(x, y, basis: SpectralBasis) -> KernelSample:
         factors = [basis.sine_samples(axis, xs[rows, axis]) for axis in range(basis.domain.dim)]
         for axis, f in enumerate(factors):
             f *= basis.sine_samples(axis, ys[rows, axis])
+        own = np.arange(len(factors[0]))  # each pair has a table row of its own
         for j, box in enumerate(boxes):
             if min(box) > 0:
                 sums[rows, j] = _contract(
                     mults[tuple(slice(b) for b in box)],
-                    [f[:, :b] for f, b in zip(factors, box, strict=True)],
+                    [(f[:, :b], own) for f, b in zip(factors, box, strict=True)],
                 )
     value = sums[:, -1]
     tail = _tail_estimate(np.diff(sums, axis=1), value)

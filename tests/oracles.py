@@ -6,6 +6,7 @@ import tracemalloc
 from functools import reduce
 from pathlib import Path
 
+import mpmath
 import numpy as np
 
 import fraclane as fl
@@ -28,6 +29,51 @@ def eigen_modes(basis, x):
     return reduce(np.multiply.outer, [
         math.sqrt(2.0 / L) * np.sin(np.arange(1, K + 1) * math.pi * xi / L)
         for xi, K, L in zip(x, basis.cutoff, basis.domain.lengths)])
+
+
+def exact_sine_samples(L, K, coords, digits=40):
+    """sqrt(2/L) sin(k pi x / L), k = 1..K, of every float x taken exactly:
+    powers of exp(i pi x / L) in mpmath at `digits` digits, rounded once."""
+    out = np.empty((len(coords), K))
+    with mpmath.workdps(digits):
+        scale = mpmath.sqrt(mpmath.mpf(2) / mpmath.mpf(L))
+        for j, x in enumerate(coords):
+            z = mpmath.expjpi(mpmath.mpf(float(x)) / mpmath.mpf(L))
+            power = z
+            for k in range(K):
+                out[j, k] = float(scale * power.imag)
+                power *= z
+    return out
+
+
+def np_sin_sine_samples(basis, axis, coords):
+    """`SpectralBasis.sine_samples` as np.sin of the rounded angles k pi x / L
+    (the signature of the method, so a test can put it in its place)."""
+    coords = np.asarray(coords, dtype=float)
+    L = basis.domain.lengths[axis]
+    karr = np.arange(1, basis.cutoff[axis] + 1)
+    return math.sqrt(2.0 / L) * np.sin(np.pi / L * coords[:, None] * karr[None, :])
+
+
+def einsum_contract(coefficients, factors):
+    """`spectral_domain._contract` point by point in one block: every point's
+    factor rows table[rows], one matmul over the last mode axis, then np.einsum
+    over each remaining axis."""
+    factors = [table[rows] for table, rows in factors]
+    cutoff = coefficients.shape
+    t = factors[-1] @ coefficients.reshape(-1, cutoff[-1]).T
+    for axis in range(len(cutoff) - 2, -1, -1):
+        t = np.einsum("pjk,pk->pj", t.reshape(len(t), -1, cutoff[axis]), factors[axis])
+    return t[:, 0]
+
+
+def einsum_synthesize_at(c, points):
+    """sum_k a_k phi_k at points (P, n) from `np_sin_sine_samples` rows of every
+    point and `einsum_contract`."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    own = np.arange(len(points))
+    return einsum_contract(c.coefficients, [
+        (np_sin_sine_samples(c.basis, axis, points[:, axis]), own) for axis in range(points.shape[1])])
 
 
 def green_direct(basis, s, x, y):

@@ -6,11 +6,20 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss, legvander
-from oracles import clamp_nonnegative, eigen_modes, eigenvalues, green_direct, rescaled_green
+from oracles import (
+    clamp_nonnegative,
+    eigen_modes,
+    eigenvalues,
+    einsum_contract,
+    green_direct,
+    np_sin_sine_samples,
+    rescaled_green,
+)
 from scipy import integrate
 
 import fraclane as fl
 from fraclane import fractional_calculus as fc
+from fraclane import spectral_domain as sd
 from fraclane.fractional_calculus import (
     _gauss_legendre,
     _multipliers,
@@ -517,6 +526,27 @@ def test_g_tilde_batch_is_the_per_point_loop(lengths, cutoff, p):
     assert one.value.shape == one.truncation_bound.shape == (1,)
     assert one.value[0] == singles[0].value
     assert one.truncation_bound[0] == singles[0].truncation_bound
+
+
+@pytest.mark.parametrize("lengths,cutoff,p", [
+    ((1.0, 1.0, 1.0), (8, 8, 8), 1.0),
+    ((1.0, 1.3), (16, 20), 1.5),
+], ids=["3d_p1", "2d_p1.5"])
+def test_g_tilde_matches_the_per_point_einsum_path(monkeypatch, lengths, cutoff, p):
+    # the whole kernel again on np.sin sines, per-point factors and einsum
+    # contractions; each side has a basis of its own, so no cached sine
+    # matrix crosses over
+    dom = fl.BoxDomain(lengths, 0.5)
+    xs, y = ring_batch(lengths, count=2)
+    got = fl.g_tilde(xs, y, p, fl.build_basis(dom, cutoff))
+    with monkeypatch.context() as patch:
+        patch.setattr(fl.SpectralBasis, "sine_samples", np_sin_sine_samples)
+        patch.setattr(fc, "_contract", einsum_contract)
+        patch.setattr(sd, "_contract", einsum_contract)
+        ref = fl.g_tilde(xs, y, p, fl.build_basis(dom, cutoff))
+    np.testing.assert_allclose(got.value, ref.value, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(got.truncation_bound, ref.truncation_bound,
+                               rtol=0, atol=1e-13 * np.max(ref.value))
 
 
 def test_g_tilde_batch_refuses_before_any_work():

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from oracles import einsum_synthesize_at, exact_sine_samples, np_sin_sine_samples, traced_peak
 from scipy.integrate import quad
 
 import fraclane as fl
+from fraclane.fractional_calculus import _polar_nodes
 from fraclane.spectral_domain import _points_per_block, _sine_factors
 
 
@@ -169,8 +171,9 @@ def test_synthesize_at_matches_direct_sum(cutoff):
 
 
 def test_sine_factors_are_the_sine_samples():
-    # once per distinct coordinate, bitwise the samples of every point, and
-    # synthesize_at gives the same values with the factors passed in
+    # one table row per distinct coordinate, every point's row bitwise the
+    # samples of its own coordinate, and synthesize_at gives the same values
+    # with the factors passed in
     dom = fl.BoxDomain((1.0, 0.7, 1.3), 0.3)
     basis = fl.build_basis(dom, (5, 4, 3))
     rng = np.random.default_rng(3)
@@ -178,10 +181,74 @@ def test_sine_factors_are_the_sine_samples():
     count = 2 * _points_per_block(basis.cutoff) + 5
     points = coords[rng.integers(0, 7, size=(count, 3)), [0, 1, 2]]
     factors = _sine_factors(basis, points)
-    for axis, f in enumerate(factors):
-        assert np.array_equal(f, basis.sine_samples(axis, points[:, axis]))
+    for axis, (table, rows) in enumerate(factors):
+        assert len(table) == len(np.unique(points[:, axis]))
+        assert np.array_equal(table[rows], basis.sine_samples(axis, points[:, axis]))
     field = fl.SpectralField(basis, rng.standard_normal(basis.cutoff))
     assert np.array_equal(fl.synthesize_at(field, points, factors), fl.synthesize_at(field, points))
+
+
+@pytest.mark.parametrize("cutoff", [(40,), (24, 20), (12, 10, 14)])
+def test_synthesize_at_matches_the_per_point_einsum_path(cutoff):
+    # on polar nodes, which share most coordinates, and on random points,
+    # which share none; a shuffled copy of the points gives the same values
+    n = len(cutoff)
+    lengths = np.asarray((1.0, 0.7, 1.3)[:n])
+    basis = fl.build_basis(fl.BoxDomain(tuple(lengths), 0.3), cutoff)
+    rng = np.random.default_rng(sum(cutoff))
+    field = fl.SpectralField(basis, rng.standard_normal(cutoff))
+    center = 0.4 * lengths
+    polar, _ = _polar_nodes(center, center - 0.1, center + 0.1, n - 0.6, 8, 32)
+    if n > 1:
+        assert len(np.unique(polar[:, -1])) <= len(polar) // 2
+    randoms = rng.random((2 * _points_per_block(cutoff) + 7, n)) * lengths
+    for points in (polar, randoms):
+        got = fl.synthesize_at(field, points)
+        scale = float(np.max(np.abs(got)))
+        np.testing.assert_allclose(got, einsum_synthesize_at(field, points), rtol=0, atol=1e-13 * scale)
+        order = rng.permutation(len(points))
+        np.testing.assert_allclose(fl.synthesize_at(field, points[order]), got[order],
+                                   rtol=0, atol=1e-14 * scale)
+
+
+def test_synthesize_at_builds_its_sine_tables_block_by_block():
+    # scattered points share no coordinate: tables for all of them at once
+    # would take 20,000 x 64 floats per axis, and about twice that while the
+    # complex powers are built
+    basis = fl.build_basis(unit_square(), (64, 64))
+    field = fl.SpectralField(basis, np.random.default_rng(0).standard_normal(basis.cutoff))
+    points = np.random.default_rng(1).random((20000, 2))
+    _, peak = traced_peak(fl.synthesize_at, field, points)
+    assert peak < 4e6
+
+
+@pytest.mark.parametrize("L", [1.0, 2.5])
+@pytest.mark.parametrize("K", [1, 2, 3, 24, 64, 256])
+def test_sine_samples_match_the_exact_sines(K, L):
+    # against 40-digit sines of the float coordinates, on midpoint nodes and
+    # seeded interior points: within 1e-13, and no further off than np.sin of
+    # the rounded angles k pi x / L
+    basis = fl.build_basis(fl.BoxDomain((L,), 0.3), K)
+    nodes = fl.build_grid(basis.domain, max(2 * K, 64)).coords[0]
+    inner = np.random.default_rng(K).uniform(0.0, L, 64)
+    for coords in (nodes, inner):
+        exact = exact_sine_samples(L, K, coords)
+        err = float(np.max(np.abs(basis.sine_samples(0, coords) - exact)))
+        assert err <= 1e-13
+        assert err <= float(np.max(np.abs(np_sin_sine_samples(basis, 0, coords) - exact)))
+
+
+@pytest.mark.parametrize("lengths, shape, cutoff", [
+    ((1.0,), (512,), (256,)),
+    ((1.0, 2.5), (61, 91), (30, 45)),
+])
+def test_sine_tables_are_orthonormal_on_the_midpoint_grid(lengths, shape, cutoff):
+    # h S^T S = I, the midpoint rule's (2/m) sum_j sin(k pi x_j / L) sin(l pi x_j / L) = delta_kl
+    basis = fl.build_basis(fl.BoxDomain(lengths, 0.3), cutoff)
+    grid = fl.build_grid(basis.domain, shape)
+    for axis, h in enumerate(grid.spacing):
+        sines = basis.sine_samples(axis, grid.coords[axis])
+        np.testing.assert_allclose(h * sines.T @ sines, np.eye(cutoff[axis]), rtol=0, atol=2e-14)
 
 
 def dense_transform_oracle(values, basis, grid, inverse=False):
