@@ -14,9 +14,11 @@ like the half sine matrices of `spectral_domain`, and shared by
 `apply_inverse`, `apply_fraclap` and the pointwise kernels. The pointwise
 kernels take batches of point pairs and evaluate G(x, y) with `_contract`,
 the contraction of `synthesize_at`, on each pair's products of sine rows.
-`g_tilde` takes a batch of points x against one y and builds the y side once
-per call (G(y, .) on its grid, y's patch and polar nodes with the sine tables
-of their distinct coordinates); its default grid is cached per basis.
+`g_tilde` takes a batch of points x against one y: the sine rows of y and
+every x come from one table per axis and their ring estimates of the
+regular part from one `regular_part` batch, and the y side is built once per
+call (G(y, .) on its grid, y's patch and polar nodes with the sine tables of
+their distinct coordinates); its default grid is cached per basis.
 Gauss-Legendre rules, which `hls_limit` uses as well, come from Newton's
 method on the Legendre recurrence; each is built once per order and handed
 out read-only. The kernels read s from their basis. The Serrin split
@@ -623,14 +625,21 @@ def _polar_box_integral(center, lo, hi, gamma: float, smooth, n_rad: int, n_ang:
     return float(np.sum(scale * smooth(pts))) if len(pts) else 0.0
 
 
-def _ring_regular_part(c, basis: SpectralBasis, radius: float) -> float:
-    """Mean of H = free - G on a small resolvable ring around c (H is smooth
-    there), over the ring points inside the box."""
-    c = np.asarray(c, dtype=float)
+def _ring_regular_parts(centers: np.ndarray, basis: SpectralBasis, radius: float) -> np.ndarray:
+    """Per center c of (C, n), the mean of H = free - G on a small resolvable
+    ring around c (H is smooth there), over the ring points inside the box;
+    0 for a center with none. All rings go to `regular_part` as one batch."""
     dirs, _ = _unit_directions(basis.domain.dim, 8)
-    ring = c + radius * dirs
-    ring = ring[_interior(basis.domain, ring)]
-    return float(np.mean(regular_part(ring, c, basis).value)) if len(ring) else 0.0
+    rings = centers[:, None, :] + radius * dirs
+    inside = _interior(basis.domain, rings)
+    counts = np.count_nonzero(inside, axis=1)
+    means = np.zeros(len(centers))
+    if np.any(inside):
+        h = regular_part(rings[inside], np.repeat(centers, counts, axis=0), basis).value
+        for i, on_ring in enumerate(np.split(h, np.cumsum(counts)[:-1])):
+            if len(on_ring):
+                means[i] = np.mean(on_ring)
+    return means
 
 
 def _sublattice_spread(weighted_cells: np.ndarray) -> float:
@@ -697,10 +706,12 @@ def g_tilde(
     integrable. Tensor midpoint rule globally, with polar-corrected patches of
     3^n cells around both singular points; the reported bound is the quadrature
     error estimate (sublattice spread plus patch refinement difference).
-    The y side is built once per call: G(y, .) on the grid and its p-th power,
-    y's patch with its ring estimate of H, and y's polar nodes with their sine
-    factors. Each x adds G(x, .) on the grid, its own patch and the patch
-    integrals. Every x is checked by `_check_iterated_pair` before any work.
+    The sine rows of y and every x come from one table per axis, and their
+    ring estimates of H from one `regular_part` batch. The y side is built
+    once per call: G(y, .) on the grid and its p-th power, y's patch and y's
+    polar nodes with their sine factors. Each x adds G(x, .) on the grid, its
+    own patch and the patch integrals. Every x is checked by
+    `_check_iterated_pair` before any work.
     """
     n, s = basis.domain.dim, basis.domain.s
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -716,17 +727,25 @@ def g_tilde(
     lam_pow = n - 2 * s
     ring = max(resolvability_threshold(basis) * 1.1, 2.0 * max(grid.spacing))
 
-    # eigen-coefficients lambda_k^{-s} phi_k(c) of G(c, .), for the grid and
-    # the patches
-    def green_coefficients(c):
-        modes = [basis.sine_samples(axis, [c[axis]])[0] for axis in range(n)]
-        return SpectralField(basis, _multipliers(basis, -s) * reduce(np.multiply.outer, modes))
+    # y and then every x: the sine rows of their coordinates, one table per
+    # axis, and their ring estimates of the regular part H
+    centers = np.concatenate([y[None, :], xs])
+    modes = [basis.sine_samples(axis, centers[:, axis]) for axis in range(n)]
+    ring_h = _ring_regular_parts(centers, basis, ring)
 
-    def patch(c, gamma):
-        """The 3^n cells around c's nearest node as a grid mask, and per rule
-        of `_PATCH_RULES` the polar nodes around c: their weights, the local
-        model max(g_{n,s} - H r^{n-2s}, 0) of G(c, .) on them (H the ring
-        estimate of the regular part at c) and their sine factors."""
+    # eigen-coefficients lambda_k^{-s} phi_k(c) of G(c, .), c = centers[index],
+    # for the grid and the patches
+    def green_coefficients(index):
+        return SpectralField(basis, _multipliers(basis, -s)
+                             * reduce(np.multiply.outer, [rows[index] for rows in modes]))
+
+    def patch(index, gamma):
+        """The 3^n cells around the nearest node of c = centers[index] as a
+        grid mask, and per rule of `_PATCH_RULES` the polar nodes around c:
+        their weights, the local model max(g_{n,s} - H r^{n-2s}, 0) of G(c, .)
+        on them (H the ring estimate of the regular part at c) and their sine
+        factors."""
+        c = centers[index]
         idx = grid.nearest_node(c)
         lo = [max((j - 1) * hh, 0.0) for j, hh in zip(idx, grid.spacing, strict=True)]
         hi = [
@@ -736,7 +755,7 @@ def g_tilde(
         mask = np.zeros(grid.shape, dtype=bool)
         mask[tuple(slice(max(j - 1, 0), min(j + 2, m))
                    for j, m in zip(idx, grid.shape, strict=True))] = True
-        h_c = _ring_regular_part(c, basis, ring)
+        h_c = ring_h[index]
         rules = []
         for n_rad, n_ang in _PATCH_RULES:
             pts, weights = _polar_nodes(c, lo, hi, gamma, n_rad, n_ang)
@@ -745,20 +764,20 @@ def g_tilde(
                           _sine_factors(basis, pts)))
         return mask, rules
 
-    coeff_y = green_coefficients(y)
+    coeff_y = green_coefficients(0)
     gy_pow = np.maximum(synthesize(coeff_y, grid).values, 0.0) ** p
-    mask_y, rules_y = patch(y, lam_pow * p)
+    mask_y, rules_y = patch(0, lam_pow * p)
     rules_y = [(pts, weights, local**p, factors) for pts, weights, local, factors in rules_y]
 
     value, bound = np.empty(len(xs)), np.empty(len(xs))
-    for i, pt in enumerate(xs):
-        coeff_x = green_coefficients(pt)
+    for i in range(len(xs)):
+        coeff_x = green_coefficients(i + 1)
         # in place: each point holds one grid-sized array, with the same products
         weighted = synthesize(coeff_x, grid).values
         np.maximum(weighted, 0.0, out=weighted)
         weighted *= grid.cell_volume
         weighted *= gy_pow
-        mask_x, rules_x = patch(pt, lam_pow)
+        mask_x, rules_x = patch(i + 1, lam_pow)
         weighted[mask_y] = 0.0
         weighted[mask_x] = 0.0
         fine, coarse = [

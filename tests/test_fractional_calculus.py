@@ -549,6 +549,39 @@ def test_g_tilde_matches_the_per_point_einsum_path(monkeypatch, lengths, cutoff,
                                rtol=0, atol=1e-13 * np.max(ref.value))
 
 
+def test_g_tilde_takes_every_ring_estimate_from_one_green_call(monkeypatch):
+    lengths = (1.0, 1.3)
+    basis = fl.build_basis(fl.BoxDomain(lengths, 0.5), (16, 20))
+    xs, y = ring_batch(lengths)
+    sizes = []
+    original = fc.green
+
+    def counting(x, y, basis):
+        sizes.append(len(np.atleast_2d(x)))
+        return original(x, y, basis)
+
+    monkeypatch.setattr(fc, "green", counting)
+    fl.g_tilde(xs, y, 1.0, basis)
+    assert len(sizes) == 1
+    assert sizes[0] == 8 * (len(xs) + 1)  # every ring point of y and the xs lies inside
+
+
+def test_ring_regular_parts_average_each_center_over_its_own_ring():
+    # radius 0.6 leaves no ring point of the middle inside the unit square,
+    # so that center keeps 0; the other two average H over their own
+    # interior ring points
+    basis = fl.build_basis(fl.BoxDomain((1.0, 1.0), 0.5), (24, 24))
+    centers = np.array([[0.5, 0.5], [0.1, 0.15], [0.3, 0.2]])
+    means = fc._ring_regular_parts(centers, basis, 0.6)
+    assert means[0] == 0.0
+    dirs, _ = fc._unit_directions(2, 8)
+    for c, mean in zip(centers[1:], means[1:]):
+        ring = c + 0.6 * dirs
+        ring = ring[fc._interior(basis.domain, ring)]
+        assert 0 < len(ring) < len(dirs)
+        assert mean == pytest.approx(float(np.mean(fl.regular_part(ring, c, basis).value)), rel=1e-13)
+
+
 def test_g_tilde_batch_refuses_before_any_work():
     dom, basis, grid = setup_square(K=8, m=16)
     xs, y = ring_batch((1.0, 1.0))

@@ -4,12 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from oracles import einsum_synthesize_at, exact_sine_samples, np_sin_sine_samples, traced_peak
+from oracles import (
+    einsum_contract,
+    einsum_synthesize_at,
+    exact_sine_samples,
+    np_sin_sine_samples,
+    traced_peak,
+)
 from scipy.integrate import quad
 
 import fraclane as fl
 from fraclane.fractional_calculus import _polar_nodes
-from fraclane.spectral_domain import _points_per_block, _sine_factors
+from fraclane.spectral_domain import _contract, _points_per_block, _sine_factors
 
 
 def unit_square(s=0.5):
@@ -236,6 +242,49 @@ def test_sine_samples_match_the_exact_sines(K, L):
         err = float(np.max(np.abs(basis.sine_samples(0, coords) - exact)))
         assert err <= 1e-13
         assert err <= float(np.max(np.abs(np_sin_sine_samples(basis, 0, coords) - exact)))
+
+
+@pytest.mark.parametrize("L", [1.0, 2.5])
+@pytest.mark.parametrize("K", [1, 3, 24, 64, 256])
+def test_sine_rows_do_not_depend_on_the_batch(K, L):
+    # a coordinate's row is bitwise the same alone, at every position of a
+    # batch, and in the x half or the y half of a concatenated x/y call
+    basis = fl.build_basis(fl.BoxDomain((L,), 0.3), K)
+    rng = np.random.default_rng(K)
+    xs, ys = rng.uniform(0.0, L, 23), rng.uniform(0.0, L, 23)
+    batch = basis.sine_samples(0, xs)
+    assert batch.shape == (23, K) and batch.flags.c_contiguous
+    assert np.array_equal(basis.sine_samples(0, np.concatenate([xs, ys]))[:23], batch)
+    assert np.array_equal(basis.sine_samples(0, np.concatenate([ys, xs]))[23:], batch)
+    for j, x in enumerate(xs):
+        alone = basis.sine_samples(0, [x])
+        assert alone.shape == (1, K)
+        assert np.array_equal(alone[0], batch[j])
+        assert np.array_equal(basis.sine_samples(0, np.roll(xs, 5 - j))[5], batch[j])
+        assert np.array_equal(basis.sine_samples(0, xs[: j + 1])[j], batch[j])
+
+
+def test_contract_reads_consecutive_rows_without_a_gather():
+    # green's identity index skips the gather copy; repeated rows, which
+    # need it, give bitwise the same values from the same GEMM, also when
+    # they span as many table rows as there are points
+    basis = fl.build_basis(fl.BoxDomain((1.0, 0.7, 1.3), 0.3), (5, 4, 6))
+    rng = np.random.default_rng(8)
+    coefficients = rng.standard_normal(basis.cutoff)
+    count = 40
+    assert 2 * count <= _points_per_block(basis.cutoff)
+    tables = [rng.standard_normal((count, K)) for K in basis.cutoff]
+    own = np.arange(count)
+    got = _contract(coefficients, [(table, own) for table in tables])
+    np.testing.assert_allclose(got, einsum_contract(coefficients, [(t, own) for t in tables]),
+                               rtol=1e-13, atol=1e-13 * float(np.max(np.abs(got))))
+    twice = np.concatenate([own, own])
+    repeated = _contract(coefficients, [(table, twice) for table in tables])
+    assert np.array_equal(repeated, np.concatenate([got, got]))
+    holed = own.copy()
+    holed[1] = 0  # as many rows as the range they span, but not distinct
+    assert np.array_equal(_contract(coefficients, [(table, holed) for table in tables]),
+                          got[holed])
 
 
 @pytest.mark.parametrize("lengths, shape, cutoff", [
