@@ -162,7 +162,6 @@ class SweepRow:
     lam_pow_eps: float
     boundary_sup: float
     core_cells: float
-    clamped_fraction: float
     constants: ConstantEstimates
     u_ring: np.ndarray  # u and v at `SweepConfig.comparison_points`
     v_ring: np.ndarray
@@ -178,27 +177,15 @@ class RescaledSolution:
     v: FreeField
     w: FreeField
     lam: float
-    alpha: float
-    beta: float
-    q: float
-    peak_u: float
 
 
 @dataclass
 class SExtrapolation:
     s_hat: float
-    slope: float
     bound_margins: list[float]
     bound_ok: bool
     e_limit: float
     e_rel_gap: float
-
-
-@dataclass
-class CollarBound:
-    value: float
-    eta_margin: float
-    hypothesis_ok: bool
 
 
 @dataclass
@@ -264,8 +251,7 @@ def rescale_solution(pair: SolutionPair, lam: float, x_c) -> RescaledSolution:
     """Zoom (u, v, w) to (u-tilde, v-tilde, w-tilde) on Omega_eps = lam (Omega - x_c).
 
     The rescaled grid is the exact image of the original nodes, so no
-    resampling occurs (and the null extension outside Omega_eps is vacuous);
-    the reported peak re-runs the quadratic fit on the rescaled nodes.
+    resampling occurs (and the null extension outside Omega_eps is vacuous).
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
@@ -278,20 +264,11 @@ def rescale_solution(pair: SolutionPair, lam: float, x_c) -> RescaledSolution:
 
     u_vals = np.maximum(lam**-alpha * pair.u.values, 0.0)
     v_vals = np.maximum(lam**-beta * pair.v.values, 0.0)
-    u_t = FreeField(lo, hi, u_vals)
-
-    idx = np.unravel_index(int(np.argmax(u_vals)), u_vals.shape)
-    coords = [u_t.coords(a) for a in range(dom.dim)]
-    peak, _ = _quadratic_peak(u_vals, idx, coords)
     return RescaledSolution(
-        u=u_t,
+        u=FreeField(lo, hi, u_vals),
         v=FreeField(lo, hi, v_vals),
         w=FreeField(lo, hi, u_vals**exps.q),
         lam=lam,
-        alpha=alpha,
-        beta=beta,
-        q=exps.q,
-        peak_u=peak,
     )
 
 
@@ -381,12 +358,8 @@ def green_limit_check(u_at: np.ndarray, v_at: np.ndarray, lam: float, kernels: L
     return out
 
 
-def boundary_bound_check(pair: SolutionPair) -> CollarBound:
-    """Sup of u + v over the collar {dist(x, boundary) < COLLAR_FRAC min(L)} of the pair's box.
-
-    The uniform-boundedness statement needs p, q > 1; the eta margin
-    min(p, q) - 1 is reported alongside.
-    """
+def boundary_bound_check(pair: SolutionPair) -> float:
+    """Sup of u + v over the collar {dist(x, boundary) < COLLAR_FRAC min(L)} of the pair's box."""
     grid = pair.u.grid
     dom = grid.domain
     dist = reduce(np.minimum, [
@@ -395,13 +368,7 @@ def boundary_bound_check(pair: SolutionPair) -> CollarBound:
     collar = dist < COLLAR_FRAC * min(dom.lengths)
     if not collar.any():
         raise ValueError("collar contains no grid nodes")
-    total = pair.u.values + pair.v.values
-    eta = min(pair.exponents.p, pair.exponents.q) - 1.0
-    return CollarBound(
-        value=float(np.max(total[collar])),
-        eta_margin=eta,
-        hypothesis_ok=eta > 0.0,
-    )
+    return float(np.max((pair.u.values + pair.v.values)[collar]))
 
 
 def extrapolate_S(
@@ -419,7 +386,7 @@ def extrapolate_S(
         raise ValueError("extrapolation needs at least 3 rows")
     A = np.vstack([np.ones_like(eps_values), eps_values]).T
     coef, *_ = np.linalg.lstsq(A, s_values, rcond=None)
-    s_hat, slope = float(coef[0]), float(coef[1])
+    s_hat = float(coef[0])
     q0 = critical_q(p, n, s)
     margins = []
     for e, th in zip(eps_values, theta_values, strict=True):
@@ -430,7 +397,6 @@ def extrapolate_S(
     e_rel_gap = abs(energy_min - e_limit) / abs(energy_min)
     return SExtrapolation(
         s_hat=s_hat,
-        slope=slope,
         bound_margins=margins,
         bound_ok=all(m >= -1e-12 for m in margins),
         e_limit=e_limit,
@@ -492,9 +458,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 energy=report.energy,
                 lam_dist=lam * dom.boundary_distance(x_c),
                 lam_pow_eps=lam**eps,
-                boundary_sup=boundary_bound_check(pair).value,
+                boundary_sup=boundary_bound_check(pair),
                 core_cells=core_cells,
-                clamped_fraction=report.clamped_fraction_max,
                 constants=measure_constants(pair, lam),
                 u_ring=synthesize_at(report.coefficients[0], points),
                 v_ring=synthesize_at(report.coefficients[1], points),

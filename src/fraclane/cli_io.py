@@ -167,11 +167,14 @@ def _ladder(cfg: RunConfig) -> None:
 def _kernel_box(cfg: RunConfig) -> np.ndarray:
     """The sides L_i - 2 margin of the box kernel pairs are drawn from. Each
     spans at least 2 KERNEL_MIN_SEP, so a drawn pair is far enough apart with
-    probability >= 1/4 and the sampler ends."""
-    if cfg.kernel_margin < 0 or 2 * (cfg.kernel_margin + KERNEL_MIN_SEP) > min(cfg.lengths):
-        raise ValueError(f"kernel_margin must be >= 0 and leave each side L_i - 2 margin of the "
-                         f"sampling box >= {2 * KERNEL_MIN_SEP:g}, got {cfg.kernel_margin:g}")
-    return np.asarray(cfg.lengths) - 2 * cfg.kernel_margin
+    probability >= 1/4 and the sampler ends. The margin must be finite and
+    >= 0: a NaN one makes NaN sides, from which no pair is ever far enough
+    apart."""
+    margin = cfg.kernel_margin
+    if not 0.0 <= margin < math.inf or 2 * (margin + KERNEL_MIN_SEP) > min(cfg.lengths):
+        raise ValueError(f"kernel_margin must be finite, >= 0 and leave each side L_i - 2 margin "
+                         f"of the sampling box >= {2 * KERNEL_MIN_SEP:g}, got {margin:g}")
+    return np.asarray(cfg.lengths) - 2 * margin
 
 
 # What each command builds on its domain, in the order it builds it.

@@ -9,16 +9,17 @@ difference H = free - G. The iterated kernel solves
 Gt(x, y) = int_Omega G(x, z) G^p(z, y) dz with polar-corrected patches
 around both integrable singularities.
 
-The eigenvalue multipliers lambda_k^{+-s} are cached per (basis, exponent),
-like the half sine matrices of `spectral_domain`, and shared by
-`apply_inverse`, `apply_fraclap` and the pointwise kernels. The pointwise
-kernels take batches of point pairs and evaluate G(x, y) with `_contract`,
-the contraction of `synthesize_at`, on each pair's products of sine rows.
+The eigenvalue multipliers lambda_k^{+-s} are cached per (basis, exponent)
+and shared by `apply_inverse`, `apply_fraclap` and the pointwise kernels. The
+pointwise kernels take batches of point pairs and evaluate G(x, y) with
+`_contract`, the contraction of `synthesize_at`, on each pair's products of
+sine rows.
 `g_tilde` takes a batch of points x against one y: the sine rows of y and
 every x come from one table per axis and their ring estimates of the
 regular part from one `regular_part` batch, and the y side is built once per
 call (G(y, .) on its grid, y's patch and polar nodes with the sine tables of
-their distinct coordinates); its default grid is cached per basis.
+their distinct coordinates); its default grid is built per call, and its
+transforms find the half sine matrices cached on each axis' (L, K, m).
 Gauss-Legendre rules, which `hls_limit` uses as well, come from Newton's
 method on the Legendre recurrence; each is built once per order and handed
 out read-only. The kernels read s from their basis. The Serrin split
@@ -242,7 +243,8 @@ class _CellInverse:
         ]
         self._scale = grid.cell_volume * 2.0 ** sum(m % 2 == 0 for m in grid.shape)
         # the odd-k entries of _multipliers(basis, -s), taken by the same
-        # power from the same eigenvalues
+        # power from the same eigenvalues; a slice of the cached table would
+        # hold all of it, 2^n times their memory, through the solve
         self._odd_modes = (slice(None, None, 2),) * basis.domain.dim
         self._mults = np.ascontiguousarray(basis.eigenvalue_grid[self._odd_modes]) ** -s
         modes = [odd.shape[1] for odd in self._odd]
@@ -660,14 +662,9 @@ def _sublattice_spread(weighted_cells: np.ndarray) -> float:
 _PATCH_RULES = ((8, 32), (4, 16))
 
 
-@lru_cache(maxsize=16)
 def _kernel_grid(basis: SpectralBasis) -> Grid:
-    """`g_tilde`'s default grid, 2 K_i nodes per axis, one per basis so that
-    the half sine matrices keyed on it are built once."""
-    grid = build_grid(basis.domain, tuple(2 * K for K in basis.cutoff))
-    for coords in grid.coords:
-        coords.flags.writeable = False
-    return grid
+    """`g_tilde`'s default grid, 2 K_i nodes per axis."""
+    return build_grid(basis.domain, tuple(2 * K for K in basis.cutoff))
 
 
 def _check_iterated_pair(basis: SpectralBasis, x: np.ndarray, y: np.ndarray, p: float,
@@ -741,10 +738,10 @@ def g_tilde(
 
     def patch(index, gamma):
         """The 3^n cells around the nearest node of c = centers[index] as a
-        grid mask, and per rule of `_PATCH_RULES` the polar nodes around c:
-        their weights, the local model max(g_{n,s} - H r^{n-2s}, 0) of G(c, .)
-        on them (H the ring estimate of the regular part at c) and their sine
-        factors."""
+        tuple of slices of the grid, and per rule of `_PATCH_RULES` the polar
+        nodes around c: their weights, the local model
+        max(g_{n,s} - H r^{n-2s}, 0) of G(c, .) on them (H the ring estimate
+        of the regular part at c) and their sine factors."""
         c = centers[index]
         idx = grid.nearest_node(c)
         lo = [max((j - 1) * hh, 0.0) for j, hh in zip(idx, grid.spacing, strict=True)]
@@ -752,9 +749,8 @@ def g_tilde(
             min((j + 2) * hh, L)
             for j, hh, L in zip(idx, grid.spacing, basis.domain.lengths, strict=True)
         ]
-        mask = np.zeros(grid.shape, dtype=bool)
-        mask[tuple(slice(max(j - 1, 0), min(j + 2, m))
-                   for j, m in zip(idx, grid.shape, strict=True))] = True
+        box = tuple(slice(max(j - 1, 0), min(j + 2, m))
+                    for j, m in zip(idx, grid.shape, strict=True))
         h_c = ring_h[index]
         rules = []
         for n_rad, n_ang in _PATCH_RULES:
@@ -762,11 +758,11 @@ def g_tilde(
             r = np.linalg.norm(pts - c[None, :], axis=1)
             rules.append((pts, weights, np.maximum(g_const - h_c * r**lam_pow, 0.0),
                           _sine_factors(basis, pts)))
-        return mask, rules
+        return box, rules
 
     coeff_y = green_coefficients(0)
     gy_pow = np.maximum(synthesize(coeff_y, grid).values, 0.0) ** p
-    mask_y, rules_y = patch(0, lam_pow * p)
+    box_y, rules_y = patch(0, lam_pow * p)
     rules_y = [(pts, weights, local**p, factors) for pts, weights, local, factors in rules_y]
 
     value, bound = np.empty(len(xs)), np.empty(len(xs))
@@ -777,9 +773,9 @@ def g_tilde(
         np.maximum(weighted, 0.0, out=weighted)
         weighted *= grid.cell_volume
         weighted *= gy_pow
-        mask_x, rules_x = patch(i + 1, lam_pow)
-        weighted[mask_y] = 0.0
-        weighted[mask_x] = 0.0
+        box_x, rules_x = patch(i + 1, lam_pow)
+        weighted[box_y] = 0.0
+        weighted[box_x] = 0.0
         fine, coarse = [
             float(np.sum(w_y * (np.maximum(synthesize_at(coeff_x, pts_y, f_y), 0.0) * local_y)))
             + float(np.sum(w_x * (local_x * np.maximum(synthesize_at(coeff_y, pts_x, f_x), 0.0) ** p)))

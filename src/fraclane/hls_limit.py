@@ -51,6 +51,8 @@ class FreeField:
         hi = tuple(float(b) for b in np.atleast_1d(hi))
         if len(lo) != values.ndim or len(hi) != values.ndim:
             raise ValueError("box bounds do not match value dimensionality")
+        if not all(map(math.isfinite, lo + hi)):
+            raise ValueError(f"box bounds must be finite, got {lo}, {hi}")
         if any(b <= a for a, b in zip(lo, hi, strict=True)):
             raise ValueError("box must have positive extent")
         if not np.all(np.isfinite(values)):
@@ -96,8 +98,8 @@ class FreeField:
         return float(self.cell_volume * np.sum(v))
 
     def lp_norm(self, r: float, values=None) -> float:
-        if r < 1.0:
-            raise ValueError(f"norm exponent must be >= 1, got {r}")
+        if not 1.0 <= r < math.inf:
+            raise ValueError(f"norm exponent must be finite and >= 1, got {r}")
         v = self.values if values is None else values
         return float((self.cell_volume * np.sum(np.abs(v) ** r)) ** (1.0 / r))
 
@@ -459,11 +461,11 @@ def sharp_diagonal_quotient(n: int, s: float) -> float:
 
 def check_ladder(box_radii, grid_sizes) -> None:
     """The rule of a `bubble_ladder`: at least one rung, every box radius
-    R > 0 and every grid at least one node per axis."""
+    finite and R > 0, and every grid at least one node per axis."""
     if len(box_radii) == 0:
         raise ValueError("the bubble ladder needs at least one rung")
-    if any(not radius > 0 for radius in box_radii):
-        raise ValueError(f"ladder box radii must be positive, got {tuple(box_radii)}")
+    if not all(0 < radius < math.inf for radius in box_radii):
+        raise ValueError(f"ladder box radii must be positive and finite, got {tuple(box_radii)}")
     if any(m < 1 for m in grid_sizes):
         raise ValueError(f"ladder grids need at least one node per axis, got {tuple(grid_sizes)}")
 

@@ -18,8 +18,8 @@ middle node joins the sums; every even-k sine vanishes there) and contracts
 the sums with the odd-k columns, the differences with the even-k columns.
 `synthesize` runs the same steps backwards. Each axis then costs half the
 flops of the dense contraction, for any m and K. The half matrices are
-cached per (basis, grid), read-only; axes with equal side, cutoff and node
-count share one pair.
+cached per axis on its side, cutoff and node count (L, K, m), read-only, so
+equal axes of any two grids share one pair.
 
 Point evaluation (`synthesize_at`) orders the points by their last
 coordinate and works in blocks: one sine table row per distinct coordinate of
@@ -46,7 +46,7 @@ class ResolutionError(ValueError):
 class BoxDomain:
     """Axis-aligned box prod_i (0, L_i) carrying the fractional order s.
 
-    Requires all L_i > 0, s in (0, 1) and the standing hypothesis n > 2s.
+    Requires every L_i finite and > 0, s in (0, 1) and the standing hypothesis n > 2s.
     """
 
     lengths: tuple[float, ...]
@@ -58,8 +58,8 @@ class BoxDomain:
         object.__setattr__(self, "s", float(self.s))
         if len(lengths) < 1:
             raise ValueError("domain needs at least one dimension")
-        if any(L <= 0 for L in lengths):
-            raise ValueError(f"side lengths must be positive, got {lengths}")
+        if not all(0.0 < L < math.inf for L in lengths):
+            raise ValueError(f"side lengths must be positive and finite, got {lengths}")
         if not 0.0 < self.s < 1.0:
             raise ValueError(f"fractional order s must lie in (0, 1), got {self.s}")
         if not self.dim > 2 * self.s:
@@ -114,6 +114,57 @@ def _angle_scale(L: float) -> tuple[float, float]:
     return s_hi, s_lo + ((math.pi - p) - e + _PI_LO) / L
 
 
+def sine_table(L: float, K: int, coords) -> np.ndarray:
+    """Matrix of the 1-d eigenfunction factors of a side L with cutoff K:
+    S[j, k] = sqrt(2/L) sin((k+1) pi x_j / L), k < K.
+
+    Row j holds the imaginary parts of the powers z^(k+1) of
+    z = exp(i pi x_j / L), built by angle doubling: each pass multiplies
+    the powers found so far by the highest one, so a coordinate costs one
+    cosine and one sine instead of K sines. The angle pi x_j / L is
+    carried to twice the working precision, so the error against the
+    exact sines is the rounding of z and of the products. Against
+    40-digit sines it is 4.5e-14 at K = 256 on the 512 midpoint nodes of
+    a unit side, where np.sin of the rounded angles k pi x_j / L is off
+    by 1.8e-13.
+
+    The powers are built in a (K, P) array, modes on the slow axis, so a
+    doubling pass is one broadcast multiply whose inner loop runs over all
+    P points at NumPy's SIMD complex-multiply speed, and one scaled,
+    transposed copy writes the C-contiguous (P, K) table. Every point
+    takes the same operations, so a coordinate's row is bitwise the same
+    at any position of any batch. A lone coordinate runs as a pair: a
+    one-column product, whose output shares the buffer of its inputs,
+    takes another NumPy loop with other roundings. On one core of a
+    2-vCPU Xeon VM a (341, 64) table takes about 0.1 ms, against about
+    0.2 ms with the points on the slow axis, where each inner loop
+    covered 1 to 32 modes.
+    """
+    coords = np.asarray(coords, dtype=float)
+    if coords.size == 1:
+        return sine_table(L, K, np.repeat(coords, 2))[:1]
+    # the angle as head + rest, exactly up to the rounding of the small
+    # rest: a 26-bit split of x makes scale_hi * x_hi exact
+    scale_hi, scale_lo = _angle_scale(L)
+    x_hi, x_lo = _split(coords)
+    head = scale_hi * x_hi
+    rest = scale_hi * x_lo + scale_lo * coords
+    angle = head + rest
+    angle_lo = rest - (angle - head)
+    cos, sin = np.cos(angle), np.sin(angle)
+    powers = np.empty((K, coords.size), dtype=complex)
+    powers[0].real = cos - angle_lo * sin
+    powers[0].imag = sin + angle_lo * cos
+    done = 1
+    while done < K:
+        step = min(done, K - done)
+        np.multiply(powers[:step], powers[done - 1], out=powers[done : done + step])
+        done += step
+    table = np.empty((coords.size, K))
+    np.multiply(powers.imag.T, math.sqrt(2.0 / L), out=table)
+    return table
+
+
 class SpectralBasis:
     """All Dirichlet eigenpairs of a box with k_i <= K_i, eigenvalues closed form.
 
@@ -132,7 +183,6 @@ class SpectralBasis:
         _check_cutoff(cutoff)
         self.domain = domain
         self.cutoff = cutoff
-        self._angle_scales = tuple(_angle_scale(L) for L in domain.lengths)
 
         lam1d = [
             (np.arange(1, K + 1) * math.pi / L) ** 2
@@ -142,55 +192,8 @@ class SpectralBasis:
         self.eigenvalue_grid = np.add.reduce(grids)
 
     def sine_samples(self, axis: int, coords) -> np.ndarray:
-        """Matrix of 1-d eigenfunction factors: S[j, k] = sqrt(2/L) sin((k+1) pi x_j / L).
-
-        Row j holds the imaginary parts of the powers z^(k+1) of
-        z = exp(i pi x_j / L), built by angle doubling: each pass multiplies
-        the powers found so far by the highest one, so a coordinate costs one
-        cosine and one sine instead of K sines. The angle pi x_j / L is
-        carried to twice the working precision, so the error against the
-        exact sines is the rounding of z and of the products. Against
-        40-digit sines it is 4.5e-14 at K = 256 on the 512 midpoint nodes of
-        a unit side, where np.sin of the rounded angles k pi x_j / L is off
-        by 1.8e-13.
-
-        The powers are built in a (K, P) array, modes on the slow axis, so a
-        doubling pass is one broadcast multiply whose inner loop runs over all
-        P points at NumPy's SIMD complex-multiply speed, and one scaled,
-        transposed copy writes the C-contiguous (P, K) table. Every point
-        takes the same operations, so a coordinate's row is bitwise the same
-        at any position of any batch. A lone coordinate runs as a pair: a
-        one-column product, whose output shares the buffer of its inputs,
-        takes another NumPy loop with other roundings. On one core of a
-        2-vCPU Xeon VM a (341, 64) table takes about 0.1 ms, against about
-        0.2 ms with the points on the slow axis, where each inner loop
-        covered 1 to 32 modes.
-        """
-        coords = np.asarray(coords, dtype=float)
-        if coords.size == 1:
-            return self.sine_samples(axis, np.repeat(coords, 2))[:1]
-        L = self.domain.lengths[axis]
-        K = self.cutoff[axis]
-        # the angle as head + rest, exactly up to the rounding of the small
-        # rest: a 26-bit split of x makes scale_hi * x_hi exact
-        scale_hi, scale_lo = self._angle_scales[axis]
-        x_hi, x_lo = _split(coords)
-        head = scale_hi * x_hi
-        rest = scale_hi * x_lo + scale_lo * coords
-        angle = head + rest
-        angle_lo = rest - (angle - head)
-        cos, sin = np.cos(angle), np.sin(angle)
-        powers = np.empty((K, coords.size), dtype=complex)
-        powers[0].real = cos - angle_lo * sin
-        powers[0].imag = sin + angle_lo * cos
-        done = 1
-        while done < K:
-            step = min(done, K - done)
-            np.multiply(powers[:step], powers[done - 1], out=powers[done : done + step])
-            done += step
-        table = np.empty((coords.size, K))
-        np.multiply(powers.imag.T, math.sqrt(2.0 / L), out=table)
-        return table
+        """`sine_table` of the side and cutoff of `axis` at `coords`."""
+        return sine_table(self.domain.lengths[axis], self.cutoff[axis], coords)
 
 
 class Grid:
@@ -276,23 +279,22 @@ def build_grid(domain: BoxDomain, shape) -> Grid:
 
 
 @lru_cache(maxsize=128)
+def _half_pair(L: float, K: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The odd-k and even-k columns (1-based k) of the sine matrix of a side
+    L with cutoff K on its m midpoint nodes, sampled on the first ceil(m/2)
+    nodes and the first m//2 nodes; read-only, one pair per (L, K, m)."""
+    sines = sine_table(L, K, (np.arange((m + 1) // 2) + 0.5) * (L / m))  # `Grid`'s nodes
+    odd = np.ascontiguousarray(sines[:, 0::2])
+    even = np.ascontiguousarray(sines[: m // 2, 1::2])
+    odd.flags.writeable = False
+    even.flags.writeable = False
+    return odd, even
+
+
 def _half_matrices(basis: SpectralBasis, grid: Grid) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per axis, the odd-k and even-k columns (1-based k) of the sine matrix,
-    sampled on the first ceil(m/2) nodes and the first m//2 nodes; read-only.
-    Axes with the same side, cutoff and node count share one pair of arrays."""
-    by_axis = {}
-    for axis, m in enumerate(grid.shape):
-        key = (basis.domain.lengths[axis], basis.cutoff[axis], m)
-        if key in by_axis:
-            continue
-        sines = basis.sine_samples(axis, grid.coords[axis][: (m + 1) // 2])
-        odd = np.ascontiguousarray(sines[:, 0::2])
-        even = np.ascontiguousarray(sines[: m // 2, 1::2])
-        odd.flags.writeable = False
-        even.flags.writeable = False
-        by_axis[key] = (odd, even)
-    return tuple(by_axis[(L, K, m)] for L, K, m in
-                 zip(basis.domain.lengths, basis.cutoff, grid.shape, strict=True))
+    """Per axis, the `_half_pair` of its side, cutoff and node count: axes of
+    any two grids with equal (L, K, m) share one pair of arrays."""
+    return tuple(map(_half_pair, basis.domain.lengths, basis.cutoff, grid.shape))
 
 
 def _check_cutoff(cutoff: tuple[int, ...]) -> None:

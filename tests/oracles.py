@@ -46,13 +46,17 @@ def exact_sine_samples(L, K, coords, digits=40):
     return out
 
 
-def np_sin_sine_samples(basis, axis, coords):
-    """`SpectralBasis.sine_samples` as np.sin of the rounded angles k pi x / L
-    (the signature of the method, so a test can put it in its place)."""
+def np_sin_sine_table(L, K, coords):
+    """`spectral_domain.sine_table` as np.sin of the rounded angles k pi x / L
+    (the signature of the function, so a test can put it in its place)."""
     coords = np.asarray(coords, dtype=float)
-    L = basis.domain.lengths[axis]
-    karr = np.arange(1, basis.cutoff[axis] + 1)
+    karr = np.arange(1, K + 1)
     return math.sqrt(2.0 / L) * np.sin(np.pi / L * coords[:, None] * karr[None, :])
+
+
+def np_sin_sine_samples(basis, axis, coords):
+    """`SpectralBasis.sine_samples` on `np_sin_sine_table`."""
+    return np_sin_sine_table(basis.domain.lengths[axis], basis.cutoff[axis], coords)
 
 
 def einsum_contract(coefficients, factors):

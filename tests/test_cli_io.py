@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import inspect
 import io
+import itertools
 import json
 import math
 import os
@@ -611,6 +612,42 @@ def test_bad_config_names_violated_rule(text, rule):
         cli_io.parse_config(text)
 
 
+# The commands that read each float key of a config; a float key missing here
+# fails the collection of the test below.
+_FLOAT_KEY_READERS = {
+    "lengths": ("solve", "sweep", "kernels"), "s": ("solve", "sweep", "hls", "kernels"),
+    "p": ("solve", "sweep", "hls"), "eps": ("solve",), "eps_schedule": ("sweep",),
+    "theta_tol": ("solve", "sweep"), "residual_tol": ("solve", "sweep"),
+    "hls_box_list": ("hls",), "kernel_margin": ("kernels",),
+}
+
+
+def _non_finite_cases():
+    """(command, key, value) with one float key, or one entry of a tuple key,
+    at its default but NaN or +-inf."""
+    cases = []
+    for f in dataclasses.fields(cli_io.RunConfig):
+        entries = f.default if isinstance(f.default, tuple) else (f.default,)
+        if not isinstance(entries[0], float):
+            continue
+        for command in _FLOAT_KEY_READERS[f.name]:
+            for bad, i in itertools.product(("nan", "inf", "-inf"), range(len(entries))):
+                raw = ",".join(bad if j == i else repr(e) for j, e in enumerate(entries))
+                cases.append((command, f.name, raw))
+    return cases
+
+
+@pytest.mark.parametrize("command,key,raw", _non_finite_cases())
+def test_non_finite_config_values_are_refused(command, key, raw):
+    # the tolerances take inf as "no bound"
+    text = f"{key} = {raw}\n"
+    if key in ("theta_tol", "residual_tol") and raw == "inf":
+        assert getattr(cli_io.parse_config(text, command), key) == math.inf
+        return
+    with pytest.raises(cli_io.ConfigError):
+        cli_io.parse_config(text, command)
+
+
 def test_kernel_margin_at_its_limit_is_accepted():
     # sides of 1 - 2 * 0.4 = 0.2 = 2 KERNEL_MIN_SEP: each drawn pair still succeeds w.p. >= 1/4
     assert cli_io.parse_config("command = kernels\nkernel_margin = 0.4\n").kernel_margin == 0.4
@@ -618,8 +655,10 @@ def test_kernel_margin_at_its_limit_is_accepted():
 
 # Rejected at parse time, before anything runs. Without these rules each one
 # ran: hls_p_above_diagonal to its end, hls_no_rung into an IndexError (exit
-# 1), a tolerance <= 0 through max_iter iterations to exit 3, and the rest into
-# an error of the run (exit 3).
+# 1), a tolerance <= 0 through max_iter iterations to exit 3, a NaN
+# kernel_margin into a pair sampler that never ended, and the rest into an
+# error of the run (exit 3), the non-finite sides and radii after a NumPy
+# RuntimeWarning.
 NEWLY_REJECTED = [
     ("schedule_not_decreasing", "sweep", _SWEEP.replace("0.06,0.04", "0.04,0.06"),
      r"strictly decreasing"),
@@ -639,6 +678,13 @@ NEWLY_REJECTED = [
     ("solve_residual_tol_zero", "solve", "residual_tol = 0\n", r"residual_tol must be > 0"),
     ("sweep_max_iter_zero", "sweep", _SWEEP + "max_iter = 0\n", r"max_iter must be >= 1"),
     ("sweep_theta_tol_negative", "sweep", _SWEEP + "theta_tol = -1\n", r"theta_tol must be > 0"),
+    ("solve_length_inf", "solve", "lengths = inf,1\n", r"lengths must be positive and finite"),
+    ("sweep_length_nan", "sweep", _SWEEP + "lengths = 1,nan\n",
+     r"lengths must be positive and finite"),
+    ("hls_radius_inf", "hls", "hls_box_list = 8,inf\nhls_grid_list = 64,104\n",
+     r"box radii must be positive and finite"),
+    ("kernel_margin_nan", "kernels", "cutoff = 4,4\ngrid = 8,8\nkernel_margin = nan\n",
+     r"kernel_margin must be finite"),
 ]
 
 

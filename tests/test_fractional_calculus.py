@@ -12,7 +12,7 @@ from oracles import (
     eigenvalues,
     einsum_contract,
     green_direct,
-    np_sin_sine_samples,
+    np_sin_sine_table,
     rescaled_green,
 )
 from scipy import integrate
@@ -27,7 +27,7 @@ from fraclane.fractional_calculus import (
 )
 from fraclane.spectral_domain import (
     SpectralField,
-    _half_matrices,
+    _half_pair,
     _points_per_block,
     synthesize,
     synthesize_at,
@@ -362,12 +362,13 @@ def test_regime_boundary_is_decided_once():
 
 
 def test_g_tilde_default_grid_shares_transform_matrices():
-    # the default grid is one object per basis, so its sine matrices are
-    # built by the first call and found by every later one
+    # the default grid is built per call, and its sine matrices are cached on
+    # each axis' (L, K, m): both axes of the square share one pair, built by
+    # the first call at most and found by every later one
     dom, basis, grid = setup_square(K=8, m=16)
-    misses = _half_matrices.cache_info().misses
+    misses = _half_pair.cache_info().misses
     values = [fl.g_tilde((0.3, 0.3), (0.7, 0.6), 1.0, basis).value for _ in range(3)]
-    assert _half_matrices.cache_info().misses - misses <= 1
+    assert _half_pair.cache_info().misses - misses <= 1
     assert values[0] == values[1] == values[2]
 
 
@@ -534,13 +535,14 @@ def test_g_tilde_batch_is_the_per_point_loop(lengths, cutoff, p):
 ], ids=["3d_p1", "2d_p1.5"])
 def test_g_tilde_matches_the_per_point_einsum_path(monkeypatch, lengths, cutoff, p):
     # the whole kernel again on np.sin sines, per-point factors and einsum
-    # contractions; each side has a basis of its own, so no cached sine
-    # matrix crosses over
+    # contractions; the reference builds its half sine matrices past their
+    # cache, so no cached sine matrix crosses over
     dom = fl.BoxDomain(lengths, 0.5)
     xs, y = ring_batch(lengths, count=2)
     got = fl.g_tilde(xs, y, p, fl.build_basis(dom, cutoff))
     with monkeypatch.context() as patch:
-        patch.setattr(fl.SpectralBasis, "sine_samples", np_sin_sine_samples)
+        patch.setattr(sd, "sine_table", np_sin_sine_table)
+        patch.setattr(sd, "_half_pair", sd._half_pair.__wrapped__)
         patch.setattr(fc, "_contract", einsum_contract)
         patch.setattr(sd, "_contract", einsum_contract)
         ref = fl.g_tilde(xs, y, p, fl.build_basis(dom, cutoff))

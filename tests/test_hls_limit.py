@@ -30,9 +30,16 @@ def test_free_field_validation():
         hl.FreeField((-1.0,), (1.0,), -np.ones(8))
     with pytest.raises(ValueError):
         hl.FreeField((-1.0, -1.0), (1.0,), np.ones((4, 4)))
+    for lo, hi in [((-math.inf,), (1.0,)), ((-1.0,), (math.inf,)), ((math.nan,), (1.0,))]:
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            hl.FreeField(lo, hi, np.ones(8))
     f = hl.FreeField.centered(2.0, np.ones((4, 4)))
     assert f.cell_volume == pytest.approx(1.0)
     assert f.integral() == pytest.approx(16.0)
+    # the orders spectral_domain.lp_norm refuses
+    for r in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            f.lp_norm(r)
 
 
 def test_sphere_area():
@@ -213,10 +220,13 @@ def test_hls_quotient_reads_n_from_its_field():
     ((8.0, 0.0), (64, 104), "box radii must be positive"),
     ((8.0, -13.0), (64, 104), "box radii must be positive"),
     ((8.0, 13.0), (64, 0), "at least one node per axis"),
+    ((8.0, math.inf), (64, 104), "box radii must be positive and finite"),
+    ((math.nan, 13.0), (64, 104), "box radii must be positive and finite"),
 ])
 def test_bubble_ladder_refuses_a_bad_rung(radii, grids, match, monkeypatch):
-    # an empty ladder returned no quotient, and a rung of radius <= 0 or no
-    # nodes failed inside FreeField after the rungs before it had run
+    # an empty ladder returned no quotient, a rung of radius <= 0 or no nodes
+    # failed inside FreeField after the rungs before it had run, and an
+    # infinite radius made NaN nodes
     monkeypatch.setattr(hl, "hls_quotient", lambda *args: pytest.fail("a rung ran"))
     with pytest.raises(ValueError, match=match):
         hl.bubble_ladder(2, 0.5, radii, grids)

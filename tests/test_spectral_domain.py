@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 import fraclane as fl
 from fraclane.fractional_calculus import _polar_nodes
-from fraclane.spectral_domain import _contract, _points_per_block, _sine_factors
+from fraclane.spectral_domain import _contract, _half_matrices, _points_per_block, _sine_factors
 
 
 def unit_square(s=0.5):
@@ -31,6 +31,9 @@ def mode_field(basis, grid, k, amplitude=1.0):
 def test_domain_validation():
     with pytest.raises(ValueError):
         fl.BoxDomain((1.0, -1.0), 0.5)
+    for side in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            fl.BoxDomain((side, 1.0), 0.5)
     with pytest.raises(ValueError):
         fl.BoxDomain((1.0,), 0.6)  # n > 2s fails
     with pytest.raises(ValueError):
@@ -330,6 +333,28 @@ def test_folded_transforms_match_dense(cutoff, shape):
         got = fl.analyze(fl.GridFunction(grid, values), basis).coefficients
         ref = dense_transform_oracle(values, basis, grid)
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+
+def test_half_matrices_are_shared_by_side_cutoff_and_node_count():
+    # a fresh basis and grid on an equal box find the pairs of the first ones,
+    # and the axes of another box with equal (L, K, m) share them too (s plays
+    # no part); each pair holds the folded halves of the grid's sine table,
+    # read-only
+    dom = fl.BoxDomain((1.0, 0.7), 0.3)
+    basis, grid = fl.build_basis(dom, (8, 6)), fl.build_grid(dom, (17, 12))
+    first = _half_matrices(basis, grid)
+    again = _half_matrices(fl.build_basis(fl.BoxDomain((1.0, 0.7), 0.3), (8, 6)),
+                           fl.build_grid(dom, (17, 12)))
+    other = fl.BoxDomain((1.3, 1.0, 0.7), 0.5)
+    shared = _half_matrices(fl.build_basis(other, (5, 8, 6)), fl.build_grid(other, (10, 17, 12)))
+    for pair, pair_again, pair_shared in zip(first, again, shared[1:], strict=True):
+        assert all(a is b is c for a, b, c in zip(pair, pair_again, pair_shared, strict=True))
+    for axis, (odd, even) in enumerate(first):
+        m = grid.shape[axis]
+        sines = basis.sine_samples(axis, grid.coords[axis])
+        assert np.array_equal(odd, sines[: (m + 1) // 2, 0::2])
+        assert np.array_equal(even, sines[: m // 2, 1::2])
+        assert not odd.flags.writeable and not even.flags.writeable
 
 
 def test_parseval():
