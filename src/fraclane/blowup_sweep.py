@@ -416,7 +416,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     A failed solve (`ConvergenceError`, or a `ValueError` the solver raises)
     ends the sweep (later rows depend on the warm start); its message is
     `SweepResult.failed`, and the rows before it stand. Any other exception
-    is a fault and propagates. Only the last row's pair is held past its row."""
+    is a fault and propagates. Only the last row's pair is held past its row,
+    and only until it is rescaled: the decay report runs without it."""
     dom = config.domain
     n, s = dom.dim, dom.s
     basis = build_basis(dom, config.cutoff)
@@ -486,6 +487,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         row.max_green_dev = max(devs) if devs else None
 
     rescaled = rescale_solution(pair, last.lam, x0)
+    del pair
 
     extrapolation = None
     if len(rows) >= 3:

@@ -39,7 +39,15 @@ exact, so the analysis is bitwise `analyze`'s contraction of the fold
 head + tail, with no fold pass. With the odd-k half of the multipliers and a
 contiguous synthesis chain, its result is bitwise the cell of
 `apply_inverse`, and its coefficients are bitwise `analyze` of the full
-field.
+field. Its node weights are the scalar 2^n when every m_i is even and the
+multiplicity array otherwise.
+
+`_CellInverse` and `_GridInverse` are the solver's two node sets, with one
+interface: `__call__(values, out)` is (-Delta)^{-s} on the nodes, `weights`
+counts the grid nodes each node stands for, `extend` maps node values onto
+the full grid and `coefficients` is `analyze` of that field. `_GridInverse`
+is the full grid itself, through `apply_inverse`, for a start without the
+mirror symmetry.
 
 Eigen-sum truncation is never silently dropped: every kernel sample carries
 a tail estimate extrapolated from the decay of the outer mode shells
@@ -51,7 +59,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -185,7 +192,7 @@ def apply_inverse(f: GridFunction, s: float, basis: SpectralBasis) -> GridFuncti
 
     Linear by construction; positivity of the exact operator can surface as a
     small negative ringing on the truncation, which the solver clamps with
-    `_clamp_in_place` before taking fractional powers.
+    `lane_emden._clamp_in_place` before taking fractional powers.
     """
     _check_order(s)
     field = analyze(f, basis)
@@ -220,9 +227,12 @@ class _CellInverse:
     `coefficients` is the same analysis with its even-k modes zero: bitwise
     `analyze` of the full field. `weights` counts the grid nodes each cell
     node stands for (2 per axis, 1 on the middle plane of an odd m), so a
-    weighted sum over the cell is the sum over the full grid; `extend`
-    mirrors a cell back onto the full grid. The matrices, multipliers,
-    weights, work arrays and their views are built once."""
+    weighted sum over the cell is the sum over the full grid. When every m_i
+    is even that count is the scalar 2^n, and scaling a sum by a power of two
+    is exact; otherwise it is an array of the cell's shape. `extend` mirrors
+    a cell back onto the full grid. The matrices, multipliers, weights, work
+    arrays and their views are built once. `_GridInverse` is the same
+    interface on every node of the grid."""
 
     def __init__(self, basis: SpectralBasis, grid: Grid, s: float):
         _check_order(s)
@@ -234,7 +244,8 @@ class _CellInverse:
         cell = [(m + 1) // 2 for m in grid.shape]
         multiplicity = [np.where(np.arange(c) < h, 2.0, 1.0)
                         for c, h in zip(cell, self._halves, strict=True)]
-        self.weights = reduce(np.multiply.outer, multiplicity)
+        odd_m = any(m % 2 for m in grid.shape)
+        self.weights = reduce(np.multiply.outer, multiplicity) if odd_m else 2.0**grid.domain.dim
         self._odd = [odd for odd, _ in _half_matrices(basis, grid)]
         weighted = {}  # one analysis matrix per distinct odd-m axis
         self._analysis = [
@@ -314,8 +325,8 @@ class _CellInverse:
         written into `out` (C-contiguous, the cell's shape) and returned.
 
         A non-finite node makes NaN or infinite entries, without the warning
-        a product with it would give: the clamp's minimum and the norm sums
-        refuse them (`_check_finite`)."""
+        a product with it would give: the solver's clamp and norm sums
+        refuse them (`lane_emden._check_finite`)."""
         with np.errstate(invalid="ignore"):
             coeff = self._analyze(values)
             coeff *= self._scale
@@ -325,6 +336,29 @@ class _CellInverse:
             before, synthesis = self._last
             np.matmul(before, synthesis, out=out.reshape(len(before), -1))
         return out
+
+
+class _GridInverse:
+    """`_CellInverse`'s interface on every node of the grid, for fields
+    without the mirror symmetry: a call is `apply_inverse`, each node stands
+    for itself (`weights` 1), `extend` is the identity and `coefficients` is
+    `analyze`."""
+
+    weights = 1.0
+
+    def __init__(self, basis: SpectralBasis, grid: Grid, s: float):
+        self._basis, self._grid, self._s = basis, grid, s
+
+    def __call__(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """(-Delta)^{-s} of `values` on the grid, in a new array: `out` is not
+        written."""
+        return apply_inverse(GridFunction(self._grid, values), self._s, self._basis).values
+
+    def extend(self, values: np.ndarray) -> np.ndarray:
+        return values
+
+    def coefficients(self, values: np.ndarray) -> SpectralField:
+        return analyze(GridFunction(self._grid, values), self._basis)
 
 
 def operator_algebra_residuals(
@@ -347,43 +381,6 @@ def operator_algebra_residuals(
         semi = float(np.max(np.abs(two.values - one.values))) / float(np.max(np.abs(one.values)))
         worst_semi = max(worst_semi, semi)
     return worst_inv, worst_semi
-
-
-_CLAMP_WARN_FRACTION = 1e-8  # clamped L1 mass fraction above which a clamp warns
-
-
-def _check_finite(total: float) -> float:
-    """`total`, a minimum or a sum of nonnegative products over node values,
-    refused as a `GridFunction` refuses non-finite values unless it is
-    finite: a NaN node makes either NaN, a -inf node the minimum -inf, and a
-    +inf node or an overflow the sum +inf."""
-    if not math.isfinite(total):
-        raise ValueError("grid function carries non-finite values")
-    return total
-
-
-def _clamp_in_place(values: np.ndarray, weights, context: str) -> float:
-    """Zero out the negative ringing of `values` in place, each node's mass
-    counted `weights` times (a scalar, or the multiplicities of a fundamental
-    cell), and return the removed L1 mass fraction. Warns, for the caller's
-    caller, when that fraction exceeds `_CLAMP_WARN_FRACTION`: the exact
-    inverse is positivity-preserving, so larger clamps indicate an
-    under-resolved field. The minimum it takes is checked by
-    `_check_finite`, so a NaN or -inf node raises."""
-    if not _check_finite(float(values.min())) < 0.0:
-        return 0.0
-    neg = values < 0.0
-    mass = np.abs(values) * weights
-    total = float(np.sum(mass))
-    fraction = float(np.sum(mass[neg])) / total if total > 0 else 0.0
-    if fraction > _CLAMP_WARN_FRACTION:
-        warnings.warn(
-            f"clamped {fraction:.3e} of L1 mass to restore positivity"
-            + (f" ({context})" if context else ""),
-            stacklevel=3,
-        )
-    values[neg] = 0.0
-    return fraction
 
 
 def resolvability_threshold(basis: SpectralBasis) -> float:

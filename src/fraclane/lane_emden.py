@@ -29,32 +29,37 @@ residual and the clamped fraction agree to rounding and the iteration path
 is the same. The rescaling, the final v, the residual check and the
 eigen-coefficients of u and v come from the same cell, and u, v, w are
 mirrored back once, at the end. Any other start runs the same loop and the
-same post-processing on the full grid.
+same post-processing on every node, through `_GridInverse`. The two are
+node sets with one interface (see `fractional_calculus`), and `_iterate` and
+`_solution` read nothing else of them; `_CellInverse` decides its own
+weights.
 
 Each iteration reads each array as few times as it can. Every norm is one
 dot product of two fields the loop already holds (`_weighted_sum`). No pass
 scans for non-finite values: the minimum each clamp takes and each norm sum
 are checked instead, and a NaN or infinite node, an overflowing power
 included, makes one of them non-finite. The sup residual is formed only once
-Theta has settled, and on the last allowed iteration. `solve_checks` holds
-the solve command's checks, the solver's own budgets among them.
+Theta has settled, and on the last allowed iteration. The clamp policy lives
+here: `_clamp_in_place`, its warn level `_CLAMP_WARN_FRACTION`, the hard
+budget `_POSITIVITY_BUDGET` and `_check_finite`. A solve that clamps more
+than the budget is refused with its grid and cutoff named, since a finer grid
+resolves under-resolution ringing. `solve_checks` holds the solve command's
+checks, the solver's own budgets among them.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fractional_calculus import (
     THRESHOLD_TOL,
-    _CLAMP_WARN_FRACTION,
     Check,
     _CellInverse,
-    _check_finite,
-    _clamp_in_place,
+    _GridInverse,
     _multipliers,
     apply_inverse,
 )
@@ -63,7 +68,6 @@ from .spectral_domain import (
     GridFunction,
     SpectralBasis,
     SpectralField,
-    analyze,
     integrate,
     lp_norm,
     synthesize,
@@ -229,8 +233,10 @@ def symmetry_classes(f: GridFunction) -> dict:
 
 
 # The Theta decrease a step may show before the solver aborts, in units of
-# max(1, Theta), and the largest L1 mass fraction the clamps may remove.
+# max(1, Theta), the clamped L1 mass fraction above which a clamp warns, and
+# the largest one the clamps may remove.
 _ASCENT_SLACK = 1e-12
+_CLAMP_WARN_FRACTION = 1e-8
 _POSITIVITY_BUDGET = 1e-4
 _POSITIVITY_NOTE = (f"warn level {_CLAMP_WARN_FRACTION:.0e}; "
                     f"hard budget {_POSITIVITY_BUDGET:.0e}").replace("e-0", "e-")
@@ -258,6 +264,40 @@ def ascent_budget(theta_prev):
     return _ASCENT_SLACK * np.maximum(1.0, theta_prev)
 
 
+def _check_finite(total: float) -> float:
+    """`total`, a minimum or a sum of nonnegative products over node values,
+    refused as a `GridFunction` refuses non-finite values unless it is
+    finite: a NaN node makes either NaN, a -inf node the minimum -inf, and a
+    +inf node or an overflow the sum +inf."""
+    if not math.isfinite(total):
+        raise ValueError("grid function carries non-finite values")
+    return total
+
+
+def _clamp_in_place(values: np.ndarray, weights, context: str) -> float:
+    """Zero out the negative ringing of `values` in place, each node's mass
+    counted `weights` times (a node set's `weights`), and return the removed
+    L1 mass fraction. Warns, for the caller's caller, when that fraction
+    exceeds `_CLAMP_WARN_FRACTION`: the exact inverse is
+    positivity-preserving, so larger clamps indicate an under-resolved field.
+    The minimum it takes is checked by `_check_finite`, so a NaN or -inf node
+    raises."""
+    if not _check_finite(float(values.min())) < 0.0:
+        return 0.0
+    neg = values < 0.0
+    mass = np.abs(values) * weights
+    total = float(np.sum(mass))
+    fraction = float(np.sum(mass[neg])) / total if total > 0 else 0.0
+    if fraction > _CLAMP_WARN_FRACTION:
+        warnings.warn(
+            f"clamped {fraction:.3e} of L1 mass to restore positivity"
+            + (f" ({context})" if context else ""),
+            stacklevel=3,
+        )
+    values[neg] = 0.0
+    return fraction
+
+
 def _weighted_sum(a: np.ndarray, b: np.ndarray, weights, work: np.ndarray) -> float:
     """sum(a * b * weights) as one dot product of the raveled arrays, checked
     finite. Scalar weights scale the sum, not each product: for a power of
@@ -271,8 +311,7 @@ def _weighted_sum(a: np.ndarray, b: np.ndarray, weights, work: np.ndarray) -> fl
 
 def _iterate(
     w: np.ndarray,
-    inverse,
-    weights,
+    nodes: _CellInverse | _GridInverse,
     exponents: ExponentPair,
     cell: float,
     theta_tol: float,
@@ -281,15 +320,12 @@ def _iterate(
 ) -> tuple[np.ndarray, float, list[float], int, float, float]:
     """The fixed-point loop of `solve_ground_state` from a normalized w.
 
-    `w` holds the nodes the loop runs on, `inverse(values, out)` returns
+    `w` holds the values on `nodes`, a node set: `nodes(values, out)` returns
     (-Delta)^{-s} of such values, written into `out` or into a new array, and
-    `weights` counts the grid nodes each node stands for, so every norm and
-    clamp fraction is the full grid's. On the full grid that is
-    `apply_inverse` and 1. On a fundamental cell it is a `_CellInverse` and
-    its `weights`, or the scalar 2^n when every m_i is even (each node then
-    stands for 2^n, and scaling a sum by a power of two is exact): every
-    inverse, power and clamp is bitwise the full loop's, and only the
-    summation order of the norms differs.
+    `nodes.weights` counts the grid nodes each node stands for, so every norm
+    and clamp fraction is the full grid's, with `cell` the volume of one grid
+    cell. On a fundamental cell every inverse, power and clamp is bitwise the
+    full loop's, and only the summation order of the norms differs.
 
     Returns (w, theta, theta_history, iterations, residual, clamp_max). The
     loop writes into `w`; its other work arrays are allocated once, and the
@@ -310,6 +346,7 @@ def _iterate(
     """
     p, q = exponents.p, exponents.q
     qnorm = (q + 1.0) / q
+    weights = nodes.weights
     w_root = w ** (1.0 / q)
     v, v_pow, t, work = (np.empty_like(w) for _ in range(4))
 
@@ -318,10 +355,10 @@ def _iterate(
     theta_prev = None
     residual = math.inf
     for it in range(1, max_iter + 1):
-        v = inverse(w, v)
+        v = nodes(w, v)
         c1 = _clamp_in_place(v, weights, "inner inverse")
         np.power(v, p, out=v_pow)
-        t = inverse(v_pow, t)
+        t = nodes(v_pow, t)
         c2 = _clamp_in_place(t, weights, "outer inverse")
         clamp_max = max(clamp_max, c1, c2)
 
@@ -365,61 +402,17 @@ def _iterate(
     )
 
 
-@dataclass(frozen=True)
-class _Nodes:
-    """The nodes the solver runs on: `inverse(values, out)` is (-Delta)^{-s}
-    of values on them (written into `out` or a new array), `weights` counts
-    the grid nodes each stands for, `extend` maps node values onto the full
-    grid and `coefficients` gives the eigen-coefficients of node values,
-    bitwise `analyze` of their full-grid field."""
-
-    inverse: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    weights: float | np.ndarray
-    extend: Callable[[np.ndarray], np.ndarray]
-    coefficients: Callable[[np.ndarray], SpectralField]
-
-
-def _fixed_point(
-    w: np.ndarray,
-    exponents: ExponentPair,
-    basis: SpectralBasis,
-    grid: Grid,
-    theta_tol: float,
-    residual_tol: float,
-    max_iter: int,
-) -> tuple[_Nodes, tuple[np.ndarray, float, list[float], int, float, float]]:
-    """`_iterate` from the normalized w on the full grid: on its fundamental
-    cell if w is bitwise mirror-symmetric, else on every node. Returns the
-    nodes it ran on and what `_iterate` returns, with w on those nodes; the
-    loop's work arrays die with this frame, and the caller post-processes on
-    the same nodes."""
-    s = exponents.s
-    cell = _CellInverse.cell_of(w)
-    if cell is None:
-        def inverse(values, out):
-            return apply_inverse(GridFunction(grid, values), s, basis).values
-
-        def coefficients(values):
-            return analyze(GridFunction(grid, values), basis)
-
-        nodes = _Nodes(inverse, 1.0, np.asarray, coefficients)
-    else:
-        inverse = _CellInverse(basis, grid, s)
-        weights = inverse.weights if any(m % 2 for m in grid.shape) else 2.0**grid.domain.dim
-        nodes, w = _Nodes(inverse, weights, inverse.extend, inverse.coefficients), cell
-    return nodes, _iterate(w, nodes.inverse, nodes.weights, exponents, grid.cell_volume,
-                           theta_tol, residual_tol, max_iter)
-
-
-def _clamped_inverse(values: np.ndarray, nodes: _Nodes, context: str) -> np.ndarray:
+def _clamped_inverse(values: np.ndarray, nodes: _CellInverse | _GridInverse,
+                     context: str) -> np.ndarray:
     """(-Delta)^{-s} of node values, its negative ringing clamped and warned
     about by `_clamp_in_place`, which refuses a NaN or -inf result."""
-    out = nodes.inverse(values, np.empty_like(values))
+    out = nodes(values, np.empty_like(values))
     _clamp_in_place(out, nodes.weights, context)
     return out
 
 
-def _solution(w: np.ndarray, theta: float, nodes: _Nodes, exponents: ExponentPair,
+def _solution(w: np.ndarray, theta: float, nodes: _CellInverse | _GridInverse,
+              exponents: ExponentPair,
               grid: Grid) -> tuple[SolutionPair, float, tuple[SpectralField, SpectralField]]:
     """Scale the loop's normalized maximizer w (on `nodes`, overwritten) by
     Theta^{-q(p+1)/(pq-1)} into a solution of the integral equation, read off
@@ -468,8 +461,6 @@ def solve_ground_state(
         raise ValueError(f"exponents of (n, s) = {exponents.n, exponents.s} do not belong to the "
                          f"basis's box, (n, s) = {basis.domain.dim, basis.domain.s}")
     check_stopping_rule(theta_tol, residual_tol, max_iter)
-    p, q = exponents.p, exponents.q
-    qnorm = (q + 1.0) / q
 
     if init is None:
         w = _first_eigenfunction(basis, grid)
@@ -481,21 +472,29 @@ def solve_ground_state(
         if init.min() < 0 or init.max() <= 0:
             raise ValueError("init must be nonnegative and nontrivial")
         w = init
-    nodes, (w, theta, theta_history, it, residual, clamp_max) = _fixed_point(
-        w.values / lp_norm(w, qnorm), exponents, basis, grid, theta_tol, residual_tol, max_iter
-    )
+    # the loop runs on the fundamental cell if the normalized start is
+    # bitwise mirror-symmetric, else on every node
+    w = w.values / lp_norm(w, (exponents.q + 1.0) / exponents.q)
+    cell = _CellInverse.cell_of(w)
+    if cell is None:
+        nodes = _GridInverse(basis, grid, exponents.s)
+    else:
+        nodes, w = _CellInverse(basis, grid, exponents.s), cell
+    w, theta, theta_history, it, residual, clamp_max = _iterate(
+        w, nodes, exponents, grid.cell_volume, theta_tol, residual_tol, max_iter)
     if clamp_max > _POSITIVITY_BUDGET:
         raise ConvergenceError(
             f"positivity lost beyond clamp budget {_POSITIVITY_BUDGET:.1e}: "
-            f"{clamp_max:.3e} of L1 mass clamped"
+            f"{clamp_max:.3e} of L1 mass clamped on the {grid.shape} grid with cutoff "
+            f"{basis.cutoff}; a finer grid resolves under-resolution ringing"
         )
 
     pair, residual_w, coefficients = _solution(w, theta, nodes, exponents, grid)
-    del nodes, w  # the loop's operator and node values go before the full-grid sums
+    del nodes, w, cell  # the loop's operator and node values go before the full-grid sums
 
     report = SolveReport(
         theta=theta,
-        mu=theta ** (p + 1.0),
+        mu=theta ** (exponents.p + 1.0),
         energy=energy(pair, basis, coefficients),
         sobolev_quotient=sobolev_quotient(pair),
         iterations=it,

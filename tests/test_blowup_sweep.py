@@ -477,7 +477,16 @@ def test_sweep_holds_at_most_two_rows_of_fields(monkeypatch):
         rows.append([weakref.ref(f) for f in (pair.u, pair.v, pair.w)])
         return pair, report
 
+    original_report = bs.decay_report
+
+    def reporting(*args, **kwargs):
+        # the last row's pair goes once it is rescaled, before the decay report
+        gc.collect()
+        assert all(ref() is None for ref in rows[-1]), "the last pair is alive at the decay report"
+        return original_report(*args, **kwargs)
+
     monkeypatch.setattr(bs, "solve_ground_state", tracking)
+    monkeypatch.setattr(bs, "decay_report", reporting)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = bs.run_sweep(small_sweep_config((0.06, 0.055, 0.05, 0.045)))

@@ -39,3 +39,24 @@ def test_cli_io_imports_no_private_library_name():
                for alias in node.names
                if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert private == []
+
+
+def test_every_private_definition_is_read_by_the_library():
+    # a top-level private function, class or constant that no library module
+    # reads is an orphan, such as a refactor leaves behind
+    modules = sorted(Path(fl.__file__).parent.glob("*.py"))
+    read = set().union(*(names_read(path.read_text()) for path in modules))
+    orphans = []
+    for path in modules:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            orphans += [f"{path.name}: {name}" for name in names
+                        if name.startswith("_") and not name.endswith("__") and name not in read]
+    assert orphans == []

@@ -4,7 +4,6 @@ import ast
 import inspect
 import math
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -113,7 +112,7 @@ def test_solver_refuses_another_problems_exponents(monkeypatch):
     # converged to a Theta of a problem nobody posed; they are refused before
     # the first iteration
     dom, basis, grid = small_setup(K=4, m=8)
-    monkeypatch.setattr(le, "_fixed_point", refuse_to_iterate)
+    monkeypatch.setattr(le, "_iterate", refuse_to_iterate)
     three_d = fl.ExponentPair(p=1.5, q=fl.solve_q_epsilon(1.5, 3, 0.5, 0.05), n=3, s=0.5)
     other_s = fl.ExponentPair(p=2.5, q=fl.solve_q_epsilon(2.5, 2, 0.6, 0.05), n=2, s=0.6)
     for exps in (three_d, other_s):
@@ -126,7 +125,7 @@ def test_solver_refuses_an_init_on_another_grid(monkeypatch):
     # error, and a 16x16 init from a 1x2 box ran silently on the unit square
     dom, basis, grid = small_setup(K=8, m=16)
     exps = fl.ExponentPair(p=2.5, q=3.0, n=2, s=0.5)
-    monkeypatch.setattr(le, "_fixed_point", refuse_to_iterate)
+    monkeypatch.setattr(le, "_iterate", refuse_to_iterate)
     finer = fl.build_grid(dom, (20, 20))
     tall = fl.build_grid(fl.BoxDomain((1.0, 2.0), 0.5), (16, 16))
     for other, named in ((finer, r"\(20, 20\) grid of the box \(1.0, 1.0\)"),
@@ -152,7 +151,7 @@ def test_solver_refuses_a_stopping_rule_it_cannot_meet(rule, match, monkeypatch)
     # tolerance <= 0 iterated to max_iter; both are refused before iterating
     dom, basis, grid = small_setup(K=4, m=8)
     exps = fl.ExponentPair(p=2.5, q=3.0, n=2, s=0.5)
-    monkeypatch.setattr(le, "_fixed_point", refuse_to_iterate)
+    monkeypatch.setattr(le, "_iterate", refuse_to_iterate)
     with pytest.raises(ValueError, match=match):
         fl.solve_ground_state(exps, basis, grid, **rule)
     with pytest.raises(ValueError, match=match):
@@ -393,7 +392,7 @@ def test_reduced_solve_matches_full_solve(case, cell_solves, monkeypatch):
                                    rtol=0, atol=1e-13 * np.max(full), err_msg=name)
 
 
-@pytest.mark.parametrize("lengths, cutoff, shape", [
+NODE_SET_SHAPES = [  # lengths, cutoff, grid
     ((1.0,), (20,), (41,)),
     ((1.0, 1.6), (12, 18), (25, 37)),
     ((1.0, 1.0), (64, 64), (128, 128)),
@@ -401,7 +400,10 @@ def test_reduced_solve_matches_full_solve(case, cell_solves, monkeypatch):
     ((1.0, 1.0, 1.0), (12, 12, 12), (24, 24, 24)),
     ((1.0, 1.0), (16, 16), (32, 33)),
     ((1.0, 1.0, 1.0), (24, 24, 24), (48, 48, 48)),
-])
+]
+
+
+@pytest.mark.parametrize("lengths, cutoff, shape", NODE_SET_SHAPES)
 def test_cell_inverse_is_bitwise_the_cell_of_apply_inverse(lengths, cutoff, shape):
     dom = fl.BoxDomain(lengths, 0.4)
     basis, grid = fl.build_basis(dom, cutoff), fl.build_grid(dom, shape)
@@ -416,8 +418,29 @@ def test_cell_inverse_is_bitwise_the_cell_of_apply_inverse(lengths, cutoff, shap
     assert np.array_equal(inverse.extend(out), full)
     analyzed = fl.analyze(fl.GridFunction(grid, values), basis).coefficients
     assert np.array_equal(inverse.coefficients(cell).coefficients, analyzed)
-    # node multiplicities sum to the full grid's node count
-    assert np.sum(inverse.weights) == math.prod(grid.shape)
+    # node multiplicities sum to the full grid's node count; they are the
+    # scalar 2^n exactly when every m_i is even
+    assert np.sum(np.broadcast_to(inverse.weights, cell.shape)) == math.prod(grid.shape)
+    all_even = all(m % 2 == 0 for m in shape)
+    assert (np.ndim(inverse.weights) == 0) == all_even
+    if all_even:
+        assert inverse.weights == 2.0**len(shape)
+
+
+@pytest.mark.parametrize("lengths, cutoff, shape", NODE_SET_SHAPES)
+def test_grid_inverse_is_bitwise_apply_inverse(lengths, cutoff, shape):
+    # the full-grid node set keeps the cell's contract on any field: a call
+    # is apply_inverse, extend gives the field back, coefficients is analyze
+    dom = fl.BoxDomain(lengths, 0.4)
+    basis, grid = fl.build_basis(dom, cutoff), fl.build_grid(dom, shape)
+    values = np.random.default_rng(len(shape)).random(shape)
+    nodes = fc._GridInverse(basis, grid, dom.s)
+    full = fl.apply_inverse(fl.GridFunction(grid, values), dom.s, basis).values
+    assert np.array_equal(nodes(values, np.empty_like(values)), full)
+    assert np.array_equal(nodes.extend(full), full)
+    analyzed = fl.analyze(fl.GridFunction(grid, values), basis).coefficients
+    assert np.array_equal(nodes.coefficients(values).coefficients, analyzed)
+    assert np.sum(np.broadcast_to(nodes.weights, values.shape)) == math.prod(grid.shape)
 
 
 def test_cell_inverse_shares_one_matrix_per_distinct_axis():
@@ -543,13 +566,14 @@ def test_full_path_post_solve_is_the_full_grid_post_solve(monkeypatch):
 def test_symmetric_solve_makes_no_full_grid_inverse(monkeypatch):
     # the loop and the post-processing both run on the cell
     calls = []
-    full_inverse = le.apply_inverse
+    full_inverse = fc.apply_inverse
 
     def counting(f, s, basis):
         calls.append(f.grid.shape)
         return full_inverse(f, s, basis)
 
     monkeypatch.setattr(le, "apply_inverse", counting)
+    monkeypatch.setattr(fc, "apply_inverse", counting)
     dom = fl.BoxDomain((1.0, 1.0), 0.5)
     basis, grid = fl.build_basis(dom, (8, 8)), fl.build_grid(dom, (17, 17))
     exps = fl.ExponentPair(p=2.5, q=fl.solve_q_epsilon(2.5, 2, 0.5, 0.04), n=2, s=0.5)
@@ -595,8 +619,8 @@ def test_extend_allocates_one_full_grid_array(shape):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_weighted_sum_with_scalar_power_of_two_is_bitwise(n):
-    # an all-even grid hands the loop the scalar 2^n in place of the cell's
-    # weights array; scaling the sum by it is exact, so both give the same bits
+    # an all-even grid's cell weights its nodes by the scalar 2^n, not an
+    # array; scaling the sum by it is exact, so both give the same bits
     shape = (37, 23, 11)[:n]
     rng = np.random.default_rng(n)
     a, b = rng.random(shape), rng.random(shape) ** 3
@@ -618,20 +642,15 @@ def solver_case(shape):
 
 
 def poisoned(inverse, poison_call, bad, returned):
-    """`inverse` (returning an array, or a `GridFunction` as `apply_inverse`
-    does) with `bad` written at one node of the result of its call number
-    `poison_call`; `returned` counts the calls that returned."""
+    """`inverse`, a node set's call, with `bad` written at one node of the
+    result of its call number `poison_call`; `returned` counts the calls
+    that returned."""
     def call(*args):
         result = inverse(*args)
         returned.append(None)
-        if len(returned) != poison_call:
-            return result
-        values = np.array(getattr(result, "values", result))
-        values.flat[values.size // 2] = bad
-        if isinstance(result, np.ndarray):
-            result[...] = values
-            return result
-        return SimpleNamespace(values=values)
+        if len(returned) == poison_call:
+            result.flat[result.size // 2] = bad
+        return result
 
     return call
 
@@ -646,8 +665,8 @@ def test_loop_refuses_non_finite_values(path, poison_call, bad, monkeypatch):
     init = None
     if path == "full":
         init = fl.GridFunction(grid, np.random.default_rng(777).random(grid.shape) + 0.1)
-        monkeypatch.setattr(le, "apply_inverse",
-                            poisoned(le.apply_inverse, poison_call, bad, returned))
+        monkeypatch.setattr(le._GridInverse, "__call__",
+                            poisoned(le._GridInverse.__call__, poison_call, bad, returned))
     else:
         monkeypatch.setattr(le._CellInverse, "__call__",
                             poisoned(le._CellInverse.__call__, poison_call, bad, returned))
@@ -667,6 +686,22 @@ def test_non_convergence_message_gives_the_last_residual(max_iter):
     residual = float(re.search(r"last residual ([^)]+)\)", str(info.value)).group(1))
     assert math.isfinite(residual) and residual > 0
     assert len(info.value.diagnostics["theta_history"]) == max_iter
+
+
+@pytest.mark.filterwarnings("ignore:clamped")
+def test_clamp_budget_message_names_the_resolution():
+    # a cold sub-Serrin solve rings beyond the clamp budget at 64^2 and fits
+    # inside it at 128^2; the refusal names the grid and cutoff it ran on
+    dom = fl.BoxDomain((1.0, 1.0), 0.5)
+    exps = fl.ExponentPair(p=1.5, q=fl.solve_q_epsilon(1.5, 2, 0.5, 0.04), n=2, s=0.5)
+    with pytest.raises(fl.ConvergenceError,
+                       match=r"^positivity lost beyond clamp budget 1\.0e-04: 1\.566e-04 of L1 "
+                             r"mass clamped on the \(64, 64\) grid with cutoff \(32, 32\); "
+                             r"a finer grid resolves under-resolution ringing$"):
+        fl.solve_ground_state(exps, fl.build_basis(dom, (32, 32)), fl.build_grid(dom, (64, 64)))
+    _, report = fl.solve_ground_state(exps, fl.build_basis(dom, (64, 64)),
+                                      fl.build_grid(dom, (128, 128)))
+    assert 0 < report.clamped_fraction_max < 1e-4
 
 
 def test_fixed_point_loop_allocates_nothing_per_iteration():
@@ -692,7 +727,7 @@ def test_fixed_point_loop_allocates_nothing_per_iteration():
     def stopped_loop(max_iter):
         start = cell.copy()
         with pytest.raises(fl.ConvergenceError):
-            le._iterate(start, inverse, 4.0, exps, grid.cell_volume, 1e-9, 1e-300, max_iter)
+            le._iterate(start, inverse, exps, grid.cell_volume, 1e-9, 1e-300, max_iter)
 
     for max_iter in (3, 30):
         _, peak = traced_peak(stopped_loop, max_iter)
