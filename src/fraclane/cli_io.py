@@ -1,5 +1,5 @@
 """Command-line interface, flat key-value configs, and deterministic
-persistence (full-precision CSV + JSON tables, binary field dumps, radial
+persistence (full-precision CSV tables, binary field dumps, radial
 profiles).
 
 Subcommands: solve, sweep, hls, kernels. Each one calls the library, writes
@@ -239,64 +239,37 @@ def _fmt(x) -> str:
 _NUMBER = (int, float, np.floating, np.integer)
 
 
-def _json_number(x: float) -> str:
-    """A float as `json` spells it: its repr, or NaN, Infinity, -Infinity."""
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
-
-
-def _row_templates(types: tuple[type, ...]) -> tuple[str, str] | None:
-    """The `%` templates of a row of numbers of these types: its CSV line
-    (`%d` where `_fmt` writes an integer, `%.17g` = `format(float(x), ".17g")`
-    elsewhere) and its JSON-twin entry (`%r` of each cell's float, which is
-    `float.__repr__`). None for a row with any other cell."""
+def _row_template(types: tuple[type, ...]) -> str | None:
+    """The `%` template of a CSV row of numbers of these types: `%d` where
+    `_fmt` writes an integer, `%.17g` = `format(float(x), ".17g")` elsewhere,
+    which spells nan, inf and -inf as `_fmt` does. None for a row with any
+    other cell."""
     if not all(issubclass(t, _NUMBER) for t in types):
         return None
-    csv = ",".join("%d" if issubclass(t, (int, np.integer)) else "%.17g" for t in types)
-    entry = "[\n   " + ",\n   ".join(["%r"] * len(types)) + "\n  ]" if types else "[]"
-    return csv + "\n", "\n  " + entry
+    return ",".join("%d" if issubclass(t, (int, np.integer)) else "%.17g" for t in types) + "\n"
 
 
 def write_table(path, columns: list[str], rows: list[list]) -> None:
-    """CSV (17 significant digits, LF endings) plus a JSON twin with metadata.
+    """CSV with a header line, numbers to 17 significant digits, LF endings.
 
-    The twin holds the bytes of `json.dump(payload, sort_keys=True, indent=1)`
-    (numbers as floats, other cells as `json` writes them), written a row at
-    a time beside the CSV's row. A row of finite numbers is spelled by one
-    template per file, built once per tuple of cell types; any other row is
-    spelled cell by cell, in the same bytes."""
+    A row of numbers is spelled by one template, built once per tuple of cell
+    types; any other row is spelled cell by cell, numbers by `_fmt` and other
+    cells by `str`."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    meta = {"version": __version__, "format": "fraclane-table-v1"}
-    # "rows" sorts last, so the rows stream in place of its empty list
-    head = json.dumps({"columns": columns, "meta": meta, "rows": []}, sort_keys=True, indent=1)
-    templates: dict[tuple[type, ...], tuple[str, str] | None] = {}
-    with (open(path, "w", newline="\n") as csv_fh,
-          open(path.with_suffix(path.suffix + ".json"), "w", newline="\n") as json_fh):
-        csv_fh.write(",".join(columns) + "\n")
-        json_fh.write(head.removesuffix("[]\n}") + ("[" if len(rows) else "[]"))
-        for k, row in enumerate(rows):
-            sep = "," if k else ""
+    templates: dict[tuple[type, ...], str | None] = {}
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
             row = tuple(row)
             types = tuple(map(type, row))
             if types not in templates:
-                templates[types] = _row_templates(types)
-            spelled = templates[types]
-            if spelled is not None:
-                floats = tuple(map(float, row))
-                # a non-finite cell makes the sum non-finite (the templates would
-                # spell it "nan", not "NaN"); a finite row whose sum overflows
-                # also takes the per-cell path, which writes the same bytes
-                if math.isfinite(sum(floats)):
-                    csv_fh.write(spelled[0] % row)
-                    json_fh.write(sep + spelled[1] % floats)
-                    continue
-            csv_fh.write(",".join([_fmt(v) if isinstance(v, _NUMBER) else str(v) for v in row]) + "\n")
-            cells = [_json_number(float(v)) if isinstance(v, _NUMBER) else json.dumps(v) for v in row]
-            json_fh.write(sep + "\n  "
-                          + ("[\n   " + ",\n   ".join(cells) + "\n  ]" if cells else "[]"))
-        json_fh.write("\n ]\n}\n" if len(rows) else "\n}\n")
+                templates[types] = _row_template(types)
+            template = templates[types]
+            if template is not None:
+                fh.write(template % row)
+            else:
+                fh.write(",".join([_fmt(v) if isinstance(v, _NUMBER) else str(v) for v in row]) + "\n")
 
 
 def dump_field(field, path) -> None:
@@ -434,6 +407,7 @@ def _cmd_solve(cfg: RunConfig, out_dir: Path) -> tuple[dict, list[Check]]:
         "identities": {c.name.removeprefix("identity_"): {"value": c.value, "tol": c.budget}
                        for c in checks if c.name.startswith("identity_")},
         "symmetry": symmetry_classes(pair.u),
+        "node_set": report.node_set,
     }, checks
 
 

@@ -195,6 +195,7 @@ class SolveReport:
     # the eigen-coefficients of u and v that `energy` read; a caller that
     # evaluates u or v off the grid synthesizes from them
     coefficients: tuple[SpectralField, SpectralField] = field(repr=False)
+    node_set: str  # "cell" (`_CellInverse`) or "full" (`_GridInverse`): where the loop ran
     converged: bool = True
 
     def __post_init__(self):
@@ -477,9 +478,9 @@ def solve_ground_state(
     w = w.values / lp_norm(w, (exponents.q + 1.0) / exponents.q)
     cell = _CellInverse.cell_of(w)
     if cell is None:
-        nodes = _GridInverse(basis, grid, exponents.s)
+        node_set, nodes = "full", _GridInverse(basis, grid, exponents.s)
     else:
-        nodes, w = _CellInverse(basis, grid, exponents.s), cell
+        node_set, nodes, w = "cell", _CellInverse(basis, grid, exponents.s), cell
     w, theta, theta_history, it, residual, clamp_max = _iterate(
         w, nodes, exponents, grid.cell_volume, theta_tol, residual_tol, max_iter)
     if clamp_max > _POSITIVITY_BUDGET:
@@ -503,6 +504,7 @@ def solve_ground_state(
         theta_history=np.asarray(theta_history),
         clamped_fraction_max=clamp_max,
         coefficients=coefficients,
+        node_set=node_set,
     )
     return pair, report
 

@@ -1,6 +1,5 @@
 """Independent test oracles kept apart from the library paths they check."""
 
-import json
 import math
 import tracemalloc
 from functools import reduce
@@ -333,12 +332,9 @@ def read_table(path) -> tuple[list[str], list[list[float]]]:
 
 
 def write_table_per_cell(path, columns, rows):
-    """`cli_io.write_table` spelled one cell at a time: the CSV writes an int,
-    bool or NumPy integer as its integer, any other number with 17 significant
-    digits and any other cell by `str`; the JSON twin, the bytes of
-    `json.dump(payload, sort_keys=True, indent=1)`, writes every number as its
-    float (NaN and Infinity for the non-finite ones) and any other cell as
-    `json` does."""
+    """`cli_io.write_table` spelled one cell at a time: an int, bool or NumPy
+    integer as its integer, any other number with 17 significant digits and
+    any other cell by `str`."""
     number = (int, float, np.floating, np.integer)
 
     def csv_cell(v):
@@ -346,23 +342,12 @@ def write_table_per_cell(path, columns, rows):
             return str(int(v))
         return format(float(v), ".17g") if isinstance(v, number) else str(v)
 
-    def json_cell(v):
-        return json.dumps(float(v)) if isinstance(v, number) else json.dumps(v)
-
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    meta = {"version": fl.__version__, "format": "fraclane-table-v1"}
-    head = json.dumps({"columns": columns, "meta": meta, "rows": []}, sort_keys=True, indent=1)
-    with (open(path, "w", newline="\n") as csv_fh,
-          open(path.with_suffix(path.suffix + ".json"), "w", newline="\n") as json_fh):
-        csv_fh.write(",".join(columns) + "\n")
-        json_fh.write(head.removesuffix("[]\n}") + ("[" if len(rows) else "[]"))
-        for k, row in enumerate(rows):
-            csv_fh.write(",".join([csv_cell(v) for v in row]) + "\n")
-            cells = [json_cell(v) for v in row]
-            json_fh.write(("," if k else "") + "\n  "
-                          + ("[\n   " + ",\n   ".join(cells) + "\n  ]" if cells else "[]"))
-        json_fh.write("\n ]\n}\n" if len(rows) else "\n}\n")
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join([csv_cell(v) for v in row]) + "\n")
 
 
 def bubble_pair(n, s):

@@ -92,28 +92,6 @@ def test_write_table_round_trip(tmp_path):
     for row, expect in zip(back, rows, strict=True):
         for v, e in zip(row, expect, strict=True):
             assert v == e  # 17 significant digits round-trip float64 exactly
-    twin = json.loads(path.with_suffix(".csv.json").read_text())
-    assert twin["columns"] == cols
-    assert twin["rows"][0][1] == 1.0 / 3.0
-
-
-def test_write_table_json_twin_is_json_dump(tmp_path):
-    # the twin is written row by row, in the bytes json.dump writes
-    rows = [[1, 2.5, np.float32(0.1), np.int64(7), True],
-            [float("nan"), math.inf, -math.inf, -0.0, 'note, "quoted" \u00e9'],
-            [],
-            [None, 1e-300, 5e300]]
-    for columns, table in ((["a", "b\u00e9"], rows), (["x"], []), ([], [[1.0]])):
-        path = tmp_path / "t.csv"
-        cli_io.write_table(path, columns, table)
-        payload = {
-            "columns": columns,
-            "rows": [[float(v) if isinstance(v, (int, float, np.floating, np.integer)) else v
-                      for v in row] for row in table],
-            "meta": {"version": fl.__version__, "format": "fraclane-table-v1"},
-        }
-        expect = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-        assert path.with_suffix(".csv.json").read_text() == expect
 
 
 # every cell type a table meets, in rows that repeat a type tuple, and a
@@ -149,8 +127,8 @@ def test_write_table_bytes_match_per_cell_oracle(tmp_path, table):
     rows = {"zoo": _ZOO, "empty": [], "kernels": _kernels_shaped(np.random.default_rng(7))}[table]
     cli_io.write_table(tmp_path / "new" / "t.csv", columns, rows)
     write_table_per_cell(tmp_path / "ref" / "t.csv", columns, rows)
-    for name in ("t.csv", "t.csv.json"):
-        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+    assert (tmp_path / "new" / "t.csv").read_bytes() == (tmp_path / "ref" / "t.csv").read_bytes()
+    assert sorted(p.name for p in (tmp_path / "new").iterdir()) == ["t.csv"]
 
 
 def test_write_table_empty(tmp_path):
@@ -321,6 +299,7 @@ def test_cli_solve_end_to_end(tmp_path):
     assert u.max() > 0
     assert report["symmetry"] == le.symmetry_classes(u) == {"flip_0": True, "flip_1": True,
                                                             "swap_01": True}
+    assert report["node_set"] == "cell"
 
 
 def test_cli_solve_determinism(tmp_path):
@@ -329,8 +308,7 @@ def test_cli_solve_determinism(tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert run_cli(["solve", "--config", str(cfg), "--out", str(out1)]) == 0
     assert run_cli(["solve", "--config", str(cfg), "--out", str(out2)]) == 0
-    for name in ["solve.csv", "solve.csv.json", "field_u.bin", "field_v.bin",
-                 "field_w.bin", "solve_report.json"]:
+    for name in ["solve.csv", "field_u.bin", "field_v.bin", "field_w.bin", "solve_report.json"]:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
@@ -569,6 +547,36 @@ def test_cli_sweep_determinism(tmp_path):
     for name in ["sweep.csv", "constants.csv", "green_devs.csv", "profile_v.csv",
                  "rescaled_w.bin", "sweep_report.json"]:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def _dumps(*names):
+    return {f"{name}{suffix}" for name in names for suffix in (".bin", ".bin.hdr.txt")}
+
+
+# every file each command writes: its CSV tables, each field dump with its
+# text header, and its report; a table has no JSON twin
+OUTPUT_MANIFESTS = {
+    "solve": (SOLVE_CFG, {"solve.csv", "solve_report.json",
+                          *_dumps("field_u", "field_v", "field_w")}),
+    "sweep": ("n = 2\np = 2.5\neps_schedule = 0.06,0.05\ncutoff = 16,16\ngrid = 32,32\n",
+              {"sweep.csv", "constants.csv", "green_devs.csv", "profile_u.csv", "profile_v.csv",
+               "sweep_report.json", *_dumps("rescaled_u", "rescaled_v", "rescaled_w")}),
+    "hls": ("n = 2\ns = 0.5\np = 2.5\nhls_box_list = 8\nhls_grid_list = 32\n",
+            {"hls.csv", "hls_report.json"}),
+    "kernels": ("cutoff = 16,16\ngrid = 32,32\nkernel_pairs = 50\n",
+                {"kernels.csv", "kernels_report.json"}),
+}
+
+
+@pytest.mark.filterwarnings("ignore:blow-up core:UserWarning")
+@pytest.mark.parametrize("command", OUTPUT_MANIFESTS)
+def test_cli_output_manifest(tmp_path, command):
+    text, expect = OUTPUT_MANIFESTS[command]
+    cfg = tmp_path / f"{command}.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    assert sorted(p.name for p in out.iterdir()) == sorted(expect)
 
 
 # Each bad config names the rule it breaks. The domain objects phrase the

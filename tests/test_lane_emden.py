@@ -162,6 +162,7 @@ def test_solver_refuses_a_stopping_rule_it_cannot_meet(rule, match, monkeypatch)
 def test_converged_solution_properties(solved):
     dom, basis, grid, exps, pair, report = solved
     assert report.converged and report.iterations >= 1
+    assert report.node_set == "cell"  # the first eigenfunction is mirror-symmetric
     assert report.residual_el < 1e-7
     assert report.residual_w < 1e-6
     # Theta ascent with 1e-12 slack, logged every iteration
@@ -510,7 +511,7 @@ def test_asymmetric_init_takes_full_path(cell_solves):
     exps = fl.ExponentPair(p=2.5, q=fl.solve_q_epsilon(2.5, 2, 0.5, 0.05), n=2, s=0.5)
     init = np.random.default_rng(777).random(grid.shape) + 0.1
     pair, report = fl.solve_ground_state(exps, basis, grid, init=fl.GridFunction(grid, init))
-    assert cell_solves == []
+    assert cell_solves == [] and report.node_set == "full"
     u, v, history, iterations = plain_fixed_point(exps, basis, grid, init=init)
     assert report.iterations == iterations
     np.testing.assert_allclose(report.theta_history, history, rtol=1e-12, atol=0)
