@@ -14,10 +14,13 @@ The geometry of the comparison is fixed per box, not per run: the ring of
 comparison points, the exclusion ball around x0 and the boundary collar are
 constant fractions of the shortest side. Each row's solve starts from the
 previous row's w, and each row is measured as soon as its solve returns (its
-constants and its u, v on the ring), so a sweep holds the fields of at most
-two rows at a time; only the comparison against the kernels at x0, known
-after the last row, waits for the end of the schedule. `sweep_checks` holds
-the sweep command's rules and bands.
+constants and its u, v on the ring), so between solves a sweep holds one
+row's fields: that row's w, or, after the last row, its u and v. Only the
+comparison against the kernels at x0, known after the last row, waits for
+the end of the schedule. The post-solve passes take at most one full-grid
+temporary at a time: the collar's sup is read slab by slab, and the powers,
+rescaled fields, radii and shell index are written in place. `sweep_checks`
+holds the sweep command's rules and bands.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -39,7 +41,8 @@ from .fractional_calculus import (
     g_tilde,
     green,
 )
-from .hls_limit import FreeField, decay_fit, serrin_constant, serrin_log_integral, sharp_decay_check
+from .hls_limit import (FreeField, decay_fit, radial_shells, serrin_constant, serrin_log_integral,
+                        sharp_decay_check)
 from .lane_emden import (
     MAX_ITER,
     RESIDUAL_TOL,
@@ -50,6 +53,7 @@ from .lane_emden import (
     alpha_beta,
     check_stopping_rule,
     critical_q,
+    solution_fields,
     solve_ground_state,
     solve_q_epsilon,
 )
@@ -195,6 +199,9 @@ class SweepResult:
     x0: tuple[float, ...]
     extrapolation: SExtrapolation | None
     rescaled: RescaledSolution
+    # `radial_shells` of the rescaled u and v, keyed "u" and "v": what the
+    # decay fits read and the CLI's profile tables hold
+    profiles: dict[str, tuple[np.ndarray, ...]]
     diagnostics: dict
     decay: dict
     failed: str | None  # the message of the solve that ended the sweep early
@@ -247,27 +254,31 @@ def find_max(u: GridFunction, alpha: float) -> tuple[float, np.ndarray]:
     return peak ** (1.0 / alpha), location
 
 
-def rescale_solution(pair: SolutionPair, lam: float, x_c) -> RescaledSolution:
-    """Zoom (u, v, w) to (u-tilde, v-tilde, w-tilde) on Omega_eps = lam (Omega - x_c).
+def rescale_solution(u: GridFunction, v: GridFunction, exponents: ExponentPair, lam: float,
+                     x_c) -> RescaledSolution:
+    """Zoom a solution's u and v of `exponents` to (u-tilde, v-tilde, w-tilde)
+    on Omega_eps = lam (Omega - x_c).
 
     The rescaled grid is the exact image of the original nodes, so no
     resampling occurs (and the null extension outside Omega_eps is vacuous).
+    Each rescaled field is written in place into its own new array.
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
-    exps = pair.exponents
-    alpha, beta = alpha_beta(exps.p, exps.q, exps.s)
+    alpha, beta = alpha_beta(exponents.p, exponents.q, exponents.s)
     x_c = np.asarray(x_c, dtype=float)
-    dom = pair.u.grid.domain
+    dom = u.grid.domain
     lo = tuple(lam * (0.0 - c) for c in x_c)
     hi = tuple(lam * (L - c) for L, c in zip(dom.lengths, x_c, strict=True))
 
-    u_vals = np.maximum(lam**-alpha * pair.u.values, 0.0)
-    v_vals = np.maximum(lam**-beta * pair.v.values, 0.0)
+    u_vals = np.multiply(u.values, lam**-alpha)
+    np.maximum(u_vals, 0.0, out=u_vals)
+    v_vals = np.multiply(v.values, lam**-beta)
+    np.maximum(v_vals, 0.0, out=v_vals)
     return RescaledSolution(
         u=FreeField(lo, hi, u_vals),
         v=FreeField(lo, hi, v_vals),
-        w=FreeField(lo, hi, u_vals**exps.q),
+        w=FreeField(lo, hi, u_vals**exponents.q),
         lam=lam,
     )
 
@@ -359,16 +370,24 @@ def green_limit_check(u_at: np.ndarray, v_at: np.ndarray, lam: float, kernels: L
 
 
 def boundary_bound_check(pair: SolutionPair) -> float:
-    """Sup of u + v over the collar {dist(x, boundary) < COLLAR_FRAC min(L)} of the pair's box."""
+    """Sup of u + v over the collar {dist(x, boundary) < COLLAR_FRAC min(L)} of
+    the pair's box. A node is in the collar iff one of its coordinates is
+    within the collar's width of that axis's faces, so the collar is the union
+    of two slabs per axis, a run of leading and a run of trailing node
+    layers; the sup is taken slab by slab, on views of u and v."""
     grid = pair.u.grid
-    dom = grid.domain
-    dist = reduce(np.minimum, [
-        np.minimum(g, L - g) for g, L in zip(np.ix_(*grid.coords), dom.lengths, strict=True)
-    ])
-    collar = dist < COLLAR_FRAC * min(dom.lengths)
-    if not collar.any():
+    width = COLLAR_FRAC * min(grid.domain.lengths)
+    sups = []
+    for axis, (g, L) in enumerate(zip(grid.coords, grid.domain.lengths, strict=True)):
+        m = len(g)
+        lead, trail = int(np.count_nonzero(g < width)), int(np.count_nonzero(L - g < width))
+        for layers in (slice(0, lead), slice(m - trail, m)):
+            if layers.start < layers.stop:
+                slab = (slice(None),) * axis + (layers,)
+                sups.append(float(np.max(pair.u.values[slab] + pair.v.values[slab])))
+    if not sups:
         raise ValueError("collar contains no grid nodes")
-    return float(np.max((pair.u.values + pair.v.values)[collar]))
+    return max(sups)
 
 
 def extrapolate_S(
@@ -416,8 +435,15 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     A failed solve (`ConvergenceError`, or a `ValueError` the solver raises)
     ends the sweep (later rows depend on the warm start); its message is
     `SweepResult.failed`, and the rows before it stand. Any other exception
-    is a fault and propagates. Only the last row's pair is held past its row,
-    and only until it is rescaled: the decay report runs without it."""
+    is a fault and propagates.
+
+    The sweep holds one row's fields between solves, and never writes to a
+    pair: a row's w, the next solve's warm start, which goes once that solve
+    has returned; after the last row, its u and v alone, until they are
+    rescaled. If a solve fails, the last good row's u and v are rebuilt from
+    its w (`solution_fields`), bit for bit. The decay fits and the CLI's
+    profile tables read one `radial_shells` profile per rescaled field,
+    `SweepResult.profiles`."""
     dom = config.domain
     n, s = dom.dim, dom.s
     basis = build_basis(dom, config.cutoff)
@@ -425,19 +451,20 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     points = config.comparison_points()
 
     rows: list[SweepRow] = []
-    pair = failed = None
+    w = u = v = exponents = failed = None
     for eps in config.eps_schedule:
         q = solve_q_epsilon(config.p, n, s, eps)
         alpha, beta = alpha_beta(config.p, q, s)
         try:
             pair, report = solve_ground_state(
-                ExponentPair(p=config.p, q=q, n=n, s=s), basis, grid,
-                init=None if pair is None else pair.w, theta_tol=config.theta_tol,
-                residual_tol=config.residual_tol, max_iter=config.max_iter,
+                ExponentPair(p=config.p, q=q, n=n, s=s), basis, grid, init=w,
+                theta_tol=config.theta_tol, residual_tol=config.residual_tol,
+                max_iter=config.max_iter,
             )
         except (ConvergenceError, ValueError) as exc:
             failed = str(exc)
             break
+        w = None  # the warm start, once its solve has returned
         lam, x_c = find_max(pair.u, alpha)
         core_cells = (2.0 / lam) / max(grid.spacing)
         if core_cells < MIN_CORE_CELLS:
@@ -466,10 +493,18 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 v_ring=synthesize_at(report.coefficients[1], points),
             )
         )
-        del report  # its coefficients are this row's, not the next solve's
+        exponents = pair.exponents
+        if eps == config.eps_schedule[-1]:
+            u, v = pair.u, pair.v
+        else:
+            w = pair.w
+        del pair, report  # the report's coefficients are this row's, not the next solve's
 
     if not rows:
         raise RuntimeError(f"sweep failed at the first row: {failed}")
+    if failed is not None:
+        u, v = solution_fields(w, exponents, basis)
+        w = None
 
     last = rows[-1]
     x0 = np.asarray(last.x_c)
@@ -486,8 +521,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         ]
         row.max_green_dev = max(devs) if devs else None
 
-    rescaled = rescale_solution(pair, last.lam, x0)
-    del pair
+    rescaled = rescale_solution(u, v, exponents, last.lam, x0)
+    del u, v
+    profiles = {name: radial_shells(getattr(rescaled, name)) for name in ("u", "v")}
 
     extrapolation = None
     if len(rows) >= 3:
@@ -506,8 +542,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         x0=tuple(float(c) for c in x0),
         extrapolation=extrapolation,
         rescaled=rescaled,
+        profiles=profiles,
         diagnostics=_sweep_diagnostics(rows),
-        decay=decay_report(rescaled, last.constants.c1, config),
+        decay=decay_report(rescaled, profiles, last.constants.c1, config),
         failed=failed,
     )
 
@@ -525,18 +562,20 @@ def decay_window(lam: float, domain: BoxDomain, grid_shape) -> tuple[float, floa
     return (r_lo, r_hi)
 
 
-def decay_report(rescaled: RescaledSolution, c1: float, config: SweepConfig) -> dict:
+def decay_report(rescaled: RescaledSolution, profiles: dict[str, tuple[np.ndarray, ...]],
+                 c1: float, config: SweepConfig) -> dict:
     """Decay of the rescaled fields over `decay_window`: the v and u slope
-    fits, the sharp-decay sandwich (delta 0.25) and, at the Serrin exponent,
-    the log integral, each with its target; {"error": reason} when the
-    window admits no fit."""
+    fits on their `profiles` (`SweepResult.profiles`), the sharp-decay
+    sandwich (delta 0.25) and, at the Serrin exponent, the log integral, each
+    with its target; {"error": reason} when the window admits no fit."""
     n, s = config.domain.dim, config.domain.s
     lam = rescaled.lam
     win = decay_window(lam, config.domain, config.grid_shape)
     serrin = config.regime == "serrin"
     try:
-        fit_v = decay_fit(rescaled.v, win)
-        fit_u = decay_fit(rescaled.u, win, serrin_power=n - 2 * s if serrin else None)
+        fit_v = decay_fit(rescaled.v, win, shells=profiles["v"])
+        fit_u = decay_fit(rescaled.u, win, serrin_power=n - 2 * s if serrin else None,
+                          shells=profiles["u"])
         sandwich = sharp_decay_check(rescaled.v, c1, 0.25, win, s)
         report = {
             "window": list(win),

@@ -34,7 +34,7 @@ from . import __version__
 from .blowup_sweep import SweepConfig, run_sweep, sweep_checks
 from .fractional_calculus import Check, kernel_checks
 from .hls_limit import (FreeField, bubble_ladder, check_ladder, hls_quotient, ladder_checks,
-                        radial_shells, sharp_diagonal_quotient)
+                        sharp_diagonal_quotient)
 from .lane_emden import (MAX_ITER, RESIDUAL_TOL, THETA_TOL, ExponentPair, check_stopping_rule,
                          critical_q, solve_checks, solve_ground_state, solve_q_epsilon,
                          symmetry_classes)
@@ -352,9 +352,9 @@ def load_field(path):
     return FreeField(tuple(lo), tuple(hi), values.copy())
 
 
-def write_radial_profile(field: FreeField, path) -> None:
-    """Shell profile (r, mean, min, max, count) for decay plots."""
-    centers, means, mins, maxs, counts = radial_shells(field)
+def write_radial_profile(shells: tuple[np.ndarray, ...], path) -> None:
+    """A `radial_shells` profile as a table (r, mean, min, max, count) for decay plots."""
+    centers, means, mins, maxs, counts = shells
     rows = [
         [r, mu, lo, hi, int(c)]
         for r, mu, lo, hi, c in zip(centers, means, mins, maxs, counts, strict=True)
@@ -443,8 +443,8 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> tuple[dict, list[Check]]:
                 dev_rows)
 
     if "error" not in result.decay:
-        write_radial_profile(result.rescaled.v, out_dir / "profile_v.csv")
-        write_radial_profile(result.rescaled.u, out_dir / "profile_u.csv")
+        write_radial_profile(result.profiles["v"], out_dir / "profile_v.csv")
+        write_radial_profile(result.profiles["u"], out_dir / "profile_u.csv")
 
     for name in ("u", "v", "w"):
         dump_field(getattr(result.rescaled, name), out_dir / f"rescaled_{name}.bin")

@@ -55,9 +55,10 @@ class FreeField:
             raise ValueError(f"box bounds must be finite, got {lo}, {hi}")
         if any(b <= a for a, b in zip(lo, hi, strict=True)):
             raise ValueError("box must have positive extent")
-        if not np.all(np.isfinite(values)):
+        low = values.min()  # min and max are NaN if a value is, and one is infinite if a value is
+        if not (math.isfinite(values.max()) and math.isfinite(low)):
             raise ValueError("free field carries non-finite values")
-        if values.min() < 0:
+        if low < 0:
             raise ValueError("free field values must be nonnegative")
         self.lo = lo
         self.hi = hi
@@ -174,21 +175,31 @@ def free_convolution(field: FreeField, s: float) -> np.ndarray:
     at offset 0. A kept index k in [0, m) reads offset k - j in (-m, m) for
     every input node j in [0, m), so no wrapped term reaches the kept rows.
 
+    f's spectrum is f's `rfftn` of the 2m-periodic zero extension, taken by
+    `rfftn`'s passes in `rfftn`'s order into one zeroed array: `rfft` along
+    the last axis of the m data lines only, into the spectrum's leading
+    block, then `fft` in place along each leading axis, from the last to the
+    first, over only the lines that data reached (the others stay zero).
     The kernel is real and even, so its spectrum is real: `_kernel_spectrum`
-    gives it at the frequencies [0, m] per axis, and f's `rfftn` spectrum is
+    gives it at the frequencies [0, m] per axis, and f's spectrum is
     multiplied by it in place, block by block over the mirrored ranges of
     the leading axes. The inverse transform computes the kept rows only. It
     runs `irfftn`'s passes in `irfftn`'s order: `ifft` in place along each
     leading axis, cutting that axis to its kept range as soon as the pass
     returns, then `irfft` along the last axis on what is left. Each pass
-    transforms every line on its own, with one plan per length, and no kept
-    value reads a skipped line, so the result is bitwise `irfftn(F K)[kept]`.
+    transforms every line on its own, with one plan per length, and a line
+    of m values read at length 2m is the line padded with m zeros, so the
+    spectrum is bitwise `rfftn`'s and the result `irfftn(F K)[kept]`.
     """
     shape = field.shape
     fft_shape = tuple(2 * m for m in shape)
     axes = tuple(range(field.dim))
     kernel = _kernel_spectrum(field, field.dim - 2.0 * s)
-    spectrum = np.fft.rfftn(field.values, fft_shape, axes=axes)
+    spectrum = np.zeros(fft_shape[:-1] + (shape[-1] + 1,), dtype=complex)
+    data = tuple(slice(0, m) for m in shape[:-1])
+    np.fft.rfft(field.values, fft_shape[-1], -1, out=spectrum[data])
+    for axis in reversed(axes[:-1]):
+        np.fft.fft(spectrum[data[:axis]], fft_shape[axis], axis, out=spectrum[data[:axis]])
     for block, mirror in _mirrored_blocks(shape):
         spectrum[block] *= kernel[mirror]
     del kernel
@@ -228,12 +239,19 @@ _SHELL_WIDTH_CELLS = 2.0  # width of a `radial_shells` shell, in grid cells
 
 
 def radial_shells(field: FreeField):
-    """Shell-averaged radial profile: (centers, mean, min, max, counts)."""
+    """Shell-averaged radial profile: (centers, mean, min, max, counts).
+
+    The radii are scaled to shell units in place, and the shell index is
+    clipped in place, so the profile takes one float and one integer array
+    of the field's size."""
     r = field.radii().ravel()
     v = field.values.ravel()
     width = _SHELL_WIDTH_CELLS * max(field.spacing)
     nbins = int(math.ceil(r.max() / width))
-    idx = np.minimum((r / width).astype(int), nbins - 1)
+    r /= width
+    idx = r.astype(int)
+    del r
+    np.minimum(idx, nbins - 1, out=idx)
     counts = np.bincount(idx, minlength=nbins)
     sums = np.bincount(idx, weights=v, minlength=nbins)
     mins = np.full(nbins, np.inf)
@@ -248,9 +266,11 @@ def radial_shells(field: FreeField):
 
 
 def decay_fit(
-    field: FreeField, window: tuple[float, float], serrin_power: float | None = None
+    field: FreeField, window: tuple[float, float], serrin_power: float | None = None,
+    shells: tuple[np.ndarray, ...] | None = None,
 ) -> DecayFit:
-    """Radial decay fit over `window`.
+    """Radial decay fit over `window`, on `shells`, the field's `radial_shells`
+    profile (taken here when not given).
 
     Default: least-squares slope of log(shell mean) against log r, so an exact
     power law r^a fits slope a (scalar multiples shift the intercept only).
@@ -265,7 +285,7 @@ def decay_fit(
         raise ValueError(
             f"window {window} extends beyond the inscribed radius {rmax_box:.3g}"
         )
-    centers, means, _, _, _ = radial_shells(field)
+    centers, means, _, _, _ = radial_shells(field) if shells is None else shells
     mask = (centers >= r_lo) & (centers <= r_hi) & (means > 0)
     if not np.any(mask):
         raise ValueError(f"no shells with positive mean in window {window}")

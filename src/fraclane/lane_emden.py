@@ -32,7 +32,14 @@ mirrored back once, at the end. Any other start runs the same loop and the
 same post-processing on every node, through `_GridInverse`. The two are
 node sets with one interface (see `fractional_calculus`), and `_iterate` and
 `_solution` read nothing else of them; `_CellInverse` decides its own
-weights.
+weights. `solution_fields` rebuilds u and v from w alone by `_solution`'s
+own steps, on the node set `_node_set` picks for it, so a caller that keeps
+only w (a sweep between solves) gets the pair's u and v back bit for bit.
+
+After the loop, the energy and the Sobolev quotient are full-grid sums. Each
+power they take goes into one work array, in place (`_power`, and `lp_norm`
+with that array as `out`), so they hold at most one full-grid temporary
+beside u, v and w.
 
 Each iteration reads each array as few times as it can. Every norm is one
 dot product of two fields the loop already holds (`_weighted_sum`). No pass
@@ -60,7 +67,6 @@ from .fractional_calculus import (
     Check,
     _CellInverse,
     _GridInverse,
-    _multipliers,
     apply_inverse,
 )
 from .spectral_domain import (
@@ -412,6 +418,34 @@ def _clamped_inverse(values: np.ndarray, nodes: _CellInverse | _GridInverse,
     return out
 
 
+def _u_and_v(w: np.ndarray, nodes: _CellInverse | _GridInverse,
+             q: float) -> tuple[np.ndarray, np.ndarray]:
+    """u = w^{1/q} and the clamped v = (-Delta)^{-s} w of a solution's w, on `nodes`."""
+    v = _clamped_inverse(w, nodes, "final v")
+    return w ** (1.0 / q), v
+
+
+def _node_set(values: np.ndarray, basis: SpectralBasis, grid: Grid,
+              s: float) -> tuple[str, _CellInverse | _GridInverse, np.ndarray]:
+    """The node set a field's loop runs on, its name and the field's values on
+    it: the fundamental cell if `values` is bitwise mirror-symmetric, else
+    every node."""
+    cell = _CellInverse.cell_of(values)
+    if cell is None:
+        return "full", _GridInverse(basis, grid, s), values
+    return "cell", _CellInverse(basis, grid, s), cell
+
+
+def solution_fields(w: GridFunction, exponents: ExponentPair,
+                    basis: SpectralBasis) -> tuple[GridFunction, GridFunction]:
+    """u and v of a solution from its w alone, on the node set
+    `solve_ground_state` picks for w and by `_solution`'s own steps: bit for
+    bit the pair's u and v, so a caller may keep w and drop them."""
+    _, nodes, values = _node_set(w.values, basis, w.grid, exponents.s)
+    u, v = _u_and_v(values, nodes, exponents.q)
+    return GridFunction(w.grid, nodes.extend(u)), GridFunction(w.grid, nodes.extend(v))
+
+
 def _solution(w: np.ndarray, theta: float, nodes: _CellInverse | _GridInverse,
               exponents: ExponentPair,
               grid: Grid) -> tuple[SolutionPair, float, tuple[SpectralField, SpectralField]]:
@@ -423,12 +457,15 @@ def _solution(w: np.ndarray, theta: float, nodes: _CellInverse | _GridInverse,
     and v."""
     p, q = exponents.p, exponents.q
     w *= theta ** (-q * (p + 1.0) / (p * q - 1.0))
-    v = _clamped_inverse(w, nodes, "final v")
-    u = w ** (1.0 / q)
+    u, v = _u_and_v(w, nodes, q)
     lhs = _clamped_inverse(v**p, nodes, "residual check")
     residual_w = float(np.max(np.abs(lhs - u))) / max(float(u.max()), 1e-300)
     coefficients = (nodes.coefficients(u), nodes.coefficients(v))
-    u, v, w = (GridFunction(grid, nodes.extend(f)) for f in (u, v, w))
+    del lhs
+    # one field at a time, so each node-set copy goes as its full-grid field comes
+    u = GridFunction(grid, nodes.extend(u))
+    v = GridFunction(grid, nodes.extend(v))
+    w = GridFunction(grid, nodes.extend(w))
     return SolutionPair(u=u, v=v, w=w, exponents=exponents), residual_w, coefficients
 
 
@@ -476,11 +513,7 @@ def solve_ground_state(
     # the loop runs on the fundamental cell if the normalized start is
     # bitwise mirror-symmetric, else on every node
     w = w.values / lp_norm(w, (exponents.q + 1.0) / exponents.q)
-    cell = _CellInverse.cell_of(w)
-    if cell is None:
-        node_set, nodes = "full", _GridInverse(basis, grid, exponents.s)
-    else:
-        node_set, nodes, w = "cell", _CellInverse(basis, grid, exponents.s), cell
+    node_set, nodes, w = _node_set(w, basis, grid, exponents.s)
     w, theta, theta_history, it, residual, clamp_max = _iterate(
         w, nodes, exponents, grid.cell_volume, theta_tol, residual_tol, max_iter)
     if clamp_max > _POSITIVITY_BUDGET:
@@ -491,7 +524,7 @@ def solve_ground_state(
         )
 
     pair, residual_w, coefficients = _solution(w, theta, nodes, exponents, grid)
-    del nodes, w, cell  # the loop's operator and node values go before the full-grid sums
+    del nodes, w  # the loop's operator and node values go before the full-grid sums
 
     report = SolveReport(
         theta=theta,
@@ -516,10 +549,22 @@ def energy(pair: SolutionPair, basis: SpectralBasis,
     the eigen-coefficients a, b of u, v."""
     p, q = pair.exponents.p, pair.exponents.q
     a, b = (c.coefficients for c in coefficients)
-    bilinear = float(np.sum(_multipliers(basis, pair.exponents.s) * a * b))
-    int_v = integrate(pair.v.with_values(pair.v.values ** (p + 1.0)))
-    int_u = integrate(pair.u.with_values(pair.u.values ** (q + 1.0)))
+    # lambda_k^s taken here, not from the cached table: a table kept alive
+    # across a sweep would sit under every later row's peak
+    bilinear = float(np.sum(basis.eigenvalue_grid ** pair.exponents.s * a * b))
+    work = np.empty_like(pair.v.values)
+    int_v = integrate(_power(pair.v, p + 1.0, work))
+    int_u = integrate(_power(pair.u, q + 1.0, work))
     return bilinear - int_v / (p + 1.0) - int_u / (q + 1.0)
+
+
+def _power(f: GridFunction, exponent: float, out: np.ndarray) -> GridFunction:
+    """`f.with_values(f.values ** exponent)` with the power taken in `out`, in
+    place, by `**`'s own exponent dispatch: the post-solve sums take their
+    powers in one work array, one after the other."""
+    np.copyto(out, f.values)
+    out **= exponent
+    return f.with_values(out)
 
 
 def energy_reduced(pair: SolutionPair) -> float:
@@ -532,8 +577,9 @@ def energy_reduced(pair: SolutionPair) -> float:
 def sobolev_quotient(pair: SolutionPair) -> float:
     """S(Omega) = ||(-Delta)^s u||_{(p+1)/p} / ||u||_{q+1} using (-Delta)^s u = v^p."""
     p, q = pair.exponents.p, pair.exponents.q
-    num = lp_norm(pair.v.with_values(pair.v.values**p), (p + 1.0) / p)
-    den = lp_norm(pair.u, q + 1.0)
+    work = np.empty_like(pair.v.values)
+    num = lp_norm(_power(pair.v, p, work), (p + 1.0) / p, out=work)
+    den = lp_norm(pair.u, q + 1.0, out=work)
     return num / den
 
 

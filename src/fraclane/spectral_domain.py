@@ -230,7 +230,10 @@ class Grid:
 
 
 class GridFunction:
-    """Real samples on a tensor grid; values must be finite."""
+    """Real samples on a tensor grid; values must be finite.
+
+    The check reads the values' max and min, which are NaN if any value is
+    and infinite if one is infinite, so it takes no array of its own."""
 
     def __init__(self, grid: Grid, values):
         values = np.asarray(values, dtype=float)
@@ -238,7 +241,7 @@ class GridFunction:
             raise ValueError(
                 f"values shape {values.shape} does not match grid shape {grid.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        if not (math.isfinite(values.max()) and math.isfinite(values.min())):
             raise ValueError("grid function carries non-finite values")
         self.grid = grid
         self.values = values
@@ -447,13 +450,18 @@ def synthesize_at(c: SpectralField, points,
     return out
 
 
-def lp_norm(f: GridFunction, r: float) -> float:
-    """Weighted L^r norm (sum_i w_i |f_i|^r)^(1/r); rejects r < 1."""
+def lp_norm(f: GridFunction, r: float, out: np.ndarray | None = None) -> float:
+    """Weighted L^r norm (sum_i w_i |f_i|^r)^(1/r); rejects r < 1.
+
+    |f|^r is taken in one array, in place: `out` (f's shape, f's own values
+    allowed, which it overwrites) or a new one."""
     r = float(r)
     if not math.isfinite(r) or r < 1.0:
         raise ValueError(f"lp_norm requires finite r >= 1, got {r}")
     w = f.grid.cell_volume
-    return float((w * np.sum(np.abs(f.values) ** r)) ** (1.0 / r))
+    powers = np.abs(f.values, out=out)
+    powers **= r  # `**`'s own exponent dispatch, as np.abs(f.values) ** r
+    return float((w * np.sum(powers)) ** (1.0 / r))
 
 
 def integrate(f: GridFunction) -> float:

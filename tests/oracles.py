@@ -139,6 +139,17 @@ def grid_meshgrid(grid):
     return np.meshgrid(*grid.coords, indexing="ij")
 
 
+def collar_sup_full_grid(pair):
+    """Sup of u + v over the nodes nearer to the box's boundary than
+    COLLAR_FRAC of its shortest side, read from a full-grid distance map;
+    None when no node is that near."""
+    grid = pair.u.grid
+    dist = reduce(np.minimum, [np.minimum(x, L - x)
+                               for x, L in zip(grid_meshgrid(grid), grid.domain.lengths)])
+    collar = dist < blowup_sweep.COLLAR_FRAC * min(grid.domain.lengths)
+    return float(np.max((pair.u.values + pair.v.values)[collar])) if collar.any() else None
+
+
 def grid_points(grid):
     """All nodes of a `Grid` as an (N, n) array in C order."""
     return np.stack([m.ravel(order="C") for m in grid_meshgrid(grid)], axis=-1)

@@ -5,16 +5,18 @@ import gc
 import json
 import warnings
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import (eigen_modes, eigenvalues, full_grid_post_solve, grid_meshgrid, grid_points,
-                     limit_system_residuals, mirrored, read_table, recording_iterate,
-                     recording_solve, rescaled_green)
+from oracles import (collar_sup_full_grid, eigen_modes, eigenvalues, full_grid_post_solve,
+                     grid_meshgrid, grid_points, limit_system_residuals, mirrored, read_table,
+                     recording_iterate, recording_solve, rescaled_green, traced_peak)
 
 import fraclane as fl
 from fraclane import blowup_sweep as bs
 from fraclane import cli_io
+from fraclane import hls_limit as hl
 from fraclane import lane_emden as le
 
 
@@ -128,7 +130,7 @@ def test_rescale_identity_translation():
     q = fl.solve_q_epsilon(2.5, 2, 0.5, 0.05)
     exps = fl.ExponentPair(p=2.5, q=q, n=2, s=0.5)
     pair, _ = fl.solve_ground_state(exps, basis, grid)
-    res = bs.rescale_solution(pair, 1.0, np.array([0.5, 0.5]))
+    res = bs.rescale_solution(pair.u, pair.v, exps, 1.0, np.array([0.5, 0.5]))
     # lam = 1, center: pure translation, values unchanged
     assert np.max(np.abs(res.u.values - pair.u.values)) < 1e-14
     assert res.u.lo == (-0.5, -0.5) and res.u.hi == (0.5, 0.5)
@@ -293,7 +295,7 @@ def test_limit_system_residual_decreases_along_sweep(mini_sweep, mini_pairs):
     q0 = fl.critical_q(res.config.p, 2, 0.5)
     resid_u, resid_v = [], []
     for row, pair in zip(res.rows, mini_pairs, strict=True):
-        rs = bs.rescale_solution(pair, row.lam, np.asarray(row.x_c))
+        rs = bs.rescale_solution(pair.u, pair.v, pair.exponents, row.lam, row.x_c)
         out = limit_system_residuals(rs.u, rs.v, res.config.p, q0, 0.5)
         resid_u.append(out[0])
         resid_v.append(out[1])
@@ -463,38 +465,124 @@ def test_sweep_failure_at_the_first_row_raises(monkeypatch):
         bs.run_sweep(small_sweep_config())
 
 
-def test_sweep_holds_at_most_two_rows_of_fields(monkeypatch):
-    # each row is measured when its solve returns, so once row k starts only
-    # row k - 1 (the warm start and the last pair) may still hold its fields
+@pytest.mark.parametrize("fail_at", [None, 3])
+def test_sweep_holds_one_row_of_fields(fail_at, monkeypatch):
+    # between solves a sweep holds one row's fields: when row k's solve starts,
+    # row k - 1's w alone; at the rescale, the last row's u and v alone. After
+    # a failed solve they are rebuilt from the last good row's w, which then goes
     original = bs.solve_ground_state
     rows = []  # per solved row: weak references to its u, v and w
 
+    def alive(k):
+        return [name for name, ref in zip("uvw", rows[k], strict=True) if ref() is not None]
+
     def tracking(*args, **kwargs):
         gc.collect()
-        for k, refs in enumerate(rows[:-1]):
-            assert all(ref() is None for ref in refs), f"row {k} alive at row {len(rows)}"
+        for k in range(len(rows)):
+            held = ["w"] if k == len(rows) - 1 else []
+            assert alive(k) == held, f"row {k} holds {alive(k)} at the solve of row {len(rows)}"
+        if len(rows) + 1 == fail_at:
+            raise fl.ConvergenceError("no convergence at the third row")
         pair, report = original(*args, **kwargs)
         rows.append([weakref.ref(f) for f in (pair.u, pair.v, pair.w)])
         return pair, report
 
-    original_report = bs.decay_report
+    original_rescale = bs.rescale_solution
 
-    def reporting(*args, **kwargs):
-        # the last row's pair goes once it is rescaled, before the decay report
+    def rescaling(*args, **kwargs):
         gc.collect()
-        assert all(ref() is None for ref in rows[-1]), "the last pair is alive at the decay report"
-        return original_report(*args, **kwargs)
+        for k in range(len(rows)):
+            held = ["u", "v"] if k == len(rows) - 1 and fail_at is None else []
+            assert alive(k) == held, f"row {k} holds {alive(k)} at the rescale"
+        return original_rescale(*args, **kwargs)
 
     monkeypatch.setattr(bs, "solve_ground_state", tracking)
-    monkeypatch.setattr(bs, "decay_report", reporting)
+    monkeypatch.setattr(bs, "rescale_solution", rescaling)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = bs.run_sweep(small_sweep_config((0.06, 0.055, 0.05, 0.045)))
-    assert res.failed is None, res.failed
-    assert len(rows) == len(res.rows) == 4
-    # and the result holds none of them: not even the last row's pair outlives the sweep
+    assert res.failed == (None if fail_at is None else "no convergence at the third row")
+    assert len(rows) == len(res.rows) == (4 if fail_at is None else 2)
+    # and the result holds none of them: not even the last row's fields outlive the sweep
     gc.collect()
     assert all(ref() is None for refs in rows for ref in refs)
+
+
+def test_failed_sweep_rescales_the_last_good_row_bit_for_bit(monkeypatch):
+    # the u and v rebuilt from the last good row's w are that row's own
+    pairs = []
+    monkeypatch.setattr(bs, "solve_ground_state", recording_solve(pairs))
+    failing_solve(monkeypatch, 3, "no convergence at the third row")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = bs.run_sweep(small_sweep_config())
+    assert len(pairs) == len(res.rows) == 2
+    pair, row = pairs[-1], res.rows[-1]
+    want = bs.rescale_solution(pair.u, pair.v, pair.exponents, row.lam, row.x_c)
+    for name in ("u", "v", "w"):
+        assert np.array_equal(getattr(res.rescaled, name).values, getattr(want, name).values), name
+
+
+def test_warm_sweep_peaks_at_one_row_of_fields():
+    # a warm sweep's traced peak, in full-grid fields: one row's u, v and w,
+    # the warm start, one temporary of the post-solve sums and the solver's
+    # tables; holding two rows' fields, as an earlier sweep did, reads 10.1
+    cfg = bs.SweepConfig(domain=unit_square(), p=2.5, eps_schedule=(0.06, 0.05, 0.04),
+                         cutoff=(64, 64), grid_shape=(128, 128))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bs.run_sweep(cfg)  # builds the cached sine tables
+        _, peak = traced_peak(bs.run_sweep, cfg)
+    assert peak <= 6.5 * 128 * 128 * 8
+
+
+@pytest.mark.parametrize("lengths, shape", [
+    ((1.0, 1.0), (48, 48)), ((1.0, 1.2), (25, 29)), ((0.2, 1.0), (5, 40)),
+    ((1.0, 1.1, 0.9), (17, 19, 15)), ((1.0,), (9,)), ((1.0, 3.0), (3, 60)),
+])
+def test_collar_sup_is_bitwise_the_full_grid_collar(lengths, shape):
+    # the sup over the boundary slabs is the sup over the full-grid distance map's collar
+    grid = fl.build_grid(fl.BoxDomain(lengths, 0.25), shape)
+    rng = np.random.default_rng(sum(shape))
+    pair = SimpleNamespace(u=fl.GridFunction(grid, rng.random(shape)),
+                           v=fl.GridFunction(grid, rng.random(shape) ** 3))
+    assert bs.boundary_bound_check(pair) == collar_sup_full_grid(pair)
+
+
+def test_collar_without_nodes_is_refused():
+    grid = fl.build_grid(unit_square(), (1, 1))
+    pair = SimpleNamespace(u=fl.GridFunction(grid, [[1.0]]), v=fl.GridFunction(grid, [[1.0]]))
+    assert collar_sup_full_grid(pair) is None
+    with pytest.raises(ValueError, match="collar contains no grid nodes"):
+        bs.boundary_bound_check(pair)
+
+
+def test_sweep_reads_one_profile_per_rescaled_field(mini_sweep, tmp_path, monkeypatch):
+    # the profiles are the rescaled fields' own; a CLI sweep takes two, and the
+    # decay fits and the profile tables read them
+    res = mini_sweep
+    for name in ("u", "v"):
+        want = hl.radial_shells(getattr(res.rescaled, name))
+        assert all(np.array_equal(a, b) for a, b in zip(res.profiles[name], want, strict=True))
+    calls = []
+    original = hl.radial_shells
+
+    def counting(field):
+        calls.append(field)
+        return original(field)
+
+    monkeypatch.setattr(hl, "radial_shells", counting)
+    monkeypatch.setattr(bs, "radial_shells", counting)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("command = sweep\neps_schedule = 0.06,0.05,0.04\ncutoff = 24,24\ngrid = 48,48\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli_io.main(["sweep", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    assert len(calls) == 2
+    for name in ("u", "v"):
+        _, rows = read_table(out / f"profile_{name}.csv")
+        assert np.array_equal(np.array(rows)[:, 1], res.profiles[name][1]), name
 
 
 @pytest.mark.parametrize("lengths, p, eps_schedule, cutoff, shape", [

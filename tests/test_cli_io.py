@@ -21,7 +21,7 @@ import fraclane as fl
 from fraclane import blowup_sweep as bs
 from fraclane import cli_io
 from fraclane import lane_emden as le
-from fraclane.hls_limit import FreeField
+from fraclane.hls_limit import FreeField, radial_shells
 
 
 def test_parse_minimal_config_defaults_filled():
@@ -262,7 +262,7 @@ def test_radial_profile_export(tmp_path):
     X, Y = np.meshgrid(ax, ax, indexing="ij")
     f = FreeField.centered(4.0, 1.0 / (1.0 + X**2 + Y**2))
     path = tmp_path / "prof.csv"
-    cli_io.write_radial_profile(f, path)
+    cli_io.write_radial_profile(radial_shells(f), path)
     cols, rows = read_table(path)
     assert cols == ["r", "mean", "min", "max", "count"]
     assert all(row[2] <= row[1] <= row[3] for row in rows)

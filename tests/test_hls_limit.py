@@ -175,19 +175,19 @@ def test_radii_and_kernel_table_are_bitwise_the_meshgrid_formulas(n, s, shape):
 
 
 def test_free_convolution_peak_memory_is_f_spectrum():
-    # At the peak of one call f's spectrum is being taken, and three arrays
-    # are live: the (m+1)^2 real half-kernel, f's rfft along the last axis
-    # ((m, m+1) complex) and f's spectrum ((2m, m+1) complex). The kernel's
-    # passes hold less, the product is taken in place, and the inverse passes
-    # run in place on f's spectrum. The allowance covers O(m) arrays
-    # (coordinate axes, FFT line buffers): sixteen complex lines of length
-    # 2m, far below one more transform-sized array.
+    # f's spectrum ((2m, m+1) complex) is zeroed once, and every pass of the
+    # forward transform writes into it: the last-axis rfft of the m data lines
+    # takes no array of its own. At the peak of one call two arrays are live:
+    # f's spectrum and the last-axis irfft of its kept rows ((m, 2m) real).
+    # The kernel's passes hold no more, the product is taken in place, and the
+    # leading-axis passes run in place on f's spectrum. The allowance covers
+    # O(m) arrays (coordinate axes, FFT line buffers): sixteen complex lines
+    # of length 2m, far below one more transform-sized array.
     m = 256
     field = hl.FreeField.centered(4.0, np.random.default_rng(5).random((m, m)))
     hl.free_convolution(field, 0.5)  # builds the cached quadrature rules
-    half_kernel = (m + 1) ** 2 * 8
-    last_axis_rfft = m * (m + 1) * 16
     spectrum = 2 * m * (m + 1) * 16
+    last_axis_irfft = m * 2 * m * 8
     allowance = 16 * 2 * m * 16
     tracemalloc.start()
     try:
@@ -195,7 +195,7 @@ def test_free_convolution_peak_memory_is_f_spectrum():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= half_kernel + last_axis_rfft + spectrum + allowance
+    assert peak <= spectrum + last_axis_irfft + allowance
 
 
 def test_hls_quotient_requires_critical_pair():

@@ -564,6 +564,37 @@ def test_full_path_post_solve_is_the_full_grid_post_solve(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:clamped")
+@pytest.mark.parametrize("case", [*POST_SOLVE_CASES, "full"])
+def test_solution_fields_rebuild_u_and_v_bitwise_from_w(case):
+    # from w alone, on the node set its solve ran on; "full" starts asymmetric
+    if case == "full":
+        dom, basis, grid = small_setup(K=8, m=16)
+        p, eps = 2.5, 0.05
+        init = fl.GridFunction(grid, np.random.default_rng(777).random(grid.shape) + 0.1)
+    else:
+        lengths, s, p, eps, cutoff, shape = REDUCED_CASES[case]
+        dom = fl.BoxDomain(lengths, s)
+        basis, grid, init = fl.build_basis(dom, cutoff), fl.build_grid(dom, shape), None
+    exps = fl.ExponentPair(p=p, q=fl.solve_q_epsilon(p, dom.dim, dom.s, eps), n=dom.dim, s=dom.s)
+    pair, report = fl.solve_ground_state(exps, basis, grid, init=init)
+    assert report.node_set == ("full" if case == "full" else "cell")
+    u, v = le.solution_fields(pair.w, exps, basis)
+    assert np.array_equal(u.values, pair.u.values) and np.array_equal(v.values, pair.v.values)
+
+
+def test_post_solve_sums_take_one_full_grid_temporary(solved):
+    # each power goes into one work array, in place; the allowance covers
+    # the finiteness mask of a power (an eighth of a field) and the
+    # coefficient-sized products of the bilinear term
+    _, basis, grid, exps, pair, report = solved
+    field = pair.u.values.nbytes
+    energy, peak = traced_peak(fl.energy, pair, basis, report.coefficients)
+    assert energy == report.energy and peak <= field + field // 8 + 2 * 16 * 16 * 8 + 4096
+    quotient, peak = traced_peak(fl.sobolev_quotient, pair)
+    assert quotient == report.sobolev_quotient and peak <= field + field // 8 + 4096
+
+
+@pytest.mark.filterwarnings("ignore:clamped")
 def test_symmetric_solve_makes_no_full_grid_inverse(monkeypatch):
     # the loop and the post-processing both run on the cell
     calls = []

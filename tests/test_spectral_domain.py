@@ -386,6 +386,22 @@ def test_lp_norm_examples():
     assert fl.lp_norm(phi, 4.0) == pytest.approx(oracle, rel=1e-6)
 
 
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.5])
+def test_lp_norm_is_bitwise_the_plain_formula_in_one_temporary(r):
+    # r = 1 and r = 2 are exponents that `**` dispatches to other loops
+    grid = fl.build_grid(unit_square(), (64, 64))
+    values = np.random.default_rng(3).standard_normal(grid.shape)
+    f = fl.GridFunction(grid, values.copy())
+    want = float((grid.cell_volume * np.sum(np.abs(values) ** r)) ** (1.0 / r))
+    norm, peak = traced_peak(fl.lp_norm, f, r)
+    assert norm == want and np.array_equal(f.values, values)
+    assert peak <= values.nbytes + 4096
+    # with f's own values as `out`, it takes no array at all and overwrites them
+    norm, peak = traced_peak(fl.lp_norm, f, r, f.values)
+    assert norm == want and peak <= 4096
+    assert np.array_equal(f.values, np.abs(values) ** r)
+
+
 def test_lp_norm_rejects_r_below_one():
     grid = fl.build_grid(unit_square(), (4, 4))
     f = fl.GridFunction(grid, np.ones((4, 4)))
