@@ -323,8 +323,10 @@ def _unpack(fmt: str, fh):
 
 def load_field(path):
     """The field of a `dump_field` file, named by its path or given as a
-    binary file object, read to its end. A header cut short, or a payload of
-    another size than the header's shape, is refused with a `ValueError`."""
+    seekable binary file object, read to its end. A header cut short, or a
+    payload of another size than the header's shape, is refused with a
+    `ValueError` before the payload is read; the payload is read straight
+    into the field's array."""
     with (path if hasattr(path, "read") else open(path, "rb")) as fh:
         magic = fh.read(len(FIELD_MAGIC))
         if magic != FIELD_MAGIC:
@@ -340,16 +342,20 @@ def load_field(path):
             shape.append(int(m))
             lo.append(a)
             hi.append(b)
-        payload = fh.read()
-    size = 8 * math.prod(shape)
-    if len(payload) != size:
-        raise ValueError(f"field dump payload holds {len(payload)} bytes, but its header's "
-                         f"shape {tuple(shape)} needs {size}")
-    values = np.frombuffer(payload, dtype="<f8").reshape(shape)
+        start = fh.tell()
+        held = fh.seek(0, io.SEEK_END) - start
+        size = 8 * math.prod(shape)
+        if held == size:  # sized before the array is allocated, counted again as read
+            fh.seek(start)
+            values = np.empty(shape, dtype="<f8")
+            held = fh.readinto(values)
+        if held != size:
+            raise ValueError(f"field dump payload holds {held} bytes, but its header's "
+                             f"shape {tuple(shape)} needs {size}")
     if kind == 0:
         domain = BoxDomain(tuple(b - a for a, b in zip(lo, hi, strict=True)), s)
-        return GridFunction(Grid(domain, tuple(shape)), values.copy())
-    return FreeField(tuple(lo), tuple(hi), values.copy())
+        return GridFunction(Grid(domain, tuple(shape)), values)
+    return FreeField(tuple(lo), tuple(hi), values)
 
 
 def write_radial_profile(shells: tuple[np.ndarray, ...], path) -> None:
@@ -469,7 +475,9 @@ def _cmd_hls(cfg: RunConfig, out_dir: Path) -> tuple[dict, list[Check]]:
     field = None
     if cfg.hls_field:
         data = Path(cfg.hls_field).read_bytes()  # the bytes scored are the bytes hashed
+        digest = hashlib.sha256(data).hexdigest()
         field = load_field(io.BytesIO(data))
+        del data
         if not isinstance(field, FreeField):
             raise ValueError("hls_field must point at a free-field dump")
         if field.dim != n:
@@ -488,7 +496,7 @@ def _cmd_hls(cfg: RunConfig, out_dir: Path) -> tuple[dict, list[Check]]:
         qc = critical_q(cfg.p, n, s)
         field_payload = {"path": cfg.hls_field, "p": cfg.p, "q0": qc,
                          "quotient": hls_quotient(field, cfg.p, qc, s),
-                         "sha256": hashlib.sha256(data).hexdigest()}
+                         "sha256": digest}
 
     return {"oracle": oracle, "field_quotient": field_payload}, checks
 

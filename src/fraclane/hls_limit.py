@@ -101,8 +101,9 @@ class FreeField:
     def lp_norm(self, r: float, values=None) -> float:
         if not 1.0 <= r < math.inf:
             raise ValueError(f"norm exponent must be finite and >= 1, got {r}")
-        v = self.values if values is None else values
-        return float((self.cell_volume * np.sum(np.abs(v) ** r)) ** (1.0 / r))
+        powers = np.abs(self.values if values is None else values)
+        powers **= r  # `**`'s own exponent dispatch, as np.abs(v) ** r, in one array
+        return float((self.cell_volume * np.sum(powers)) ** (1.0 / r))
 
     def with_values(self, values) -> "FreeField":
         return FreeField(self.lo, self.hi, values)
@@ -143,29 +144,80 @@ def _kernel_table(field: FreeField, lam: float) -> np.ndarray:
     return table
 
 
+_BLOCK_BYTES = 3 << 17  # a block's complex lines at the transform length, in bytes
+
+
+def _blocks(count: int, unit_bytes: int) -> list[slice]:
+    """range(count) cut into slices of _BLOCK_BYTES // unit_bytes units (at
+    least one each), the last one shorter when the step does not divide count."""
+    step = max(1, _BLOCK_BYTES // unit_bytes)
+    return [slice(a, min(a + step, count)) for a in range(0, count, step)]
+
+
 def _kernel_spectrum(field: FreeField, lam: float) -> np.ndarray:
     """The real DFT of the 2m-periodic, even kernel at frequencies [0, m] per axis.
 
     An even real sequence has a real, even spectrum, sum_d K(d) cos(pi d k / m),
     which `irfft` with `norm="forward"` computes from the offsets [0, m]; the
-    frequencies above m mirror those below it. Each axis takes one pass, and
-    the result is copied out of the last pass's 2m-long lines.
+    frequencies above m mirror those below it. Each axis takes one pass over
+    the (m+1)^n quadrant table, a block of lines per `irfft`, each line cut
+    back from 2m values to [0, m]. The leading axes' passes write back into
+    the table. The last axis's pass writes into an array laid out last axis
+    first, so that the kernel of one last-axis frequency is one contiguous
+    block, and the result is that array's view in the field's axis order.
     """
-    spectrum = _kernel_table(field, lam)
+    table = _kernel_table(field, lam)
+    spectrum = np.empty(table.shape[-1:] + table.shape[:-1])
     for axis, m in enumerate(field.shape):
-        kept = (slice(None),) * axis + (slice(0, m + 1),)
-        spectrum = np.fft.irfft(spectrum, 2 * m, axis, norm="forward")[kept]
-    return spectrum.copy()
+        lines = table.reshape(math.prod(table.shape[:axis]), m + 1, -1)
+        dest = lines if axis < field.dim - 1 else spectrum.reshape(m + 1, -1).T[:, :, None]
+        if axis == 0:  # no axis before the first: the blocks run over its lines
+            lines, dest = lines.transpose(2, 1, 0), dest.transpose(2, 1, 0)
+        for part in _blocks(len(lines), lines.shape[2] * 32 * m):
+            dest[part] = np.fft.irfft(lines[part], 2 * m, 1, norm="forward")[:, : m + 1]
+    return np.moveaxis(spectrum, 0, -1)
 
 
 def _mirrored_blocks(shape):
     """(spectrum block, half-kernel block) pairs over the leading axes of a
-    `rfftn` spectrum of period 2m: frequencies [0, m] read the half-kernel's
-    [0, m], and frequencies (m, 2m) read its (0, m) reversed."""
+    spectrum of period 2m: frequencies [0, m] read the half-kernel's [0, m],
+    and frequencies (m, 2m) read its (0, m) reversed."""
     pairs = [((slice(0, m + 1), slice(0, m + 1)), (slice(m + 1, 2 * m), slice(m - 1, 0, -1)))
              for m in shape[:-1]]
     for blocks in itertools.product(*pairs):
         yield tuple(b[0] for b in blocks), tuple(b[1] for b in blocks)
+
+
+def _convolve_leading(block, kernel, pads, product) -> None:
+    """One block of last-axis frequencies of f's half spectrum, (m, ..., m, w),
+    convolved along the leading axes in place, with `kernel` the block's
+    half-kernel, (m+1, ..., m+1, w).
+
+    pads[a] is the input of the pass along leading axis a: the axes before a
+    at m, the others at 2m, zero beyond m on axis a; `product` has every
+    leading axis at 2m. The block enters the head of the last pad, each
+    `fft` writes into the head of the pad before, the first into `product`.
+    The mirrored kernel is cast into pads[0], whose input is spent, and
+    multiplies `product` there. Each `ifft` writes into its axis's pad, whose
+    head the next one reads, and the last pad's head is written back; the
+    pads' tails are then zeroed again. Every pass reads lines of 2m, the
+    length it transforms.
+    """
+    width = (..., slice(0, block.shape[-1]))
+    pads, product = [pad[width] for pad in pads], product[width]
+    lead = block.shape[:-1]
+    heads = [(slice(None),) * a + (slice(0, m),) for a, m in enumerate(lead)]
+    pads[-1][heads[-1]] = block
+    for a in reversed(range(len(lead))):
+        np.fft.fft(pads[a], 2 * lead[a], a, out=pads[a - 1][heads[a - 1]] if a else product)
+    for part, mirror in _mirrored_blocks(block.shape):
+        pads[0][part] = kernel[mirror]
+    product *= pads[0]
+    for a in range(len(lead)):
+        np.fft.ifft(pads[a - 1][heads[a - 1]] if a else product, 2 * lead[a], a, out=pads[a])
+    block[...] = pads[-1][heads[-1]]
+    for a, m in enumerate(lead):
+        pads[a][(slice(None),) * a + (slice(m, None),)] = 0.0
 
 
 def free_convolution(field: FreeField, s: float) -> np.ndarray:
@@ -175,40 +227,50 @@ def free_convolution(field: FreeField, s: float) -> np.ndarray:
     at offset 0. A kept index k in [0, m) reads offset k - j in (-m, m) for
     every input node j in [0, m), so no wrapped term reaches the kept rows.
 
-    f's spectrum is f's `rfftn` of the 2m-periodic zero extension, taken by
-    `rfftn`'s passes in `rfftn`'s order into one zeroed array: `rfft` along
-    the last axis of the m data lines only, into the spectrum's leading
-    block, then `fft` in place along each leading axis, from the last to the
-    first, over only the lines that data reached (the others stay zero).
-    The kernel is real and even, so its spectrum is real: `_kernel_spectrum`
-    gives it at the frequencies [0, m] per axis, and f's spectrum is
-    multiplied by it in place, block by block over the mirrored ranges of
-    the leading axes. The inverse transform computes the kept rows only. It
-    runs `irfftn`'s passes in `irfftn`'s order: `ifft` in place along each
-    leading axis, cutting that axis to its kept range as soon as the pass
-    returns, then `irfft` along the last axis on what is left. Each pass
-    transforms every line on its own, with one plan per length, and a line
-    of m values read at length 2m is the line padded with m zeros, so the
-    spectrum is bitwise `rfftn`'s and the result `irfftn(F K)[kept]`.
+    The transforms are `rfftn`'s and `irfftn`'s passes, in their order,
+    streamed so that no array holds f's whole (2m)^{n-1}(m+1) spectrum.
+    f's last-axis `rfft` at length 2m takes the m data lines into an
+    (m, ..., m, m+1) complex array, half of that spectrum. Each block of its
+    columns (last-axis frequencies) then runs the leading-axis `fft`s at
+    length 2m, from the last leading axis to the first, the product with the
+    kernel's real spectrum (`_kernel_spectrum`, frequencies [0, m], read
+    mirrored above m), and the `ifft`s from the first leading axis to the
+    last, each cut to its kept rows [0, m), and is written back
+    (`_convolve_leading`). The last-axis `irfft` runs by blocks of rows, each
+    block scaled into the (m)^n output. Each pass transforms every line on
+    its own, with one plan per length, and a line of m values padded with m
+    zeros is what `fft` reads at length 2m, so the result is bitwise
+    `irfftn(rfftn(f, 2m) K)` cut to the kept rows. At its peak the call holds
+    the half spectrum, the kernel spectrum and the column block's buffers,
+    at most _BLOCK_BYTES each.
     """
-    shape = field.shape
-    fft_shape = tuple(2 * m for m in shape)
-    axes = tuple(range(field.dim))
+    shape, lead = field.shape, field.shape[:-1]
+    m, fft_lead = shape[-1], tuple(2 * k for k in lead)
     kernel = _kernel_spectrum(field, field.dim - 2.0 * s)
-    spectrum = np.zeros(fft_shape[:-1] + (shape[-1] + 1,), dtype=complex)
-    data = tuple(slice(0, m) for m in shape[:-1])
-    np.fft.rfft(field.values, fft_shape[-1], -1, out=spectrum[data])
-    for axis in reversed(axes[:-1]):
-        np.fft.fft(spectrum[data[:axis]], fft_shape[axis], axis, out=spectrum[data[:axis]])
-    for block, mirror in _mirrored_blocks(shape):
-        spectrum[block] *= kernel[mirror]
-    del kernel
-    for axis in axes[:-1]:
-        np.fft.ifft(spectrum, fft_shape[axis], axis, out=spectrum)
-        spectrum = spectrum[(slice(None),) * axis + (slice(0, shape[axis]),)]
-    conv = np.fft.irfft(spectrum, fft_shape[-1], -1)[..., : shape[-1]]
-    del spectrum
-    return gns(field.dim, s) * field.cell_volume * conv
+    spectrum = np.fft.rfft(field.values, 2 * m, -1)
+    blocks = _blocks(m + 1, 16 * math.prod(fft_lead))
+    # the block buffers are laid out column first, like the kernel, so that
+    # each column is contiguous and each pass runs over all its lines at once
+    widest = (blocks[0].stop,)
+    pads = [np.moveaxis(np.zeros(widest + lead[:a] + fft_lead[a:], complex), 0, -1)
+            for a in range(len(lead))]
+    product = np.moveaxis(np.empty(widest + fft_lead, complex), 0, -1) if lead else None
+    for cols in blocks:
+        if lead:
+            _convolve_leading(spectrum[..., cols], kernel[..., cols], pads, product)
+        else:
+            spectrum[cols] *= kernel[cols]
+    del kernel, pads, product
+    scale = gns(field.dim, s) * field.cell_volume
+    conv = np.empty(shape)
+    rows_in, rows_out = spectrum.reshape(-1, m + 1), conv.reshape(-1, m)
+    blocks = _blocks(len(rows_in), 32 * m)
+    lines = np.empty((blocks[0].stop, 2 * m))
+    for rows in blocks:
+        height = slice(0, rows.stop - rows.start)
+        np.fft.irfft(rows_in[rows], 2 * m, -1, out=lines[height])
+        np.multiply(lines[height, :m], scale, out=rows_out[rows])
+    return conv
 
 
 def _require_critical(p: float, q0: float, n: int, s: float):

@@ -11,11 +11,12 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import kernel_pairs_one_at_a_time, read_table, write_table_per_cell
+from oracles import kernel_pairs_one_at_a_time, read_table, traced_peak, write_table_per_cell
 
 import fraclane as fl
 from fraclane import blowup_sweep as bs
@@ -173,6 +174,19 @@ def test_dump_load_free_field(tmp_path):
     assert isinstance(back, FreeField)
     assert back.lo == f.lo and back.hi == f.hi
     assert np.array_equal(back.values, f.values)
+
+
+def test_load_field_reads_its_payload_once(tmp_path):
+    # the payload goes straight into the field's own array, from a path and
+    # from a byte stream: a load holds one payload and the reader's buffers
+    values = np.random.default_rng(2).random((128, 128))
+    path = tmp_path / "f.bin"
+    cli_io.dump_field(FreeField.centered(4.0, values), path)
+    for source in (lambda: path, lambda: io.BytesIO(path.read_bytes())):
+        stream = source()
+        field, peak = traced_peak(cli_io.load_field, stream)
+        assert np.array_equal(field.values, values) and field.values.flags.owndata
+        assert peak <= values.nbytes + 16384
 
 
 def test_load_rejects_bad_magic_and_version(tmp_path):
@@ -413,6 +427,33 @@ def test_hls_report_hashes_the_bytes_it_scored(tmp_path, monkeypatch):
     assert report["sha256"] == hashlib.sha256(scored).hexdigest()
     original = score(cli_io.load_field(io.BytesIO(scored)), 2.5, report["q0"], 0.5)
     assert report["quotient"] == seen[-1] == original
+
+
+def test_hls_scores_its_field_without_the_dump_bytes(tmp_path, monkeypatch):
+    # the dump's bytes are hashed as soon as they are read and dropped once
+    # the field is loaded: when the field is scored, the run holds the field
+    # and no second copy of it
+    values = np.random.default_rng(3).random((256, 256))
+    field = tmp_path / "field.bin"
+    cli_io.dump_field(FreeField.centered(4.0, values), field)
+    score, held = cli_io.hls_quotient, []
+
+    def scoring(f, *args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return score(f, *args)
+
+    monkeypatch.setattr(cli_io, "hls_quotient", scoring)
+    cfg = tmp_path / "hls.cfg"
+    cfg.write_text("n = 2\ns = 0.5\np = 2.5\nhls_box_list = 8\nhls_grid_list = 32\n"
+                   f"hls_field = {field}\n")
+    tracemalloc.start()
+    try:
+        assert run_cli(["hls", "--config", str(cfg), "--out", str(tmp_path / "out")]) in (0, 1)
+    finally:
+        tracemalloc.stop()
+    report = json.loads((tmp_path / "out" / "hls_report.json").read_text())["field_quotient"]
+    assert report["sha256"] == hashlib.sha256(field.read_bytes()).hexdigest()
+    assert len(held) == 1 and held[0] < 1.5 * values.nbytes
 
 
 def test_cli_unreadable_config_exits_3(tmp_path, capsys):

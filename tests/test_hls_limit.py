@@ -1,12 +1,12 @@
 """Whole-space quotient, limit-system, decay-fit and Appendix-style checks."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from oracles import (bubble_pair, full_table_free_convolution, limit_system_residuals, mesh_radii,
-                     plain_free_convolution, plain_kernel_table, plain_quadrant_table)
+                     plain_free_convolution, plain_kernel_table, plain_quadrant_table,
+                     traced_peak)
 
 import fraclane as fl
 from fraclane import fractional_calculus as fc
@@ -174,28 +174,102 @@ def test_radii_and_kernel_table_are_bitwise_the_meshgrid_formulas(n, s, shape):
     assert np.array_equal(table[offsets], plain_kernel_table(field, n - 2.0 * s))
 
 
+def streamed_arrays(m):
+    """The bytes of the arrays a streamed 2-d `free_convolution` holds at its
+    peak: f's half spectrum ((m, m+1) complex), the kernel's real spectrum
+    ((m+1, m+1) real), and two block buffers of at most `_BLOCK_BYTES` each.
+    The allowance covers O(m) arrays (coordinate axes, the quadrature's
+    nodes): sixteen complex lines of length 2m, far below one more field."""
+    return m * (m + 1) * 16 + (m + 1) ** 2 * 8 + 2 * hl._BLOCK_BYTES + 16 * 2 * m * 16
+
+
 def test_free_convolution_peak_memory_is_f_spectrum():
-    # f's spectrum ((2m, m+1) complex) is zeroed once, and every pass of the
-    # forward transform writes into it: the last-axis rfft of the m data lines
-    # takes no array of its own. At the peak of one call two arrays are live:
-    # f's spectrum and the last-axis irfft of its kept rows ((m, 2m) real).
-    # The kernel's passes hold no more, the product is taken in place, and the
-    # leading-axis passes run in place on f's spectrum. The allowance covers
-    # O(m) arrays (coordinate axes, FFT line buffers): sixteen complex lines
-    # of length 2m, far below one more transform-sized array.
+    # no array holds f's whole (2m, m+1) spectrum: the peak is its (m, m+1)
+    # half, the kernel's spectrum and the block buffers; the output and the
+    # irfft's row block come after the kernel and the buffers are gone. The
+    # full spectrum alone, 2m(m+1) complex, exceeds the bound at m = 512.
+    for m in (256, 512):
+        field = hl.FreeField.centered(4.0, np.random.default_rng(5).random((m, m)))
+        hl.free_convolution(field, 0.5)  # builds the cached quadrature rules
+        conv, peak = traced_peak(hl.free_convolution, field, 0.5)
+        assert conv.shape == (m, m) and conv.flags.c_contiguous
+        assert peak <= streamed_arrays(m)
+    assert peak <= 3.5 * field.values.nbytes
+
+
+def test_hls_quotient_peaks_at_its_convolution():
+    # the norms take one work array each, beside the convolution, so the
+    # quotient peaks inside `free_convolution`, at 256^2 as at 512^2
     m = 256
-    field = hl.FreeField.centered(4.0, np.random.default_rng(5).random((m, m)))
-    hl.free_convolution(field, 0.5)  # builds the cached quadrature rules
-    spectrum = 2 * m * (m + 1) * 16
-    last_axis_irfft = m * 2 * m * 8
-    allowance = 16 * 2 * m * 16
-    tracemalloc.start()
-    try:
-        hl.free_convolution(field, 0.5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= spectrum + last_axis_irfft + allowance
+    q0 = diagonal_exponent(2, 0.5)
+    field = hl.FreeField.centered(4.0, np.random.default_rng(6).random((m, m)))
+    first = hl.hls_quotient(field, q0, q0, 0.5)
+    quotient, peak = traced_peak(hl.hls_quotient, field, q0, q0, 0.5)
+    assert quotient == first and peak <= streamed_arrays(m)
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.5])
+def test_free_field_lp_norm_is_bitwise_the_plain_formula_in_one_temporary(r):
+    # r = 1 and r = 2 are exponents that `**` dispatches to other loops
+    values = np.random.default_rng(3).random((64, 64))
+    field = hl.FreeField.centered(2.0, values.copy())
+    other = -np.random.default_rng(4).random((64, 64))
+    for given, plain in ((None, values), (other, other)):
+        want = float((field.cell_volume * np.sum(np.abs(plain) ** r)) ** (1.0 / r))
+        norm, peak = traced_peak(field.lp_norm, r, given)
+        assert norm == want and peak <= values.nbytes + 4096
+    assert np.array_equal(field.values, values)
+    assert np.array_equal(other, -np.random.default_rng(4).random((64, 64)))
+
+
+BLOCKS = hl._blocks
+
+
+def recording_blocks(monkeypatch, budget):
+    """`hl._blocks` under the block budget `budget`, recording each call's
+    (count, unit_bytes, blocks) in the list returned."""
+    calls = []
+
+    def recording(count, unit_bytes):
+        cut = BLOCKS(count, unit_bytes)
+        calls.append((count, unit_bytes, cut))
+        return cut
+
+    monkeypatch.setattr(hl, "_BLOCK_BYTES", budget)
+    monkeypatch.setattr(hl, "_blocks", recording)
+    return calls
+
+
+@pytest.mark.parametrize("n, s, shape", PIN_CASES)
+def test_streamed_passes_are_bitwise_at_every_block_size(n, s, shape, monkeypatch):
+    # every pass of at least three units runs once under a budget that cuts
+    # it into blocks of k >= 2 units and a short last one (k not dividing the
+    # count), and every pass runs once with one unit per block; each run is
+    # bitwise the plain transform product
+    field = pin_field(n, shape)
+    plain = plain_free_convolution(field, s)
+    passes = recording_blocks(monkeypatch, hl._BLOCK_BYTES)
+    assert np.array_equal(hl.free_convolution(field, s), plain)
+    plan = [(count, unit) for count, unit, _ in passes]
+    runs = [(None, 1)]
+    for index, (count, unit) in enumerate(plan):
+        if count >= 3:
+            step = next(k for k in range(2, count) if count % k)
+            runs.append((index, step * unit + unit // 2))
+    for target, budget in runs:
+        calls = recording_blocks(monkeypatch, budget)
+        assert np.array_equal(hl.free_convolution(field, s), plain)
+        assert [(count, unit) for count, unit, _ in calls] == plan
+        for count, _, cut in calls:
+            assert [i for block in cut for i in range(count)[block]] == list(range(count))
+        if target is None:
+            assert all(len(cut) == count for count, _, cut in calls)
+        else:
+            count, _, cut = calls[target]
+            sizes = [len(range(count)[block]) for block in cut]
+            assert len(sizes) >= 2 and sizes[-1] < sizes[0]
+    # the column pass has m + 1 >= 3 units whenever the last axis has m >= 2
+    assert len(runs) > 1 or shape[-1] < 2
 
 
 def test_hls_quotient_requires_critical_pair():
