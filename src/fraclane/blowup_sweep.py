@@ -69,6 +69,7 @@ from .spectral_domain import (
 )
 
 MIN_CORE_CELLS = 8.0  # narrower blow-up cores are at the grid's resolvability limit
+QUOTIENT_BOUND_SLACK = -1e-12  # the least quotient-bound margin that passes: S_hat is rounded
 
 # The fixed geometry of every sweep, in units of the shortest side: the ring of
 # N_COMPARISON Green-limit points around the center, the ball around x0 where
@@ -202,8 +203,8 @@ class SweepResult:
     # `radial_shells` of the rescaled u and v, keyed "u" and "v": what the
     # decay fits read and the CLI's profile tables hold
     profiles: dict[str, tuple[np.ndarray, ...]]
-    diagnostics: dict
-    decay: dict
+    decay: dict  # `decay_report`'s window and u slope, or its error
+    decay_checks: list[Check]  # `decay_report`'s bands; none with an error
     failed: str | None  # the message of the solve that ended the sweep early
 
 
@@ -417,7 +418,7 @@ def extrapolate_S(
     return SExtrapolation(
         s_hat=s_hat,
         bound_margins=margins,
-        bound_ok=all(m >= -1e-12 for m in margins),
+        bound_ok=all(m >= QUOTIENT_BOUND_SLACK for m in margins),
         e_limit=e_limit,
         e_rel_gap=e_rel_gap,
     )
@@ -536,6 +537,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             dom,
         )
 
+    decay, decay_checks = decay_report(rescaled, profiles, last.constants.c1, config)
     return SweepResult(
         config=config,
         rows=rows,
@@ -543,8 +545,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         extrapolation=extrapolation,
         rescaled=rescaled,
         profiles=profiles,
-        diagnostics=_sweep_diagnostics(rows),
-        decay=decay_report(rescaled, profiles, last.constants.c1, config),
+        decay=decay,
+        decay_checks=decay_checks,
         failed=failed,
     )
 
@@ -563,89 +565,89 @@ def decay_window(lam: float, domain: BoxDomain, grid_shape) -> tuple[float, floa
 
 
 def decay_report(rescaled: RescaledSolution, profiles: dict[str, tuple[np.ndarray, ...]],
-                 c1: float, config: SweepConfig) -> dict:
-    """Decay of the rescaled fields over `decay_window`: the v and u slope
-    fits on their `profiles` (`SweepResult.profiles`), the sharp-decay
-    sandwich (delta 0.25) and, at the Serrin exponent, the log integral, each
-    with its target; {"error": reason} when the window admits no fit."""
+                 c1: float, config: SweepConfig) -> tuple[dict, list[Check]]:
+    """Decay of the rescaled fields over `decay_window`, fitted on their
+    `profiles` (`SweepResult.profiles`): the window and the u slope, with
+    the kind of its fit; and the bands, as checks that never gate: the v
+    slope within 0.1 of -(n-2s), the sharp-decay sandwich (delta 0.25) and,
+    at the Serrin exponent, the log integral within 20% of its target C3.
+    ({"error": reason}, []) when the window admits no fit."""
     n, s = config.domain.dim, config.domain.s
     lam = rescaled.lam
     win = decay_window(lam, config.domain, config.grid_shape)
     serrin = config.regime == "serrin"
+    target, tol, delta, rel = -(n - 2 * s), 0.1, 0.25, 0.2
     try:
         fit_v = decay_fit(rescaled.v, win, shells=profiles["v"])
         fit_u = decay_fit(rescaled.u, win, serrin_power=n - 2 * s if serrin else None,
                           shells=profiles["u"])
-        sandwich = sharp_decay_check(rescaled.v, c1, 0.25, win, s)
-        report = {
-            "window": list(win),
-            "v_slope": {"value": fit_v.slope, "target": -(n - 2 * s), "tol": 0.1},
-            "u_slope": {"value": fit_u.slope, "kind": "log_coefficient" if serrin else "power"},
-            "sandwich": {"fraction_violating": sandwich.fraction_violating,
-                         "delta": 0.25, "passed": sandwich.passed},
-        }
+        sandwich = sharp_decay_check(rescaled.v, c1, delta, win, s)
+        checks = [Check("v_decay_slope", abs(fit_v.slope - target) <= tol, fit_v.slope, tol,
+                        gating=False,
+                        note=f"|value - target| <= budget, target -(n-2s) = {target:g}"),
+                  Check("sharp_decay_sandwich", sandwich.passed, sandwich.fraction_violating, 0.0,
+                        gating=False, note=f"fraction of window nodes outside "
+                                           f"(1 +- {delta:g}) g_(n,s) C1 |x|^-(n-2s)")]
         if serrin:
             si = serrin_log_integral(rescaled.v, config.p, lam, c1, s)
-            report["serrin_log_integral"] = {"value": si.value, "target": si.target, "tol_rel": 0.2}
+            checks.append(Check("serrin_log_integral", abs(si.value - si.target) / si.target < rel,
+                                si.value, rel, gating=False,
+                                note="(1/log lam) int v^p; |value - C3| / C3 < budget, "
+                                     "C3 of the last row"))
     except ValueError as exc:
-        return {"error": str(exc)}
-    return report
+        return {"error": str(exc)}, []
+    kind = "log_coefficient" if serrin else "power"
+    return {"window": list(win), "u_slope": {"value": fit_u.slope, "kind": kind}}, checks
 
 
 _GREEN_DEV_JITTER = 0.05  # what a row's deviation at a point may add over the row before
 
 
+def _increasing(values) -> bool:
+    return all(b > a for a, b in zip(values[:-1], values[1:], strict=True))
+
+
 def sweep_checks(result: SweepResult) -> list[Check]:
-    """The checks of a sweep: its monotonicity diagnostics and, with an
-    extrapolation, the quotient bound and the bands, which never gate."""
-    diag, ex, rows = result.diagnostics, result.extrapolation, result.rows
-    checks = [Check("lambda_increasing", diag["lam_increasing"]),
-              Check("lambda_dist_increasing", diag["lam_dist_increasing"]),
-              Check("s_omega_decreasing", diag["s_omega_decreasing"])]
-    if diag.get("green_dev_nonincreasing") is not None:
-        checks.append(Check("green_dev_nonincreasing", diag["green_dev_nonincreasing"],
-                            note=f"per comparison point, additive jitter {_GREEN_DEV_JITTER:g}"))
-    if ex is None:
-        return checks
-    lpe, final = diag["lam_pow_eps"], rows[-1].max_green_dev
-    band, gap, dev = 0.1, 0.1, 0.15  # of |lam^eps - 1|, the energy gap, the last deviation
-    checks += [Check("quotient_bound", ex.bound_ok, min(ex.bound_margins), 0.0,
-                     note="Theta(eps) <= S_hat^{-1} |Omega|^{1/(q+1)-1/(q0+1)}"),
-               Check("lam_pow_eps_band", all(1.0 - band < v < 1.0 + band for v in lpe),
-                     max(abs(v - 1.0) for v in lpe), band, gating=False),
-               Check("energy_limit_gap", ex.e_rel_gap < gap, ex.e_rel_gap, gap, gating=False)]
-    if all(r.max_green_dev is not None for r in rows):
-        checks.append(Check("green_dev_final", final < dev, final, dev, gating=False))
-    return checks
-
-
-def _sweep_diagnostics(rows: list[SweepRow]) -> dict:
-    def increasing(values):
-        return all(b > a for a, b in zip(values[:-1], values[1:], strict=True))
-
-    lpe = [r.lam_pow_eps for r in rows]
-    out = {
-        "lam_increasing": increasing([r.lam for r in rows]),
-        "lam_dist_increasing": increasing([r.lam_dist for r in rows]),
-        "lam_pow_eps": lpe,
-        "lam_pow_eps_gap_decreasing_tail": (
-            abs(lpe[-1] - 1.0) < abs(lpe[-2] - 1.0) if len(lpe) >= 2 else None
-        ),
-        "s_omega_decreasing": all(
-            b.s_omega < a.s_omega for a, b in zip(rows[:-1], rows[1:], strict=True)
-        ),
-    }
-    if len(rows) >= 2 and all(r.max_green_dev is not None for r in rows):
+    """The checks of a sweep, each computed once from its rows. The
+    monotonicity rules gate, and so does the quotient bound of an
+    extrapolation; its bands (lam^eps, the energy gap, the last deviation),
+    the lam^eps gap at the tail, the settling of C1 and `decay_report`'s
+    bands never gate."""
+    rows, ex = result.rows, result.extrapolation
+    compared = all(r.max_green_dev is not None for r in rows)
+    gaps = [abs(r.lam_pow_eps - 1.0) for r in rows]
+    checks = [Check("lambda_increasing", _increasing([r.lam for r in rows])),
+              Check("lambda_dist_increasing", _increasing([r.lam_dist for r in rows])),
+              Check("s_omega_decreasing", _increasing([r.s_omega for r in rows][::-1]))]
+    if len(rows) >= 2 and compared:
         # nonincreasing per comparison point beyond the first row; the
         # jitter allowance is additive on the deviation scale (once the
         # leading error cancels, |deviation| crosses zero and cannot be
         # multiplicatively monotone)
         per_point = [[max(pd.dev_u, pd.dev_v) for pd in devs if pd.dev_u is not None]
                      for devs in zip(*(r.green_devs for r in rows), strict=True)]
-        out["green_dev_nonincreasing"] = not any(
+        checks.append(Check("green_dev_nonincreasing", not any(
             b > a + _GREEN_DEV_JITTER
-            for seq in per_point for a, b in zip(seq[1:-1], seq[2:], strict=True))
+            for seq in per_point for a, b in zip(seq[1:-1], seq[2:], strict=True)),
+            note=f"per comparison point, additive jitter {_GREEN_DEV_JITTER:g}"))
+    if ex is not None:
+        band, gap, dev = 0.1, 0.1, 0.15  # of |lam^eps - 1|, the energy gap, the last deviation
+        checks += [Check("quotient_bound", ex.bound_ok, min(ex.bound_margins), QUOTIENT_BOUND_SLACK,
+                         note="Theta(eps) <= S_hat^{-1} |Omega|^{1/(q+1)-1/(q0+1)}, "
+                              "the least margin >= budget"),
+                   Check("lam_pow_eps_band",
+                         all(1.0 - band < r.lam_pow_eps < 1.0 + band for r in rows),
+                         max(gaps), band, gating=False),
+                   Check("energy_limit_gap", ex.e_rel_gap < gap, ex.e_rel_gap, gap, gating=False)]
+        if compared:
+            final = rows[-1].max_green_dev
+            checks.append(Check("green_dev_final", final < dev, final, dev, gating=False))
+    if len(rows) >= 2:
+        checks.append(Check("lam_pow_eps_gap_decreasing_tail", gaps[-1] < gaps[-2], gating=False,
+                            note="|lam^eps - 1| of the last row below the row before"))
+    if len(rows) >= 3:
         c1 = [r.constants.c1 for r in rows]
-        rel = [abs(b - a) / a for a, b in zip(c1[:-1], c1[1:], strict=True)]
-        out["c1_stabilizing"] = increasing(rel[::-1]) if len(rel) >= 2 else None
-    return out
+        steps = [abs(b - a) / a for a, b in zip(c1[:-1], c1[1:], strict=True)]
+        checks.append(Check("c1_stabilizing", _increasing(steps[::-1]), gating=False,
+                            note="relative steps of C1 decreasing"))
+    return checks + result.decay_checks

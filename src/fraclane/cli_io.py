@@ -5,8 +5,9 @@ profiles).
 Subcommands: solve, sweep, hls, kernels. Each one calls the library, writes
 its tables and field dumps, and hands back its report payload and the check
 records (`Check`) of the module that owns each rule (`solve_checks`,
-`sweep_checks`, `ladder_checks`, `kernel_checks`); this module holds no rule,
-budget or formula of its own. `main` writes `<command>_report.json` and picks
+`sweep_checks`, `ladder_checks`, `kernel_checks`); each judgement is one
+check, which the payload does not repeat. This module holds no rule, budget
+or formula of its own. `main` writes `<command>_report.json` and picks
 the exit code. A config is checked by building the objects its command
 builds (`BoxDomain`, `ExponentPair`, `SweepConfig`), so the rules are the
 library's own; each object reports the first of its rules that the config
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .blowup_sweep import SweepConfig, run_sweep, sweep_checks
-from .fractional_calculus import Check, kernel_checks
+from .fractional_calculus import Check, KernelSampler, kernel_checks
 from .hls_limit import (FreeField, bubble_ladder, check_ladder, hls_quotient, ladder_checks,
                         sharp_diagonal_quotient)
 from .lane_emden import (MAX_ITER, RESIDUAL_TOL, THETA_TOL, ExponentPair, check_stopping_rule,
@@ -42,7 +43,6 @@ from .spectral_domain import BoxDomain, Grid, GridFunction, build_basis, build_g
 
 FIELD_MAGIC = b"FRLNFLD\x00"
 FIELD_VERSION = 1
-KERNEL_MIN_SEP = 0.1  # the least distance between the two points of a kernel pair
 
 
 class ConfigError(ValueError):
@@ -164,22 +164,13 @@ def _ladder(cfg: RunConfig) -> None:
     check_ladder(cfg.hls_box_list, cfg.hls_grid_list)
 
 
-def _kernel_box(cfg: RunConfig) -> np.ndarray:
-    """The sides L_i - 2 margin of the box kernel pairs are drawn from. Each
-    spans at least 2 KERNEL_MIN_SEP, so a drawn pair is far enough apart with
-    probability >= 1/4 and the sampler ends. The margin must be finite and
-    >= 0: a NaN one makes NaN sides, from which no pair is ever far enough
-    apart."""
-    margin = cfg.kernel_margin
-    if not 0.0 <= margin < math.inf or 2 * (margin + KERNEL_MIN_SEP) > min(cfg.lengths):
-        raise ValueError(f"kernel_margin must be finite, >= 0 and leave each side L_i - 2 margin "
-                         f"of the sampling box >= {2 * KERNEL_MIN_SEP:g}, got {margin:g}")
-    return np.asarray(cfg.lengths) - 2 * margin
+def _kernel_sampler(cfg: RunConfig) -> KernelSampler:
+    return KernelSampler(cfg.lengths, cfg.kernel_margin)
 
 
 # What each command builds on its domain, in the order it builds it.
 _BUILDS = {"solve": (_resolution, _exponents, _stopping_rule), "sweep": (_sweep_config,),
-           "hls": (_exponents, _ladder), "kernels": (_resolution, _kernel_box)}
+           "hls": (_exponents, _ladder), "kernels": (_resolution, _kernel_sampler)}
 
 
 def _validate(cfg: RunConfig) -> list[str]:
@@ -236,40 +227,31 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 # tables and field dumps
 
-_NUMBER = (int, float, np.floating, np.integer)
-
-
-def _row_template(types: tuple[type, ...]) -> str | None:
-    """The `%` template of a CSV row of numbers of these types: `%d` where
-    `_fmt` writes an integer, `%.17g` = `format(float(x), ".17g")` elsewhere,
-    which spells nan, inf and -inf as `_fmt` does. None for a row with any
-    other cell."""
-    if not all(issubclass(t, _NUMBER) for t in types):
-        return None
-    return ",".join("%d" if issubclass(t, (int, np.integer)) else "%.17g" for t in types) + "\n"
+def _spec(t: type) -> str:
+    """The `%` spec of a CSV cell of type t: `%d` where `_fmt` writes an
+    integer, `%.17g` = `format(float(x), ".17g")` for any other number, which
+    spells nan, inf and -inf as `_fmt` does, and `%s` = `str` for any other
+    cell."""
+    if issubclass(t, (int, np.integer)):
+        return "%d"
+    return "%.17g" if issubclass(t, (float, np.floating)) else "%s"
 
 
 def write_table(path, columns: list[str], rows: list[list]) -> None:
     """CSV with a header line, numbers to 17 significant digits, LF endings.
-
-    A row of numbers is spelled by one template, built once per tuple of cell
-    types; any other row is spelled cell by cell, numbers by `_fmt` and other
-    cells by `str`."""
+    Each row is spelled by one `%` template of `_spec`s, built once per
+    tuple of cell types."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    templates: dict[tuple[type, ...], str | None] = {}
+    templates: dict[tuple[type, ...], str] = {}
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             row = tuple(row)
             types = tuple(map(type, row))
             if types not in templates:
-                templates[types] = _row_template(types)
-            template = templates[types]
-            if template is not None:
-                fh.write(template % row)
-            else:
-                fh.write(",".join([_fmt(v) if isinstance(v, _NUMBER) else str(v) for v in row]) + "\n")
+                templates[types] = ",".join(map(_spec, types)) + "\n"
+            fh.write(templates[types] % row)
 
 
 def dump_field(field, path) -> None:
@@ -359,13 +341,10 @@ def load_field(path):
 
 
 def write_radial_profile(shells: tuple[np.ndarray, ...], path) -> None:
-    """A `radial_shells` profile as a table (r, mean, min, max, count) for decay plots."""
-    centers, means, mins, maxs, counts = shells
-    rows = [
-        [r, mu, lo, hi, int(c)]
-        for r, mu, lo, hi, c in zip(centers, means, mins, maxs, counts, strict=True)
-    ]
-    write_table(path, ["r", "mean", "min", "max", "count"], rows)
+    """A `radial_shells` profile as a table (r, mean, min, max, count) for
+    decay plots, written from one float array: a count is exact in float64,
+    and `%.17g` spells it as `%d` does."""
+    write_table(path, ["r", "mean", "min", "max", "count"], np.column_stack(shells).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +389,6 @@ def _cmd_solve(cfg: RunConfig, out_dir: Path) -> tuple[dict, list[Check]]:
         dump_field(f, out_dir / f"field_{name}.bin")
     return {
         "theta": report.theta,
-        "identities": {c.name.removeprefix("identity_"): {"value": c.value, "tol": c.budget}
-                       for c in checks if c.name.startswith("identity_")},
         "symmetry": symmetry_classes(pair.u),
         "node_set": report.node_set,
     }, checks
@@ -461,11 +438,9 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> tuple[dict, list[Check]]:
         "x0": list(result.x0),
         "s_hat": None if ex is None else ex.s_hat,
         "e_limit": None if ex is None else ex.e_limit,
-        "e_rel_gap": None if ex is None else ex.e_rel_gap,
         "rows_failed": [] if result.failed is None else [result.failed],
         "core_cells": [r.core_cells for r in result.rows],
         "decay": result.decay,
-        "diagnostics": dict(result.diagnostics),
     }
     return payload, sweep_checks(result)
 
@@ -501,27 +476,9 @@ def _cmd_hls(cfg: RunConfig, out_dir: Path) -> tuple[dict, list[Check]]:
     return {"oracle": oracle, "field_quotient": field_payload}, checks
 
 
-def _kernel_pairs(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
-    """`kernel_pairs` seeded pairs (x, y), each (P, n), drawn uniformly from the
-    `_kernel_box` and at least KERNEL_MIN_SEP apart. Blocks of candidate pairs
-    take the generator's doubles in the order one pair at a time would (x, then
-    y), and the accepted ones keep their draw order, so the pairs do not depend
-    on the block size."""
-    rng = np.random.default_rng(cfg.kernel_seed)
-    sides = _kernel_box(cfg)
-    kept, count = [], 0
-    while count < cfg.kernel_pairs:
-        pts = cfg.kernel_margin + rng.random((cfg.kernel_pairs, 2, cfg.n)) * sides
-        pts = pts[np.linalg.norm(pts[:, 0] - pts[:, 1], axis=1) >= KERNEL_MIN_SEP]
-        kept.append(pts)
-        count += len(pts)
-    pts = np.concatenate(kept)[:cfg.kernel_pairs]
-    return pts[:, 0], pts[:, 1]
-
-
 def _cmd_kernels(cfg: RunConfig, out_dir: Path) -> tuple[dict, list[Check]]:
     domain = BoxDomain(cfg.lengths, cfg.s)
-    xs, ys = _kernel_pairs(cfg)
+    xs, ys = _kernel_sampler(cfg).pairs(cfg.kernel_pairs, cfg.kernel_seed)
     columns, checks = kernel_checks(xs, ys, build_basis(domain, cfg.cutoff),
                                     build_grid(domain, cfg.grid), cfg.kernel_seed)
     # one float array: bound_ok's 1.0 and 0.0 are spelled 1 and 0, as an integer cell's

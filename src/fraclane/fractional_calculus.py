@@ -24,7 +24,8 @@ Gauss-Legendre rules, which `hls_limit` uses as well, come from Newton's
 method on the Legendre recurrence; each is built once per order and handed
 out read-only. The kernels read s from their basis. The Serrin split
 `classify_regime`, which every module asks, lives here, as does `Check`, the
-record of every report check; `kernel_checks` holds the kernels command's.
+record of every report check; `kernel_checks` holds the kernels command's,
+on the pairs of its sampler, `KernelSampler`.
 
 A field that is mirror-symmetric about every mid-plane is held by its
 fundamental cell, the first ceil(m_i/2) nodes per axis; its mirror
@@ -500,6 +501,45 @@ def kernel_checks(x: np.ndarray, y: np.ndarray, basis: SpectralBasis, grid: Grid
         Check("operator_inverse_identity", inverse < tol, inverse, tol),
         Check("operator_semigroup", semigroup < tol, semigroup, tol),
     ]
+
+
+_KERNEL_MIN_SEP = 0.1  # the least distance between the two points of a kernel pair
+
+
+@dataclass(frozen=True)
+class KernelSampler:
+    """Seeded kernel pairs (x, y) for `kernel_checks`, drawn uniformly from
+    the box of sides `lengths` inset by `margin` on every face, the two
+    points at least _KERNEL_MIN_SEP apart. Each inset side L_i - 2 margin
+    must span at least 2 _KERNEL_MIN_SEP, so a drawn pair is far enough apart
+    with probability >= 1/4 and `pairs` ends; the margin must be finite and
+    >= 0: a NaN one makes NaN sides, from which no pair is ever far enough
+    apart."""
+
+    lengths: tuple[float, ...]
+    margin: float
+
+    def __post_init__(self):
+        margin = self.margin
+        if not 0.0 <= margin < math.inf or 2 * (margin + _KERNEL_MIN_SEP) > min(self.lengths):
+            raise ValueError(f"kernel_margin must be finite, >= 0 and leave each side L_i - 2 "
+                             f"margin of the sampling box >= {2 * _KERNEL_MIN_SEP:g}, got {margin:g}")
+
+    def pairs(self, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        """`count` pairs (x, y), each (count, n). Blocks of candidate pairs
+        take the generator's doubles in the order one pair at a time would (x,
+        then y), and the accepted ones keep their draw order, so the pairs do
+        not depend on the block size."""
+        rng = np.random.default_rng(seed)
+        sides = np.asarray(self.lengths) - 2 * self.margin
+        kept, total = [], 0
+        while total < count:
+            pts = self.margin + rng.random((count, 2, len(sides))) * sides
+            pts = pts[np.linalg.norm(pts[:, 0] - pts[:, 1], axis=1) >= _KERNEL_MIN_SEP]
+            kept.append(pts)
+            total += len(pts)
+        pts = np.concatenate(kept)[:count]
+        return pts[:, 0], pts[:, 1]
 
 
 _NEWTON_MAX_STEPS = 10  # Tricomi's start needs 3-4 steps at every order up to 2000

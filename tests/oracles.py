@@ -1,6 +1,9 @@
 """Independent test oracles kept apart from the library paths they check."""
 
+import ast
+import io
 import math
+import tokenize
 import tracemalloc
 from functools import reduce
 from pathlib import Path
@@ -468,3 +471,26 @@ def recording_iterate(loops):
         return (w, theta, *rest)
 
     return recording
+
+
+_LAYOUT_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                  tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """The lines of Python `source` that hold code: every line a token other
+    than a comment or layout touches, less the docstring lines of the module,
+    its classes and its functions. The `src/` count is
+    `sum(code_lines(p.read_text()) for p in Path("src").rglob("*.py"))`."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _LAYOUT_TOKENS:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)

@@ -160,7 +160,8 @@ def test_sweep_monotonicity(mini_sweep):
     assert res.failed is None
     lams = [r.lam for r in res.rows]
     assert all(b > a for a, b in zip(lams[:-1], lams[1:], strict=True))
-    assert res.diagnostics["lam_dist_increasing"]
+    checks = {c.name: c for c in bs.sweep_checks(res)}
+    assert checks["lambda_increasing"].passed and checks["lambda_dist_increasing"].passed
     # symmetric domain: x_eps at the center, dist = 1/2, lam_dist = lam/2
     for r in res.rows:
         assert np.allclose(r.x_c, (0.5, 0.5), atol=1e-9)
@@ -218,11 +219,47 @@ def test_sweep_result_carries_decay_report(mini_sweep):
     res = mini_sweep
     rs = res.rescaled
     win = bs.decay_window(rs.lam, res.config.domain, res.config.grid_shape)
-    assert res.decay["window"] == list(win)
-    assert res.decay["v_slope"]["value"] == fl.decay_fit(rs.v, win).slope
-    # super regime: a power-law u fit and no Serrin log integral
-    assert res.decay["u_slope"] == {"value": fl.decay_fit(rs.u, win).slope, "kind": "power"}
-    assert "serrin_log_integral" not in res.decay
+    # super regime: a power-law u fit, and no Serrin log integral among the bands
+    assert res.decay == {"window": list(win),
+                         "u_slope": {"value": fl.decay_fit(rs.u, win).slope, "kind": "power"}}
+    slope, sandwich = res.decay_checks
+    assert (slope.name, slope.value, slope.budget) == ("v_decay_slope",
+                                                       fl.decay_fit(rs.v, win).slope, 0.1)
+    assert slope.passed == (abs(slope.value + 1.0) <= 0.1)
+    band = fl.sharp_decay_check(rs.v, res.rows[-1].constants.c1, 0.25, win, 0.5)
+    assert (sandwich.name, sandwich.value, sandwich.passed) == (
+        "sharp_decay_sandwich", band.fraction_violating, band.passed)
+    assert not slope.gating and not sandwich.gating
+    assert bs.sweep_checks(res)[-2:] == res.decay_checks
+
+
+def test_decay_report_without_a_fit_has_no_bands(mini_sweep, monkeypatch):
+    res = mini_sweep
+
+    def refuse(*args):
+        raise ValueError("empty annulus for the sharp-decay check")
+
+    monkeypatch.setattr(bs, "sharp_decay_check", refuse)
+    assert bs.decay_report(res.rescaled, res.profiles, res.rows[-1].constants.c1, res.config) == (
+        {"error": "empty annulus for the sharp-decay check"}, [])
+
+
+def test_decay_report_at_the_serrin_exponent(mini_sweep):
+    # the mini sweep's fields read at p = 2 = n/(n-2s): a log-corrected u fit
+    # and the log integral as a third band, within 20% of C3
+    res = mini_sweep
+    cfg = bs.SweepConfig(domain=unit_square(), p=2.0, eps_schedule=(0.05,),
+                         cutoff=res.config.cutoff, grid_shape=res.config.grid_shape)
+    c1 = res.rows[-1].constants.c1
+    decay, checks = bs.decay_report(res.rescaled, res.profiles, c1, cfg)
+    assert decay["u_slope"]["kind"] == "log_coefficient"
+    assert [c.name for c in checks] == ["v_decay_slope", "sharp_decay_sandwich",
+                                        "serrin_log_integral"]
+    si = fl.serrin_log_integral(res.rescaled.v, 2.0, res.rescaled.lam, c1, 0.5)
+    log_integral = checks[-1]
+    assert (log_integral.value, log_integral.budget) == (si.value, 0.2)
+    assert log_integral.passed == (abs(si.value - si.target) / si.target < 0.2)
+    assert si.target == hl.serrin_constant(c1, 2, 0.5)
 
 
 def test_comparison_points_geometry():

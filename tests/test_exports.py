@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+from oracles import code_lines
+
 import fraclane as fl
 
 
@@ -60,3 +62,34 @@ def test_every_private_definition_is_read_by_the_library():
             orphans += [f"{path.name}: {name}" for name in names
                         if name.startswith("_") and not name.endswith("__") and name not in read]
     assert orphans == []
+
+
+CODE_SNIPPET = '''"""A module docstring
+over two lines."""
+
+import math  # a trailing comment
+
+
+def f(x):
+    """A function docstring."""
+    # a comment line
+
+    y = (x +
+         1)
+    s = """a string literal
+    over two lines"""
+    return y, s
+
+
+class C:
+    """A class docstring."""
+
+    z = math.pi
+'''
+
+
+def test_code_lines_counts_code_only():
+    # import, def, the two lines of y, the two of s, return, class and z: no
+    # blank, comment or docstring line counts
+    assert code_lines(CODE_SNIPPET) == 9
+    assert code_lines("") == 0

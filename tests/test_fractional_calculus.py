@@ -12,6 +12,7 @@ from oracles import (
     eigenvalues,
     einsum_contract,
     green_direct,
+    kernel_pairs_one_at_a_time,
     np_sin_sine_table,
     rescaled_green,
 )
@@ -132,6 +133,22 @@ def test_apply_fraclap_rejects_bad_s():
     for bad in (0.0, -0.3, 1.2):
         with pytest.raises(ValueError):
             fl.apply_fraclap(f, bad, basis)
+
+
+@pytest.mark.parametrize("lengths,margin,count,seed", [
+    ((1.0, 1.0), 0.2, 4000, 7),
+    ((1.0, 1.0, 1.0), 0.05, 300, 11),
+    ((1.0, 2.5), 0.3, 1, 3),
+    ((1.0,), 0.3, 500, 5),
+], ids=["square_4000", "cube_300", "stretched_1", "interval_500"])
+def test_kernel_pairs_match_one_pair_at_a_time(lengths, margin, count, seed):
+    # block draws take the generator's doubles in the one-pair loop's order,
+    # so every seeded table is the same
+    xs, ys = fc.KernelSampler(lengths, margin).pairs(count, seed)
+    ref_xs, ref_ys = kernel_pairs_one_at_a_time(seed, len(lengths), margin,
+                                                np.asarray(lengths) - 2 * margin, count,
+                                                fc._KERNEL_MIN_SEP)
+    assert np.array_equal(xs, ref_xs) and np.array_equal(ys, ref_ys)
 
 
 def test_green_symmetry_exact_and_bound_example():
