@@ -69,7 +69,7 @@ from .spectral_domain import (
 )
 
 MIN_CORE_CELLS = 8.0  # narrower blow-up cores are at the grid's resolvability limit
-QUOTIENT_BOUND_SLACK = -1e-12  # the least quotient-bound margin that passes: S_hat is rounded
+QUOTIENT_BOUND_SLACK = 1e-12  # the quotient bound's allowance for rounding in S_hat
 
 # The fixed geometry of every sweep, in units of the shortest side: the ring of
 # N_COMPARISON Green-limit points around the center, the ball around x0 where
@@ -188,7 +188,6 @@ class RescaledSolution:
 class SExtrapolation:
     s_hat: float
     bound_margins: list[float]
-    bound_ok: bool
     e_limit: float
     e_rel_gap: float
 
@@ -203,7 +202,7 @@ class SweepResult:
     # `radial_shells` of the rescaled u and v, keyed "u" and "v": what the
     # decay fits read and the CLI's profile tables hold
     profiles: dict[str, tuple[np.ndarray, ...]]
-    decay: dict  # `decay_report`'s window and u slope, or its error
+    decay: dict  # `decay_report`'s window and raw slopes and log integral, or its error
     decay_checks: list[Check]  # `decay_report`'s bands; none with an error
     failed: str | None  # the message of the solve that ended the sweep early
 
@@ -418,7 +417,6 @@ def extrapolate_S(
     return SExtrapolation(
         s_hat=s_hat,
         bound_margins=margins,
-        bound_ok=all(m >= QUOTIENT_BOUND_SLACK for m in margins),
         e_limit=e_limit,
         e_rel_gap=e_rel_gap,
     )
@@ -567,11 +565,12 @@ def decay_window(lam: float, domain: BoxDomain, grid_shape) -> tuple[float, floa
 def decay_report(rescaled: RescaledSolution, profiles: dict[str, tuple[np.ndarray, ...]],
                  c1: float, config: SweepConfig) -> tuple[dict, list[Check]]:
     """Decay of the rescaled fields over `decay_window`, fitted on their
-    `profiles` (`SweepResult.profiles`): the window and the u slope, with
-    the kind of its fit; and the bands, as checks that never gate: the v
-    slope within 0.1 of -(n-2s), the sharp-decay sandwich (delta 0.25) and,
-    at the Serrin exponent, the log integral within 20% of its target C3.
-    ({"error": reason}, []) when the window admits no fit."""
+    `profiles` (`SweepResult.profiles`): the window, the u slope with the
+    kind of its fit, the v slope and, at the Serrin exponent, the log
+    integral (1/log lam) int v^p; and the bands, as checks that never gate:
+    the v slope's distance from -(n-2s) (budget 0.1), the sharp-decay
+    sandwich (delta 0.25) and the log integral's relative gap to its target
+    C3 (below 0.2). ({"error": reason}, []) when the window admits no fit."""
     n, s = config.domain.dim, config.domain.s
     lam = rescaled.lam
     win = decay_window(lam, config.domain, config.grid_shape)
@@ -582,22 +581,23 @@ def decay_report(rescaled: RescaledSolution, profiles: dict[str, tuple[np.ndarra
         fit_u = decay_fit(rescaled.u, win, serrin_power=n - 2 * s if serrin else None,
                           shells=profiles["u"])
         sandwich = sharp_decay_check(rescaled.v, c1, delta, win, s)
-        checks = [Check("v_decay_slope", abs(fit_v.slope - target) <= tol, fit_v.slope, tol,
-                        gating=False,
-                        note=f"|value - target| <= budget, target -(n-2s) = {target:g}"),
-                  Check("sharp_decay_sandwich", sandwich.passed, sandwich.fraction_violating, 0.0,
-                        gating=False, note=f"fraction of window nodes outside "
-                                           f"(1 +- {delta:g}) g_(n,s) C1 |x|^-(n-2s)")]
+        decay = {"window": list(win), "v_slope": fit_v.slope,
+                 "u_slope": {"value": fit_u.slope,
+                             "kind": "log_coefficient" if serrin else "power"}}
+        checks = [Check.bound("v_decay_slope", abs(fit_v.slope - target), tol, gating=False,
+                              note="|v slope + (n-2s)|"),
+                  Check.bound("sharp_decay_sandwich", sandwich.fraction_violating, 0.0,
+                              gating=False, note=f"fraction of window nodes outside "
+                                                 f"(1 +- {delta:g}) g_(n,s) C1 |x|^-(n-2s)")]
         if serrin:
             si = serrin_log_integral(rescaled.v, config.p, lam, c1, s)
-            checks.append(Check("serrin_log_integral", abs(si.value - si.target) / si.target < rel,
-                                si.value, rel, gating=False,
-                                note="(1/log lam) int v^p; |value - C3| / C3 < budget, "
-                                     "C3 of the last row"))
+            decay["log_integral"] = si.value
+            checks.append(Check.bound("serrin_log_integral", abs(si.value - si.target) / si.target,
+                                      rel, strict=True, gating=False,
+                                      note="|log integral - C3| / C3, C3 of the last row"))
     except ValueError as exc:
         return {"error": str(exc)}, []
-    kind = "log_coefficient" if serrin else "power"
-    return {"window": list(win), "u_slope": {"value": fit_u.slope, "kind": kind}}, checks
+    return decay, checks
 
 
 _GREEN_DEV_JITTER = 0.05  # what a row's deviation at a point may add over the row before
@@ -632,16 +632,14 @@ def sweep_checks(result: SweepResult) -> list[Check]:
             note=f"per comparison point, additive jitter {_GREEN_DEV_JITTER:g}"))
     if ex is not None:
         band, gap, dev = 0.1, 0.1, 0.15  # of |lam^eps - 1|, the energy gap, the last deviation
-        checks += [Check("quotient_bound", ex.bound_ok, min(ex.bound_margins), QUOTIENT_BOUND_SLACK,
-                         note="Theta(eps) <= S_hat^{-1} |Omega|^{1/(q+1)-1/(q0+1)}, "
-                              "the least margin >= budget"),
-                   Check("lam_pow_eps_band",
-                         all(1.0 - band < r.lam_pow_eps < 1.0 + band for r in rows),
-                         max(gaps), band, gating=False),
-                   Check("energy_limit_gap", ex.e_rel_gap < gap, ex.e_rel_gap, gap, gating=False)]
+        checks += [Check.bound("quotient_bound", -min(ex.bound_margins), QUOTIENT_BOUND_SLACK,
+                               note="the least margin of Theta(eps) <= "
+                                    "S_hat^{-1} |Omega|^{1/(q+1)-1/(q0+1)}, negated"),
+                   Check.bound("lam_pow_eps_band", max(gaps), band, strict=True, gating=False),
+                   Check.bound("energy_limit_gap", ex.e_rel_gap, gap, strict=True, gating=False)]
         if compared:
-            final = rows[-1].max_green_dev
-            checks.append(Check("green_dev_final", final < dev, final, dev, gating=False))
+            checks.append(Check.bound("green_dev_final", rows[-1].max_green_dev, dev, strict=True,
+                                      gating=False))
     if len(rows) >= 2:
         checks.append(Check("lam_pow_eps_gap_decreasing_tail", gaps[-1] < gaps[-2], gating=False,
                             note="|lam^eps - 1| of the last row below the row before"))

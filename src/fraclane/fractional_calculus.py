@@ -97,17 +97,27 @@ THRESHOLD_TOL = 1e-12  # an exponent this close to a threshold counts as on it
 @dataclass
 class Check:
     """A named pass/fail record of a report, built by the module that owns
-    its rule: the value measured, its budget, and whether it gates."""
+    its rule, and whether it gates. `Check(name, ok)` is a flag (rule
+    "flag"); `Check.bound` measures a value against its budget and derives
+    the verdict from its rule, "<=" or "<", so a report re-verifies."""
 
     name: str
     passed: bool
     value: float | None = None
     budget: float | None = None
+    rule: str = "flag"
     gating: bool = True
     note: str = ""
 
     def __post_init__(self):
         self.passed = bool(self.passed)  # a NumPy comparison gives a NumPy bool
+
+    @classmethod
+    def bound(cls, name: str, value: float, budget: float, strict: bool = False,
+              gating: bool = True, note: str = "") -> Check:
+        """Passes at value <= budget, or value < budget when `strict`."""
+        return cls(name, value < budget if strict else value <= budget, float(value),
+                   float(budget), "<" if strict else "<=", gating, note)
 
 
 def serrin_exponent(n: int, s: float) -> float:
@@ -497,9 +507,9 @@ def kernel_checks(x: np.ndarray, y: np.ndarray, basis: SpectralBasis, grid: Grid
             "regular_part": h, "bound_ok": ok}, [
         Check("kernel_bound", np.all(ok), note="0 < G < free + truncation_bound"),
         Check("green_symmetry_exact", np.array_equal(gxy.value, gyx.value)),
-        Check("regular_part_symmetry", h_sym <= tol, h_sym, tol),
-        Check("operator_inverse_identity", inverse < tol, inverse, tol),
-        Check("operator_semigroup", semigroup < tol, semigroup, tol),
+        Check.bound("regular_part_symmetry", h_sym, tol),
+        Check.bound("operator_inverse_identity", inverse, tol, strict=True),
+        Check.bound("operator_semigroup", semigroup, tol, strict=True),
     ]
 
 

@@ -370,7 +370,6 @@ def decay_fit(
 class SandwichReport:
     fraction_violating: float
     n_points: int
-    passed: bool
 
 
 def sharp_decay_check(
@@ -379,7 +378,7 @@ def sharp_decay_check(
     """Fraction of annulus nodes violating the two-sided bound
     (1 - delta) g C1 |x|^{-(n-2s)} <= v <= (1 + delta) g C1 |x|^{-(n-2s)}, n =
     `v_tilde.dim`, on the annulus `window` = (r_lo, r_hi) of the field's
-    coordinates, as in `decay_fit`; passes iff the fraction is zero."""
+    coordinates, as in `decay_fit`."""
     n = v_tilde.dim
     r = v_tilde.radii()
     mask = (r >= window[0]) & (r <= window[1])
@@ -390,7 +389,7 @@ def sharp_decay_check(
     vals = v_tilde.values[mask]
     bad = (vals < (1.0 - delta) * envelope) | (vals > (1.0 + delta) * envelope)
     frac = float(np.mean(bad))
-    return SandwichReport(fraction_violating=frac, n_points=npts, passed=frac == 0.0)
+    return SandwichReport(fraction_violating=frac, n_points=npts)
 
 
 @dataclass
@@ -575,5 +574,5 @@ def ladder_checks(quotients: list[float], oracle: float) -> tuple[list[float], l
     return excess, [
         Check("bubble_refinement_monotone",
               all(b < a for a, b in zip(quotients[:-1], quotients[1:], strict=True))),
-        Check("bubble_within_1pct", excess[-1] < tol, excess[-1], tol),
+        Check.bound("bubble_within_1pct", excess[-1], tol, strict=True),
     ]

@@ -186,7 +186,7 @@ def test_extrapolation_linear_model_exact():
     ex = bs.extrapolate_S(eps, s_vals, theta, energy_min=0.5 * s0**2 * 1.0,
                           p=2.5, domain=unit_square())
     assert ex.s_hat == pytest.approx(s0, rel=1e-12)
-    assert ex.bound_ok
+    assert min(ex.bound_margins) >= -bs.QUOTIENT_BOUND_SLACK
     with pytest.raises(ValueError):
         bs.extrapolate_S(eps[:2], s_vals[:2], theta[:2], 1.0, 2.5, unit_square())
 
@@ -219,16 +219,18 @@ def test_sweep_result_carries_decay_report(mini_sweep):
     res = mini_sweep
     rs = res.rescaled
     win = bs.decay_window(rs.lam, res.config.domain, res.config.grid_shape)
-    # super regime: a power-law u fit, and no Serrin log integral among the bands
-    assert res.decay == {"window": list(win),
+    # super regime: a power-law u fit, and no Serrin log integral among the
+    # bands; the v band reports the slope's distance from -(n-2s) = -1
+    v_slope = fl.decay_fit(rs.v, win).slope
+    assert res.decay == {"window": list(win), "v_slope": v_slope,
                          "u_slope": {"value": fl.decay_fit(rs.u, win).slope, "kind": "power"}}
     slope, sandwich = res.decay_checks
-    assert (slope.name, slope.value, slope.budget) == ("v_decay_slope",
-                                                       fl.decay_fit(rs.v, win).slope, 0.1)
-    assert slope.passed == (abs(slope.value + 1.0) <= 0.1)
+    assert (slope.name, slope.value, slope.rule, slope.budget) == (
+        "v_decay_slope", abs(v_slope + 1.0), "<=", 0.1)
+    assert slope.passed == (abs(v_slope + 1.0) <= 0.1)
     band = fl.sharp_decay_check(rs.v, res.rows[-1].constants.c1, 0.25, win, 0.5)
-    assert (sandwich.name, sandwich.value, sandwich.passed) == (
-        "sharp_decay_sandwich", band.fraction_violating, band.passed)
+    assert (sandwich.name, sandwich.value, sandwich.rule, sandwich.budget, sandwich.passed) == (
+        "sharp_decay_sandwich", band.fraction_violating, "<=", 0.0, band.fraction_violating == 0.0)
     assert not slope.gating and not sandwich.gating
     assert bs.sweep_checks(res)[-2:] == res.decay_checks
 
@@ -257,8 +259,10 @@ def test_decay_report_at_the_serrin_exponent(mini_sweep):
                                         "serrin_log_integral"]
     si = fl.serrin_log_integral(res.rescaled.v, 2.0, res.rescaled.lam, c1, 0.5)
     log_integral = checks[-1]
-    assert (log_integral.value, log_integral.budget) == (si.value, 0.2)
-    assert log_integral.passed == (abs(si.value - si.target) / si.target < 0.2)
+    gap = abs(si.value - si.target) / si.target
+    assert decay["log_integral"] == si.value
+    assert (log_integral.value, log_integral.rule, log_integral.budget) == (gap, "<", 0.2)
+    assert log_integral.passed == (gap < 0.2)
     assert si.target == hl.serrin_constant(c1, 2, 0.5)
 
 

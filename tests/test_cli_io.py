@@ -327,23 +327,49 @@ def test_cli_solve_determinism(tmp_path):
 
 
 def test_cli_solve_checks_the_solvers_ascent_rule(tmp_path, monkeypatch):
-    # the solver lets a step lower Theta by 1e-12 max(1, Theta): at Theta =
-    # 0.44 a step of -6e-13 is one it accepts, so the report must pass it
+    # the solver lets a step from Theta lower it by 1e-12 max(1, Theta), and
+    # the report measures each step against that allowance of its own: at
+    # Theta = 0.44 a step of -6e-13 is one it accepts (4e-13 to spare), and
+    # so is a step of -2.5e-12 from Theta = 3 (5e-13 to spare), though the
+    # allowance 1e-12 of the run's first step, from Theta = 1, would refuse it
     solve = cli_io.solve_ground_state
 
-    def stub(*args, **kwargs):
-        pair, report = solve(*args, **kwargs)
-        history = np.array([0.44, 0.44 - 6e-13])
-        return pair, dataclasses.replace(report, theta=history[-1], theta_history=history)
+    def stubbed(history):
+        def stub(*args, **kwargs):
+            pair, report = solve(*args, **kwargs)
+            return pair, dataclasses.replace(report, theta=history[-1], theta_history=history)
+        return stub
 
-    monkeypatch.setattr(cli_io, "solve_ground_state", stub)
     cfg = tmp_path / "solve.cfg"
     cfg.write_text(SOLVE_CFG)
-    out = tmp_path / "out"
-    assert run_cli(["solve", "--config", str(cfg), "--out", str(out)]) == 0
-    report = json.loads((out / "solve_report.json").read_text())
-    check = next(c for c in report["checks"] if c["name"] == "theta_nondecreasing")
-    assert check["passed"] and check["budget"] == -1e-12
+    for i, (history, excess) in enumerate([([0.44, 0.44 - 6e-13], -4e-13),
+                                           ([1.0, 3.0, 3.0 - 2.5e-12], -5e-13)]):
+        monkeypatch.setattr(cli_io, "solve_ground_state", stubbed(np.array(history)))
+        out = tmp_path / f"out{i}"
+        assert run_cli(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "solve_report.json").read_text())
+        check = next(c for c in report["checks"] if c["name"] == "theta_nondecreasing")
+        assert check["passed"] and (check["rule"], check["budget"]) == ("<=", 0.0)
+        assert check["value"] == pytest.approx(excess, rel=0.01)
+
+
+def test_cli_sweep_3d_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # every output file of the shipped 3-d sweep, byte for byte, under one and
+    # two BLAS threads; on a 1-core machine the two runs agree trivially
+    root = Path(__file__).resolve().parents[1]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), env.get("PYTHONPATH", "")])
+        out = tmp_path / threads
+        proc = subprocess.run([sys.executable, "-m", "fraclane.cli_io", "sweep", "--config",
+                               str(root / "configs" / "sweep_cube_p1.cfg"), "--out", str(out)],
+                              env=env, cwd=root, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert outputs[0].keys() == outputs[1].keys() and len(outputs[0]) >= 12
+    for name, data in outputs[0].items():
+        assert outputs[1][name] == data, name
 
 
 def test_cli_sweep_and_hls_field_chain(tmp_path):
@@ -767,7 +793,7 @@ SHIPPED_CHECKS = {
                        ("operator_semigroup", True, 1e-12, True)],
     "solve_square": [("converged", True, None, True),
                      ("residual_w", True, 1e-6, True),
-                     ("theta_nondecreasing", True, -1e-12, True),
+                     ("theta_nondecreasing", True, 0.0, True),
                      ("identity_a75", True, 1e-6, True),
                      ("identity_a74", True, 1e-6, True),
                      ("identity_a80", True, 1e-6, True),
@@ -784,7 +810,7 @@ SHIPPED_CHECKS = {
                      ("lambda_dist_increasing", True, None, True),
                      ("s_omega_decreasing", True, None, True),
                      ("green_dev_nonincreasing", True, None, True),
-                     ("quotient_bound", True, -1e-12, True),
+                     ("quotient_bound", True, 1e-12, True),
                      ("lam_pow_eps_band", False, 0.1, False),
                      ("energy_limit_gap", False, 0.1, False),
                      ("green_dev_final", False, 0.15, True),
@@ -794,12 +820,28 @@ SHIPPED_CHECKS = {
                      ("sharp_decay_sandwich", False, 0.0, True)],
 }
 
+# The checks that pass only strictly below their budget (rule "<"); every
+# other valued check passes at its budget too (rule "<=").
+STRICT_CHECKS = {"operator_inverse_identity", "operator_semigroup", "bubble_within_1pct",
+                 "lam_pow_eps_band", "energy_limit_gap", "green_dev_final", "serrin_log_integral"}
+
 # The payload keys of each command's report, beside the keys every report
 # has; each judgement is a check, and no payload entry repeats one.
 REPORT_KEYS = {"solve": {"theta", "symmetry", "node_set"},
                "sweep": {"regime", "x0", "s_hat", "e_limit", "rows_failed", "core_cells", "decay"},
                "hls": {"oracle", "field_quotient"},
                "kernels": {"pairs"}}
+
+
+def _rederived(check):
+    """A report check's verdict from its record alone: a flag, which carries
+    no value or budget, gives its own; a bound's follows from its value,
+    rule and budget."""
+    rule, value, budget = check["rule"], check["value"], check["budget"]
+    if rule == "flag":
+        assert value is None and budget is None, check
+        return check["passed"]
+    return {"<=": value <= budget, "<": value < budget}[rule]
 
 
 def _keys_and_numbers(payload):
@@ -828,6 +870,9 @@ def test_shipped_config_check_lists(tmp_path, path):
     report = json.loads((tmp_path / f"{command}_report.json").read_text())
     checks = [(c["name"], c["gating"], c["budget"], c["passed"]) for c in report["checks"]]
     assert checks == SHIPPED_CHECKS[path.stem]
+    assert [_rederived(c) for c in report["checks"]] == [c["passed"] for c in report["checks"]]
+    assert {c["name"] for c in report["checks"] if c["rule"] == "<"} == (
+        STRICT_CHECKS & {c["name"] for c in report["checks"]})
     assert set(report) == {"config", "version", "input_sha256", "checks", *REPORT_KEYS[command]}
     names = [c["name"] for c in report["checks"]]
     assert len(set(names)) == len(names)

@@ -64,6 +64,21 @@ def test_every_private_definition_is_read_by_the_library():
     assert orphans == []
 
 
+def test_every_valued_check_derives_its_verdict():
+    # `Check(name, ok)` is a flag; a check with a value and a budget is built
+    # by `Check.bound`, which derives the verdict from its rule, so no module
+    # states a comparison of its own beside the record
+    valued = []
+    for path in sorted(Path(fl.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "Check"
+                    and (len(node.args) > 2
+                         or {k.arg for k in node.keywords} & {"value", "budget", "rule"})):
+                valued.append(f"{path.name}:{node.lineno}")
+    assert valued == []
+
+
 CODE_SNIPPET = '''"""A module docstring
 over two lines."""
 
