@@ -99,7 +99,7 @@ class SweepConfig:
             raise ValueError("epsilon schedule must be strictly decreasing")
         n, s = self.domain.dim, self.domain.s
         for e in eps:
-            ExponentPair(self.p, solve_q_epsilon(self.p, n, s, e), n, s)
+            solve_q_epsilon(self.p, n, s, e)
         self.eps_schedule = eps
         if self.regime == "sub":
             _check_iterated_kernel(self.p, n, s)

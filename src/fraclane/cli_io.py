@@ -6,15 +6,19 @@ Subcommands: solve, sweep, hls, kernels. Each one calls the library, writes
 its tables and field dumps, and hands back its report payload and the check
 records (`Check`) of the module that owns each rule (`solve_checks`,
 `sweep_checks`, `ladder_checks`, `kernel_checks`); each judgement is one
-check, which the payload does not repeat. This module holds no rule, budget
-or formula of its own. `main` writes `<command>_report.json` and picks
-the exit code. A config is checked by building the objects its command
-builds (`BoxDomain`, `ExponentPair`, `SweepConfig`), so the rules are the
-library's own; each object reports the first of its rules that the config
-breaks. Exit code 0 iff every gating check passes, 1 otherwise, 2 for a
-rejected config and 3 for a run that raised, a file it could not read (the
-config included) among them; acceptance-level tolerance checks are reported
-in the JSON output with their budgets and never gate.
+check, which the payload does not repeat. This module holds no budget or
+formula, and no rule of the science: the rules `_validate` keeps are the
+config's own, a known command, one `lengths`, `cutoff` and `grid` entry per
+axis, `kernel_pairs` >= 1 and `kernel_seed` >= 0. `main` writes
+`<command>_report.json` and picks the exit code. A config is otherwise
+checked by building the objects its command builds (`BoxDomain`,
+`ExponentPair`, `SweepConfig`, the ladder of `check_ladder`, the
+`KernelSampler`), so the rules are the library's own; each object reports
+the first of its rules that the config breaks. Exit code 0 iff every
+gating check passes, 1 otherwise, 2 for a rejected config and 3 for a run
+that raised, a file it could not read (the config included) among them;
+acceptance-level tolerance checks are reported in the JSON output with their
+budgets and never gate.
 """
 
 from __future__ import annotations
@@ -184,8 +188,6 @@ def _validate(cfg: RunConfig) -> list[str]:
               for key in ("lengths", "cutoff", "grid")
               if boxed and len(getattr(cfg, key)) != cfg.n]
     out.extend(counts)
-    if cfg.command == "hls" and len(cfg.hls_box_list) != len(cfg.hls_grid_list):
-        out.append("hls_box_list and hls_grid_list must have equal length")
     if cfg.command == "kernels":
         out.extend(f"{key} must be >= {least}, got {getattr(cfg, key)}"
                    for key, least in (("kernel_pairs", 1), ("kernel_seed", 0))
@@ -468,10 +470,8 @@ def _cmd_hls(cfg: RunConfig, out_dir: Path) -> tuple[dict, list[Check]]:
 
     field_payload = {}
     if field is not None:
-        qc = critical_q(cfg.p, n, s)
-        field_payload = {"path": cfg.hls_field, "p": cfg.p, "q0": qc,
-                         "quotient": hls_quotient(field, cfg.p, qc, s),
-                         "sha256": digest}
+        field_payload = {"path": cfg.hls_field, "p": cfg.p, "q0": critical_q(cfg.p, n, s),
+                         "quotient": hls_quotient(field, cfg.p, s), "sha256": digest}
 
     return {"oracle": oracle, "field_quotient": field_payload}, checks
 

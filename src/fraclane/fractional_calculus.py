@@ -22,10 +22,10 @@ their distinct coordinates); its default grid is built per call, and its
 transforms find the half sine matrices cached on each axis' (L, K, m).
 Gauss-Legendre rules, which `hls_limit` uses as well, come from Newton's
 method on the Legendre recurrence; each is built once per order and handed
-out read-only. The kernels read s from their basis. The Serrin split
-`classify_regime`, which every module asks, lives here, as does `Check`, the
-record of every report check; `kernel_checks` holds the kernels command's,
-on the pairs of its sampler, `KernelSampler`.
+out read-only. The kernels and the node sets read s from their basis. The
+Serrin split `classify_regime`, which every module asks, lives here, as does
+`Check`, the record of every report check; `kernel_checks` holds the kernels
+command's, on the pairs of its sampler, `KernelSampler`.
 
 A field that is mirror-symmetric about every mid-plane is held by its
 fundamental cell, the first ceil(m_i/2) nodes per axis; its mirror
@@ -245,8 +245,7 @@ class _CellInverse:
     arrays and their views are built once. `_GridInverse` is the same
     interface on every node of the grid."""
 
-    def __init__(self, basis: SpectralBasis, grid: Grid, s: float):
-        _check_order(s)
+    def __init__(self, basis: SpectralBasis, grid: Grid):
         _check_compatible(basis, grid)
         check_resolution(basis.cutoff, grid.shape)
         self._basis = basis
@@ -268,7 +267,7 @@ class _CellInverse:
         # power from the same eigenvalues; a slice of the cached table would
         # hold all of it, 2^n times their memory, through the solve
         self._odd_modes = (slice(None, None, 2),) * basis.domain.dim
-        self._mults = np.ascontiguousarray(basis.eigenvalue_grid[self._odd_modes]) ** -s
+        self._mults = np.ascontiguousarray(basis.eigenvalue_grid[self._odd_modes]) ** -basis.domain.s
         modes = [odd.shape[1] for odd in self._odd]
         # analysis of axis i takes (c_i, X) into (X, Kodd_i), with X the cells
         # of the later axes times the modes of the earlier ones; each step
@@ -357,8 +356,8 @@ class _GridInverse:
 
     weights = 1.0
 
-    def __init__(self, basis: SpectralBasis, grid: Grid, s: float):
-        self._basis, self._grid, self._s = basis, grid, s
+    def __init__(self, basis: SpectralBasis, grid: Grid):
+        self._basis, self._grid, self._s = basis, grid, basis.domain.s
 
     def __call__(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """(-Delta)^{-s} of `values` on the grid, in a new array: `out` is not

@@ -6,7 +6,8 @@ free-space convolution |x|^{-(n-2s)} * f is evaluated on the grid by
 discrete convolution with a kernel table whose singular cell is replaced by
 the exact cell average of the power law, so the midpoint rule never sees
 the singularity. Exponent thresholds are decided in `lane_emden` and
-`fractional_calculus`; the diagonal oracles share one measurement of kappa.
+`fractional_calculus`: `hls_quotient` takes its critical pair from
+`critical_q`; the diagonal oracles share one measurement of kappa.
 `ladder_checks` holds the hls command's rules on the bubble ladder.
 """
 
@@ -19,9 +20,9 @@ from functools import reduce
 
 import numpy as np
 
-from .fractional_calculus import (THRESHOLD_TOL, Check, RegimeError, _gauss_legendre,
-                                  _polar_box_integral, classify_regime, gns, serrin_exponent)
-from .lane_emden import diagonal_exponent, hyperbola_gap
+from .fractional_calculus import (Check, RegimeError, _gauss_legendre, _polar_box_integral,
+                                  classify_regime, gns, serrin_exponent)
+from .lane_emden import critical_q, diagonal_exponent
 
 
 def sphere_area(n: int) -> float:
@@ -273,22 +274,17 @@ def free_convolution(field: FreeField, s: float) -> np.ndarray:
     return conv
 
 
-def _require_critical(p: float, q0: float, n: int, s: float):
-    gap = hyperbola_gap(p, q0, n, s)
-    if abs(gap) > THRESHOLD_TOL:
-        raise RegimeError(
-            f"(p, q0)=({p}, {q0}) is not a critical pair: hyperbola gap {gap:.3e}"
-        )
-
-
-def hls_quotient(f: FreeField, p: float, q0: float, s: float) -> float:
+def hls_quotient(f: FreeField, p: float, s: float) -> float:
     """||f||_{(p+1)/p} / (g_{n,s} || |x|^{-(n-2s)} * f ||_{q0+1}) on the grid, n = `f.dim`.
 
-    Requires a critical pair; f is treated as compactly supported in the box.
-    The infimum of this quotient over f is the sharp constant, so minimizer
-    candidates evaluate to it from above (up to truncation/quadrature).
+    q0 = `critical_q`(p, n, s) is p's critical partner, so the pair (p, q0)
+    meets the hypotheses of `ExponentPair` or is refused by it, a p above
+    the diagonal exponent (q0 < p) among them; f is treated as compactly
+    supported in the box. The infimum of this quotient over f is the sharp
+    constant, so minimizer candidates evaluate to it from above (up to
+    truncation/quadrature).
     """
-    _require_critical(p, q0, f.dim, s)
+    q0 = critical_q(p, f.dim, s)
     conv = free_convolution(f, s)
     num = f.lp_norm((p + 1.0) / p)
     den = f.lp_norm(q0 + 1.0, values=conv)
@@ -541,8 +537,11 @@ def sharp_diagonal_quotient(n: int, s: float) -> float:
 
 
 def check_ladder(box_radii, grid_sizes) -> None:
-    """The rule of a `bubble_ladder`: at least one rung, every box radius
-    finite and R > 0, and every grid at least one node per axis."""
+    """The rule of a `bubble_ladder`: one grid per box radius, at least one
+    rung, every box radius finite and R > 0, and every grid at least one node
+    per axis."""
+    if len(box_radii) != len(grid_sizes):
+        raise ValueError("hls_box_list and hls_grid_list must have equal length")
     if len(box_radii) == 0:
         raise ValueError("the bubble ladder needs at least one rung")
     if not all(0 < radius < math.inf for radius in box_radii):
@@ -562,7 +561,7 @@ def bubble_ladder(n: int, s: float, box_radii, grid_sizes) -> list[float]:
     for radius, m in zip(box_radii, grid_sizes, strict=True):
         box = FreeField.centered(radius, np.zeros((m,) * n))
         f = box.with_values(bubble(box.radii(), n, s) ** q0)
-        quotients.append(hls_quotient(f, q0, q0, s))
+        quotients.append(hls_quotient(f, q0, s))
     return quotients
 
 

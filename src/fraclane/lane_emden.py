@@ -98,7 +98,15 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExponentPair:
-    """Exponents (p, q) with the standing hypothesis q >= p > 2s/(n-2s).
+    """Exponents (p, q) with the standing hypotheses n > 2s and
+    q >= p > 2s/(n-2s), on or below the critical hyperbola (epsilon >= 0).
+
+    This is the one place these hypotheses are checked: `solve_q_epsilon`
+    builds the pair of every q it returns, so `critical_q`, `SweepConfig`,
+    `hls_quotient` and the CLI check them through it. q >= p and
+    epsilon >= 0 hold within `THRESHOLD_TOL`, so a pair on either threshold,
+    the diagonal critical pair p = q0 among them, is accepted whichever way
+    its rounding falls; a NaN exponent fails every comparison and is refused.
 
     epsilon = `hyperbola_gap`(p, q, n, s) measures the distance to the
     critical hyperbola; epsilon > 0 is the subcritical (solvable) regime.
@@ -117,8 +125,10 @@ class ExponentPair:
             raise ValueError(
                 f"hypothesis p > 2s/(n-2s) violated: p={self.p} <= {lower:.6g}"
             )
-        if not self.q >= self.p:
-            raise ValueError(f"hypothesis q >= p violated: q={self.q} < p={self.p}")
+        if not self.q >= self.p - THRESHOLD_TOL:
+            eps_max = hyperbola_gap(self.p, self.p, self.n, self.s)
+            raise ValueError(f"hypothesis q >= p violated: q={self.q} < p={self.p} "
+                             f"(admissible epsilon <= {eps_max:.6g})")
         if self.epsilon < -THRESHOLD_TOL:
             raise ValueError(
                 f"pair (p, q)=({self.p}, {self.q}) is supercritical "
@@ -141,23 +151,19 @@ class ExponentPair:
 def solve_q_epsilon(p: float, n: int, s: float, epsilon: float) -> float:
     """q on the epsilon-shifted hyperbola: 1/(q+1) = (n-2s)/n + eps - 1/(p+1).
 
-    Errors when the resulting q would violate the q >= p hypothesis
-    (epsilon above 2/(p+1) - (n-2s)/n), when no q exists (then
-    p <= 2s/(n-2s)) or when epsilon < 0.
+    Errors when epsilon < 0 or no q exists (1/(q+1) <= 0, then
+    p <= 2s/(n-2s)); the pair (p, q) is then checked by building its
+    `ExponentPair`, which refuses q < p (epsilon above 2/(p+1) - (n-2s)/n)
+    and every other broken hypothesis.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    eps_max = hyperbola_gap(p, p, n, s)
     inv = (n - 2.0 * s) / n + epsilon - 1.0 / (p + 1.0)
     if inv <= 0:
         raise ValueError(f"hypothesis p > 2s/(n-2s) violated: p={p} leaves the hyperbola "
                          f"family at epsilon={epsilon} (1/(q+1) <= 0)")
     q = 1.0 / inv - 1.0
-    if q < p - THRESHOLD_TOL:
-        raise ValueError(
-            f"hypothesis q >= p violated at epsilon={epsilon}: q_eps={q:.6g} < p={p} "
-            f"(admissible epsilon <= {eps_max:.6g})"
-        )
+    ExponentPair(p, q, n, s)
     return q
 
 
@@ -427,15 +433,15 @@ def _u_and_v(w: np.ndarray, nodes: _CellInverse | _GridInverse,
     return w ** (1.0 / q), v
 
 
-def _node_set(values: np.ndarray, basis: SpectralBasis, grid: Grid,
-              s: float) -> tuple[str, _CellInverse | _GridInverse, np.ndarray]:
+def _node_set(values: np.ndarray, basis: SpectralBasis,
+              grid: Grid) -> tuple[str, _CellInverse | _GridInverse, np.ndarray]:
     """The node set a field's loop runs on, its name and the field's values on
     it: the fundamental cell if `values` is bitwise mirror-symmetric, else
     every node."""
     cell = _CellInverse.cell_of(values)
     if cell is None:
-        return "full", _GridInverse(basis, grid, s), values
-    return "cell", _CellInverse(basis, grid, s), cell
+        return "full", _GridInverse(basis, grid), values
+    return "cell", _CellInverse(basis, grid), cell
 
 
 def solution_fields(w: GridFunction, exponents: ExponentPair,
@@ -443,7 +449,7 @@ def solution_fields(w: GridFunction, exponents: ExponentPair,
     """u and v of a solution from its w alone, on the node set
     `solve_ground_state` picks for w and by `_solution`'s own steps: bit for
     bit the pair's u and v, so a caller may keep w and drop them."""
-    _, nodes, values = _node_set(w.values, basis, w.grid, exponents.s)
+    _, nodes, values = _node_set(w.values, basis, w.grid)
     u, v = _u_and_v(values, nodes, exponents.q)
     return GridFunction(w.grid, nodes.extend(u)), GridFunction(w.grid, nodes.extend(v))
 
@@ -515,7 +521,7 @@ def solve_ground_state(
     # the loop runs on the fundamental cell if the normalized start is
     # bitwise mirror-symmetric, else on every node
     w = w.values / lp_norm(w, (exponents.q + 1.0) / exponents.q)
-    node_set, nodes, w = _node_set(w, basis, grid, exponents.s)
+    node_set, nodes, w = _node_set(w, basis, grid)
     w, theta, theta_history, it, residual, clamp_max = _iterate(
         w, nodes, exponents, grid.cell_volume, theta_tol, residual_tol, max_iter)
     if clamp_max > _POSITIVITY_BUDGET:

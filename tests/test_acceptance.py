@@ -392,7 +392,7 @@ def test_criterion_10_hls_consistency(sweep_p25):
     q0 = fl.critical_q(2.5, 2, 0.5)
     w = res.rescaled.w
     norm = w.lp_norm((q0 + 1.0) / q0)
-    quotient = hl.hls_quotient(w.with_values(w.values / norm), 2.5, q0, 0.5)
+    quotient = hl.hls_quotient(w.with_values(w.values / norm), 2.5, 0.5)
     rel = abs(quotient - s_hat) / s_hat
 
     sharp = hl.sharp_diagonal_quotient(2, 0.5)
@@ -401,7 +401,7 @@ def test_criterion_10_hls_consistency(sweep_p25):
         ax = (np.arange(m) + 0.5) * (2 * radius / m) - radius
         X, Y = np.meshgrid(ax, ax, indexing="ij")
         bub = hl.FreeField.centered(radius, hl.bubble(np.hypot(X, Y), 2, 0.5) ** 3.0)
-        ladder.append(hl.hls_quotient(bub, 3.0, 3.0, 0.5))
+        ladder.append(hl.hls_quotient(bub, 3.0, 0.5))
     monotone = all(b < a for a, b in zip(ladder[:-1], ladder[1:], strict=True))
     within = ladder[-1] / sharp - 1.0 < 0.01
     elapsed = time.perf_counter() - t0

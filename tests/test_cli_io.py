@@ -451,7 +451,7 @@ def test_hls_report_hashes_the_bytes_it_scored(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "out" / "hls_report.json").read_text())["field_quotient"]
     assert field.read_bytes() != scored
     assert report["sha256"] == hashlib.sha256(scored).hexdigest()
-    original = score(cli_io.load_field(io.BytesIO(scored)), 2.5, report["q0"], 0.5)
+    original = score(cli_io.load_field(io.BytesIO(scored)), 2.5, 0.5)
     assert report["quotient"] == seen[-1] == original
 
 
@@ -709,6 +709,27 @@ def test_non_finite_config_values_are_refused(command, key, raw):
 def test_kernel_margin_at_its_limit_is_accepted():
     # sides of 1 - 2 * 0.4 = 0.2 = 2 _KERNEL_MIN_SEP: each drawn pair still succeeds w.p. >= 1/4
     assert cli_io.parse_config("command = kernels\nkernel_margin = 0.4\n").kernel_margin == 0.4
+
+
+# Configs whose pair sits on q = p, where rounding puts q_eps an ulp below p:
+# each was refused (exit 2) while q >= p was checked without THRESHOLD_TOL.
+ON_THE_HYPOTHESIS = {
+    "solve": "n = 3\nlengths = 1,1,1\ns = 0.5\np = 1.3\n"
+             f"eps = {le.hyperbola_gap(1.3, 1.3, 3, 0.5)!r}\ncutoff = 4,4,4\ngrid = 8,8,8\n",
+    "hls": f"n = 3\ns = 0.74\np = {le.diagonal_exponent(3, 0.74)!r}\n",
+}
+
+
+@pytest.mark.parametrize("command", ON_THE_HYPOTHESIS)
+def test_config_on_the_q_ge_p_boundary_is_accepted(command):
+    pair = cli_io._exponents(cli_io.parse_config(ON_THE_HYPOTHESIS[command], command))
+    assert abs(pair.q - pair.p) <= le.THRESHOLD_TOL
+
+
+def test_cli_solves_on_the_q_ge_p_boundary(tmp_path):
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text(ON_THE_HYPOTHESIS["solve"])
+    assert run_cli(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 # Rejected at parse time, before anything runs. Without these rules each one

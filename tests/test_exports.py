@@ -79,6 +79,20 @@ def test_every_valued_check_derives_its_verdict():
     assert valued == []
 
 
+def test_the_exponent_hypotheses_have_one_owner():
+    # `ExponentPair` decides q >= p and epsilon >= 0 from `hyperbola_gap`, and
+    # a critical partner q0 is derived from p where it is used (`critical_q`),
+    # so no module takes a q0 that could disagree with p or checks one again
+    modules = sorted(Path(fl.__file__).parent.glob("*.py"))
+    readers = [path.stem for path in modules if "hyperbola_gap" in names_read(path.read_text())]
+    assert readers == ["lane_emden"]
+    takes_q0 = [f"{path.name}:{node.lineno}" for path in modules
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                and "q0" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}]
+    assert takes_q0 == []
+
+
 CODE_SNIPPET = '''"""A module docstring
 over two lines."""
 

@@ -203,8 +203,8 @@ def test_hls_quotient_peaks_at_its_convolution():
     m = 256
     q0 = diagonal_exponent(2, 0.5)
     field = hl.FreeField.centered(4.0, np.random.default_rng(6).random((m, m)))
-    first = hl.hls_quotient(field, q0, q0, 0.5)
-    quotient, peak = traced_peak(hl.hls_quotient, field, q0, q0, 0.5)
+    first = hl.hls_quotient(field, q0, 0.5)
+    quotient, peak = traced_peak(hl.hls_quotient, field, q0, 0.5)
     assert quotient == first and peak <= streamed_arrays(m)
 
 
@@ -273,20 +273,21 @@ def test_streamed_passes_are_bitwise_at_every_block_size(n, s, shape, monkeypatc
 
 
 def test_hls_quotient_requires_critical_pair():
+    # the critical partner of p = 3.5 > 3, the diagonal exponent of (2, 1/2), is below p
     f = radial_field(5.0, 32, lambda r: np.exp(-(r**2)))
-    with pytest.raises(fl.RegimeError):
-        hl.hls_quotient(f, 2.5, 3.0, 0.5)
+    with pytest.raises(ValueError, match="q >= p"):
+        hl.hls_quotient(f, 3.5, 0.5)
 
 
 def test_hls_quotient_reads_n_from_its_field():
-    # a 2-d field is scored in 2-d: the diagonal pair of (3, 0.9) is not
-    # critical there and is refused, the one of (2, 0.9) is scored
+    # a 2-d field is scored in 2-d: the diagonal exponent of (3, 0.9) is
+    # below 2s/(n-2s) there and is refused, the one of (2, 0.9) is scored
     f = hl.FreeField.centered(4.0, np.random.default_rng(0).random((16, 16)))
     q3 = diagonal_exponent(3, 0.9)
-    with pytest.raises(fl.RegimeError, match="not a critical pair"):
-        hl.hls_quotient(f, q3, q3, 0.9)
+    with pytest.raises(ValueError, match=r"p > 2s/\(n-2s\)"):
+        hl.hls_quotient(f, q3, 0.9)
     q2 = diagonal_exponent(2, 0.9)
-    assert 0.0 < hl.hls_quotient(f, q2, q2, 0.9) < math.inf
+    assert 0.0 < hl.hls_quotient(f, q2, 0.9) < math.inf
 
 
 @pytest.mark.parametrize("radii, grids, match", [
@@ -296,11 +297,12 @@ def test_hls_quotient_reads_n_from_its_field():
     ((8.0, 13.0), (64, 0), "at least one node per axis"),
     ((8.0, math.inf), (64, 104), "box radii must be positive and finite"),
     ((math.nan, 13.0), (64, 104), "box radii must be positive and finite"),
+    ((8.0, 13.0), (64,), "hls_box_list and hls_grid_list must have equal length"),
 ])
 def test_bubble_ladder_refuses_a_bad_rung(radii, grids, match, monkeypatch):
     # an empty ladder returned no quotient, a rung of radius <= 0 or no nodes
-    # failed inside FreeField after the rungs before it had run, and an
-    # infinite radius made NaN nodes
+    # failed inside FreeField after the rungs before it had run, an infinite
+    # radius made NaN nodes, and lists of unequal length failed in zip
     monkeypatch.setattr(hl, "hls_quotient", lambda *args: pytest.fail("a rung ran"))
     with pytest.raises(ValueError, match=match):
         hl.bubble_ladder(2, 0.5, radii, grids)
@@ -320,10 +322,10 @@ def test_hls_quotient_scale_invariance_on_grid():
     def dilated_profile(r):
         return delta ** (-2 * q0 / (q0 + 1)) * profile(r / delta)
 
-    base = hl.hls_quotient(radial_field(6.0, 96, profile), q0, q0, 0.5)
-    base_coarse = hl.hls_quotient(radial_field(6.0, 48, profile), q0, q0, 0.5)
-    dil = hl.hls_quotient(radial_field(12.0, 192, dilated_profile), q0, q0, 0.5)
-    dil_coarse = hl.hls_quotient(radial_field(12.0, 96, dilated_profile), q0, q0, 0.5)
+    base = hl.hls_quotient(radial_field(6.0, 96, profile), q0, 0.5)
+    base_coarse = hl.hls_quotient(radial_field(6.0, 48, profile), q0, 0.5)
+    dil = hl.hls_quotient(radial_field(12.0, 192, dilated_profile), q0, 0.5)
+    dil_coarse = hl.hls_quotient(radial_field(12.0, 96, dilated_profile), q0, 0.5)
     budget = abs(base - base_coarse) + abs(dil - dil_coarse)
     assert abs(dil - base) <= budget
     assert abs(dil - base) / base < 5e-3
@@ -335,8 +337,8 @@ def test_indicator_dilation_equal_quotients():
     q0 = 3.0
     ball = radial_field(4.0, 128, lambda r: (r < 0.8).astype(float))
     ball2 = radial_field(8.0, 256, lambda r: (r < 1.6).astype(float))
-    qa = hl.hls_quotient(ball, q0, q0, 0.5)
-    qb = hl.hls_quotient(ball2, q0, q0, 0.5)
+    qa = hl.hls_quotient(ball, q0, 0.5)
+    qb = hl.hls_quotient(ball2, q0, 0.5)
     assert qb == pytest.approx(qa, rel=5e-3)
 
 
@@ -346,7 +348,7 @@ def test_bubble_quotient_refinement_monotone(bubble_2d):
     quotients = []
     for radius, m in [(10.0, 48), (14.0, 96), (18.0, 160)]:
         f = radial_field(radius, m, lambda r: hl.bubble(r, 2, 0.5) ** q0)
-        quotients.append(hl.hls_quotient(f, q0, q0, 0.5))
+        quotients.append(hl.hls_quotient(f, q0, 0.5))
     assert all(q > sharp for q in quotients)  # approach from above
     assert all(b < a for a, b in zip(quotients[:-1], quotients[1:], strict=True))
     assert quotients[-1] / sharp - 1.0 < 0.01

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import itertools
 import math
 import re
 
@@ -66,6 +67,30 @@ def test_exponent_pair_validation():
     assert crit.critical and not crit.subcritical
     sub = fl.ExponentPair(p=2.5, q=3.0, n=2, s=0.5)
     assert sub.subcritical and sub.epsilon > 0
+
+
+def test_exponent_pair_decides_q_ge_p_up_to_rounding():
+    # the diagonal critical pair (p, critical_q(p)), p = (n+2s)/(n-2s), over
+    # n = 1..3 and s = k/100 < n/2: rounding puts q0 an ulp below p on some,
+    # which a rule q >= p without THRESHOLD_TOL refused; a q further below p
+    # is still refused, as is a NaN exponent
+    refused = []
+    for n, k in itertools.product((1, 2, 3), range(1, 100)):
+        s = k / 100
+        if not n > 2 * s:
+            continue
+        p = le.diagonal_exponent(n, s)
+        try:
+            fl.ExponentPair(p, fl.critical_q(p, n, s), n, s)
+        except ValueError:
+            refused.append((n, s))
+        with pytest.raises(ValueError, match="q >= p"):
+            fl.ExponentPair(p, p * (1 - 1e-9), n, s)
+    assert refused == []
+    with pytest.raises(ValueError, match="q >= p"):
+        fl.ExponentPair(2.5, math.nan, 2, 0.5)
+    with pytest.raises(ValueError, match=r"p > 2s/\(n-2s\)"):
+        fl.ExponentPair(math.nan, 3.0, 2, 0.5)
 
 
 def test_theta_quotient_scale_invariance_and_phi1():
@@ -341,8 +366,8 @@ def cell_solves(monkeypatch):
     built = []
 
     class CountingCellInverse(le._CellInverse):
-        def __init__(self, basis, grid, s):
-            super().__init__(basis, grid, s)
+        def __init__(self, basis, grid):
+            super().__init__(basis, grid)
             built.append(grid.shape)
 
     monkeypatch.setattr(le, "_CellInverse", CountingCellInverse)
@@ -412,7 +437,7 @@ def test_cell_inverse_is_bitwise_the_cell_of_apply_inverse(lengths, cutoff, shap
     cell = fc._CellInverse.cell_of(values)
     assert cell.shape == tuple((m + 1) // 2 for m in shape)
     out = np.empty_like(cell)
-    inverse = fc._CellInverse(basis, grid, dom.s)
+    inverse = fc._CellInverse(basis, grid)
     assert inverse(cell, out) is out
     full = fl.apply_inverse(fl.GridFunction(grid, values), dom.s, basis).values
     assert np.array_equal(out, full[tuple(slice(c) for c in cell.shape)])
@@ -435,7 +460,7 @@ def test_grid_inverse_is_bitwise_apply_inverse(lengths, cutoff, shape):
     dom = fl.BoxDomain(lengths, 0.4)
     basis, grid = fl.build_basis(dom, cutoff), fl.build_grid(dom, shape)
     values = np.random.default_rng(len(shape)).random(shape)
-    nodes = fc._GridInverse(basis, grid, dom.s)
+    nodes = fc._GridInverse(basis, grid)
     full = fl.apply_inverse(fl.GridFunction(grid, values), dom.s, basis).values
     assert np.array_equal(nodes(values, np.empty_like(values)), full)
     assert np.array_equal(nodes.extend(full), full)
@@ -451,7 +476,7 @@ def test_cell_inverse_shares_one_matrix_per_distinct_axis():
         dom = fl.BoxDomain((1.0,) * len(shape), 0.5)
         grid = fl.build_grid(dom, shape)
         basis = fl.build_basis(dom, tuple(m // 2 for m in shape))
-        inverse = fc._CellInverse(basis, grid, dom.s)
+        inverse = fc._CellInverse(basis, grid)
         odd = sd._half_matrices(basis, grid)[0][0]
         assert all(matrix is odd for matrix in inverse._odd + inverse._analysis), shape
         assert inverse._scale == grid.cell_volume * 2.0**len(shape)
@@ -459,7 +484,7 @@ def test_cell_inverse_shares_one_matrix_per_distinct_axis():
     # weights its middle row once, so the two axes share no matrix
     dom = fl.BoxDomain((1.0, 1.0), 0.5)
     basis, grid = fl.build_basis(dom, (16, 16)), fl.build_grid(dom, (32, 33))
-    inverse = fc._CellInverse(basis, grid, dom.s)
+    inverse = fc._CellInverse(basis, grid)
     even_axis, odd_axis = inverse._odd
     assert even_axis is not odd_axis
     assert inverse._analysis[0] is even_axis
@@ -628,7 +653,7 @@ def test_cell_inverse_allocates_no_cell_sized_array(lengths, cutoff, shape):
     dom = fl.BoxDomain(lengths, 0.5)
     basis, grid = fl.build_basis(dom, cutoff), fl.build_grid(dom, shape)
     cell = fc._CellInverse.cell_of(mirror_symmetric(grid, seed=1))
-    inverse = fc._CellInverse(basis, grid, dom.s)
+    inverse = fc._CellInverse(basis, grid)
     out = np.empty_like(cell)
     inverse(cell, out)
     _, peak = traced_peak(inverse, cell, out)
@@ -642,7 +667,7 @@ def test_extend_allocates_one_full_grid_array(shape):
     grid = fl.build_grid(dom, shape)
     basis = fl.build_basis(dom, tuple(m // 2 for m in shape))
     values = mirror_symmetric(grid, seed=2)
-    inverse = fc._CellInverse(basis, grid, dom.s)
+    inverse = fc._CellInverse(basis, grid)
     cell = fc._CellInverse.cell_of(values)
     full, peak = traced_peak(inverse.extend, cell)
     assert np.array_equal(full, values)
@@ -754,7 +779,7 @@ def test_fixed_point_loop_allocates_nothing_per_iteration():
     # and nothing else cell-sized, not even for the length of one iteration
     w = le._first_eigenfunction(basis, grid)
     cell = fc._CellInverse.cell_of(w.values / fl.lp_norm(w, (exps.q + 1.0) / exps.q))
-    inverse = fc._CellInverse(basis, grid, exps.s)
+    inverse = fc._CellInverse(basis, grid)
 
     def stopped_loop(max_iter):
         start = cell.copy()
