@@ -15,12 +15,13 @@ comparison points, the exclusion ball around x0 and the boundary collar are
 constant fractions of the shortest side. Each row's solve starts from the
 previous row's w, and each row is measured as soon as its solve returns (its
 constants and its u, v on the ring), so between solves a sweep holds one
-row's fields: that row's w, or, after the last row, its u and v. Only the
-comparison against the kernels at x0, known after the last row, waits for
-the end of the schedule. The post-solve passes take at most one full-grid
-temporary at a time: the collar's sup is read slab by slab, and the powers,
-rescaled fields, radii and shell index are written in place. `sweep_checks`
-holds the sweep command's rules and bands.
+row's fields: that row's w, the last row's included. Only the comparison
+against the kernels at x0, known after the last row, waits for the end of
+the schedule; then the last row's u and v are rebuilt from its w
+(`lane_emden.solution_fields`) and rescaled. The post-solve passes take at
+most one full-grid temporary at a time: the collar's sup is read slab by
+slab, and the powers, rescaled fields, radii and shell index are written in
+place. `sweep_checks` holds the sweep command's rules and bands.
 """
 
 from __future__ import annotations
@@ -154,6 +155,8 @@ class ConstantEstimates:
 
 @dataclass
 class SweepRow:
+    """One solved row's measures; `green_devs` is filled once x0 is known."""
+
     eps: float
     q: float
     alpha: float
@@ -171,7 +174,13 @@ class SweepRow:
     u_ring: np.ndarray  # u and v at `SweepConfig.comparison_points`
     v_ring: np.ndarray
     green_devs: list[PointDeviation] = field(default_factory=list)
-    max_green_dev: float | None = None
+
+    @property
+    def max_green_dev(self) -> float | None:
+        """The largest compared u or v deviation of `green_devs`; None when no
+        point was compared."""
+        return max((d for pd in self.green_devs for d in (pd.dev_u, pd.dev_v) if d is not None),
+                   default=None)
 
 
 @dataclass
@@ -438,9 +447,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
     The sweep holds one row's fields between solves, and never writes to a
     pair: a row's w, the next solve's warm start, which goes once that solve
-    has returned; after the last row, its u and v alone, until they are
-    rescaled. If a solve fails, the last good row's u and v are rebuilt from
-    its w (`solution_fields`), bit for bit. The decay fits and the CLI's
+    has returned. The last row's w, whether the schedule finished or a solve
+    failed, is held through the Green comparison; then the last row's u and
+    v are rebuilt from it (`solution_fields`), bit for bit the solve's own,
+    and w goes before they are rescaled. The decay fits and the CLI's
     profile tables read one `radial_shells` profile per rescaled field,
     `SweepResult.profiles`."""
     dom = config.domain
@@ -450,7 +460,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     points = config.comparison_points()
 
     rows: list[SweepRow] = []
-    w = u = v = exponents = failed = None
+    w = exponents = failed = None
     for eps in config.eps_schedule:
         q = solve_q_epsilon(config.p, n, s, eps)
         alpha, beta = alpha_beta(config.p, q, s)
@@ -492,18 +502,11 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 v_ring=synthesize_at(report.coefficients[1], points),
             )
         )
-        exponents = pair.exponents
-        if eps == config.eps_schedule[-1]:
-            u, v = pair.u, pair.v
-        else:
-            w = pair.w
+        exponents, w = pair.exponents, pair.w
         del pair, report  # the report's coefficients are this row's, not the next solve's
 
     if not rows:
         raise RuntimeError(f"sweep failed at the first row: {failed}")
-    if failed is not None:
-        u, v = solution_fields(w, exponents, basis)
-        w = None
 
     last = rows[-1]
     x0 = np.asarray(last.x_c)
@@ -512,14 +515,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         row.green_devs = green_limit_check(
             row.u_ring, row.v_ring, row.lam, kernels, row.constants, config
         )
-        devs = [
-            d
-            for pd in row.green_devs
-            for d in (pd.dev_u, pd.dev_v)
-            if d is not None
-        ]
-        row.max_green_dev = max(devs) if devs else None
 
+    u, v = solution_fields(w, exponents, basis)
+    del w
     rescaled = rescale_solution(u, v, exponents, last.lam, x0)
     del u, v
     profiles = {name: radial_shells(getattr(rescaled, name)) for name in ("u", "v")}

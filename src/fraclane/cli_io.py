@@ -12,13 +12,13 @@ config's own, a known command, one `lengths`, `cutoff` and `grid` entry per
 axis, `kernel_pairs` >= 1 and `kernel_seed` >= 0. `main` writes
 `<command>_report.json` and picks the exit code. A config is otherwise
 checked by building the objects its command builds (`BoxDomain`,
-`ExponentPair`, `SweepConfig`, the ladder of `check_ladder`, the
-`KernelSampler`), so the rules are the library's own; each object reports
-the first of its rules that the config breaks. Exit code 0 iff every
-gating check passes, 1 otherwise, 2 for a rejected config and 3 for a run
-that raised, a file it could not read (the config included) among them;
-acceptance-level tolerance checks are reported in the JSON output with their
-budgets and never gate.
+`ExponentPair`, `SweepConfig`, the oracle of `check_sphere_integral`, the
+ladder of `check_ladder`, the `KernelSampler`), so the rules are the
+library's own; each object reports the first of its rules that the config
+breaks. Exit code 0 iff every gating check passes, 1 otherwise, 2 for a
+rejected config and 3 for a run that raised, a file it could not read (the
+config included) among them; acceptance-level tolerance checks are reported
+in the JSON output with their budgets and never gate.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ import numpy as np
 from . import __version__
 from .blowup_sweep import SweepConfig, run_sweep, sweep_checks
 from .fractional_calculus import Check, KernelSampler, kernel_checks
-from .hls_limit import (FreeField, bubble_ladder, check_ladder, hls_quotient, ladder_checks,
-                        sharp_diagonal_quotient)
+from .hls_limit import (FreeField, bubble_ladder, check_ladder, check_sphere_integral,
+                        hls_quotient, ladder_checks, sharp_diagonal_quotient)
 from .lane_emden import (MAX_ITER, RESIDUAL_TOL, THETA_TOL, ExponentPair, check_stopping_rule,
                          critical_q, solve_checks, solve_ground_state, solve_q_epsilon,
                          symmetry_classes)
@@ -168,13 +168,17 @@ def _ladder(cfg: RunConfig) -> None:
     check_ladder(cfg.hls_box_list, cfg.hls_grid_list)
 
 
+def _oracle(cfg: RunConfig) -> None:
+    check_sphere_integral(cfg.n, cfg.s)
+
+
 def _kernel_sampler(cfg: RunConfig) -> KernelSampler:
     return KernelSampler(cfg.lengths, cfg.kernel_margin)
 
 
 # What each command builds on its domain, in the order it builds it.
 _BUILDS = {"solve": (_resolution, _exponents, _stopping_rule), "sweep": (_sweep_config,),
-           "hls": (_exponents, _ladder), "kernels": (_resolution, _kernel_sampler)}
+           "hls": (_exponents, _oracle, _ladder), "kernels": (_resolution, _kernel_sampler)}
 
 
 def _validate(cfg: RunConfig) -> list[str]:

@@ -22,10 +22,11 @@ their distinct coordinates); its default grid is built per call, and its
 transforms find the half sine matrices cached on each axis' (L, K, m).
 Gauss-Legendre rules, which `hls_limit` uses as well, come from Newton's
 method on the Legendre recurrence; each is built once per order and handed
-out read-only. The kernels and the node sets read s from their basis. The
-Serrin split `classify_regime`, which every module asks, lives here, as does
-`Check`, the record of every report check; `kernel_checks` holds the kernels
-command's, on the pairs of its sampler, `KernelSampler`.
+out read-only. The kernels, the node sets and `apply_inverse` read s from
+their basis; `apply_fraclap` takes its order, which the semigroup check
+varies. The Serrin split `classify_regime`, which every module asks, lives
+here, as does `Check`, the record of every report check; `kernel_checks`
+holds the kernels command's, on the pairs of its sampler, `KernelSampler`.
 
 A field that is mirror-symmetric about every mid-plane is held by its
 fundamental cell, the first ceil(m_i/2) nodes per axis; its mirror
@@ -198,16 +199,16 @@ def apply_fraclap(f: GridFunction, s: float, basis: SpectralBasis) -> GridFuncti
     return synthesize(SpectralField(basis, coeff), f.grid)
 
 
-def apply_inverse(f: GridFunction, s: float, basis: SpectralBasis) -> GridFunction:
-    """Multiplier action a_k -> lambda_k^{-s} a_k (the Green-kernel integral, spectrally).
+def apply_inverse(f: GridFunction, basis: SpectralBasis) -> GridFunction:
+    """Multiplier action a_k -> lambda_k^{-s} a_k (the Green-kernel integral,
+    spectrally), s the order of the basis's box.
 
     Linear by construction; positivity of the exact operator can surface as a
     small negative ringing on the truncation, which the solver clamps with
     `lane_emden._clamp_in_place` before taking fractional powers.
     """
-    _check_order(s)
     field = analyze(f, basis)
-    coeff = field.coefficients * _multipliers(basis, -s)
+    coeff = field.coefficients * _multipliers(basis, -basis.domain.s)
     return synthesize(SpectralField(basis, coeff), f.grid)
 
 
@@ -357,12 +358,12 @@ class _GridInverse:
     weights = 1.0
 
     def __init__(self, basis: SpectralBasis, grid: Grid):
-        self._basis, self._grid, self._s = basis, grid, basis.domain.s
+        self._basis, self._grid = basis, grid
 
     def __call__(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """(-Delta)^{-s} of `values` on the grid, in a new array: `out` is not
         written."""
-        return apply_inverse(GridFunction(self._grid, values), self._s, self._basis).values
+        return apply_inverse(GridFunction(self._grid, values), self._basis).values
 
     def extend(self, values: np.ndarray) -> np.ndarray:
         return values
@@ -382,7 +383,7 @@ def operator_algebra_residuals(
     for _ in range(2):
         f = synthesize(SpectralField(basis, rng.standard_normal(basis.cutoff)), grid)
         scale = float(np.max(np.abs(f.values)))
-        back = apply_fraclap(apply_inverse(f, s, basis), s, basis)
+        back = apply_fraclap(apply_inverse(f, basis), s, basis)
         worst_inv = max(worst_inv, float(np.max(np.abs(back.values - f.values))) / scale)
         s1 = min(0.45, s)
         s2 = min(1.0 - s1, s)

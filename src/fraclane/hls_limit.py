@@ -7,7 +7,8 @@ discrete convolution with a kernel table whose singular cell is replaced by
 the exact cell average of the power law, so the midpoint rule never sees
 the singularity. Exponent thresholds are decided in `lane_emden` and
 `fractional_calculus`: `hls_quotient` takes its critical pair from
-`critical_q`; the diagonal oracles share one measurement of kappa.
+`critical_q`; the diagonal oracles share one measurement of kappa, and
+`check_sphere_integral` states the (n, s) their radial quadrature covers.
 `ladder_checks` holds the hls command's rules on the bubble ladder.
 """
 
@@ -440,22 +441,30 @@ def _ellipk(m):
     raise RuntimeError(f"AGM did not converge in {_AGM_MAX_STEPS} steps (m too close to 1)")
 
 
-def kernel_sphere_integral(r, rho, n: int, lam: float):
-    """int_{S^{n-1}} |r e1 - rho w|^{-lam} dw, closed forms for n = 2, 3."""
+def check_sphere_integral(n: int, s: float) -> None:
+    """The rule of the radial-quadrature oracles: `kernel_sphere_integral`
+    has a closed form for n = 3 at every lam = n - 2s, and for n = 2 only at
+    lam = 1 (s = 1/2)."""
+    if not (n == 3 or (n == 2 and n - 2.0 * s == 1.0)):
+        raise RegimeError(f"the radial-quadrature oracle needs n = 3, or n = 2 with "
+                          f"lam = n - 2s = 1 (its sphere integral's closed forms), "
+                          f"got n = {n}, s = {s}")
+
+
+def kernel_sphere_integral(r, rho, n: int, s: float):
+    """int_{S^{n-1}} |r e1 - rho w|^{-lam} dw with lam = n - 2s, in closed
+    form on the (n, s) of `check_sphere_integral`."""
+    check_sphere_integral(n, s)
     r = np.asarray(r, dtype=float)
     rho = np.asarray(rho, dtype=float)
     if n == 2:
-        m = 4.0 * r * rho / (r + rho) ** 2
-        if lam != 1.0:
-            raise NotImplementedError("n = 2 sphere integral implemented for lam = 1")
-        return 4.0 / (r + rho) * _ellipk(m)
-    if n == 3:
-        a, b = (r - rho) ** 2, (r + rho) ** 2
-        if abs(lam - 2.0) < 1e-14:
-            return 2.0 * math.pi * np.log(b / a) / (2.0 * r * rho)
-        e = 1.0 - lam / 2.0
-        return 2.0 * math.pi * (a**e - b**e) / (2.0 * r * rho * (lam / 2.0 - 1.0))
-    raise NotImplementedError(f"sphere integral not implemented for n = {n}")
+        return 4.0 / (r + rho) * _ellipk(4.0 * r * rho / (r + rho) ** 2)
+    lam = n - 2.0 * s
+    a, b = (r - rho) ** 2, (r + rho) ** 2
+    if abs(lam - 2.0) < 1e-14:
+        return 2.0 * math.pi * np.log(b / a) / (2.0 * r * rho)
+    e = 1.0 - lam / 2.0
+    return 2.0 * math.pi * (a**e - b**e) / (2.0 * r * rho * (lam / 2.0 - 1.0))
 
 
 def _gl_on(a: float, b: float, npts: int) -> tuple[np.ndarray, np.ndarray]:
@@ -491,12 +500,11 @@ def radial_convolution(profile, r_points, n: int, s: float, rmax: float):
 
     The rho-quadrature is split at the (integrable) kernel singularity rho = r.
     """
-    lam = n - 2.0 * s
     r_points = np.atleast_1d(np.asarray(r_points, dtype=float))
     out = np.empty_like(r_points)
     for i, r in enumerate(r_points):
         rho, w = _radial_nodes(rmax, split_at=float(r))
-        phi = kernel_sphere_integral(r, rho, n, lam)
+        phi = kernel_sphere_integral(r, rho, n, s)
         out[i] = np.sum(profile(rho) * rho ** (n - 1) * w * phi)
     return gns(n, s) * out
 
@@ -522,7 +530,9 @@ def _bubble_kappa(n: int, s: float) -> float:
 def sharp_diagonal_quotient(n: int, s: float) -> float:
     """Sharp HLS quotient value for the diagonal critical pair p = q0, by
     high-resolution radial quadrature on the bubble extremal and its
-    `_bubble_kappa`."""
+    `_bubble_kappa`; an (n, s) outside `check_sphere_integral` is refused
+    before any quadrature."""
+    check_sphere_integral(n, s)
     q0 = diagonal_exponent(n, s)
     kappa = _bubble_kappa(n, s)
     rho, w = _radial_nodes(_BUBBLE_RMAX)

@@ -34,7 +34,8 @@ node sets with one interface (see `fractional_calculus`), and `_iterate` and
 `_solution` read nothing else of them; `_CellInverse` decides its own
 weights. `solution_fields` rebuilds u and v from w alone by `_solution`'s
 own steps, on the node set `_node_set` picks for it, so a caller that keeps
-only w (a sweep between solves) gets the pair's u and v back bit for bit.
+only w gets the pair's u and v back bit for bit: every sweep keeps its last
+row's w alone and takes that row's u and v from it.
 
 After the loop, the energy and the Sobolev quotient are full-grid sums. Each
 power they take goes into one work array, in place (`_power`, and `lp_norm`
@@ -448,7 +449,8 @@ def solution_fields(w: GridFunction, exponents: ExponentPair,
                     basis: SpectralBasis) -> tuple[GridFunction, GridFunction]:
     """u and v of a solution from its w alone, on the node set
     `solve_ground_state` picks for w and by `_solution`'s own steps: bit for
-    bit the pair's u and v, so a caller may keep w and drop them."""
+    bit the pair's u and v, so a caller may keep w and drop them, as every
+    sweep does until it rescales its last row."""
     _, nodes, values = _node_set(w.values, basis, w.grid)
     u, v = _u_and_v(values, nodes, exponents.q)
     return GridFunction(w.grid, nodes.extend(u)), GridFunction(w.grid, nodes.extend(v))
@@ -599,11 +601,11 @@ def identity_report(pair: SolutionPair, basis: SpectralBasis, energy_direct: flo
     = ||w||^{(q+1)/q}), a80 (reduced energy vs direct), a7 (the quotient form
     factor * [||w|| / ||(-Delta)^{-s}w||]^{(p+1)(q+1)/(pq-1)} vs direct).
     """
-    p, q, s = pair.exponents.p, pair.exponents.q, pair.exponents.s
+    p, q = pair.exponents.p, pair.exponents.q
     qnorm = (q + 1.0) / q
     int_v = integrate(pair.v.with_values(pair.v.values ** (p + 1.0)))
     int_u = integrate(pair.u.with_values(pair.u.values ** (q + 1.0)))
-    norm_v = lp_norm(apply_inverse(pair.w, s, basis), p + 1.0)
+    norm_v = lp_norm(apply_inverse(pair.w, basis), p + 1.0)
     norm_w = lp_norm(pair.w, qnorm)
     factor = 1.0 - 1.0 / (p + 1.0) - 1.0 / (q + 1.0)
     energy_quotient = factor * (norm_w / norm_v) ** ((p + 1.0) * (q + 1.0) / (p * q - 1.0))

@@ -114,7 +114,7 @@ def theta_quotient(w, exps, basis):
     denom = fl.lp_norm(w, (exps.q + 1.0) / exps.q)
     if denom == 0.0:
         raise ValueError("theta quotient of the zero function")
-    return fl.lp_norm(apply_inverse(w, exps.s, basis), exps.p + 1.0) / denom
+    return fl.lp_norm(apply_inverse(w, basis), exps.p + 1.0) / denom
 
 
 def clamp_nonnegative(f):
@@ -233,7 +233,7 @@ def plain_fixed_point(exps, basis, grid, theta_tol=1e-9, residual_tol=1e-7, max_
     its field. It starts from `init` (values), or from the first
     eigenfunction. Returns u, v of the rescaled solution, the Theta history
     and the iteration count."""
-    p, q, s = exps.p, exps.q, exps.s
+    p, q = exps.p, exps.q
     qn = (q + 1.0) / q
     w_cell = grid.cell_volume
 
@@ -241,7 +241,7 @@ def plain_fixed_point(exps, basis, grid, theta_tol=1e-9, residual_tol=1e-7, max_
         return (w_cell * np.sum(np.abs(values) ** r)) ** (1.0 / r)
 
     def inverse(values):
-        return np.maximum(apply_inverse(GridFunction(grid, values), s, basis).values, 0.0)
+        return np.maximum(apply_inverse(GridFunction(grid, values), basis).values, 0.0)
 
     if init is None:
         first = np.zeros(basis.cutoff)
@@ -288,9 +288,9 @@ def full_grid_post_solve(w, theta, exps, basis, grid, points=None):
     With `points`, also u and v there, synthesized from those analyses."""
     p, q, s = exps.p, exps.q, exps.s
     w = theta ** (-q * (p + 1.0) / (p * q - 1.0)) * np.asarray(w)
-    v = np.maximum(apply_inverse(GridFunction(grid, w), s, basis).values, 0.0)
+    v = np.maximum(apply_inverse(GridFunction(grid, w), basis).values, 0.0)
     u = w ** (1.0 / q)
-    lhs = np.maximum(apply_inverse(GridFunction(grid, v**p), s, basis).values, 0.0)
+    lhs = np.maximum(apply_inverse(GridFunction(grid, v**p), basis).values, 0.0)
     a = fl.analyze(GridFunction(grid, u), basis)
     b = fl.analyze(GridFunction(grid, v), basis)
     int_v = grid.cell_volume * np.sum(v ** (p + 1.0))

@@ -509,8 +509,10 @@ def test_sweep_failure_at_the_first_row_raises(monkeypatch):
 @pytest.mark.parametrize("fail_at", [None, 3])
 def test_sweep_holds_one_row_of_fields(fail_at, monkeypatch):
     # between solves a sweep holds one row's fields: when row k's solve starts,
-    # row k - 1's w alone; at the rescale, the last row's u and v alone. After
-    # a failed solve they are rebuilt from the last good row's w, which then goes
+    # row k - 1's w alone, and through the Green comparison the last row's w
+    # alone, whether the schedule finished or a solve failed. The u and v it
+    # rescales are rebuilt from that w, which goes first, so at the rescale
+    # no pair's field is alive
     original = bs.solve_ground_state
     rows = []  # per solved row: weak references to its u, v and w
 
@@ -528,16 +530,25 @@ def test_sweep_holds_one_row_of_fields(fail_at, monkeypatch):
         rows.append([weakref.ref(f) for f in (pair.u, pair.v, pair.w)])
         return pair, report
 
+    original_kernels = bs.limit_kernels
+
+    def comparing(*args, **kwargs):
+        gc.collect()
+        for k in range(len(rows)):
+            held = ["w"] if k == len(rows) - 1 else []
+            assert alive(k) == held, f"row {k} holds {alive(k)} at the limit kernels"
+        return original_kernels(*args, **kwargs)
+
     original_rescale = bs.rescale_solution
 
     def rescaling(*args, **kwargs):
         gc.collect()
         for k in range(len(rows)):
-            held = ["u", "v"] if k == len(rows) - 1 and fail_at is None else []
-            assert alive(k) == held, f"row {k} holds {alive(k)} at the rescale"
+            assert alive(k) == [], f"row {k} holds {alive(k)} at the rescale"
         return original_rescale(*args, **kwargs)
 
     monkeypatch.setattr(bs, "solve_ground_state", tracking)
+    monkeypatch.setattr(bs, "limit_kernels", comparing)
     monkeypatch.setattr(bs, "rescale_solution", rescaling)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -550,18 +561,22 @@ def test_sweep_holds_one_row_of_fields(fail_at, monkeypatch):
 
 
 def test_failed_sweep_rescales_the_last_good_row_bit_for_bit(monkeypatch):
-    # the u and v rebuilt from the last good row's w are that row's own
-    pairs = []
-    monkeypatch.setattr(bs, "solve_ground_state", recording_solve(pairs))
-    failing_solve(monkeypatch, 3, "no convergence at the third row")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res = bs.run_sweep(small_sweep_config())
-    assert len(pairs) == len(res.rows) == 2
-    pair, row = pairs[-1], res.rows[-1]
-    want = bs.rescale_solution(pair.u, pair.v, pair.exponents, row.lam, row.x_c)
-    for name in ("u", "v", "w"):
-        assert np.array_equal(getattr(res.rescaled, name).values, getattr(want, name).values), name
+    # the u and v rebuilt from the last good row's w are that row's own, as
+    # they are for the last row of a finished sweep
+    for fail_at, solved in ((3, 2), (None, 3)):
+        pairs = []
+        with monkeypatch.context() as mp, warnings.catch_warnings():
+            mp.setattr(bs, "solve_ground_state", recording_solve(pairs))
+            if fail_at is not None:
+                failing_solve(mp, fail_at, "no convergence at the third row")
+            warnings.simplefilter("ignore")
+            res = bs.run_sweep(small_sweep_config())
+        assert len(pairs) == len(res.rows) == solved
+        pair, row = pairs[-1], res.rows[-1]
+        want = bs.rescale_solution(pair.u, pair.v, pair.exponents, row.lam, row.x_c)
+        for name in ("u", "v", "w"):
+            assert np.array_equal(getattr(res.rescaled, name).values,
+                                  getattr(want, name).values), (fail_at, name)
 
 
 def test_warm_sweep_peaks_at_one_row_of_fields():

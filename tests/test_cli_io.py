@@ -655,6 +655,11 @@ BAD_CONFIGS = [
      r"hls_box_list and hls_grid_list"),
     ("hls_n_not_above_2s", "command = hls\nn = 1\ns = 0.6\n", r"n > 2s"),
     ("hls_s_above_one", "command = hls\nn = 3\ns = 1.2\n", r"s must lie in \(0, 1\)"),
+    # the oracle's sphere integral has closed forms for n = 3, and for n = 2 at s = 1/2
+    ("hls_oracle_n1", f"command = hls\nn = 1\ns = 0.25\np = {le.diagonal_exponent(1, 0.25)!r}\n",
+     r"radial-quadrature oracle needs n = 3, or n = 2 with lam = n - 2s = 1"),
+    ("hls_oracle_n2", f"command = hls\nn = 2\ns = 0.25\np = {le.diagonal_exponent(2, 0.25)!r}\n",
+     r"radial-quadrature oracle needs n = 3, or n = 2 with lam = n - 2s = 1"),
     # the sampling box would be 0.02 wide, too narrow for two points 0.1 apart
     ("kernel_margin_too_wide", "command = kernels\nkernel_margin = 0.49\n", r"kernel_margin"),
     ("kernel_margin_negative", "command = kernels\nkernel_margin = -0.1\n", r"kernel_margin"),

@@ -93,6 +93,18 @@ def test_the_exponent_hypotheses_have_one_owner():
     assert takes_q0 == []
 
 
+def test_a_basis_carries_its_order():
+    # a basis is built on a box, and the box's s is the order of every
+    # operator on it, so no function takes an s beside its basis that could
+    # disagree with it; `apply_fraclap` is the exception, its order an input
+    # that the semigroup check sets to s1, s2 and s1 + s2
+    takes_s = [f"{path.name}: {node.name}" for path in sorted(Path(fl.__file__).parent.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and {"s", "basis"} <= {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}]
+    assert takes_s == ["fractional_calculus.py: apply_fraclap"]
+
+
 CODE_SNIPPET = '''"""A module docstring
 over two lines."""
 

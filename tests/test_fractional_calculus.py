@@ -78,7 +78,7 @@ def test_fraclap_single_mode_multiplier():
     out = fl.apply_fraclap(phi, 0.5, basis)
     lam = 2 * math.pi**2
     assert np.max(np.abs(out.values - math.sqrt(lam) * phi.values)) < 1e-10
-    inv = fl.apply_inverse(phi, 0.5, basis)
+    inv = fl.apply_inverse(phi, basis)
     assert np.max(np.abs(inv.values - phi.values / math.sqrt(lam))) < 1e-12
 
 
@@ -105,7 +105,7 @@ def test_multiplier_inverse_identity_and_semigroup():
     dom, basis, grid = setup_square()
     for seed in range(3):
         f = band_limited(basis, grid, seed)
-        back = fl.apply_fraclap(fl.apply_inverse(f, 0.5, basis), 0.5, basis)
+        back = fl.apply_fraclap(fl.apply_inverse(f, basis), 0.5, basis)
         assert np.max(np.abs(back.values - f.values)) < 1e-12 * max(1.0, np.max(np.abs(f.values)))
         two_step = fl.apply_fraclap(fl.apply_fraclap(f, 0.3, basis), 0.45, basis)
         one_step = fl.apply_fraclap(f, 0.75, basis)
@@ -117,7 +117,7 @@ def test_inverse_positivity_up_to_clamp():
     dom, basis, grid = setup_square(K=16, m=48)
     rng = np.random.default_rng(8)
     f = fl.GridFunction(grid, rng.random(grid.shape))
-    inv = fl.apply_inverse(f, 0.5, basis)
+    inv = fl.apply_inverse(f, basis)
     clamped, fraction = clamp_nonnegative(inv)
     assert fraction < 1e-8
     assert clamped.min() >= 0.0
@@ -320,7 +320,7 @@ def test_representation_consistency_against_dense_quadrature():
     basis = fl.build_basis(dom, (8, 8))
     grid = fl.build_grid(dom, (16, 16))
     f = band_limited(basis, grid, 13)
-    inv = fl.apply_inverse(f, 0.5, basis)
+    inv = fl.apply_inverse(f, basis)
     coeffs = fl.analyze(f, basis)
 
     dense = fl.build_grid(dom, (128, 128))

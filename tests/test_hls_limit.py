@@ -83,6 +83,30 @@ def test_sharp_diagonal_quotient_builds_each_rule_once(monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("n, s", [(1, 0.25), (2, 0.25)])
+def test_sharp_diagonal_quotient_refuses_before_any_quadrature(n, s, monkeypatch):
+    # the rule comes first: no radial quadrature runs on an (n, s) it cannot compute
+    def untouched(*args, **kwargs):
+        raise AssertionError("radial_convolution ran")
+
+    monkeypatch.setattr(hl, "radial_convolution", untouched)
+    with pytest.raises(fl.RegimeError, match="radial-quadrature oracle needs n = 3"):
+        hl.sharp_diagonal_quotient(n, s)
+
+
+def test_sphere_integral_rule_covers_n3_and_the_2d_half():
+    # the closed forms: n = 3 at every s, n = 2 only at s = 1/2, n = 1 at none
+    covered = {n: [] for n in (1, 2, 3)}
+    for n in covered:
+        for s in [k / 100 for k in range(1, 100) if 2 * k < 100 * n]:
+            try:
+                hl.check_sphere_integral(n, s)
+            except fl.RegimeError:
+                continue
+            covered[n].append(s)
+    assert covered == {1: [], 2: [0.5], 3: [k / 100 for k in range(1, 100)]}
+
+
 def test_bubble_pair_constants():
     amp2, q02 = bubble_pair(2, 0.5)
     assert q02 == pytest.approx(3.0, rel=1e-14)

@@ -217,9 +217,9 @@ def test_scaling_law_eq_w1_residual(solved):
     # direct substitution: w solves w^{1/q} = inv((inv w)^p) after the
     # t = Theta^{-q(p+1)/(pq-1)} rescale
     dom, basis, grid, exps, pair, report = solved
-    inner = fl.apply_inverse(pair.w, exps.s, basis)
+    inner = fl.apply_inverse(pair.w, basis)
     inner, _ = clamp_nonnegative(inner)
-    outer = fl.apply_inverse(inner.with_values(inner.values**exps.p), exps.s, basis)
+    outer = fl.apply_inverse(inner.with_values(inner.values**exps.p), basis)
     lhs = outer.values
     rhs = pair.w.values ** (1.0 / exps.q)
     assert np.max(np.abs(lhs - rhs)) / np.max(rhs) < 1e-6
@@ -253,10 +253,10 @@ def test_p_equals_q_self_consistency():
     exps = fl.ExponentPair(p=2.5, q=2.5, n=2, s=0.5)
     pair, report = fl.solve_ground_state(exps, basis, grid)
     uq = pair.u.with_values(pair.u.values**exps.q)
-    v = fl.apply_inverse(uq, exps.s, basis)
+    v = fl.apply_inverse(uq, basis)
     v, _ = clamp_nonnegative(v)
     assert np.max(np.abs(v.values - pair.v.values)) / pair.v.max() < 1e-7
-    back = fl.apply_inverse(v.with_values(v.values**exps.p), exps.s, basis)
+    back = fl.apply_inverse(v.with_values(v.values**exps.p), basis)
     assert np.max(np.abs(back.values - pair.u.values)) / pair.u.max() < 1e-6
 
 
@@ -439,7 +439,7 @@ def test_cell_inverse_is_bitwise_the_cell_of_apply_inverse(lengths, cutoff, shap
     out = np.empty_like(cell)
     inverse = fc._CellInverse(basis, grid)
     assert inverse(cell, out) is out
-    full = fl.apply_inverse(fl.GridFunction(grid, values), dom.s, basis).values
+    full = fl.apply_inverse(fl.GridFunction(grid, values), basis).values
     assert np.array_equal(out, full[tuple(slice(c) for c in cell.shape)])
     assert np.array_equal(inverse.extend(out), full)
     analyzed = fl.analyze(fl.GridFunction(grid, values), basis).coefficients
@@ -461,7 +461,7 @@ def test_grid_inverse_is_bitwise_apply_inverse(lengths, cutoff, shape):
     basis, grid = fl.build_basis(dom, cutoff), fl.build_grid(dom, shape)
     values = np.random.default_rng(len(shape)).random(shape)
     nodes = fc._GridInverse(basis, grid)
-    full = fl.apply_inverse(fl.GridFunction(grid, values), dom.s, basis).values
+    full = fl.apply_inverse(fl.GridFunction(grid, values), basis).values
     assert np.array_equal(nodes(values, np.empty_like(values)), full)
     assert np.array_equal(nodes.extend(full), full)
     analyzed = fl.analyze(fl.GridFunction(grid, values), basis).coefficients
@@ -625,9 +625,9 @@ def test_symmetric_solve_makes_no_full_grid_inverse(monkeypatch):
     calls = []
     full_inverse = fc.apply_inverse
 
-    def counting(f, s, basis):
+    def counting(f, basis):
         calls.append(f.grid.shape)
-        return full_inverse(f, s, basis)
+        return full_inverse(f, basis)
 
     monkeypatch.setattr(le, "apply_inverse", counting)
     monkeypatch.setattr(fc, "apply_inverse", counting)
