@@ -17,9 +17,11 @@ sine rows.
 `g_tilde` takes a batch of points x against one y: the sine rows of y and
 every x come from one table per axis and their ring estimates of the
 regular part from one `regular_part` batch, and the y side is built once per
-call (G(y, .) on its grid, y's patch and polar nodes with the sine tables of
-their distinct coordinates); its default grid is built per call, and its
-transforms find the half sine matrices cached on each axis' (L, K, m).
+call (G(y, .) on its grid, y's patch and polar nodes, and G(x, .) at those
+nodes for every x by one `_contract_separable` per patch rule, whose GEMM
+over y's distinct last-axis rows is shared by the x's with equal last
+coordinates); its default grid is built per call, and its transforms find
+the half sine matrices cached on each axis' (L, K, m).
 Gauss-Legendre rules, which `hls_limit` uses as well, come from Newton's
 method on the Legendre recurrence; each is built once per order and handed
 out read-only. The kernels, the node sets and `apply_inverse` read s from
@@ -74,6 +76,7 @@ from .spectral_domain import (
     analyze,
     _check_compatible,
     _contract,
+    _contract_separable,
     _half_matrices,
     _points_per_block,
     _sine_factors,
@@ -752,10 +755,12 @@ def g_tilde(
     error estimate (sublattice spread plus patch refinement difference).
     The sine rows of y and every x come from one table per axis, and their
     ring estimates of H from one `regular_part` batch. The y side is built
-    once per call: G(y, .) on the grid and its p-th power, y's patch and y's
-    polar nodes with their sine factors. Each x adds G(x, .) on the grid, its
-    own patch and the patch integrals. Every x is checked by
-    `_check_iterated_pair` before any work.
+    once per call: G(y, .) on the grid and its p-th power, y's patch, y's
+    polar nodes and, per patch rule, G(x, .) at those nodes for every x from
+    one `_contract_separable` of their sine factors. Each x adds G(x, .) on
+    the grid, its own patch, G(y, .) at its polar nodes and the patch
+    integrals, and drops its grid-sized product before the next x. Every x is
+    checked by `_check_iterated_pair` before any work.
     """
     n, s = basis.domain.dim, basis.domain.s
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -810,10 +815,15 @@ def g_tilde(
     coeff_y = green_coefficients(0)
     gy_pow = np.maximum(synthesize(coeff_y, grid).values, 0.0) ** p
     box_y, rules_y = patch(0, lam_pow * p)
-    rules_y = [(pts, weights, local**p, factors) for pts, weights, local, factors in rules_y]
+    # per rule, the weights and local model of y's polar nodes and G(x, .)
+    # there for every x, one contraction of y's sine factors per rule
+    x_rows = [rows[1:] for rows in modes]
+    rules_y = [(weights, local**p, _contract_separable(_multipliers(basis, -s), x_rows, factors))
+               for _, weights, local, factors in rules_y]
 
-    value, bound = np.empty(len(xs)), np.empty(len(xs))
-    for i in range(len(xs)):
+    def estimate(i):
+        """Gt(x, y) and its error estimate for x = xs[i]; its grid-sized
+        product and patch rules go when it returns, before the next x's."""
         coeff_x = green_coefficients(i + 1)
         # in place: each point holds one grid-sized array, with the same products
         weighted = synthesize(coeff_x, grid).values
@@ -824,13 +834,16 @@ def g_tilde(
         weighted[box_y] = 0.0
         weighted[box_x] = 0.0
         fine, coarse = [
-            float(np.sum(w_y * (np.maximum(synthesize_at(coeff_x, pts_y, f_y), 0.0) * local_y)))
+            float(np.sum(w_y * (np.maximum(gx_y[i], 0.0) * local_y)))
             + float(np.sum(w_x * (local_x * np.maximum(synthesize_at(coeff_y, pts_x, f_x), 0.0) ** p)))
-            for (pts_y, w_y, local_y, f_y), (pts_x, w_x, local_x, f_x)
+            for (w_y, local_y, gx_y), (pts_x, w_x, local_x, f_x)
             in zip(rules_y, rules_x, strict=True)
         ]
-        value[i] = float(np.sum(weighted)) + fine
-        bound[i] = _sublattice_spread(weighted) + abs(fine - coarse)
+        return float(np.sum(weighted)) + fine, _sublattice_spread(weighted) + abs(fine - coarse)
+
+    value, bound = np.empty(len(xs)), np.empty(len(xs))
+    for i in range(len(xs)):
+        value[i], bound[i] = estimate(i)
     if x.ndim == 1:
         return KernelSample(float(value[0]), float(bound[0]))
     return KernelSample(value, bound)

@@ -35,7 +35,8 @@ node sets with one interface (see `fractional_calculus`), and `_iterate` and
 weights. `solution_fields` rebuilds u and v from w alone by `_solution`'s
 own steps, on the node set `_node_set` picks for it, so a caller that keeps
 only w gets the pair's u and v back bit for bit: every sweep keeps its last
-row's w alone and takes that row's u and v from it.
+row's w alone and takes that row's u and v from it. Its clamp of v is the
+solve's, bit for bit, so it does not warn again.
 
 After the loop, the energy and the Sobolev quotient are full-grid sums. Each
 power they take goes into one work array, in place (`_power`, and `lp_norm`
@@ -289,21 +290,22 @@ def _check_finite(total: float) -> float:
     return total
 
 
-def _clamp_in_place(values: np.ndarray, weights, context: str) -> float:
+def _clamp_in_place(values: np.ndarray, weights, context: str | None) -> float:
     """Zero out the negative ringing of `values` in place, each node's mass
     counted `weights` times (a node set's `weights`), and return the removed
     L1 mass fraction. Warns, for the caller's caller, when that fraction
     exceeds `_CLAMP_WARN_FRACTION`: the exact inverse is
     positivity-preserving, so larger clamps indicate an under-resolved field.
-    The minimum it takes is checked by `_check_finite`, so a NaN or -inf node
-    raises."""
+    A `context` of None clamps without a warning: a rebuild of a clamp that
+    was already warned about. The minimum it takes is checked by
+    `_check_finite`, so a NaN or -inf node raises."""
     if not _check_finite(float(values.min())) < 0.0:
         return 0.0
     neg = values < 0.0
     mass = np.abs(values) * weights
     total = float(np.sum(mass))
     fraction = float(np.sum(mass[neg])) / total if total > 0 else 0.0
-    if fraction > _CLAMP_WARN_FRACTION:
+    if context is not None and fraction > _CLAMP_WARN_FRACTION:
         warnings.warn(
             f"clamped {fraction:.3e} of L1 mass to restore positivity"
             + (f" ({context})" if context else ""),
@@ -419,18 +421,20 @@ def _iterate(
 
 
 def _clamped_inverse(values: np.ndarray, nodes: _CellInverse | _GridInverse,
-                     context: str) -> np.ndarray:
+                     context: str | None) -> np.ndarray:
     """(-Delta)^{-s} of node values, its negative ringing clamped and warned
-    about by `_clamp_in_place`, which refuses a NaN or -inf result."""
+    about in `context` by `_clamp_in_place`, which refuses a NaN or -inf
+    result."""
     out = nodes(values, np.empty_like(values))
     _clamp_in_place(out, nodes.weights, context)
     return out
 
 
-def _u_and_v(w: np.ndarray, nodes: _CellInverse | _GridInverse,
-             q: float) -> tuple[np.ndarray, np.ndarray]:
-    """u = w^{1/q} and the clamped v = (-Delta)^{-s} w of a solution's w, on `nodes`."""
-    v = _clamped_inverse(w, nodes, "final v")
+def _u_and_v(w: np.ndarray, nodes: _CellInverse | _GridInverse, q: float,
+             context: str | None) -> tuple[np.ndarray, np.ndarray]:
+    """u = w^{1/q} and the clamped v = (-Delta)^{-s} w of a solution's w, on
+    `nodes`, the clamp warned about in `context`."""
+    v = _clamped_inverse(w, nodes, context)
     return w ** (1.0 / q), v
 
 
@@ -450,9 +454,10 @@ def solution_fields(w: GridFunction, exponents: ExponentPair,
     """u and v of a solution from its w alone, on the node set
     `solve_ground_state` picks for w and by `_solution`'s own steps: bit for
     bit the pair's u and v, so a caller may keep w and drop them, as every
-    sweep does until it rescales its last row."""
+    sweep does until it rescales its last row. The clamp of v is bitwise the
+    solve's, which warned about it, so it warns nothing."""
     _, nodes, values = _node_set(w.values, basis, w.grid)
-    u, v = _u_and_v(values, nodes, exponents.q)
+    u, v = _u_and_v(values, nodes, exponents.q, None)
     return GridFunction(w.grid, nodes.extend(u)), GridFunction(w.grid, nodes.extend(v))
 
 
@@ -467,7 +472,7 @@ def _solution(w: np.ndarray, theta: float, nodes: _CellInverse | _GridInverse,
     and v."""
     p, q = exponents.p, exponents.q
     w *= theta ** (-q * (p + 1.0) / (p * q - 1.0))
-    u, v = _u_and_v(w, nodes, q)
+    u, v = _u_and_v(w, nodes, q, "final v")
     lhs = _clamped_inverse(v**p, nodes, "residual check")
     residual_w = float(np.max(np.abs(lhs - u))) / max(float(u.max()), 1e-300)
     coefficients = (nodes.coefficients(u), nodes.coefficients(v))

@@ -27,13 +27,18 @@ each axis and one BLAS pass over the last mode axis per distinct last-axis
 row; only the remaining axes are contracted point by point. A sine table is
 built with the points on the fast axis, so its angle-doubling passes run at
 vector speed, and a coordinate's row does not depend on the batch it is in.
+`_contract_separable` evaluates a batch of fields whose coefficients are
+one tensor times an outer product of rows, G(x, .) of several points x, on
+one point set: fields with equal last-axis rows share the BLAS pass over
+the last mode axis, and each field takes one matrix-vector product per
+block of points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -373,10 +378,12 @@ _SYNTHESIZE_AT_BUDGET_BYTES = 1 << 20
 
 
 def _points_per_block(cutoff: tuple[int, ...]) -> int:
-    """Block size of `_contract` and `green`. Per point: at most one row of
-    the distinct-row GEMM output and one gathered row of partial sums, each
-    prod(K[:-1]) floats, and per axis a factor row and its gathered copy,
-    2 K_i floats (`green`'s sine tables of one axis fit in the same room)."""
+    """Block size of `_contract`, `_contract_separable` and `green`. Per
+    point: at most one row of the distinct-row GEMM output and one gathered
+    row of partial sums, each prod(K[:-1]) floats, and per axis a factor row
+    and its gathered copy, 2 K_i floats (`green`'s sine tables of one axis fit
+    in the same room; `_contract_separable` holds a third row, the products
+    of the point's factor rows)."""
     floats_per_point = 2 * math.prod(cutoff[:-1]) + 2 * sum(cutoff)
     return max(1, _SYNTHESIZE_AT_BUDGET_BYTES // (8 * floats_per_point))
 
@@ -411,6 +418,47 @@ def _contract(coefficients: np.ndarray,
             t = np.matmul(t.reshape(len(members), -1, cutoff[axis]),
                           table[table_rows[members], :, None])
         out[members] = t.reshape(-1)
+    return out
+
+
+def _contract_separable(weights: np.ndarray, rows: list[np.ndarray],
+                        factors: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """sum_k w_k prod_i R_i[f, k_i] T_i[j_i(p), k_i] for every field f and
+    point p, (F, P): the fields whose coefficients are the weights w times the
+    outer product of one row per axis, R_i (F, K_i), at the points of
+    `factors`, given as for `_contract`.
+
+    Fields with equal last-axis rows form a group. The points run in blocks
+    of `_contract`'s order, ascending last-axis row; per block the products
+    of the points' rows on the other axes are built once, and per group one
+    BLAS matmul contracts the last mode axis of w R_n[f] with the block's
+    range of T_n, whose rows are gathered per point and multiplied by those
+    products. Each field then takes one matrix-vector product with the outer
+    product of its other rows. A group's matmul depends only on its last-axis
+    row, and each field's products are calls of its own, so a field's values
+    are bitwise the same in any batch of fields."""
+    cutoff = weights.shape
+    last, last_rows = factors[-1]
+    groups, group_of = np.unique(rows[-1], axis=0, return_inverse=True)
+    flat = [(weights * row).reshape(-1, cutoff[-1]).T for row in groups]
+    members = [np.flatnonzero(group_of == g) for g in range(len(groups))]
+    others = [np.ravel(reduce(np.multiply.outer, [r[f] for r in rows[:-1]], 1.0))
+              for f in range(len(group_of))]
+    order = np.argsort(last_rows, kind="stable")
+    out = np.empty((len(group_of), len(order)))
+    block = _points_per_block(cutoff)
+    for start in range(0, len(order), block):
+        points = order[start : start + block]
+        products = np.ones((len(points), 1))
+        for table, table_rows in factors[:-1]:
+            products = np.einsum("pi,pj->pij", products,
+                                 np.take(table, table_rows[points], axis=0)).reshape(len(points), -1)
+        rows_p = last_rows[points]
+        for mat, fields in zip(flat, members, strict=True):
+            t = np.take(last[rows_p[0] : rows_p[-1] + 1] @ mat, rows_p - rows_p[0], axis=0)
+            t *= products
+            for f in fields:
+                out[f, points] = t @ others[f]
     return out
 
 

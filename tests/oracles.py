@@ -73,6 +73,14 @@ def einsum_contract(coefficients, factors):
     return t[:, 0]
 
 
+def einsum_contract_separable(weights, rows, factors):
+    """`spectral_domain._contract_separable` field by field: each field's
+    coefficients, the weights times the outer product of its rows, through
+    `einsum_contract`; (F, P)."""
+    return np.array([einsum_contract(weights * reduce(np.multiply.outer, [r[f] for r in rows]), factors)
+                     for f in range(len(rows[0]))])
+
+
 def einsum_synthesize_at(c, points):
     """sum_k a_k phi_k at points (P, n) from `np_sin_sine_samples` rows of every
     point and `einsum_contract`."""

@@ -462,6 +462,30 @@ def small_sweep_config(eps_schedule=(0.06, 0.05, 0.04)):
                           cutoff=(16, 16), grid_shape=(32, 32))
 
 
+def test_sweep_warns_each_final_v_clamp_once(monkeypatch):
+    # the last row's v clamps above the warn level; the sweep rebuilds that
+    # row's u and v from w with bitwise the solve's clamp, which warns nothing
+    # more: every "final v" warning comes from inside a solve
+    original = bs.solve_ground_state
+    solves = []
+
+    def solve(*args, **kwargs):
+        start = len(caught)
+        result = original(*args, **kwargs)
+        solves.append(range(start, len(caught)))
+        return result
+
+    monkeypatch.setattr(bs, "solve_ground_state", solve)
+    cfg = bs.SweepConfig(domain=unit_square(), p=2.5, eps_schedule=(0.06, 0.04),
+                         cutoff=(12, 12), grid_shape=(24, 24))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        bs.run_sweep(cfg)
+    final_v = [i for i, w in enumerate(caught) if "(final v)" in str(w.message)]
+    assert final_v and final_v[-1] in solves[-1]
+    assert all(any(i in span for span in solves) for i in final_v)
+
+
 def test_sweep_failure_ends_the_sweep_and_is_recorded_once(monkeypatch):
     failing_solve(monkeypatch, 3, "no convergence at the third row")
     with warnings.catch_warnings():

@@ -6,6 +6,12 @@ axis order, side lengths and per-axis cutoffs where no closed form reaches.
 - Axis permutation: the box with its sides, cutoffs and coordinates
   permuted is the same box, so its G is G at the permuted points.
 
+`g_tilde` keeps both as well. Its grid, patches, polar nodes and ring
+estimates of H scale with the box, so Gt_L(Lx, Ly) = L^(n + (1+p)(2s-n))
+Gt(x, y), and so does its error estimate. Its polar rule is permuted with
+the box only where its direction set maps onto itself: in 2-d, and in 3-d
+under the swap of the first two axes (see `test_g_tilde_axis_permutation`).
+
 `solve_ground_state` keeps both: on LΩ, (-Δ)^-s scales by L^(2s), so the
 solution w scales by κ = L^(2s(1+p)/(1/q-p)) and Θ by
 L^(2s + n/(p+1) - nq/(q+1)), along the same iteration path; on the permuted
@@ -25,6 +31,7 @@ import pytest
 from oracles import eigen_modes, eigenvalues
 
 import fraclane as fl
+from fraclane import fractional_calculus as fc
 
 RTOL = 1e-13  # of the term scale; the laws read 5e-17 to 5e-16 of it on these cells
 
@@ -147,3 +154,74 @@ def test_solve_axis_permutation(node_set):
         field = getattr(base, name)
         assert_law(getattr(moved, name).values.T, field.values, field.max())
     assert_law(moved_report.theta, report.theta, report.theta)
+
+
+# g_tilde's rings, as the coordinate planes they lie in: in 3-d their shared
+# coordinate sits on each axis in turn, the last one included
+RING_PLANES = {1: [(0,)], 2: [(0, 1)], 3: [(0, 1), (0, 2), (1, 2)]}
+
+
+def iterated_exponent(n, s):
+    """p midway between 1 and the Serrin exponent n/(n-2s): sub-Serrin, p > 1."""
+    return (1.0 + n / (n - 2.0 * s)) / 2.0
+
+
+def kernel_ring(lengths, plane, count=8):
+    """`count` points x on a circle of radius 0.3 min(L) about y in the
+    coordinate plane `plane` (along the axis for n = 1), sharing y's other
+    coordinates, and y beside the box centre. The centre of an even grid is a
+    nearest-node tie on every axis, where rounding could pick another patch
+    in another box; y's offsets keep it, and the coordinates the ring shares
+    with it, 0.2 to 0.6 grid cells from every tie."""
+    sides = np.asarray(lengths)
+    y = sides / 2.0 + 0.008 * sides.min() * np.arange(1, len(sides) + 1)
+    angles = 2.0 * np.pi * (np.arange(count) + 0.5) / count
+    xs = np.tile(y, (count, 1))
+    for axis, wave in zip(plane, (np.cos(angles), np.sin(angles))):
+        xs[:, axis] += 0.3 * sides.min() * wave
+    return xs, y
+
+
+def assert_kernel_law(got, expect, law):
+    """Value and error estimate of `got` against `law` times those of
+    `expect`, each to RTOL of the value: every term of the quadrature is
+    nonnegative, and the estimate is a difference of such sums."""
+    scale = law * expect.value
+    assert_law(got.value, law * expect.value, scale)
+    assert_law(got.truncation_bound, law * expect.truncation_bound, scale)
+
+
+@pytest.mark.parametrize("n, s", CELLS)
+def test_g_tilde_box_scaling(n, s):
+    # on LΩ, G_L(Lx, Lz) = L^(2s-n) G(x, z) and dz gains L^n, so
+    # Gt_L(Lx, Ly) = L^n L^((2s-n)(1+p)) Gt(x, y)
+    lengths, cutoff = BOXES[n]
+    p = iterated_exponent(n, s)
+    basis = basis_of(lengths, cutoff, s)
+    for plane in RING_PLANES[n]:
+        xs, y = kernel_ring(lengths, plane)
+        base = fl.g_tilde(xs, y, p, basis)
+        for factor in (2.5, 0.4):
+            scaled = fl.g_tilde(factor * xs, factor * y, p,
+                                basis_of(tuple(factor * a for a in lengths), cutoff, s))
+            assert_kernel_law(scaled, base, factor ** (n + (1.0 + p) * (2.0 * s - n)))
+
+
+@pytest.mark.parametrize("n, s", [cell for cell in CELLS if cell[0] > 1])
+def test_g_tilde_axis_permutation(n, s):
+    # the polar rule's directions: in 2-d the angles (j + 1/2) 2 pi / N, which
+    # the swap theta -> pi/2 - theta maps onto themselves for N a multiple of
+    # 4; in 3-d Gauss-Legendre cosines about the last axis times those
+    # azimuths, so only the swap of the first two axes keeps the rule. Moving
+    # the last axis changes the rule, and Gt by 0.3% to 1.2% on these cells.
+    # The 3-d rings share their last coordinate, or share the first or
+    # second one and no last coordinate.
+    assert all(n_ang % 4 == 0 for _, n_ang in fc._PATCH_RULES)
+    lengths, cutoff = BOXES[n]
+    p = iterated_exponent(n, s)
+    perm = [1, 0] + list(range(2, n))
+    moved = basis_of(tuple(lengths[i] for i in perm), tuple(cutoff[i] for i in perm), s)
+    for plane in RING_PLANES[n][:2]:
+        xs, y = kernel_ring(lengths, plane)
+        base = fl.g_tilde(xs, y, p, basis_of(lengths, cutoff, s))
+        assert_kernel_law(fl.g_tilde(xs[:, perm], y[perm], p, moved), base, 1.0)

@@ -11,6 +11,7 @@ from oracles import (
     eigen_modes,
     eigenvalues,
     einsum_contract,
+    einsum_contract_separable,
     green_direct,
     kernel_pairs_one_at_a_time,
     np_sin_sine_table,
@@ -553,8 +554,9 @@ def test_g_tilde_batch_is_the_per_point_loop(lengths, cutoff, p):
 ], ids=["3d_p1", "2d_p1.5"])
 def test_g_tilde_matches_the_per_point_einsum_path(monkeypatch, lengths, cutoff, p):
     # the whole kernel again on np.sin sines, per-point factors and einsum
-    # contractions; the reference builds its half sine matrices past their
-    # cache, so no cached sine matrix crosses over
+    # contractions, G(x, .) at y's patch nodes field by field; the reference
+    # builds its half sine matrices past their cache, so no cached sine
+    # matrix crosses over
     dom = fl.BoxDomain(lengths, 0.5)
     xs, y = ring_batch(lengths, count=2)
     got = fl.g_tilde(xs, y, p, fl.build_basis(dom, cutoff))
@@ -563,6 +565,7 @@ def test_g_tilde_matches_the_per_point_einsum_path(monkeypatch, lengths, cutoff,
         patch.setattr(sd, "_half_pair", sd._half_pair.__wrapped__)
         patch.setattr(fc, "_contract", einsum_contract)
         patch.setattr(sd, "_contract", einsum_contract)
+        patch.setattr(fc, "_contract_separable", einsum_contract_separable)
         ref = fl.g_tilde(xs, y, p, fl.build_basis(dom, cutoff))
     np.testing.assert_allclose(got.value, ref.value, rtol=1e-13, atol=0)
     np.testing.assert_allclose(got.truncation_bound, ref.truncation_bound,
@@ -584,6 +587,57 @@ def test_g_tilde_takes_every_ring_estimate_from_one_green_call(monkeypatch):
     fl.g_tilde(xs, y, 1.0, basis)
     assert len(sizes) == 1
     assert sizes[0] == 8 * (len(xs) + 1)  # every ring point of y and the xs lies inside
+
+
+@pytest.mark.parametrize("lengths,cutoff", [((1.0, 1.3), (16, 20)), ((1.0, 1.0, 1.0), (8, 8, 8))],
+                         ids=["2d", "3d"])
+def test_g_tilde_contracts_the_y_side_once_per_patch_rule(monkeypatch, lengths, cutoff):
+    # G(x, .) at y's polar nodes comes from one contraction per patch rule
+    # for the whole batch; each synthesize_at call is G(y, .) at one x's
+    # patch nodes, none at y's
+    basis = fl.build_basis(fl.BoxDomain(lengths, 0.5), cutoff)
+    xs, y = ring_batch(lengths)
+    contractions, evaluated = [], []
+    contract, evaluate = fc._contract_separable, fc.synthesize_at
+
+    def contracting(weights, rows, factors):
+        contractions.append(len(rows[0]))
+        return contract(weights, rows, factors)
+
+    def evaluating(c, points, factors=None):
+        evaluated.append(np.asarray(points))
+        return evaluate(c, points, factors)
+
+    monkeypatch.setattr(fc, "_contract_separable", contracting)
+    monkeypatch.setattr(fc, "synthesize_at", evaluating)
+    for batch in (xs[:1], xs):
+        contractions.clear()
+        evaluated.clear()
+        fl.g_tilde(batch, y, 1.0, basis)
+        assert contractions == [len(batch)] * len(fc._PATCH_RULES)
+        assert len(evaluated) == len(batch) * len(fc._PATCH_RULES)
+        for points in evaluated:
+            to_x = np.min(np.linalg.norm(points[:, None, :] - batch[None, :, :], axis=2), axis=1)
+            assert np.all(to_x < np.linalg.norm(points - y, axis=1))
+
+
+def test_g_tilde_mirror_images_agree_within_their_bounds():
+    # the sweep_cube_p1 ring: Gt is mirror symmetric about every mid-plane,
+    # but y at the centre of the even kernel grid sits on a nearest-node tie
+    # on every axis and its patch takes one side, so mirror images differ
+    # (about 0.35%); the reported bounds must cover that
+    lengths = (1.0, 1.0, 1.0)
+    basis = fl.build_basis(fl.BoxDomain(lengths, 0.5), (24, 24, 24))
+    xs, _ = ring_batch(lengths, count=8)
+    y = np.asarray(lengths) / 2.0
+    got = fl.g_tilde(xs, y, 1.0, basis)
+    for axis in range(3):
+        mirrored = xs.copy()
+        mirrored[:, axis] = lengths[axis] - xs[:, axis]
+        image = np.argmin(np.linalg.norm(mirrored[:, None, :] - xs[None, :, :], axis=2), axis=1)
+        assert np.allclose(xs[image], mirrored, rtol=0, atol=1e-12)
+        bounds = got.truncation_bound + got.truncation_bound[image]
+        assert np.all(np.abs(got.value - got.value[image]) <= bounds)
 
 
 def test_ring_regular_parts_average_each_center_over_its_own_ring():

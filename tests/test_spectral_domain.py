@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from oracles import (
     einsum_contract,
+    einsum_contract_separable,
     einsum_synthesize_at,
     exact_sine_samples,
     np_sin_sine_samples,
@@ -15,7 +16,13 @@ from scipy.integrate import quad
 
 import fraclane as fl
 from fraclane.fractional_calculus import _polar_nodes
-from fraclane.spectral_domain import _contract, _half_matrices, _points_per_block, _sine_factors
+from fraclane.spectral_domain import (
+    _contract,
+    _contract_separable,
+    _half_matrices,
+    _points_per_block,
+    _sine_factors,
+)
 
 
 def unit_square(s=0.5):
@@ -445,3 +452,63 @@ def test_spectral_field_shape_guard():
     basis = fl.build_basis(unit_square(), (4, 4))
     with pytest.raises(ValueError):
         fl.SpectralField(basis, np.zeros((3, 4)))
+
+
+def separable_batches(lengths, count=6):
+    """Two batches of points x in a box: a circle in the plane of the first
+    two axes (n = 3) or a row along the first axis (n = 2), which share their
+    last coordinate, and seeded points, which share none. For n = 1 the first
+    is a row of distinct points."""
+    lengths = np.asarray(lengths)
+    n = len(lengths)
+    angles = 2.0 * math.pi * (np.arange(count) + 0.5) / count
+    shared = np.tile(0.55 * lengths, (count, 1))
+    shared[:, 0] += 0.3 * lengths[0] * np.cos(angles)
+    if n > 2:
+        shared[:, 1] += 0.3 * lengths[1] * np.sin(angles)
+    if n == 1:
+        shared[:, 0] = (0.2 + 0.1 * np.arange(count)) * lengths[0]
+    spread = (0.1 + 0.8 * np.random.default_rng(count).random((count, n))) * lengths
+    return shared, spread
+
+
+@pytest.mark.parametrize("cutoff", [(40,), (24, 20), (12, 10, 14)])
+def test_contract_separable_matches_the_per_field_einsum_path(cutoff):
+    # G(x, .) of a batch of x at polar nodes around a point, which share most
+    # of their coordinates, and at seeded points spanning several blocks;
+    # every field is the einsum contraction of its own coefficients, to
+    # 1e-13 of the field's largest value: a truncated G nearly cancels at some
+    # seeded points
+    n = len(cutoff)
+    lengths = np.asarray((1.0, 0.7, 1.3)[:n])
+    basis = fl.build_basis(fl.BoxDomain(tuple(lengths), 0.3), cutoff)
+    weights = basis.eigenvalue_grid ** -0.3
+    center = 0.3 * lengths
+    polar, _ = _polar_nodes(center, center - 0.05, center + 0.05, n - 0.6, 8, 32)
+    randoms = np.random.default_rng(sum(cutoff)).random((2 * _points_per_block(cutoff) + 7, n)) * lengths
+    for xs in separable_batches(lengths):
+        rows = [basis.sine_samples(axis, xs[:, axis]) for axis in range(n)]
+        for points in (polar, randoms):
+            factors = _sine_factors(basis, points)
+            got = _contract_separable(weights, rows, factors)
+            ref = einsum_contract_separable(weights, rows, factors)
+            assert got.shape == ref.shape == (len(xs), len(points))
+            assert np.all(np.abs(got - ref) <= 1e-13 * np.max(np.abs(ref), axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("cutoff", [(40,), (24, 20), (12, 10, 14)])
+def test_contract_separable_field_is_its_own_call(cutoff):
+    # a group's GEMM depends only on its last-axis row and each field's
+    # products are calls of its own, so every field is bitwise the same alone
+    n = len(cutoff)
+    lengths = np.asarray((1.0, 0.7, 1.3)[:n])
+    basis = fl.build_basis(fl.BoxDomain(tuple(lengths), 0.3), cutoff)
+    weights = basis.eigenvalue_grid ** -0.3
+    points = np.random.default_rng(3).random((2 * _points_per_block(cutoff) + 7, n)) * lengths
+    factors = _sine_factors(basis, points)
+    for xs in separable_batches(lengths):
+        rows = [basis.sine_samples(axis, xs[:, axis]) for axis in range(n)]
+        batch = _contract_separable(weights, rows, factors)
+        for f in range(len(xs)):
+            alone = _contract_separable(weights, [r[f : f + 1] for r in rows], factors)
+            assert np.array_equal(alone[0], batch[f])
